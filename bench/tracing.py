@@ -84,8 +84,7 @@ def _info(name: str, result) -> dict | None:
 
 
 class Tracer:
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans: list[Span] = []
         self._stack: list[int] = []
         self._patches: list[tuple[object, str, object]] = []
@@ -96,13 +95,13 @@ class Tracer:
     def _open(self, name: str) -> int:
         idx = len(self.spans)
         parent = self._stack[-1] if self._stack else None
-        self.spans.append(Span(name, self.clock(), 0.0, parent, self.item))
+        self.spans.append(Span(name, time.perf_counter(), 0.0, parent, self.item))
         self._stack.append(idx)
         return idx
 
     def _close(self, idx: int, info: dict | None) -> None:
         span = self.spans[idx]
-        span.end = self.clock()
+        span.end = time.perf_counter()
         span.info = info
         self._stack.pop()
 
@@ -178,8 +177,8 @@ class Tracer:
 
     @contextlib.contextmanager
     def installed(self) -> Iterator["Tracer"]:
-        self.install()
         try:
+            self.install()
             yield self
         finally:
             self.remove()
