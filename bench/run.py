@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run one benchmark workload and print its metrics.
 
-    python3 bench/run.py --workload scalar-sweep --seed 1 --seconds 6 --trace 0
+    python3 bench/run.py --workload scalar-sweep --seed 1 --seconds 20 --trace 0
 
 One process, one client, closed loop: each item starts when the previous
 one has finished.  ``--trace 0`` prints the end-to-end metrics; ``--trace 1``
@@ -29,6 +29,7 @@ _START = time.perf_counter()
 import argparse  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -41,8 +42,9 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 
-TAIL_BEYOND = 10  # every design has more items than this, so the tail exists
+TAIL_BEYOND = 10  # every run has more items than this, so the tail exists
 SETUP_REPEATS = 3  # this process plus two fresh set-up-only processes
+STALL_FACTOR = 5  # no new pass starts once a run has taken this many times --seconds
 
 END_TO_END = {
     "setup_s": "s",
@@ -63,12 +65,12 @@ ACCURACY = {
 def per_layer_unit(name: str) -> str:
     if name.removesuffix("_p50") in ACCURACY:
         return ACCURACY[name.removesuffix("_p50")]
+    if name.endswith("steps_per_s"):
+        return "1/s"
     if name.endswith("_s"):
         return "s"
     if name.endswith(("ns_per_unknown", "ns_per_unknown_step")):
         return "ns"
-    if name.endswith("steps_per_s"):
-        return "1/s"
     if name.endswith(("_frac", "_per_solve")):
         return "ratio"
     return "count"
@@ -132,11 +134,28 @@ def run_item(workload, case):
     return time.perf_counter() - t0, outcome
 
 
-def timed_loop(workload, passes, seconds: float, around=None):
-    """Run whole passes over the design until ``seconds`` have passed."""
+def pass_count(workload, seconds: float) -> int:
+    """Whole passes that take about ``seconds`` on the baseline machine.
+
+    At least enough passes for the tail percentile to exist.  The count
+    depends only on ``seconds``, never on how fast this run goes, so every run
+    of a workload times the same items and the tail percentile always falls on
+    the same rank.
+    """
+    cases = workload.design_size - len(workload.excluded)
+    return max(round(seconds / workload.pass_s), math.ceil((TAIL_BEYOND + 1) / cases))
+
+
+def timed_loop(workload, passes, n_passes: int, around=None, after_pass=None, stall_s: float = math.inf):
+    """Run ``n_passes`` whole passes over the design.
+
+    ``after_pass`` is called (untimed) after each pass.  No pass starts once
+    ``stall_s`` seconds have gone and the tail percentile exists, so a badly
+    slowed program still ends with a result.
+    """
     records = []
-    deadline = time.perf_counter() + seconds
-    for cases in passes:
+    t0 = time.perf_counter()
+    for cases in itertools.islice(passes, n_passes):
         for case in cases:
             if around is None:
                 dt, outcome = run_item(workload, case)
@@ -144,7 +163,9 @@ def timed_loop(workload, passes, seconds: float, around=None):
                 with around(len(records)):
                     dt, outcome = run_item(workload, case)
             records.append((case, dt, outcome))
-        if time.perf_counter() >= deadline:
+        if after_pass is not None:
+            after_pass()
+        if time.perf_counter() - t0 >= stall_s and len(records) > TAIL_BEYOND:
             break
     return records
 
@@ -223,7 +244,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=6.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -239,15 +260,25 @@ def main(argv=None) -> int:
     if args.setup_only:
         print(repr(own_setup))
         return 0
-    setups = [own_setup] + [child_setup_seconds(args.workload, args.seed) for _ in range(SETUP_REPEATS - 1)]
-
-    report = {"environment": environment(args), "import_s": import_s, "setup_runs_s": setups}
+    n_passes = pass_count(workload, args.seconds)
+    report = {"environment": environment(args), "import_s": import_s, "passes": n_passes}
     if args.trace:
-        metrics, records, extra = traced_run(workload, cases, args)
+        metrics, records, extra = traced_run(workload, cases, n_passes, args)
         report.update(extra)
         units = per_layer_unit
     else:
-        records = timed_loop(workload, cases, args.seconds)
+        # The extra set-ups run between passes, so that their median samples
+        # the machine over the whole run rather than over its first seconds.
+        setups = [own_setup]
+
+        def set_up_again():
+            if len(setups) < SETUP_REPEATS:
+                setups.append(child_setup_seconds(args.workload, args.seed))
+
+        records = timed_loop(workload, cases, n_passes, after_pass=set_up_again, stall_s=STALL_FACTOR * args.seconds)
+        while len(setups) < SETUP_REPEATS:
+            set_up_again()
+        report["setup_runs_s"] = setups
         times = [dt for _, dt, _ in records]
         tail_ms, tail_pct = tail_percentile([t * 1e3 for t in times])
         metrics = {
@@ -286,20 +317,23 @@ def main(argv=None) -> int:
     return 0
 
 
-def traced_run(workload, passes, args):
-    """Each pass runs untraced and then traced; per-layer metrics from the traced runs."""
+def traced_run(workload, passes, n_passes: int, args):
+    """Each pass runs untraced and then traced; per-layer metrics from the traced runs.
+
+    Half as many passes as a timed run, so that both take about as long.
+    """
     from tracing import Tracer, dominant_layer, layer_metrics
 
     tracer = Tracer()
     plain, traced = [], []
-    deadline = time.perf_counter() + args.seconds
-    for cases in passes:
-        plain += timed_loop(workload, [cases], 0.0)
+    t0 = time.perf_counter()
+    for cases in itertools.islice(passes, max(1, n_passes // 2)):
+        plain += timed_loop(workload, [cases], 1)
         with tracer.installed():
             traced += timed_loop(
-                workload, [cases], 0.0, around=lambda i: tracer.span("bench.item", item=len(traced) + i)
+                workload, [cases], 1, around=lambda i: tracer.span("bench.item", item=len(traced) + i)
             )
-        if time.perf_counter() >= deadline:
+        if time.perf_counter() - t0 >= STALL_FACTOR * args.seconds:
             break
     out_dir = ROOT / ".bench_out"
     out_dir.mkdir(exist_ok=True)

@@ -36,16 +36,58 @@ def test_generators_are_deterministic_per_seed(name):
     assert repr(first_cases(name, 6, n)) != repr(a)
 
 
-def test_passes_cover_the_design_with_jittered_widths():
+def test_passes_shuffle_the_design_and_change_no_case():
     w = workloads.WORKLOADS["inverse-design"]
     design = workloads.design(w)
-    assert len(design) == w.design_size > run.TAIL_BEYOND
+    assert len(design) == w.design_size
     first, second = itertools.islice(workloads.passes(w, 4), 2)
     assert first[0] == second[0] == design[0] == {}  # the unmodified preset leads every pass
-    assert sorted(c["a"] for c in first[1:]) == sorted(c["a"] for c in design[1:])
-    ratios = [c["R"] / d["R"] for c in first[1:] for d in design[1:] if d["a"] == c["a"]]
-    assert all(1 / workloads.JITTER <= x <= workloads.JITTER for x in ratios)
-    assert [c["a"] for c in first[1:]] != [c["a"] for c in second[1:]]
+    assert sorted(map(repr, first)) == sorted(map(repr, second)) == sorted(map(repr, design))
+    assert first[1:] != second[1:]
+
+
+def test_dynamics_design_leaves_out_the_positivity_defect_case():
+    w = workloads.WORKLOADS["dynamics"]
+    drawn, design = workloads.drawn(w), workloads.design(w)
+    assert len(drawn) == w.design_size and len(design) == w.design_size - 1
+    defect = drawn[workloads.POSITIVITY_DEFECT_CASE]
+    assert defect.bc is workloads.BC.DIRICHLET and round(defect.R, 2) == 2.49
+    assert all(case is not defect for case in design)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="Crank-Nicolson runs negative on this layout under criterion 9's T and dt"
+)
+def test_simulator_keeps_positivity_on_the_left_out_dynamics_case():
+    w = workloads.WORKLOADS["dynamics"]
+    outcome = w.run(workloads.drawn(w)[workloads.POSITIVITY_DEFECT_CASE])
+    assert outcome.values[3] >= -1e-12, outcome.note  # min_density_ratio
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_a_benchmark_run_has_a_tail_and_a_middle_case(name):
+    w = workloads.WORKLOADS[name]
+    items = len(workloads.design(w)) * run.pass_count(w, BENCHMARK["run_seconds"])
+    assert items > run.TAIL_BEYOND
+    assert len(workloads.design(w)) % 2 == 1
+
+
+def test_pass_count_depends_on_seconds_only():
+    w = workloads.WORKLOADS["scalar-sweep"]
+    assert run.pass_count(w, 0.5) == 1
+    assert run.pass_count(w, 2 * w.pass_s) == 2
+    assert run.pass_count(w, 20) == round(20 / w.pass_s)
+    small = workloads.WORKLOADS["inverse-design"]  # 9 cases: two passes for a tail
+    assert run.pass_count(small, 0.5) == 2 and len(workloads.design(small)) * 2 > run.TAIL_BEYOND
+
+
+def test_timed_loop_runs_whole_passes():
+    w = workloads.Workload("toy", None, lambda c: workloads.Outcome(True, (c,)), list, 3, 1.0)
+    calls = []
+    records = run.timed_loop(w, iter([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 2, after_pass=lambda: calls.append(1))
+    assert [c for c, _, _ in records] == [1, 2, 3, 4, 5, 6] and len(calls) == 2
+    stalled = run.timed_loop(w, iter([[1] * 6, [2] * 6, [3] * 6]), 3, stall_s=0.0)
+    assert [c for c, _, _ in stalled] == [1] * 6 + [2] * 6  # stops once the tail exists
 
 
 def test_scalar_blocks_balance_boundaries_and_patch_counts():
@@ -160,7 +202,7 @@ def test_tracer_names_each_caller_binding():
 def test_smoke_each_workload(name):
     w = workloads.WORKLOADS[name]
     cases = first_cases(name, 0, 2) if name != "inverse-design" else w.warmup()
-    records = run.timed_loop(w, [cases], 0.0)
+    records = run.timed_loop(w, [cases], 1)
     assert [o.ok for _, _, o in records] == [True] * len(cases), [o.note for _, _, o in records]
 
 
