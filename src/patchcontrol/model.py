@@ -13,7 +13,8 @@ The core is dimensionless; presets document their units (km, month or year).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Union
 
@@ -166,6 +167,8 @@ class Verdict:
 
     @staticmethod
     def from_margin(margin: float, deciding_rule: str, marginal_tol: float = MARGINAL_TOL) -> "Verdict":
+        if not np.isfinite(margin):
+            raise ValueError(f"{deciding_rule}: margin {margin!r} is not finite")
         if abs(margin) <= marginal_tol:
             status = VerdictStatus.MARGINAL
         elif margin > 0:
@@ -213,6 +216,15 @@ def _validate_zone(zone: Zone, which: str) -> None:
     raise LayoutError("UnknownZoneType", f"{which} zone has unsupported type {type(zone)!r}")
 
 
+def _is_whole_number(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and bool(np.isfinite(value))
+        and int(value) == value
+    )
+
+
 def validate_layout(layout: PatchLayout) -> PatchLayout:
     """Check all layout invariants; return the layout unchanged if they hold.
 
@@ -232,7 +244,7 @@ def validate_layout(layout: PatchLayout) -> PatchLayout:
         raise LayoutError("NonpositiveWidth", "beneficial width R must be > 0")
     if not np.isfinite(layout.r) or layout.r < 0:
         raise LayoutError("NegativeWidth", "control width r must be >= 0")
-    if int(layout.K) != layout.K or layout.K < 1:
+    if not _is_whole_number(layout.K) or layout.K < 1:
         raise LayoutError("InvalidPatchCount", "K must be an integer >= 1")
     if layout.bc is not BoundaryCondition.PERIODIC and layout.K != 1:
         raise LayoutError("InvalidPatchCount", "Dirichlet/Neumann layouts require K = 1")
@@ -254,13 +266,24 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
         raise LayoutError("UnknownKey", f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _json_number(d: dict, key: str, where: str):
+    """``d[key]``, refused if it is a JSON boolean (Python counts ``True`` as the integer 1)."""
+    value = d[key]
+    if isinstance(value, bool):
+        raise LayoutError("InvalidScenario", f"{where} {key!r} must be a number, got {value!r}")
+    return value
+
+
 def _zone_from_dict(d: dict, model: str, which: str) -> Zone:
     if not isinstance(d, dict):
         raise LayoutError("InvalidScenario", f"{which} must be an object")
     if model == "scalar":
         _reject_unknown(d, _SCALAR_ZONE_KEYS, f"{which} zone")
         try:
-            return ScalarZone(diffusion=float(d["diffusion"]), growth=float(d["growth"]))
+            return ScalarZone(
+                diffusion=float(_json_number(d, "diffusion", f"{which} zone")),
+                growth=float(_json_number(d, "growth", f"{which} zone")),
+            )
         except KeyError as exc:
             raise LayoutError("MissingKey", f"{which} zone missing {exc}") from None
     _reject_unknown(d, _STAGED_ZONE_KEYS, f"{which} zone")
@@ -290,8 +313,8 @@ def scenario_from_dict(data: dict) -> PatchLayout:
     try:
         beneficial = _zone_from_dict(data["beneficial"], model, "beneficial")
         control = _zone_from_dict(data["control"], model, "control")
-        R = float(data["R"])
-        r = float(data["r"])
+        R = float(_json_number(data, "R", "scenario"))
+        r = float(_json_number(data, "r", "scenario"))
     except KeyError as exc:
         raise LayoutError("MissingKey", f"scenario missing {exc}") from None
     layout = PatchLayout(
@@ -299,10 +322,11 @@ def scenario_from_dict(data: dict) -> PatchLayout:
         control=control,
         R=R,
         r=r,
-        K=int(data.get("K", 1)),
+        K=_json_number(data, "K", "scenario") if "K" in data else 1,
         bc=BoundaryCondition.parse(data.get("bc", "periodic")),
     )
-    return validate_layout(layout)
+    # K is validated as given, so 2.7 is refused rather than truncated; a whole 2.0 becomes 2.
+    return replace(validate_layout(layout), K=int(layout.K))
 
 
 def _zone_to_dict(zone: Zone) -> dict:

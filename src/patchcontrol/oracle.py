@@ -11,8 +11,9 @@ The assembled problem is generalized, ``K y = E B y`` with diagonal mass
 symmetric and the similarity transform ``B^-1/2 K B^-1/2`` feeds standard
 symmetric eigensolvers.  Staged systems are block-coupled and nonsymmetric;
 their rightmost eigenvalue (real for the nonnegative-coupling stage systems
-handled here) is found by shifted inverse power iteration with the shift
-above the Gershgorin bound, falling back to implicit-Euler time stepping.
+handled here) is found densely for small systems and otherwise by
+shift-invert Arnoldi with the shift above the Gershgorin bound, falling back
+to shifted inverse power iteration and then implicit-Euler time stepping.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class DiscreteOperator:
     n_stages: int
     bc: BoundaryCondition
     level: int
-    h_max: float
 
     @property
     def n_unknowns(self) -> int:
@@ -166,60 +166,37 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
         x = x_all
 
     n_nodes = len(nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    rows, cols, data = [], [], []
-    mass = np.zeros(n_nodes * n_stages)
 
-    def add_block(i: int, j: int, block: np.ndarray):
-        for s in range(n_stages):
-            for t in range(n_stages):
-                v = block[s, t]
-                if v != 0.0:
-                    rows.append(i * n_stages + s)
-                    cols.append(j * n_stages + t)
-                    data.append(v)
+    # With one cell padded at each end, node k has left cell k and right cell k + 1.
+    w_cell = a_cell / h[:, None]
+    h_pad, w_pad, m_pad = (_pad_ends(v, periodic) for v in (h, w_cell, m_cell))
+    box = h_pad[nodes] / 2 + h_pad[nodes + 1] / 2
+    n_adj = 2 if periodic else 2 - (nodes == 0) - (nodes == n_cells)
+    reac = (m_pad[nodes] + m_pad[nodes + 1]) / np.reshape(n_adj, (-1, 1, 1))
+    w_l, w_r = w_pad[nodes], w_pad[nodes + 1]
+    diag = -w_l - w_r
+    mass = np.repeat(box, n_stages)
 
-    def add_diffusion(i: int, j: int, coeff: np.ndarray):
-        for s in range(n_stages):
-            rows.append(i * n_stages + s)
-            cols.append(j * n_stages + s)
-            data.append(coeff[s])
-
-    for i, node in enumerate(nodes):
-        left_cell = (node - 1) % n_cells if periodic else node - 1
-        right_cell = node % n_cells if periodic else node
-        has_left = periodic or left_cell >= 0
-        has_right = periodic or right_cell < n_cells
-
-        box = 0.0
-        reac = np.zeros((n_stages, n_stages))
-        n_adj = 0
-        if has_left:
-            box += h[left_cell] / 2
-            reac = reac + m_cell[left_cell]
-            n_adj += 1
-        if has_right:
-            box += h[right_cell] / 2
-            reac = reac + m_cell[right_cell]
-            n_adj += 1
-        reac = reac / n_adj
-        mass[i * n_stages : (i + 1) * n_stages] = box
-
-        diag = np.zeros(n_stages)
-        if has_left:
-            w = a_cell[left_cell] / h[left_cell]
-            diag -= w
-            neighbor = (node - 1) % n_cells if periodic else node - 1
-            if neighbor in index:
-                add_diffusion(i, index[neighbor], w)
-        if has_right:
-            w = a_cell[right_cell] / h[right_cell]
-            diag -= w
-            neighbor = (node + 1) % n_cells if periodic else node + 1
-            if neighbor in index:
-                add_diffusion(i, index[neighbor], w)
-        add_diffusion(i, i, diag)
-        add_block(i, i, box * reac)
+    # Triplets grouped by kind; within each row they keep the per-node order
+    # (left flux, right flux, diagonal, reaction), so summing duplicates adds
+    # them in that order too.
+    i = np.arange(n_nodes)
+    row = i[:, None] * n_stages + np.arange(n_stages)
+    col_l = row[(i - 1) % n_nodes]
+    col_r = row[(i + 1) % n_nodes]
+    has_l = periodic | (i > 0)  # the neighbour is an unknown
+    has_r = periodic | (i < n_nodes - 1)
+    block = box[:, None, None] * reac
+    nz = block != 0.0
+    rows = np.concatenate([
+        row[has_l].ravel(), row[has_r].ravel(), row.ravel(),
+        np.broadcast_to(row[:, :, None], block.shape)[nz],
+    ])
+    cols = np.concatenate([
+        col_l[has_l].ravel(), col_r[has_r].ravel(), row.ravel(),
+        np.broadcast_to(row[:, None, :], block.shape)[nz],
+    ])
+    data = np.concatenate([w_l[has_l].ravel(), w_r[has_r].ravel(), diag.ravel(), block[nz]])
 
     K = sparse.coo_matrix(
         (data, (rows, cols)), shape=(n_nodes * n_stages, n_nodes * n_stages)
@@ -232,8 +209,15 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
         n_stages=n_stages,
         bc=layout.bc,
         level=level,
-        h_max=float(h.max()),
     )
+
+
+def _pad_ends(v: np.ndarray, periodic: bool) -> np.ndarray:
+    """``v`` with one cell added at each end: the wrap-around cells on a ring, zeros otherwise."""
+    if periodic:
+        return np.concatenate([v[-1:], v, v[:1]])
+    zero = np.zeros_like(v[:1])
+    return np.concatenate([zero, v, zero])
 
 
 # ---------------------------------------------------------------------------

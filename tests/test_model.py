@@ -12,6 +12,7 @@ from patchcontrol.model import (
     PatchLayout,
     ScalarZone,
     StageZone,
+    Verdict,
     layouts_equal,
     scenario_from_dict,
     scenario_to_dict,
@@ -144,12 +145,54 @@ class TestScenarioDocuments:
         with pytest.raises(LayoutError):
             scenario_from_dict(doc)
 
+    def test_fractional_patch_count_rejected_not_truncated(self):
+        doc = scenario_to_dict(lone_star_layout())
+        doc["K"] = 2.7
+        with pytest.raises(LayoutError) as err:
+            scenario_from_dict(doc)
+        assert err.value.code == "InvalidPatchCount"
+
+    @pytest.mark.parametrize("K", ["2", None, [2], float("nan"), float("inf")])
+    def test_non_numeric_patch_count_rejected(self, K):
+        doc = scenario_to_dict(lone_star_layout())
+        doc["K"] = K
+        with pytest.raises(LayoutError) as err:
+            scenario_from_dict(doc)
+        assert err.value.code == "InvalidPatchCount"
+
+    def test_whole_float_patch_count_becomes_int(self):
+        doc = scenario_to_dict(lone_star_layout())
+        doc["K"] = 3.0
+        layout = scenario_from_dict(doc)
+        assert layout.K == 3 and type(layout.K) is int
+
+    @pytest.mark.parametrize(
+        "path", [("R",), ("r",), ("K",), ("beneficial", "diffusion"), ("control", "growth")]
+    )
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_numbers_rejected(self, path, flag):
+        doc = scenario_to_dict(lone_star_layout())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = flag
+        with pytest.raises(LayoutError) as err:
+            scenario_from_dict(doc)
+        assert err.value.code == "InvalidScenario"
+
     def test_unknown_boundary_condition(self):
         doc = scenario_to_dict(lone_star_layout())
         doc["bc"] = "robin"
         with pytest.raises(LayoutError) as err:
             scenario_from_dict(doc)
         assert err.value.code == "UnknownBoundaryCondition"
+
+
+class TestVerdictFromMargin:
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="not finite"):
+            Verdict.from_margin(margin, "rule")
 
 
 class TestBirthDeathParams:

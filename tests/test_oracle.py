@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from patchcontrol import (
     BoundaryCondition,
@@ -14,7 +16,10 @@ from patchcontrol import (
     min_mortality,
     top_eigenvalue_scalar,
 )
+from patchcontrol.model import validate_layout
 from patchcontrol.oracle import (
+    _with_control_mortality,
+    _zone_cells,
     assemble,
     min_mortality_fd,
     refinement_history,
@@ -22,7 +27,7 @@ from patchcontrol.oracle import (
     verdict_fd,
 )
 
-from conftest import random_scalar_problem
+from conftest import BCS, loguniform, random_scalar_problem
 
 FAST = GridSpec(cells_per_unit_length=64, refinement_levels=2)
 
@@ -100,6 +105,168 @@ class TestAssembly:
             op = assemble(layout, FAST, level=level)
             for target in (1.37, 1.6, 2.97):  # zone boundaries of the K = 2 ring
                 assert np.min(np.abs(op.x - target)) <= 1e-9
+
+
+def _loop_assemble(layout: PatchLayout, grid: GridSpec, level: int):
+    """Reference: the per-node loop ``assemble`` was built from, kept to pin its matrices.
+
+    Returns the CSR stiffness, the mass vector and the node coordinates.
+    """
+    validate_layout(layout)
+    zones = _zone_cells(layout, grid, level)
+    n_stages = zones[0].diffusion.shape[0]
+    h = np.concatenate([np.full(z.cells, z.h) for z in zones])
+    a_cell = np.vstack([np.tile(z.diffusion, (z.cells, 1)) for z in zones])
+    m_cell = np.concatenate([np.tile(z.reaction, (z.cells, 1, 1)) for z in zones])
+    n_cells = len(h)
+    x_all = np.concatenate([[0.0], np.cumsum(h)])
+
+    periodic = layout.bc is BoundaryCondition.PERIODIC
+    if periodic:
+        nodes = np.arange(n_cells)
+        x = x_all[:-1]
+    elif layout.bc is BoundaryCondition.DIRICHLET:
+        nodes = np.arange(1, n_cells)
+        x = x_all[1:-1]
+    else:
+        nodes = np.arange(0, n_cells + 1)
+        x = x_all
+
+    n_nodes = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    rows, cols, data = [], [], []
+    mass = np.zeros(n_nodes * n_stages)
+
+    def add_block(i, j, block):
+        for s in range(n_stages):
+            for t in range(n_stages):
+                v = block[s, t]
+                if v != 0.0:
+                    rows.append(i * n_stages + s)
+                    cols.append(j * n_stages + t)
+                    data.append(v)
+
+    def add_diffusion(i, j, coeff):
+        for s in range(n_stages):
+            rows.append(i * n_stages + s)
+            cols.append(j * n_stages + s)
+            data.append(coeff[s])
+
+    for i, node in enumerate(nodes):
+        left_cell = (node - 1) % n_cells if periodic else node - 1
+        right_cell = node % n_cells if periodic else node
+        has_left = periodic or left_cell >= 0
+        has_right = periodic or right_cell < n_cells
+
+        box = 0.0
+        reac = np.zeros((n_stages, n_stages))
+        n_adj = 0
+        if has_left:
+            box += h[left_cell] / 2
+            reac = reac + m_cell[left_cell]
+            n_adj += 1
+        if has_right:
+            box += h[right_cell] / 2
+            reac = reac + m_cell[right_cell]
+            n_adj += 1
+        reac = reac / n_adj
+        mass[i * n_stages : (i + 1) * n_stages] = box
+
+        diag = np.zeros(n_stages)
+        if has_left:
+            w = a_cell[left_cell] / h[left_cell]
+            diag -= w
+            neighbor = (node - 1) % n_cells if periodic else node - 1
+            if neighbor in index:
+                add_diffusion(i, index[neighbor], w)
+        if has_right:
+            w = a_cell[right_cell] / h[right_cell]
+            diag -= w
+            neighbor = (node + 1) % n_cells if periodic else node + 1
+            if neighbor in index:
+                add_diffusion(i, index[neighbor], w)
+        add_diffusion(i, i, diag)
+        add_block(i, i, box * reac)
+
+    K = sparse.coo_matrix(
+        (data, (rows, cols)), shape=(n_nodes * n_stages, n_nodes * n_stages)
+    ).tocsr()
+    K.sum_duplicates()
+    return K, mass, x
+
+
+def _random_zone(rng: np.random.Generator, n_stages: int, growth_sign: float):
+    if n_stages == 1:
+        return ScalarZone(loguniform(rng, 0.1, 100.0), growth_sign * loguniform(rng, 0.01, 100.0))
+    reaction = rng.uniform(-3.0, 3.0, size=(n_stages, n_stages))
+    reaction[rng.random((n_stages, n_stages)) < 0.3] = 0.0  # sparse blocks exercise the nonzero filter
+    return StageZone([loguniform(rng, 0.1, 10.0) for _ in range(n_stages)], reaction)
+
+
+def _transition_case(seed: int):
+    """Seeded (layout, grid, level): every boundary, 1-3 stages, K = 1-3 on rings, levels 0-2."""
+    rng = np.random.default_rng(seed)
+    bc = BCS[seed % 3]
+    n_stages = 1 + (seed // 3) % 3
+    level = (seed // 9) % 3
+    layout = PatchLayout(
+        beneficial=_random_zone(rng, n_stages, 1.0),
+        control=_random_zone(rng, n_stages, -1.0),
+        R=loguniform(rng, 0.05, 3.0),
+        r=loguniform(rng, 0.01, 2.0),
+        K=int(rng.integers(1, 4)) if bc is BoundaryCondition.PERIODIC else 1,
+        bc=bc,
+    )
+    grid = GridSpec(cells_per_unit_length=loguniform(rng, 2.0, 40.0), refinement_levels=2,
+                    min_cells_per_zone=int(rng.integers(2, 9)))
+    return layout, grid, level
+
+
+def _edge_cases():
+    """Zero control width, and the -0.0 control growth that zero mortality produces."""
+    # At level 0 this grid gives the r = 0 ring two cells, so both neighbours of a node are one node.
+    coarse = GridSpec(cells_per_unit_length=1, refinement_levels=2, min_cells_per_zone=2)
+    cases = []
+    for bc in BCS:
+        base = PatchLayout(ScalarZone(1.3, 0.8), ScalarZone(0.4, -2.0), R=1.1, r=0.3, bc=bc)
+        for level in range(3):
+            cases.append((replace(base, r=0.0), coarse, level))
+            cases.append((_with_control_mortality(base, 0.0), FAST, level))
+    return cases
+
+
+class TestAssemblyMatchesLoop:
+    """``assemble`` gives the reference loop's matrices bit for bit."""
+
+    @staticmethod
+    def assert_same_operator(layout, grid, level):
+        K_ref, mass_ref, x_ref = _loop_assemble(layout, grid, level)
+        op = assemble(layout, grid, level)
+        K = op.stiffness
+        assert K.shape == K_ref.shape
+        for name, got, want in (
+            ("indptr", K.indptr, K_ref.indptr),
+            ("indices", K.indices, K_ref.indices),
+            ("data", K.data, K_ref.data),
+            ("mass", op.mass, mass_ref),
+            ("x", op.x, x_ref),
+        ):
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("seed", range(72))
+    def test_seeded_layouts(self, seed):
+        self.assert_same_operator(*_transition_case(seed))
+
+    @pytest.mark.parametrize("case", range(18))
+    def test_zero_width_and_negative_zero_growth(self, case):
+        layout, grid, level = _edge_cases()[case]
+        if case % 2:
+            assert math.copysign(1.0, layout.control.growth) == -1.0
+        else:
+            assert layout.r == 0.0
+        self.assert_same_operator(layout, grid, level)
 
 
 class TestConvergence:

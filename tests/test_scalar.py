@@ -136,6 +136,11 @@ class TestPeriodicVerdict:
             assert v.status is VerdictStatus.ERADICATION
             assert v.margin == pytest.approx(periodic_verdict(p).margin)
 
+    def test_nan_diffusion_gives_no_verdict(self):
+        p = ScalarProblem(a=math.nan, lam=0.65, b=16.67, mu=10.0, R=14, r=1)
+        with pytest.raises(ValueError, match="not finite"):
+            periodic_verdict(p)
+
     def test_equal_verdict_for_any_k(self):
         p1 = ScalarProblem(a=1, lam=0.9, b=2, mu=3, R=2.5, r=0.5, K=1)
         p3 = ScalarProblem(a=1, lam=0.9, b=2, mu=3, R=2.5, r=0.5, K=3)
