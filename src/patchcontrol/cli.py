@@ -5,7 +5,7 @@ simulate, sweep, preset.  Scenarios come from ``--scenario file.json`` or
 ``--preset name``; individual flags override scenario fields.
 
 Exit codes: 0 success, 2 validation error, 3 closed-form/oracle disagreement,
-4 uncontrollable scenario, 5 unresolved transient.
+4 uncontrollable scenario, 5 unresolved transient, 6 simulator instability.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .scalar import (
     top_eigenvalue_scalar,
 )
 from .simulate import (
+    InstabilityError,
     SimulationRun,
     TransientNotResolvedError,
     growth_exponent,
@@ -65,6 +66,7 @@ EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
 EXIT_UNCONTROLLABLE = 4
 EXIT_TRANSIENT = 5
+EXIT_INSTABILITY = 6
 
 _SCALAR_OVERRIDES = ("a", "b", "growth", "mu")
 
@@ -411,6 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     except TransientNotResolvedError as exc:
         print(f"transient not resolved: {exc}", file=sys.stderr)
         return EXIT_TRANSIENT
+    except InstabilityError as exc:
+        print(f"simulation unstable: {exc}", file=sys.stderr)
+        return EXIT_INSTABILITY
     except NoConvergenceError as exc:
         print(f"oracle did not converge: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -267,9 +267,13 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
 
 
 def _json_number(d: dict, key: str, where: str):
-    """``d[key]``, refused if it is a JSON boolean (Python counts ``True`` as the integer 1)."""
+    """``d[key]`` if it is a JSON number; anything else is refused.
+
+    Strings, null, lists, objects and booleans (Python counts ``True`` as the
+    integer 1) raise ``LayoutError("InvalidScenario")`` instead of being coerced.
+    """
     value = d[key]
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise LayoutError("InvalidScenario", f"{where} {key!r} must be a number, got {value!r}")
     return value
 
@@ -317,12 +321,15 @@ def scenario_from_dict(data: dict) -> PatchLayout:
         r = float(_json_number(data, "r", "scenario"))
     except KeyError as exc:
         raise LayoutError("MissingKey", f"scenario missing {exc}") from None
+    K = data.get("K", 1)
+    if isinstance(K, bool):  # other non-numbers get validate_layout's InvalidPatchCount
+        raise LayoutError("InvalidScenario", f"scenario 'K' must be a number, got {K!r}")
     layout = PatchLayout(
         beneficial=beneficial,
         control=control,
         R=R,
         r=r,
-        K=_json_number(data, "K", "scenario") if "K" in data else 1,
+        K=K,
         bc=BoundaryCondition.parse(data.get("bc", "periodic")),
     )
     # K is validated as given, so 2.7 is refused rather than truncated; a whole 2.0 becomes 2.

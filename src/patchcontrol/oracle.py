@@ -121,7 +121,7 @@ def _zone_sequence(layout: PatchLayout) -> list[tuple[float, np.ndarray, np.ndar
         pair.append((layout.R, a_ben, m_ben))
     if layout.r > 0:
         pair.append((layout.r, a_nb, m_nb))
-    reps = layout.K if layout.bc is BoundaryCondition.PERIODIC else 1
+    reps = int(layout.K) if layout.bc is BoundaryCondition.PERIODIC else 1
     return pair * reps
 
 

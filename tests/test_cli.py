@@ -6,6 +6,7 @@ import pytest
 from patchcontrol import VerdictStatus
 from patchcontrol.cli import (
     EXIT_DISAGREEMENT,
+    EXIT_INSTABILITY,
     EXIT_OK,
     EXIT_TRANSIENT,
     EXIT_UNCONTROLLABLE,
@@ -14,6 +15,7 @@ from patchcontrol.cli import (
     main,
 )
 from patchcontrol.model import Verdict
+from patchcontrol.simulate import InstabilityError
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +222,38 @@ class TestSimulateCommand:
         )
         assert code == EXIT_TRANSIENT
         assert "transient" in err
+
+    def test_instability_exits_6_without_traceback(self, capsys, monkeypatch, tmp_path):
+        def unstable(run):
+            raise InstabilityError("solution norm became inf at t=1.5")
+
+        monkeypatch.setattr("patchcontrol.cli.simulate", unstable)
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "lone-star", "--T", "1", "--dt", "0.01",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_INSTABILITY
+        assert out == ""
+        assert err == "simulation unstable: solution norm became inf at t=1.5\n"
+
+    def test_singular_crank_nicolson_matrix_exits_6(self, capsys, tmp_path):
+        # Uniform growth 4 on a reflecting segment with dt = 2/4: B - dt/2 K is
+        # exactly the singular Neumann Laplacian, and SuperLU reports a zero pivot.
+        doc = {
+            "model": "scalar",
+            "beneficial": {"diffusion": 1.0, "growth": 4.0},
+            "control": {"diffusion": 1.0, "growth": 4.0},
+            "R": 2.0, "r": 0.0, "K": 1, "bc": "neumann",
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--T", "5", "--dt", "0.5",
+            "--grid-cells", "4", "--out", str(tmp_path),
+        )
+        assert code == EXIT_INSTABILITY
+        assert err.startswith("simulation unstable: Crank-Nicolson matrix is singular")
+        assert len(err.splitlines()) == 1
 
 
 class TestSweep:

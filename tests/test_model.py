@@ -180,6 +180,20 @@ class TestScenarioDocuments:
             scenario_from_dict(doc)
         assert err.value.code == "InvalidScenario"
 
+    @pytest.mark.parametrize(
+        "path", [("R",), ("r",), ("beneficial", "diffusion"), ("control", "growth")]
+    )
+    @pytest.mark.parametrize("value", ["14", "abc", None, [14.0], {"value": 14.0}])
+    def test_non_numbers_rejected_not_coerced(self, path, value):
+        doc = scenario_to_dict(lone_star_layout())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(LayoutError) as err:
+            scenario_from_dict(doc)
+        assert err.value.code == "InvalidScenario"
+
     def test_unknown_boundary_condition(self):
         doc = scenario_to_dict(lone_star_layout())
         doc["bc"] = "robin"

@@ -99,6 +99,22 @@ class TestAssembly:
         op = assemble(layout, FAST, level=0)
         assert op.gershgorin_upper() <= 1.3 + 1e-9
 
+    def test_whole_float_patch_count_same_as_int(self):
+        # validate_layout accepts K = 2.0; the ring must repeat the pair twice.
+        whole = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(1.5, -2.0), R=1.2, r=0.4, K=2)
+        as_float = replace(whole, K=2.0)
+        want, got = assemble(whole, FAST, level=1), assemble(as_float, FAST, level=1)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got.stiffness, name).tobytes() == getattr(want.stiffness, name).tobytes()
+        assert got.mass.tobytes() == want.mass.tobytes()
+        assert got.x.tobytes() == want.x.tobytes()
+        assert top_eigenvalue_fd(as_float, FAST).top_eigenvalue == pytest.approx(
+            top_eigenvalue_fd(whole, FAST).top_eigenvalue, rel=0, abs=1e-12)
+        from patchcontrol.simulate import SimulationRun, simulate
+
+        run = SimulationRun(layout=as_float, T=0.5, dt=0.01, grid=FAST)
+        assert simulate(run).log_l2.tobytes() == simulate(replace(run, layout=whole)).log_l2.tobytes()
+
     def test_interfaces_on_nodes_every_level(self):
         layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(1.0, -2.0), R=1.37, r=0.23, K=2)
         for level in range(3):
