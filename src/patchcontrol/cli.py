@@ -5,7 +5,8 @@ simulate, sweep, preset.  Scenarios come from ``--scenario file.json`` or
 ``--preset name``; individual flags override scenario fields.
 
 Exit codes: 0 success, 2 validation error, 3 closed-form/oracle disagreement,
-4 uncontrollable scenario, 5 unresolved transient, 6 simulator instability.
+4 uncontrollable scenario, 5 unresolved transient, 6 simulator instability,
+7 oracle eigensolver did not converge.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ EXIT_DISAGREEMENT = 3
 EXIT_UNCONTROLLABLE = 4
 EXIT_TRANSIENT = 5
 EXIT_INSTABILITY = 6
+EXIT_NO_CONVERGENCE = 7
 
 _SCALAR_OVERRIDES = ("a", "b", "growth", "mu")
 
@@ -86,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory for CSV files")
     common.add_argument("--grid-cells", type=float, default=None, help="oracle cells per unit length")
     common.add_argument("--grid-levels", type=int, default=None, help="oracle refinement levels")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized harnesses")
     common.add_argument("--R", type=float, default=None, help="beneficial zone width")
     common.add_argument("--r", type=float, default=None, help="control zone width")
     common.add_argument("--K", type=int, default=None, help="number of periodic repetitions")
@@ -418,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INSTABILITY
     except NoConvergenceError as exc:
         print(f"oracle did not converge: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ live in :mod:`patchcontrol.oracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -108,43 +108,68 @@ def symmetric_eigen(S: np.ndarray) -> tuple[np.ndarray, list[EigenPair]]:
     return vals, pairs
 
 
-def eigen_basis_2x2(N: np.ndarray) -> tuple[EigenPair, EigenPair]:
-    """Eigenbasis of a 2x2 matrix with real distinct eigenvalues.
+@dataclass(frozen=True)
+class Eigen2x2:
+    """Eigenvalues and pinned eigenvectors of 2x2 matrices stacked on leading axes.
 
-    Returns ``(p1, p2)`` with ``p1`` for the larger eigenvalue.  The vectors
-    are pinned to the convention ``v1[0] = 1`` and ``v2[1] = 1``, which for
-    stage matrices ``[[-m1, b1], [b2, -m2]]`` gives the closed forms
-    ``v1[1] = (L1 + m1)/b1`` and ``v2[0] = b1/(L2 + m1)``.
+    ``values[..., 0] >= values[..., 1]``; column ``j`` of ``vectors`` belongs
+    to ``values[..., j]`` and is pinned to ``v1[0] = 1``, ``v2[1] = 1``.  An
+    item is meaningful only where :meth:`check` passes.
     """
-    N = _as_square(N, max_dim=2)
-    if N.shape != (2, 2):
-        raise ValueError("eigen_basis_2x2 needs a 2x2 matrix")
-    tr = N[0, 0] + N[1, 1]
-    det = N[0, 0] * N[1, 1] - N[0, 1] * N[1, 0]
-    disc = tr * tr - 4.0 * det
-    if disc <= 0:
-        raise ComplexOrRepeatedEigenvaluesError(
-            f"discriminant {disc:.3g} <= 0: eigenvalues complex or repeated"
-        )
-    sq = np.sqrt(disc)
-    lam1 = 0.5 * (tr + sq)
-    lam2 = 0.5 * (tr - sq)
 
-    def _vector(lam: float, pin: int) -> np.ndarray:
-        # Kernel of (N - lam I): pick the better-conditioned row form.
-        cand1 = np.array([N[0, 1], lam - N[0, 0]])
-        cand2 = np.array([lam - N[1, 1], N[1, 0]])
-        v = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-        if abs(v[pin]) <= 1e-14 * (1.0 + np.abs(N).max()):
+    disc: np.ndarray  # tr^2 - 4 det: real, distinct eigenvalues where > 0
+    values: np.ndarray
+    vectors: np.ndarray
+    unpinnable: np.ndarray  # [..., j]: component j of eigenvector j vanishes
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Items for which :meth:`check` raises."""
+        return (self.disc <= 0) | self.unpinnable.any(axis=-1)
+
+    def check(self, index=(), vectors: bool = True) -> None:
+        """Raise ``ComplexOrRepeatedEigenvaluesError`` if item ``index`` has no
+        real distinct eigenvalues or, with ``vectors``, an unpinnable eigenvector."""
+        if self.disc[index] <= 0:
             raise ComplexOrRepeatedEigenvaluesError(
-                f"eigenvector component {pin} vanishes; normalization infeasible"
+                f"discriminant {self.disc[index]:.3g} <= 0: eigenvalues complex or repeated"
             )
-        return v / v[pin]
+        pins = np.flatnonzero(self.unpinnable[index]) if vectors else ()
+        if len(pins):
+            raise ComplexOrRepeatedEigenvaluesError(f"eigenvector component {pins[0]} vanishes; normalization infeasible")
 
-    return (
-        EigenPair(value=float(lam1), vector=_vector(lam1, pin=0)),
-        EigenPair(value=float(lam2), vector=_vector(lam2, pin=1)),
-    )
+
+def eigen_2x2(N: np.ndarray) -> Eigen2x2:
+    """Closed-form eigen-decomposition of each 2x2 matrix in ``N[..., 2, 2]``.
+
+    For stage matrices ``[[-m1, b1], [b2, -m2]]`` the pinned vectors are
+    ``v1 = (1, (L1 + m1)/b1)`` and ``v2 = (b1/(L2 + m1), 1)``.
+    """
+    N = np.asarray(N, dtype=float)
+    if N.ndim < 2 or N.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {N.shape}")
+    n00, n01, n10, n11 = N[..., 0, 0, None], N[..., 0, 1, None], N[..., 1, 0, None], N[..., 1, 1, None]
+    tr = n00 + n11
+    disc = tr * tr - 4.0 * (n00 * n11 - n01 * n10)
+    lam = 0.5 * (tr + np.sqrt(np.maximum(disc, 0.0)) * [1.0, -1.0])
+    # Kernel of (N - lam I): the better-conditioned of the two row forms.
+    row1 = np.stack(np.broadcast_arrays(n01, lam - n00), axis=-1)
+    row2 = np.stack(np.broadcast_arrays(lam - n11, n10), axis=-1)
+    first = np.linalg.norm(row1, axis=-1) >= np.linalg.norm(row2, axis=-1)
+    v = np.where(first[..., None], row1, row2)  # v[..., j, :] belongs to lam[..., j]
+    pivot = v[..., [0, 1], [0, 1]]
+    unpinnable = np.abs(pivot) <= 1e-14 * (1.0 + np.abs(N).max(axis=(-2, -1)))[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vectors = np.swapaxes(v / pivot[..., None], -1, -2)
+    return Eigen2x2(disc=disc[..., 0], values=lam, vectors=vectors, unpinnable=unpinnable)
+
+
+def eigen_basis_2x2(N: np.ndarray) -> tuple[EigenPair, EigenPair]:
+    """Eigenbasis of one 2x2 matrix with real distinct eigenvalues, pinned as
+    in :func:`eigen_2x2`; ``p1`` belongs to the larger eigenvalue."""
+    e = eigen_2x2(_as_square(N, max_dim=2))
+    e.check()
+    return tuple(EigenPair(value=float(e.values[j]), vector=e.vectors[:, j]) for j in (0, 1))
 
 
 def residual(N: np.ndarray, pair: EigenPair) -> float:
@@ -182,15 +207,3 @@ def bracketed_root(
     if finite[-1] and vals[-1] == 0.0:
         return float(xs[-1])
     raise NoRootError(f"no sign change of f on [{lo}, {hi}] at scan resolution {scan_points}")
-
-
-def scan_brackets(
-    f_values: Sequence[float], xs: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Sign-change intervals of pre-evaluated samples (helper for sweeps)."""
-    out = []
-    for i in range(len(xs) - 1):
-        a, b = f_values[i], f_values[i + 1]
-        if np.isfinite(a) and np.isfinite(b) and a * b < 0:
-            out.append((float(xs[i]), float(xs[i + 1])))
-    return out

@@ -60,7 +60,6 @@ class VerdictStatus(Enum):
 class SpectralMethod(Enum):
     DISPERSION_ROOT = "DispersionRoot"
     FINITE_DIFFERENCE = "FiniteDifference"
-    SIMULATION_SLOPE = "SimulationSlope"
 
 
 @dataclass(frozen=True)
@@ -278,6 +277,18 @@ def _json_number(d: dict, key: str, where: str):
     return value
 
 
+def _json_array(d: dict, key: str, where: str, ndim: int) -> np.ndarray:
+    """``d[key]`` as a float array if it is a rectangular ``ndim``-level nest of
+    lists whose entries pass :func:`_json_number`; else ``InvalidScenario``."""
+    value = np.array(d[key], dtype=object)
+    if value.ndim != ndim:
+        raise LayoutError("InvalidScenario", f"{where} {key!r} must be a rectangular {ndim}-level list, got {d[key]!r}")
+    entries = list(value.flat)
+    for i in range(len(entries)):
+        _json_number(entries, i, f"{where} {key!r} entry")
+    return value.astype(float)
+
+
 def _zone_from_dict(d: dict, model: str, which: str) -> Zone:
     if not isinstance(d, dict):
         raise LayoutError("InvalidScenario", f"{which} must be an object")
@@ -296,14 +307,15 @@ def _zone_from_dict(d: dict, model: str, which: str) -> Zone:
     if "M" in d:
         if "births" in d or "deaths" in d:
             raise LayoutError("InvalidScenario", f"{which} zone: give either 'M' or births/deaths, not both")
-        reaction = np.asarray(d["M"], dtype=float)
+        reaction = _json_array(d, "M", f"{which} zone", ndim=2)
     elif "births" in d and "deaths" in d:
         from .staged import build_stage_matrix  # local import avoids a cycle
 
-        reaction = build_stage_matrix(BirthDeathParams(deaths=d["deaths"], births=d["births"]))
+        rates = {key: _json_array(d, key, f"{which} zone", ndim=1) for key in ("deaths", "births")}
+        reaction = build_stage_matrix(BirthDeathParams(**rates))
     else:
         raise LayoutError("MissingKey", f"{which} zone needs 'M' or both 'births' and 'deaths'")
-    return StageZone(diffusion_diag=np.asarray(d["A_diag"], dtype=float), reaction=reaction)
+    return StageZone(diffusion_diag=_json_array(d, "A_diag", f"{which} zone", ndim=1), reaction=reaction)
 
 
 def scenario_from_dict(data: dict) -> PatchLayout:

@@ -23,9 +23,9 @@ import numpy as np
 
 from .linalg import (
     ComplexOrRepeatedEigenvaluesError,
+    Eigen2x2,
     SingularBasisError,
-    bracketed_root,
-    eigen_basis_2x2,
+    eigen_2x2,
     max_real_eigenvalue,
     real_eigenvalues,
     symmetric_eigen,
@@ -155,19 +155,19 @@ class TransferMatrix:
     eigenvectors of the beneficial- and control-zone matrices; column ``j``
     of ``c`` holds the coordinates of ``w_j`` in the ``v`` basis
     (``W = V @ c``).  The criterion uses only the transpose-invariant
-    products ``c[0,1]*c[1,0]`` and ``c[0,0]*c[1,1]``.
+    products ``c[0,1]*c[1,0]`` and ``c[0,0]*c[1,1]``.  Leading axes of ``c``,
+    if any, index a stack of matrix pairs, and the products follow them.
     """
 
     c: np.ndarray
-    E: float = 0.0
 
     @property
-    def off_product(self) -> float:
-        return float(self.c[0, 1] * self.c[1, 0])
+    def off_product(self) -> np.ndarray:
+        return self.c[..., 0, 1] * self.c[..., 1, 0]
 
     @property
-    def diag_product(self) -> float:
-        return float(self.c[0, 0] * self.c[1, 1])
+    def diag_product(self) -> np.ndarray:
+        return self.c[..., 0, 0] * self.c[..., 1, 1]
 
 
 @dataclass(frozen=True)
@@ -294,39 +294,51 @@ def symmetrized_critical_patch(prob: StagedProblem) -> float:
 # ---------------------------------------------------------------------------
 
 
-def transfer_matrix(N_ben: np.ndarray, N_nb: np.ndarray, E: float = 0.0) -> TransferMatrix:
+def transfer_matrix(N_ben: np.ndarray, N_nb: np.ndarray) -> TransferMatrix:
     """Basis-change matrix between the pinned eigenbases of two 2x2 matrices."""
-    p1, p2 = eigen_basis_2x2(N_ben)
-    q1, q2 = eigen_basis_2x2(N_nb)
-    V = np.column_stack([p1.vector, p2.vector])
-    W = np.column_stack([q1.vector, q2.vector])
-    det = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
-    if abs(det) <= 1e-12 * (1.0 + float(np.abs(V).max()) ** 2):
-        raise SingularBasisError(f"beneficial eigenbasis nearly singular (det={det:.3g})")
-    return TransferMatrix(c=np.linalg.solve(V, W), E=E)
+    tm, _, raise_failure = _transfer(eigen_2x2(N_ben), eigen_2x2(N_nb))
+    raise_failure(())
+    return tm
 
 
-def _eig2_real_sorted(N: np.ndarray) -> tuple[float, float]:
-    """Both eigenvalues of a 2x2 matrix, descending; they must be real and distinct."""
-    tr = N[0, 0] + N[1, 1]
-    det = N[0, 0] * N[1, 1] - N[0, 1] * N[1, 0]
-    disc = tr * tr - 4.0 * det
-    if disc <= 0:
-        raise ComplexOrRepeatedEigenvaluesError(
-            f"discriminant {disc:.3g} <= 0: eigenvalues complex or repeated"
-        )
-    sq = math.sqrt(disc)
-    return 0.5 * (tr + sq), 0.5 * (tr - sq)
+def _transfer(ben: Eigen2x2, ctl: Eigen2x2):
+    """Basis changes between two stacks of eigenbases, the items that have
+    none (their ``c`` is the identity), and a function raising an item's error."""
+    V, W = ben.vectors, ctl.vectors
+    det = V[..., 0, 0] * V[..., 1, 1] - V[..., 0, 1] * V[..., 1, 0]
+    singular = np.abs(det) <= 1e-12 * (1.0 + np.abs(V).max(axis=(-2, -1)) ** 2)
+    failed = ben.degenerate | ctl.degenerate | singular
+
+    def raise_failure(index) -> None:
+        ben.check(index)
+        ctl.check(index)
+        if singular[index]:
+            raise SingularBasisError(f"beneficial eigenbasis nearly singular (det={det[index]:.3g})")
+
+    keep = ~failed[..., None, None]
+    c = np.linalg.solve(np.where(keep, V, np.eye(2)), np.where(keep, W, np.eye(2)))
+    return TransferMatrix(c=c), failed, raise_failure
 
 
-def _ben_matrix(prob: StagedProblem, E: float) -> np.ndarray:
+def _ben_matrix(prob: StagedProblem, E) -> np.ndarray:
+    """``A^-1 (M_ben - E I)``, one matrix per entry of ``E``."""
     Ainv = 1.0 / prob.A_ben
-    return prob.M_ben * Ainv[:, None] - E * np.diag(Ainv)
+    return prob.M_ben * Ainv[:, None] - np.multiply.outer(E, np.diag(Ainv))
 
 
-def _nb_matrix(prob: StagedProblem, E: float, a: float) -> np.ndarray:
+def _nb_matrix(prob: StagedProblem, E, a: float) -> np.ndarray:
     Ainv = 1.0 / prob.A_ben
-    return (prob.M_nb * Ainv[:, None] - E * np.diag(Ainv)) / a
+    return (prob.M_nb * Ainv[:, None] - np.multiply.outer(E, np.diag(Ainv))) / a
+
+
+def _lead_zero(prob: StagedProblem) -> float:
+    """``E0`` of :func:`two_stage_verdict`, the positive eigenvalue of ``M_ben``."""
+    E0 = float(eigen_2x2(prob.M_ben).values[0])
+    # The eigenvalues at E0 are 0 and the trace: zero leads only for a
+    # nonpositive trace, which can fail when m12 * m21 < 0.
+    if np.trace(_ben_matrix(prob, E0)) > 0:
+        raise AssumptionViolatedError("lead eigenvalue does not cross zero")
+    return E0
 
 
 def two_stage_inequality_sides(prob: StagedProblem) -> tuple[float, float]:
@@ -353,10 +365,13 @@ def two_stage_verdict(
     """One-sided two-stage criterion with sampled (or certified) sign conditions.
 
     Verifies the eigenvalue orderings and the basis-change sign pattern at
-    ``samples`` points of ``[0, E0]`` (``E0`` the zero of the lead eigenvalue),
-    then tests the interface inequality at ``E = 0``.  ``certified=True``
-    skips the sign-pattern sampling, as justified by a passing
-    :func:`proportional_control_check`.
+    ``samples`` points of ``[0, E0]``, then tests the interface inequality at
+    ``E = 0``.  ``E0`` is the zero of the lead eigenvalue ``Lambda1(E)`` of
+    ``A^-1 (M_ben - E I)``; ``Lambda1(0) > 0 > Lambda2(0)`` forces
+    ``det M_ben < 0``, and ``E0`` is the positive eigenvalue of ``M_ben``.
+    ``certified=True`` skips the sign-pattern sampling, as justified by a
+    passing :func:`proportional_control_check`.  The first failing sample is
+    reported.
     """
     if prob.dimension != 2:
         raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
@@ -364,10 +379,12 @@ def two_stage_verdict(
     if a is None:
         raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
 
+    at_zero = eigen_2x2(_ben_matrix(prob, 0.0))
     try:
-        lam1, lam2 = _eig2_real_sorted(_ben_matrix(prob, 0.0))
+        at_zero.check(vectors=False)
     except ComplexOrRepeatedEigenvaluesError as exc:
         raise AssumptionViolatedError(f"beneficial eigenvalues at E=0: {exc}") from exc
+    lam1, lam2 = (float(v) for v in at_zero.values)
     if not (lam1 > 0 > lam2):
         raise AssumptionViolatedError(
             f"need Lambda1(0) > 0 > Lambda2(0), got {lam1:.6g}, {lam2:.6g}"
@@ -382,41 +399,36 @@ def two_stage_verdict(
             False, f"patch at or beyond staged critical size {math.pi / root_lam:.6g}"
         )
 
-    # E0 solves Lambda1(E0) = 0; the lead eigenvalue decreases in E.
-    def lead(E: float) -> float:
-        return max_real_eigenvalue(_ben_matrix(prob, E))
-
-    upper = max(lam1 * float(prob.A_ben.max()), 1e-6)
-    while lead(upper) > 0:
-        upper *= 2
-        if upper > 1e15:
-            raise AssumptionViolatedError("lead eigenvalue does not cross zero")
-    E0 = bracketed_root(lead, 0.0, upper, tol=1e-12, scan_points=256)
-
-    tol = 1e-12
-    for E in np.linspace(0.0, E0, samples):
-        nb = _ben_matrix(prob, E)
-        nn = _nb_matrix(prob, E, a)
+    Es = np.linspace(0.0, _lead_zero(prob), samples)
+    ben, ctl = eigen_2x2(_ben_matrix(prob, Es)), eigen_2x2(_nb_matrix(prob, Es, a))
+    ben_order = ~((ben.values[:, 0] >= -1e-9 * max(1.0, lam1)) & (ben.values[:, 1] < 0))
+    ctl_order = ctl.values[:, 0] >= 0
+    failed = (ben.disc <= 0) | (ctl.disc <= 0) | ben_order | ctl_order
+    if not certified:
+        tm, degenerate, raise_failure = _transfer(ben, ctl)
+        tol = 1e-12
+        failed |= degenerate | (tm.off_product > tol) | (tm.diag_product < -tol)
+    if failed.any():  # report the first failing sample, its checks in order
+        i = int(np.argmax(failed))
+        E = Es[i]
         try:
-            eb1, eb2 = _eig2_real_sorted(nb)
-            en1, en2 = _eig2_real_sorted(nn)
+            ben.check(i, vectors=False)
+            ctl.check(i, vectors=False)
         except ComplexOrRepeatedEigenvaluesError as exc:
             raise AssumptionViolatedError(f"eigenvalue ordering fails at E={E:.6g}: {exc}") from exc
-        if not (eb1 >= -1e-9 * max(1.0, lam1) and eb2 < 0):
+        if ben_order[i]:
             raise AssumptionViolatedError(f"beneficial eigenvalue ordering fails at E={E:.6g}")
-        if en1 >= 0:
+        if ctl_order[i]:
             return SufficiencyResult(False, f"control eigenvalue ordering fails at E={E:.6g}")
-        if not certified:
-            try:
-                tm = transfer_matrix(nb, nn, E=E)
-            except (ComplexOrRepeatedEigenvaluesError, SingularBasisError) as exc:
-                raise AssumptionViolatedError(f"eigenbasis degenerates at E={E:.6g}: {exc}") from exc
-            if tm.off_product > tol or tm.diag_product < -tol:
-                return SufficiencyResult(
-                    False,
-                    f"sign conditions fail at E={E:.6g} "
-                    f"(c12*c21={tm.off_product:.3g}, c11*c22={tm.diag_product:.3g})",
-                )
+        try:
+            raise_failure(i)
+        except (ComplexOrRepeatedEigenvaluesError, SingularBasisError) as exc:
+            raise AssumptionViolatedError(f"eigenbasis degenerates at E={E:.6g}: {exc}") from exc
+        return SufficiencyResult(
+            False,
+            f"sign conditions fail at E={E:.6g} "
+            f"(c12*c21={tm.off_product[i]:.3g}, c11*c22={tm.diag_product[i]:.3g})",
+        )
 
     lhs, rhs = two_stage_inequality_sides(prob)
     if lhs > rhs:

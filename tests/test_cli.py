@@ -7,6 +7,7 @@ from patchcontrol import VerdictStatus
 from patchcontrol.cli import (
     EXIT_DISAGREEMENT,
     EXIT_INSTABILITY,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_TRANSIENT,
     EXIT_UNCONTROLLABLE,
@@ -15,6 +16,7 @@ from patchcontrol.cli import (
     main,
 )
 from patchcontrol.model import Verdict
+from patchcontrol.oracle import NoConvergenceError
 from patchcontrol.simulate import InstabilityError
 
 
@@ -175,6 +177,16 @@ class TestSpectrum:
         fd = float(values["fd_top_eigenvalue"])
         assert abs(root - fd) <= 1e-3 * max(1, abs(root))
 
+    def test_oracle_no_convergence_exits_7_without_traceback(self, capsys, monkeypatch):
+        def no_convergence(op):
+            raise NoConvergenceError("dense staged solve found no real eigenvalue")
+
+        monkeypatch.setattr("patchcontrol.oracle._staged_rightmost_eigenvalue", no_convergence)
+        code, out, err = run_cli(capsys, "spectrum", "--preset", "taiga-two-stage")
+        assert code == EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert err == "oracle did not converge: dense staged solve found no real eigenvalue\n"
+
 
 class TestSimulateCommand:
     def test_eradicating_mortality_gives_negative_exponent(self, capsys, tmp_path):
@@ -254,6 +266,7 @@ class TestSimulateCommand:
         assert code == EXIT_INSTABILITY
         assert err.startswith("simulation unstable: Crank-Nicolson matrix is singular")
         assert len(err.splitlines()) == 1
+
 
 
 class TestSweep:

@@ -194,6 +194,49 @@ class TestScenarioDocuments:
             scenario_from_dict(doc)
         assert err.value.code == "InvalidScenario"
 
+    @staticmethod
+    def staged_doc():
+        return {
+            "model": "staged",
+            "beneficial": {"A_diag": [1.0, 2.0], "deaths": [1.0, 1.0], "births": [0.52, 2.46]},
+            "control": {"A_diag": [1, 2], "M": [[-2, 0.5], [0.1, -2.0]]},
+            "R": 10.0,
+            "r": 1.0,
+        }
+
+    def test_staged_integer_entries_accepted(self):
+        layout = scenario_from_dict(self.staged_doc())
+        assert layout.control.diffusion_diag.dtype == np.float64
+        np.testing.assert_array_equal(layout.control.reaction, [[-2.0, 0.5], [0.1, -2.0]])
+
+    @pytest.mark.parametrize(
+        "zone, key, value",
+        [
+            ("beneficial", "A_diag", ["1", "2"]),
+            ("beneficial", "A_diag", [1.0, None]),
+            ("beneficial", "A_diag", [True, 2.0]),
+            ("beneficial", "A_diag", "1 2"),
+            ("beneficial", "A_diag", 1.0),
+            ("beneficial", "A_diag", [[1.0, 2.0]]),
+            ("beneficial", "deaths", ["1", 1.0]),
+            ("beneficial", "births", [0.52, [2.46]]),
+            ("control", "M", [["-2", 0.5], [0.1, -2.0]]),
+            ("control", "M", [[-2.0, 0.5], [0.1, None]]),
+            ("control", "M", [[-2.0, False], [0.1, -2.0]]),
+            ("control", "M", [[-2.0, 0.5], [0.1]]),
+            ("control", "M", [-2.0, 0.5, 0.1, -2.0]),
+            ("control", "M", [[[-2.0], [0.5]], [[0.1], [-2.0]]]),
+            ("control", "M", [[-2.0, 0.5], 0.1]),
+            ("control", "M", {"0": [-2.0, 0.5], "1": [0.1, -2.0]}),
+        ],
+    )
+    def test_staged_non_numbers_and_shapes_rejected_not_coerced(self, zone, key, value):
+        doc = self.staged_doc()
+        doc[zone][key] = value
+        with pytest.raises(LayoutError) as err:
+            scenario_from_dict(doc)
+        assert err.value.code == "InvalidScenario"
+
     def test_unknown_boundary_condition(self):
         doc = scenario_to_dict(lone_star_layout())
         doc["bc"] = "robin"

@@ -18,6 +18,7 @@ from patchcontrol import (
 )
 from patchcontrol.model import validate_layout
 from patchcontrol.oracle import (
+    _staged_rightmost_eigenvalue,
     _with_control_mortality,
     _zone_cells,
     assemble,
@@ -283,6 +284,42 @@ class TestAssemblyMatchesLoop:
         else:
             assert layout.r == 0.0
         self.assert_same_operator(layout, grid, level)
+
+
+_M2 = [[-0.5, 1.2], [0.6, -0.4]]
+_M3 = [[-0.5, 0.0, 1.5], [0.8, -0.6, 0.0], [0.0, 0.7, -0.4]]
+
+
+class TestStagedArnoldi:
+    """The staged shift-invert Arnoldi solve (20 Krylov vectors) against a dense
+    eigensolve of ``B^-1 K`` on periodic rings."""
+
+    @pytest.mark.parametrize(
+        "K, diffusion, reaction, R, r, mu, cells, level",
+        [
+            # Rightmost 3.69, nearest to zero 1.32: a shift below the spectrum would miss it.
+            (1, [1.0, 0.5], np.multiply(10, _M2), 3.0, 1.0, 2.0, 40, 0),
+            # Top gap 1.4e-4: the copies of the patch barely couple through the control zones.
+            (2, [0.5, 0.2], _M2, 2.0, 2.0, 8.0, 24, 1),
+            (3, [1.0, 0.5], _M2, 2.0, 2.0, 8.0, 16, 1),
+            (3, [1.0, 2.0, 0.5], _M3, 1.5, 0.5, 3.0, 32, 0),
+        ],
+    )
+    def test_matches_dense_rightmost(self, K, diffusion, reaction, R, r, mu, cells, level):
+        reaction = np.array(reaction)
+        layout = PatchLayout(
+            StageZone(diffusion, reaction),
+            StageZone(diffusion, reaction - mu * np.eye(len(diffusion))),
+            R=R, r=r, K=K, bc=BoundaryCondition.PERIODIC,
+        )
+        op = assemble(layout, GridSpec(cells_per_unit_length=cells, min_cells_per_zone=8), level)
+        assert 200 < op.n_unknowns <= 2500
+        value, path = _staged_rightmost_eigenvalue(op)
+        assert path == "shift-invert-arnoldi"
+        dense = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
+        rightmost = dense[np.argmax(dense.real)]
+        assert abs(rightmost.imag) <= 1e-9 * abs(rightmost)
+        assert abs(value - rightmost.real) <= 1e-9 * abs(rightmost.real)
 
 
 class TestConvergence:

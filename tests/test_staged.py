@@ -23,10 +23,19 @@ from patchcontrol import (
     two_stage_verdict,
     uniform_control_verdict,
 )
-from patchcontrol.linalg import SingularBasisError
+from patchcontrol.linalg import (
+    ComplexOrRepeatedEigenvaluesError,
+    SingularBasisError,
+    bracketed_root,
+)
 from patchcontrol.model import BirthDeathParams, LayoutError
 from patchcontrol.oracle import top_eigenvalue_fd
-from patchcontrol.staged import two_stage_inequality_sides
+from patchcontrol.staged import (
+    SufficiencyResult,
+    _ben_matrix,
+    _lead_zero,
+    two_stage_inequality_sides,
+)
 
 from conftest import loguniform
 
@@ -363,3 +372,260 @@ class TestTransferMatrix:
             assert tm.c[0, 0] >= 1.0 - 1e-12
             assert tm.c[1, 1] >= 1.0 - 1e-12
             assert tm.off_product <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Transition: closed-form E0 and the vectorised sampler against the loop
+# ---------------------------------------------------------------------------
+
+
+def _loop_eig2(N):
+    tr = N[0, 0] + N[1, 1]
+    det = N[0, 0] * N[1, 1] - N[0, 1] * N[1, 0]
+    disc = tr * tr - 4.0 * det
+    if disc <= 0:
+        raise ComplexOrRepeatedEigenvaluesError(
+            f"discriminant {disc:.3g} <= 0: eigenvalues complex or repeated"
+        )
+    sq = math.sqrt(disc)
+    return 0.5 * (tr + sq), 0.5 * (tr - sq)
+
+
+def _loop_basis(N):
+    lam1, lam2 = _loop_eig2(N)
+
+    def vector(lam, pin):
+        cand1 = np.array([N[0, 1], lam - N[0, 0]])
+        cand2 = np.array([lam - N[1, 1], N[1, 0]])
+        v = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
+        if abs(v[pin]) <= 1e-14 * (1.0 + np.abs(N).max()):
+            raise ComplexOrRepeatedEigenvaluesError(
+                f"eigenvector component {pin} vanishes; normalization infeasible"
+            )
+        return v / v[pin]
+
+    return np.column_stack([vector(lam1, 0), vector(lam2, 1)])
+
+
+def _loop_transfer(N_ben, N_nb):
+    V, W = _loop_basis(N_ben), _loop_basis(N_nb)
+    det = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
+    if abs(det) <= 1e-12 * (1.0 + float(np.abs(V).max()) ** 2):
+        raise SingularBasisError(f"beneficial eigenbasis nearly singular (det={det:.3g})")
+    return np.linalg.solve(V, W)
+
+
+def _loop_matrix(M, A_ben, E, a=1.0):
+    Ainv = 1.0 / A_ben
+    return (M * Ainv[:, None] - E * np.diag(Ainv)) / a
+
+
+def _scanned_lead_zero(prob, lam1):
+    """Reference ``E0``: doubling bracket, then a 256-point scan and brentq on the lead eigenvalue."""
+
+    def lead(E):
+        return max_real_eigenvalue(_loop_matrix(prob.M_ben, prob.A_ben, E))
+
+    upper = max(lam1 * float(prob.A_ben.max()), 1e-6)
+    while lead(upper) > 0:
+        upper *= 2
+        if upper > 1e15:
+            raise AssumptionViolatedError("lead eigenvalue does not cross zero")
+    return bracketed_root(lead, 0.0, upper, tol=1e-12, scan_points=256)
+
+
+def _loop_two_stage_verdict(prob, certified=False, samples=257, lead_zero=_scanned_lead_zero):
+    """Reference: the per-sample loop ``two_stage_verdict`` replaced, with a scanned ``E0``."""
+    if prob.dimension != 2:
+        raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
+    a = prob.a_ratio
+    if a is None:
+        raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
+    try:
+        lam1, lam2 = _loop_eig2(_loop_matrix(prob.M_ben, prob.A_ben, 0.0))
+    except ComplexOrRepeatedEigenvaluesError as exc:
+        raise AssumptionViolatedError(f"beneficial eigenvalues at E=0: {exc}") from exc
+    if not (lam1 > 0 > lam2):
+        raise AssumptionViolatedError(
+            f"need Lambda1(0) > 0 > Lambda2(0), got {lam1:.6g}, {lam2:.6g}"
+        )
+    if max_real_eigenvalue(_loop_matrix(prob.M_nb, prob.A_ben, 0.0, a)) >= 0:
+        return SufficiencyResult(False, "control zone not dissipative (mu1(0) >= 0)")
+    root_lam = math.sqrt(lam1)
+    if root_lam * prob.R / 2.0 >= math.pi / 2.0:
+        return SufficiencyResult(
+            False, f"patch at or beyond staged critical size {math.pi / root_lam:.6g}"
+        )
+    tol = 1e-12
+    for E in np.linspace(0.0, lead_zero(prob, lam1), samples):
+        nb = _loop_matrix(prob.M_ben, prob.A_ben, E)
+        nn = _loop_matrix(prob.M_nb, prob.A_ben, E, a)
+        try:
+            eb1, eb2 = _loop_eig2(nb)
+            en1, en2 = _loop_eig2(nn)
+        except ComplexOrRepeatedEigenvaluesError as exc:
+            raise AssumptionViolatedError(f"eigenvalue ordering fails at E={E:.6g}: {exc}") from exc
+        if not (eb1 >= -1e-9 * max(1.0, lam1) and eb2 < 0):
+            raise AssumptionViolatedError(f"beneficial eigenvalue ordering fails at E={E:.6g}")
+        if en1 >= 0:
+            return SufficiencyResult(False, f"control eigenvalue ordering fails at E={E:.6g}")
+        if not certified:
+            try:
+                c = _loop_transfer(nb, nn)
+            except (ComplexOrRepeatedEigenvaluesError, SingularBasisError) as exc:
+                raise AssumptionViolatedError(f"eigenbasis degenerates at E={E:.6g}: {exc}") from exc
+            off, diag = float(c[0, 1] * c[1, 0]), float(c[0, 0] * c[1, 1])
+            if off > tol or diag < -tol:
+                return SufficiencyResult(
+                    False, f"sign conditions fail at E={E:.6g} (c12*c21={off:.3g}, c11*c22={diag:.3g})"
+                )
+    lhs, rhs = two_stage_inequality_sides(prob)
+    if lhs > rhs:
+        return SufficiencyResult(True, "two-stage interface inequality holds", margin=lhs - rhs)
+    return SufficiencyResult(False, "two-stage interface inequality fails", margin=lhs - rhs)
+
+
+def _closed_lead_zero(prob, lam1):
+    return _lead_zero(prob)
+
+
+def _outcome(verdict, prob, certified, **kwargs):
+    try:
+        res = verdict(prob, certified=certified, **kwargs)
+    except ValueError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return ("result", res.eradicated, res.reason, res.margin)
+
+
+def _seeded_two_stage(seed):
+    """Proportional control, rescaled taiga, or unstructured 2x2 rates (which
+    reach complex eigenvalues, failed orderings and m12 * m21 < 0)."""
+    rng = np.random.default_rng(seed)
+    family = seed % 3
+    if family == 0:
+        A = np.array([loguniform(rng, 0.3, 3.0), 1.0])
+        A[1] = A[0] * loguniform(rng, 1.0, 40.0)
+        m2 = loguniform(rng, 0.05, 1.0)
+        m1 = m2 * loguniform(rng, 1.0, 4.0)
+        b1 = loguniform(rng, 0.2, 3.0)
+        b2 = m1 * m2 / b1 * loguniform(rng, 1.05, 4.0)
+        M_ben = np.array([[-m1, b1], [b2, -m2]])
+        extra = loguniform(rng, 0.05, 3.0)
+        omega = rng.uniform(0.05, 0.8)
+        M_nb = np.array([[-m1 - extra, omega * b1], [omega * b2, -m2 - extra]])
+    elif family == 1:
+        A = np.ones(2)
+        M_ben = TAIGA_N * loguniform(rng, 0.5, 2.0)
+        M_nb = M_ben - loguniform(rng, 0.3, 2.0) * np.eye(2)
+    else:
+        A = np.exp(rng.uniform(-2.0, 2.0, 2))
+        M_ben = rng.normal(size=(2, 2)) * np.exp(rng.uniform(-1.0, 1.0))
+        M_nb = M_ben - np.exp(rng.uniform(-1.0, 1.5)) * np.eye(2) + 0.3 * rng.normal(size=(2, 2))
+    lead = max(np.linalg.eigvals(M_ben / A[:, None]).real)
+    R = rng.uniform(0.3, 0.95) * math.pi / math.sqrt(lead) if lead > 0 else loguniform(rng, 0.3, 5.0)
+    return StagedProblem(
+        A_ben=A, M_ben=M_ben, A_nb=loguniform(rng, 0.4, 2.5) * A, M_nb=M_nb,
+        R=R, r=loguniform(rng, 0.2, 2.5),
+    )
+
+
+def _staged(A, M_ben, M_nb, R=1.0, r=1.0):
+    return StagedProblem(A_ben=A, M_ben=M_ben, A_nb=A, M_nb=M_nb, R=R, r=r)
+
+
+# name -> (problem, certified, lead_zero for the reference, start of the expected reason)
+_BRANCH_CASES = {
+    "complex control eigenvalues inside [0, E0]": (
+        _staged([1.0, 0.1], [[-1, 3], [1, -1]], [[-4, 0.1], [-0.1, -0.1]]),
+        True, _scanned_lead_zero, "eigenvalue ordering fails at E=0.263081: discriminant",
+    ),
+    # A round-off guard: Lambda1(E0) = 0 up to the cancellation in 0.5 (tr + sqrt(disc))
+    # with |tr| ~ 2e7, which here lands below -1e-9.  The loop is given the closed-form
+    # E0, so both sides do the same arithmetic at the same samples.
+    "beneficial ordering at E0": (
+        _staged([1e-7, 1e-7], [[-1, 1], [1 + 1e-7, -1]], [[-2, 1], [1 + 1e-7, -2]], R=0.3),
+        False, _closed_lead_zero, "beneficial eigenvalue ordering fails at E=5e-08",
+    ),
+    "control ordering above E=0": (
+        _staged([1.0, 0.1], [[-1, 2], [1, -1]], [[1, 1.1], [-0.5, -0.5]]),
+        True, _scanned_lead_zero, "control eigenvalue ordering fails at E=0.13915",
+    ),
+    "vanishing pinned eigenvector component": (
+        _staged([1.0, 1.0], [[-1, 0], [1, 0.5]], [[-2, 0.5], [0.5, -2]]),
+        False, _scanned_lead_zero, "eigenbasis degenerates at E=0: eigenvector component 0 vanishes",
+    ),
+    "unpinnable eigenvectors in both zones": (
+        _staged([1.0, 1.0], [[-1, 1], [0, 0.5]], [[-3, 0], [1, -2]]),
+        False, _scanned_lead_zero, "eigenbasis degenerates at E=0: eigenvector component 1 vanishes",
+    ),
+    "singular basis": (
+        _staged([1.0, 1.0], [[0, 1], [1e-14, 0]], [[-2, 0.5], [0.5, -2]]),
+        False, _scanned_lead_zero, "eigenbasis degenerates at E=0: beneficial eigenbasis nearly singular",
+    ),
+    "sign conditions above E=0": (
+        _staged([1.0, 0.125], [[-0.6, 1.6], [2.4, -1.8]], [[-3.6, 2.2], [0.3, -3.2]], R=0.5),
+        False, _scanned_lead_zero, "sign conditions fail at E=0.335111 (c12*c21=1.2e-05",
+    ),
+    "certified skips the sign conditions": (
+        _staged([1.0, 0.125], [[-0.6, 1.6], [2.4, -1.8]], [[-3.6, 2.2], [0.3, -3.2]], R=0.5),
+        True, _scanned_lead_zero, "two-stage interface inequality holds",
+    ),
+    "taiga preset, certified": (
+        taiga_problem(), True, _scanned_lead_zero, "two-stage interface inequality holds",
+    ),
+    "m12 * m21 < 0": (
+        _staged([1.0, 1.0], [[0.5, 1], [-0.1, -1]], [[-1.5, 1], [-0.1, -3]]),
+        False, _scanned_lead_zero, "two-stage interface inequality holds",
+    ),
+}
+
+
+class TestTwoStageSamplerMatchesLoop:
+    """``two_stage_verdict`` gives the reference loop's verdict, reason and
+    margin, or raises its exception type with its message."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_draws(self, seed):
+        prob = _seeded_two_stage(seed)
+        for certified in (False, True):
+            want = _outcome(_loop_two_stage_verdict, prob, certified)
+            assert _outcome(two_stage_verdict, prob, certified) == want
+
+    @pytest.mark.parametrize("name", sorted(_BRANCH_CASES))
+    def test_constructed_branches(self, name):
+        prob, certified, lead_zero, reason = _BRANCH_CASES[name]
+        want = _outcome(_loop_two_stage_verdict, prob, certified, lead_zero=lead_zero)
+        assert want[2].startswith(reason)
+        assert _outcome(two_stage_verdict, prob, certified) == want
+
+    def test_no_scan_past_the_zero(self):
+        # m12 * m21 < 0: beyond E0 the reference's root scan meets complex
+        # eigenvalues and raises; below E0 they are real, and the closed-form
+        # E0 gives the loop's verdict.
+        prob = _staged([1.0, 0.2], [[-1.8, 1.0], [-0.5, 0.6]], [[-3.8, 1.0], [-0.5, -1.4]], R=0.5)
+        for certified in (False, True):
+            assert _outcome(_loop_two_stage_verdict, prob, certified)[1] == "NoRealEigenvalueError"
+            want = _outcome(_loop_two_stage_verdict, prob, certified, lead_zero=_closed_lead_zero)
+            assert want[0] == "result"
+            assert _outcome(two_stage_verdict, prob, certified) == want
+
+    def test_no_zero_crossing_is_an_assumption_violation(self):
+        # m12 * m21 < 0 and a2 >> a1: at E0 the eigenvalues of A^-1 (M_ben - E0 I)
+        # are 0 and a positive trace, so the lead eigenvalue never vanishes.
+        prob = _staged([1.0, 50.0], [[0.5, 1], [-0.1, -1]], [[-1.5, 1], [-0.1, -3]])
+        E0 = max(np.linalg.eigvals(prob.M_ben).real)
+        assert np.trace(_ben_matrix(prob, E0)) > 0
+        for certified in (False, True):
+            with pytest.raises(AssumptionViolatedError, match="^lead eigenvalue does not cross zero$"):
+                two_stage_verdict(prob, certified=certified)
+            # The reference's scan meets complex eigenvalues instead.
+            assert _outcome(_loop_two_stage_verdict, prob, certified)[1] == "NoRealEigenvalueError"
+
+    @pytest.mark.parametrize("seed", [s for s in range(30) if s % 3 < 2])
+    def test_closed_form_zero_matches_scanned_root(self, seed):
+        prob = _seeded_two_stage(seed)
+        lam1 = max_real_eigenvalue(_ben_matrix(prob, 0.0))
+        E0 = _lead_zero(prob)
+        assert abs(E0 - _scanned_lead_zero(prob, lam1)) <= 1e-12
+        scale = 1.0 + np.abs(_ben_matrix(prob, 0.0)).max()
+        assert abs(max_real_eigenvalue(_ben_matrix(prob, E0))) <= 4 * np.finfo(float).eps * scale
