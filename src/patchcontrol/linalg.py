@@ -159,8 +159,7 @@ def eigen_2x2(N: np.ndarray) -> Eigen2x2:
     v = np.where(first[..., None], row1, row2)  # v[..., j, :] belongs to lam[..., j]
     pivot = v[..., [0, 1], [0, 1]]
     unpinnable = np.abs(pivot) <= 1e-14 * (1.0 + np.abs(N).max(axis=(-2, -1)))[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vectors = np.swapaxes(v / pivot[..., None], -1, -2)
+    vectors = np.swapaxes(v / np.where(unpinnable, 1.0, pivot)[..., None], -1, -2)
     return Eigen2x2(disc=disc[..., 0], values=lam, vectors=vectors, unpinnable=unpinnable)
 
 
