@@ -70,7 +70,14 @@ EXIT_TRANSIENT = 5
 EXIT_INSTABILITY = 6
 EXIT_NO_CONVERGENCE = 7
 
-_SCALAR_OVERRIDES = ("a", "b", "growth", "mu")
+# Scalar parameter -> (zone, key, sign) of the scenario field it sets.
+_SCALAR_FIELDS = {
+    "a": ("beneficial", "diffusion", 1.0),
+    "growth": ("beneficial", "growth", 1.0),
+    "b": ("control", "diffusion", 1.0),
+    "mu": ("control", "growth", -1.0),
+}
+_SWEEPABLE = ("R", "r", *_SCALAR_FIELDS)
 
 
 def _fmt(value: float) -> str:
@@ -135,26 +142,26 @@ def _resolve_scenario(args) -> dict:
             doc = json.load(fh)
     else:
         raise LayoutError("InvalidScenario", "a scenario is required: use --scenario or --preset")
-
-    model = str(doc.get("model", "scalar")).lower()
-    for key in ("R", "r", "K", "bc"):
+    if not isinstance(doc, dict):
+        raise LayoutError("InvalidScenario", "scenario must be a JSON object")
+    for key in ("R", "r", "K", "bc", *_SCALAR_FIELDS):
         val = getattr(args, key, None)
         if val is not None:
-            doc[key] = val
-    if model == "scalar":
-        if args.a is not None:
-            doc["beneficial"]["diffusion"] = args.a
-        if args.growth is not None:
-            doc["beneficial"]["growth"] = args.growth
-        if args.b is not None:
-            doc["control"]["diffusion"] = args.b
-        if args.mu is not None:
-            doc["control"]["growth"] = -args.mu
-    else:
-        bad = [f"--{k}" for k in _SCALAR_OVERRIDES if getattr(args, k, None) is not None]
-        if bad:
-            raise LayoutError("InvalidScenario", f"{', '.join(bad)} apply to scalar scenarios only")
+            _override(doc, key, val)
     return doc
+
+
+def _override(doc: dict, name: str, value) -> None:
+    """Set scenario field ``name`` (a top-level key or a key of ``_SCALAR_FIELDS``) in place."""
+    if name not in _SCALAR_FIELDS:
+        doc[name] = value
+    elif str(doc.get("model", "scalar")).lower() != "scalar":
+        raise LayoutError("InvalidScenario", f"{name!r} applies to scalar scenarios only")
+    else:
+        zone, key, sign = _SCALAR_FIELDS[name]
+        if not isinstance(doc.get(zone), dict):
+            raise LayoutError("InvalidScenario", f"{zone} must be an object to set {name!r}")
+        doc[zone][key] = sign * value
 
 
 def _resolve_layout(args) -> PatchLayout:
@@ -326,31 +333,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_SWEEPABLE_SCALAR = {"a", "b", "growth", "mu", "R", "r"}
-_SWEEPABLE_STAGED = {"R", "r"}
-
-
-def _apply_sweep_value(doc: dict, name: str, value: float) -> dict:
-    doc = json.loads(json.dumps(doc))  # deep copy
-    if name in ("R", "r"):
-        doc[name] = value
-    elif name == "a":
-        doc["beneficial"]["diffusion"] = value
-    elif name == "growth":
-        doc["beneficial"]["growth"] = value
-    elif name == "b":
-        doc["control"]["diffusion"] = value
-    elif name == "mu":
-        doc["control"]["growth"] = -value
-    return doc
-
-
 def cmd_sweep(args) -> int:
     base = _resolve_scenario(args)
-    model = str(base.get("model", "scalar")).lower()
-    allowed = _SWEEPABLE_SCALAR if model == "scalar" else _SWEEPABLE_STAGED
-    if args.vary not in allowed:
-        print(f"unknown sweep parameter {args.vary!r}; allowed: {sorted(allowed)}", file=sys.stderr)
+    if args.vary not in _SWEEPABLE:
+        print(f"unknown sweep parameter {args.vary!r}; allowed: {sorted(_SWEEPABLE)}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.steps < 1:
         print("--steps must be >= 1", file=sys.stderr)
@@ -361,7 +347,9 @@ def cmd_sweep(args) -> int:
     )
     lines = ["param,value,margin,top_eigenvalue,status"]
     for value in values:
-        layout = scenario_from_dict(_apply_sweep_value(base, args.vary, float(value)))
+        doc = json.loads(json.dumps(base))  # deep copy
+        _override(doc, args.vary, float(value))
+        layout = scenario_from_dict(doc)
         if layout.is_scalar:
             p = ScalarProblem.from_layout(layout)
             v = scalar_verdict(p)

@@ -1,7 +1,8 @@
-"""Small dense eigenvalue helpers and bracketed scalar root finding.
+"""Small dense eigenvalue helpers and scalar root finding.
 
 Everything here works on matrices up to 8x8; the heavy grid eigensolves
-live in :mod:`patchcontrol.oracle`.
+live in :mod:`patchcontrol.oracle`.  :func:`expanding_root` is the one
+search for a first eradicating parameter used by the inverse solvers.
 """
 
 from __future__ import annotations
@@ -206,3 +207,20 @@ def bracketed_root(
     if finite[-1] and vals[-1] == 0.0:
         return float(xs[-1])
     raise NoRootError(f"no sign change of f on [{lo}, {hi}] at scan resolution {scan_points}")
+
+
+def expanding_root(
+    f: Callable[[float], float], cap: float, failure: Exception, xtol: float, rtol: float
+) -> float:
+    """Root of ``f`` below the first ``hi = 1, 2, 4, ...`` with ``f(hi) > 0``.
+
+    Brent's method runs on ``[hi/2, hi]``, or on ``[0, 1]`` when ``f(1) > 0``;
+    ``f`` must be nonpositive at the lower end.  Raises ``failure`` once
+    ``hi`` would exceed ``cap``.
+    """
+    hi = 1.0
+    while f(hi) <= 0:
+        hi *= 2
+        if hi > cap:
+            raise failure
+    return float(brentq(f, hi / 2 if hi > 1 else 0.0, hi, xtol=xtol, rtol=rtol))

@@ -13,6 +13,7 @@ The core is dimensionless; presets document their units (km, month or year).
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -216,12 +217,12 @@ def _validate_zone(zone: Zone, which: str) -> None:
 
 
 def _is_whole_number(value) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and bool(np.isfinite(value))
-        and int(value) == value
-    )
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value) and int(value) == value
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def validate_layout(layout: PatchLayout) -> PatchLayout:
@@ -268,12 +269,17 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
 def _json_number(d: dict, key: str, where: str):
     """``d[key]`` if it is a JSON number; anything else is refused.
 
-    Strings, null, lists, objects and booleans (Python counts ``True`` as the
-    integer 1) raise ``LayoutError("InvalidScenario")`` instead of being coerced.
+    Strings, null, lists, objects, booleans (Python counts ``True`` as the
+    integer 1) and integers beyond float range raise
+    ``LayoutError("InvalidScenario")`` instead of being coerced.
     """
     value = d[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise LayoutError("InvalidScenario", f"{where} {key!r} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise LayoutError("InvalidScenario", f"{where} {key!r} is beyond float range") from None
     return value
 
 

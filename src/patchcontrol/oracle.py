@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigvalsh_tridiagonal
-from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh, splu
 
+from .linalg import expanding_root
 from .model import (
     BoundaryCondition,
     PatchLayout,
@@ -401,59 +402,35 @@ def verdict_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Oracle-adjudicated inverse design (sign-change bisection on the eigenvalue)
+# Oracle-adjudicated inverse design (Brent's method on the eigenvalue's sign change)
 # ---------------------------------------------------------------------------
 
 
-def _with_control_mortality(layout: PatchLayout, mu: float) -> PatchLayout:
-    control = layout.control
-    if isinstance(control, ScalarZone):
-        control = ScalarZone(diffusion=control.diffusion, growth=-mu)
-    else:
-        raise ValueError("oracle mortality bisection supports scalar layouts only")
-    return replace(layout, control=control)
-
-
-def min_mortality_fd(
-    layout: PatchLayout,
-    grid: GridSpec | None = None,
-    rtol: float = 1e-5,
-) -> float:
-    """Smallest scalar control mortality with a nonpositive oracle top eigenvalue."""
-    grid = grid or GridSpec()
-
-    def top(mu: float) -> float:
-        return top_eigenvalue_fd(_with_control_mortality(layout, mu), grid).top_eigenvalue
-
-    if top(0.0) <= 0:
-        return 0.0
-    hi = 1.0
-    while top(hi) > 0:
-        hi *= 2
-        if hi > 1e12:
-            raise NoConvergenceError("no eradicating mortality below 1e12 (oracle)")
-    return float(brentq(top, hi / 2 if hi > 1 else 0.0, hi, rtol=rtol, xtol=1e-9))
-
-
-def min_zone_width_fd(
-    layout: PatchLayout,
-    grid: GridSpec | None = None,
-    rtol: float = 1e-5,
-    r_cap: float = 1e3,
-) -> float:
-    """Smallest scalar control-zone width with a nonpositive oracle top eigenvalue."""
-    grid = grid or GridSpec()
+def _first_eradicating(layout: PatchLayout, grid: GridSpec | None, with_value, cap: float, what: str) -> float:
+    """Smallest ``x`` in ``[0, cap]`` at which the oracle top eigenvalue of the
+    scalar layout ``with_value(x)`` is nonpositive."""
     if not layout.is_scalar:
-        raise ValueError("oracle width bisection supports scalar layouts only")
+        raise ValueError(f"oracle {what} search supports scalar layouts only")
+    grid = grid or GridSpec()
 
-    def top(r: float) -> float:
-        return top_eigenvalue_fd(replace(layout, r=r), grid).top_eigenvalue
+    def top(x: float) -> float:
+        return top_eigenvalue_fd(with_value(x), grid).top_eigenvalue
 
     if top(0.0) <= 0:
         return 0.0
-    hi = min(1.0, r_cap)
-    while top(hi) > 0:
-        hi *= 2
-        if hi > r_cap:
-            raise NoConvergenceError(f"no eradicating width below {r_cap:g} (oracle)")
-    return float(brentq(top, hi / 2 if hi > 1 else 0.0, hi, rtol=rtol, xtol=1e-9))
+    failure = NoConvergenceError(f"no eradicating {what} below {cap:g} (oracle)")
+    return expanding_root(lambda x: -top(x), cap, failure, xtol=1e-9, rtol=1e-5)
+
+
+def _with_control_mortality(layout: PatchLayout, mu: float) -> PatchLayout:
+    return replace(layout, control=replace(layout.control, growth=-mu))
+
+
+def min_mortality_fd(layout: PatchLayout, grid: GridSpec | None = None) -> float:
+    """Smallest scalar control mortality with a nonpositive oracle top eigenvalue."""
+    return _first_eradicating(layout, grid, partial(_with_control_mortality, layout), 1e12, "mortality")
+
+
+def min_zone_width_fd(layout: PatchLayout, grid: GridSpec | None = None) -> float:
+    """Smallest scalar control-zone width with a nonpositive oracle top eigenvalue."""
+    return _first_eradicating(layout, grid, lambda r: replace(layout, r=r), 1e3, "width")

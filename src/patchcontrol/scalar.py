@@ -4,7 +4,9 @@ The spatial operator is ``a y'' + lam y`` on the beneficial zone and
 ``b y'' - mu y`` on the control zone, glued by continuity of ``y`` and of the
 flux ``a y'``.  Its top eigenvalue decides eradication; the criteria below
 express its sign through tan/tanh balances, one per boundary condition, and
-the dispersion solver locates the eigenvalue itself.
+the dispersion solver locates the eigenvalue itself.  Inverse design inverts
+the balance: the minimal zone width in closed form, the minimal mortality by
+Brent's method.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
+from .linalg import expanding_root
 from .model import (
-    MARGINAL_TOL,
     BoundaryCondition,
     LayoutError,
     PatchLayout,
@@ -24,10 +26,12 @@ from .model import (
     SpectralMethod,
     SpectralReport,
     Verdict,
+    validate_layout,
 )
 
 _BISECT_RTOL = 1e-10
 _BRACKET_CAP = 1e12
+_SCAN_POINTS = 4096
 
 
 class NonpositiveGrowthError(ValueError):
@@ -56,18 +60,9 @@ class ScalarProblem:
     K: int = 1
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise LayoutError("NonpositiveDiffusion", "diffusion coefficients must be > 0")
-        if self.R <= 0:
-            raise LayoutError("NonpositiveWidth", "R must be > 0")
-        if self.r < 0:
-            raise LayoutError("NegativeWidth", "r must be >= 0")
+        validate_layout(self.to_layout())
         if self.mu < 0:
             raise LayoutError("PositiveControlGrowth", "criteria require control mortality mu >= 0")
-        if self.K < 1:
-            raise LayoutError("InvalidPatchCount", "K must be >= 1")
-        if self.bc is not BoundaryCondition.PERIODIC and self.K != 1:
-            raise LayoutError("InvalidPatchCount", "Dirichlet/Neumann require K = 1")
 
     @classmethod
     def from_layout(cls, layout: PatchLayout) -> "ScalarProblem":
@@ -127,48 +122,47 @@ def _sqrt_tan(lam: float, a: float, R_eff: float) -> float:
     return math.sqrt(lam * a) * math.tan(R_eff * math.sqrt(lam / a))
 
 
-def dirichlet_verdict(p: ScalarProblem, marginal_tol: float = MARGINAL_TOL) -> Verdict:
+def dirichlet_verdict(p: ScalarProblem) -> Verdict:
     """Exact trichotomy for absorbing ends on ``[0, R + r]``."""
     if p.lam < 0:
-        return Verdict.from_margin(-p.lam, "negative-growth", marginal_tol)
+        return Verdict.from_margin(-p.lam, "negative-growth")
     s = p.lam / p.a
     hi = (math.pi / p.R) ** 2
     lo = (math.pi / (2 * p.R)) ** 2
     if s >= hi:
-        return Verdict.from_margin(hi - s, "dirichlet-critical-size", marginal_tol)
+        return Verdict.from_margin(hi - s, "dirichlet-critical-size")
     if s <= lo:
-        return Verdict.from_margin(lo - s, "dirichlet-half-size", marginal_tol)
-    lhs = -_tanh_over_sqrt(p.mu, p.b, p.r)
-    rhs = math.tan(p.R * math.sqrt(s)) / math.sqrt(p.a * p.lam)
-    return Verdict.from_margin(lhs - rhs, "dirichlet-tan-tanh", marginal_tol)
+        return Verdict.from_margin(lo - s, "dirichlet-half-size")
+    lhs, rhs = control_inequality_sides(p)
+    return Verdict.from_margin(lhs - rhs, "dirichlet-tan-tanh")
 
 
-def neumann_verdict(p: ScalarProblem, marginal_tol: float = MARGINAL_TOL) -> Verdict:
+def neumann_verdict(p: ScalarProblem) -> Verdict:
     """Exact trichotomy for reflecting ends on ``[0, R + r]``."""
     if p.lam < 0:
-        return Verdict.from_margin(-p.lam, "negative-growth", marginal_tol)
+        return Verdict.from_margin(-p.lam, "negative-growth")
     s = p.lam / p.a
     thresh = (math.pi / (2 * p.R)) ** 2
     if s >= thresh:
-        return Verdict.from_margin(thresh - s, "neumann-critical-size", marginal_tol)
-    margin = _sqrt_tanh(p.mu, p.b, p.r) - _sqrt_tan(p.lam, p.a, p.R)
-    return Verdict.from_margin(margin, "neumann-tan-tanh", marginal_tol)
+        return Verdict.from_margin(thresh - s, "neumann-critical-size")
+    lhs, rhs = control_inequality_sides(p)
+    return Verdict.from_margin(lhs - rhs, "neumann-tan-tanh")
 
 
-def periodic_verdict(p: ScalarProblem, marginal_tol: float = MARGINAL_TOL) -> Verdict:
+def periodic_verdict(p: ScalarProblem) -> Verdict:
     """Exact trichotomy on the torus of ``K`` beneficial/control pairs.
 
     The outcome does not depend on ``K``: the top eigenfunction of the
     periodic operator is itself periodic with the single-pair period.
     """
     if p.lam < 0:
-        return Verdict.from_margin(-p.lam, "negative-growth", marginal_tol)
+        return Verdict.from_margin(-p.lam, "negative-growth")
     s = p.lam / p.a
     thresh = (math.pi / p.R) ** 2
     if s >= thresh:
-        return Verdict.from_margin(thresh - s, "periodic-critical-size", marginal_tol)
-    margin = _sqrt_tanh(p.mu, p.b, p.r / 2) - _sqrt_tan(p.lam, p.a, p.R / 2)
-    return Verdict.from_margin(margin, "periodic-tan-tanh", marginal_tol)
+        return Verdict.from_margin(thresh - s, "periodic-critical-size")
+    lhs, rhs = control_inequality_sides(p)
+    return Verdict.from_margin(lhs - rhs, "periodic-tan-tanh")
 
 
 _VERDICTS = {
@@ -178,9 +172,9 @@ _VERDICTS = {
 }
 
 
-def scalar_verdict(p: ScalarProblem, marginal_tol: float = MARGINAL_TOL) -> Verdict:
+def scalar_verdict(p: ScalarProblem) -> Verdict:
     """Dispatch to the boundary-condition-appropriate criterion."""
-    return _VERDICTS[p.bc](p, marginal_tol)
+    return _VERDICTS[p.bc](p)
 
 
 def control_inequality_sides(p: ScalarProblem) -> tuple[float, float]:
@@ -189,8 +183,8 @@ def control_inequality_sides(p: ScalarProblem) -> tuple[float, float]:
     Only defined inside the controllable band (below the clause-(i) threshold,
     and above the Dirichlet half-size threshold for absorbing ends).
     """
-    if p.lam <= 0:
-        raise NonpositiveGrowthError("inequality sides need lam > 0")
+    if p.lam < 0 or (p.lam == 0 and p.bc is BoundaryCondition.DIRICHLET):
+        raise NonpositiveGrowthError("inequality sides need lam > 0 (lam >= 0 off absorbing ends)")
     if p.bc is BoundaryCondition.DIRICHLET:
         lhs = -_tanh_over_sqrt(p.mu, p.b, p.r)
         rhs = math.tan(p.R * math.sqrt(p.lam / p.a)) / math.sqrt(p.a * p.lam)
@@ -238,11 +232,7 @@ def _dispersion_residual(p: ScalarProblem, x: np.ndarray) -> np.ndarray:
     return ben - ctl
 
 
-def top_eigenvalue_scalar(
-    p: ScalarProblem,
-    grid: "GridSpec | None" = None,
-    scan_points: int = 4096,
-) -> SpectralReport:
+def top_eigenvalue_scalar(p: ScalarProblem, grid: "GridSpec | None" = None) -> SpectralReport:
     """Largest eigenvalue of the scalar two-zone operator.
 
     Solves the transcendental dispersion equation on the window
@@ -265,11 +255,11 @@ def top_eigenvalue_scalar(
     x_lo = eps / p.a
     x_hi = (p.lam + p.mu - eps) / p.a
     if x_hi > x_lo:
-        root_x = _scan_dispersion(p, x_lo, x_hi, R_eff, scan_points)
+        root_x = _scan_dispersion(p, x_lo, x_hi, R_eff)
         if root_x is not None:
             E = p.lam - p.a * root_x
             err = max(p.a * 1e-13, 1e-12 * (1.0 + abs(E)))
-            return SpectralReport(E, SpectralMethod.DISPERSION_ROOT, err, f"scan={scan_points}")
+            return SpectralReport(E, SpectralMethod.DISPERSION_ROOT, err, f"scan={_SCAN_POINTS}")
 
     from .oracle import GridSpec, top_eigenvalue_fd
 
@@ -277,9 +267,7 @@ def top_eigenvalue_scalar(
     return replace(report, method=SpectralMethod.FINITE_DIFFERENCE)
 
 
-def _scan_dispersion(
-    p: ScalarProblem, x_lo: float, x_hi: float, R_eff: float, scan_points: int
-) -> float | None:
+def _scan_dispersion(p: ScalarProblem, x_lo: float, x_hi: float, R_eff: float) -> float | None:
     """Smallest root of the dispersion residual in ``(x_lo, x_hi)``, or None."""
     poles = []
     k = 0
@@ -295,7 +283,7 @@ def _scan_dispersion(
     breaks = [x_lo] + poles + [x_hi]
     for u, v in zip(breaks[:-1], breaks[1:]):
         pad = 1e-12 * max(1.0, v - u) + 1e-300
-        xs = np.linspace(u + pad, v - pad, scan_points)
+        xs = np.linspace(u + pad, v - pad, _SCAN_POINTS)
         vals = _dispersion_residual(p, xs)
         finite = np.isfinite(vals)
         sign_change = np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0))[0]
@@ -318,15 +306,6 @@ def _clause_i_threshold(p: ScalarProblem) -> float:
     return (math.pi / p.R) ** 2
 
 
-def _expand_and_bisect(margin, lo: float = 0.0) -> float:
-    hi = max(1.0, 2 * lo)
-    while margin(hi) <= 0:
-        hi *= 2
-        if hi > _BRACKET_CAP:
-            raise UncontrollableError("no eradicating parameter below 1e12")
-    return float(brentq(margin, lo, hi, xtol=1e-14, rtol=_BISECT_RTOL))
-
-
 def min_mortality(
     a: float,
     lam: float,
@@ -339,7 +318,7 @@ def min_mortality(
     """Smallest control mortality ``mu`` that flips the verdict to Eradication.
 
     The lhs of the deciding inequality is strictly increasing in ``mu``, so
-    the zero of the margin is unique and bisection applies.  Raises
+    the zero of the margin is unique and Brent's method applies.  Raises
     ``UncontrollableError`` when the patch is beyond its clause-(i) threshold
     (no mortality works) or when there is no control zone to act on.
     """
@@ -355,11 +334,12 @@ def min_mortality(
         raise UncontrollableError("no control zone (r = 0): mortality has nothing to act on")
 
     def margin(mu: float) -> float:
-        return scalar_verdict(replace(probe, mu=mu), marginal_tol=0.0).margin
+        return scalar_verdict(replace(probe, mu=mu)).margin
 
     if margin(0.0) > 0:
         return 0.0
-    return _expand_and_bisect(margin)
+    failure = UncontrollableError(f"no eradicating mortality below {_BRACKET_CAP:g}")
+    return expanding_root(margin, _BRACKET_CAP, failure, xtol=1e-14, rtol=_BISECT_RTOL)
 
 
 def min_zone_width(
@@ -373,10 +353,12 @@ def min_zone_width(
 ) -> float:
     """Smallest control-zone width ``r`` achieving Eradication at mortality ``mu``.
 
-    For reflecting/periodic boundaries the lhs grows with ``r`` up to
-    ``sqrt(mu b)``; if that cap stays below the rhs no width suffices and
-    ``InsufficientMortalityError`` is raised.  Absorbing ends need no control
-    zone at all below the critical size (``r* = 0``).
+    For reflecting/periodic boundaries the lhs ``sqrt(mu b) tanh(r_eff
+    sqrt(mu/b))`` grows with ``r`` up to ``sqrt(mu b)``; if that cap stays
+    below the rhs no width suffices and ``InsufficientMortalityError`` is
+    raised, otherwise ``r_eff = sqrt(b/mu) artanh(rhs / sqrt(mu b))``, with
+    ``r = 2 r_eff`` on rings.  Absorbing ends need no control zone at all
+    below the critical size (``r* = 0``).
     """
     probe = ScalarProblem(a=a, lam=lam, b=b, mu=max(mu, 0.0), R=R, r=0.0, bc=bc, K=K)
     if lam <= 0:
@@ -388,17 +370,11 @@ def min_zone_width(
         return 0.0
     if mu <= 0:
         raise InsufficientMortalityError("mu = 0: the control inequality lhs is identically 0")
-    R_eff = R / 2 if bc is BoundaryCondition.PERIODIC else R
-    rhs = _sqrt_tan(lam, a, R_eff)
+    _, rhs = control_inequality_sides(probe)
     if math.sqrt(mu * b) <= rhs:
         raise InsufficientMortalityError(
             f"sqrt(mu b) = {math.sqrt(mu * b):.6g} <= inequality rhs {rhs:.6g}: "
             "even r -> infinity cannot eradicate"
         )
-
-    def margin(r: float) -> float:
-        return scalar_verdict(replace(probe, r=r), marginal_tol=0.0).margin
-
-    if margin(0.0) > 0:
-        return 0.0
-    return _expand_and_bisect(margin)
+    r_eff = math.sqrt(b / mu) * math.atanh(rhs / math.sqrt(mu * b))
+    return 2 * r_eff if bc is BoundaryCondition.PERIODIC else r_eff

@@ -24,20 +24,22 @@ import numpy as np
 from .linalg import (
     ComplexOrRepeatedEigenvaluesError,
     Eigen2x2,
+    NoRealEigenvalueError,
     SingularBasisError,
     eigen_2x2,
+    expanding_root,
     max_real_eigenvalue,
     real_eigenvalues,
     symmetric_eigen,
 )
 from .model import (
-    MARGINAL_TOL,
     BirthDeathParams,
     BoundaryCondition,
     LayoutError,
     PatchLayout,
     StageZone,
     Verdict,
+    validate_layout,
 )
 from .scalar import ScalarProblem, scalar_verdict
 
@@ -86,15 +88,7 @@ class StagedProblem:
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         for name in ("M_ben", "M_nb"):
             object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        n = len(self.A_ben)
-        if len(self.A_nb) != n or self.M_ben.shape != (n, n) or self.M_nb.shape != (n, n):
-            raise LayoutError("DimensionMismatch", "zone matrices must share one stage count")
-        if np.any(self.A_ben <= 0) or np.any(self.A_nb <= 0):
-            raise LayoutError("NonpositiveDiffusion", "diffusion diagonals must be > 0")
-        if self.R <= 0:
-            raise LayoutError("NonpositiveWidth", "R must be > 0")
-        if self.r < 0:
-            raise LayoutError("NegativeWidth", "r must be >= 0")
+        validate_layout(self.to_layout())
 
     @property
     def dimension(self) -> int:
@@ -194,7 +188,6 @@ def uniform_control_verdict(
     r: float,
     bc: BoundaryCondition = BoundaryCondition.PERIODIC,
     K: int = 1,
-    marginal_tol: float = MARGINAL_TOL,
 ) -> Verdict:
     """Exact verdict when the control zone shifts the whole stage matrix by ``-mu``.
 
@@ -215,7 +208,7 @@ def uniform_control_verdict(
     if bc is BoundaryCondition.NEUMANN:
         raise LayoutError("UnsupportedBoundary", "uniform-control criteria cover Dirichlet and periodic ends")
     p = ScalarProblem(a=a, lam=lam1, b=b, mu=mu - lam1, R=R, r=r, bc=bc, K=K)
-    return scalar_verdict(p, marginal_tol)
+    return scalar_verdict(p)
 
 
 def critical_patch_staged(A: np.ndarray, M: np.ndarray) -> float:
@@ -341,15 +334,23 @@ def _lead_zero(prob: StagedProblem) -> float:
     return E0
 
 
+def _lead_at_zero(N: np.ndarray, zone: str) -> float:
+    """Largest real eigenvalue of a zone matrix at E = 0; none is an assumption failure."""
+    try:
+        return max_real_eigenvalue(N)
+    except NoRealEigenvalueError as exc:
+        raise AssumptionViolatedError(f"{zone} matrix at E=0: {exc}") from exc
+
+
 def two_stage_inequality_sides(prob: StagedProblem) -> tuple[float, float]:
     """(lhs, rhs) of the two-stage interface inequality, evaluated at E = 0."""
     a = prob.a_ratio
     if a is None:
         raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
-    lam1 = max_real_eigenvalue(_ben_matrix(prob, 0.0))
+    lam1 = _lead_at_zero(_ben_matrix(prob, 0.0), "beneficial")
     if lam1 <= 0:
         raise AssumptionViolatedError("lead eigenvalue nonpositive")
-    mu1 = max_real_eigenvalue(_nb_matrix(prob, 0.0, a))
+    mu1 = _lead_at_zero(_nb_matrix(prob, 0.0, a), "control")
     root_lam = math.sqrt(lam1)
     root_mu = math.sqrt(abs(mu1))
     lhs = a * root_mu * math.tanh(root_mu * prob.r / 2.0)
@@ -357,15 +358,11 @@ def two_stage_inequality_sides(prob: StagedProblem) -> tuple[float, float]:
     return lhs, rhs
 
 
-def two_stage_verdict(
-    prob: StagedProblem,
-    certified: bool = False,
-    samples: int = 257,
-) -> SufficiencyResult:
+def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> SufficiencyResult:
     """One-sided two-stage criterion with sampled (or certified) sign conditions.
 
     Verifies the eigenvalue orderings and the basis-change sign pattern at
-    ``samples`` points of ``[0, E0]``, then tests the interface inequality at
+    257 evenly spaced points of ``[0, E0]``, then tests the interface inequality at
     ``E = 0``.  ``E0`` is the zero of the lead eigenvalue ``Lambda1(E)`` of
     ``A^-1 (M_ben - E I)``; ``Lambda1(0) > 0 > Lambda2(0)`` forces
     ``det M_ben < 0``, and ``E0`` is the positive eigenvalue of ``M_ben``.
@@ -389,7 +386,7 @@ def two_stage_verdict(
         raise AssumptionViolatedError(
             f"need Lambda1(0) > 0 > Lambda2(0), got {lam1:.6g}, {lam2:.6g}"
         )
-    mu1_0 = max_real_eigenvalue(_nb_matrix(prob, 0.0, a))
+    mu1_0 = _lead_at_zero(_nb_matrix(prob, 0.0, a), "control")
     if mu1_0 >= 0:
         return SufficiencyResult(False, "control zone not dissipative (mu1(0) >= 0)")
 
@@ -399,7 +396,7 @@ def two_stage_verdict(
             False, f"patch at or beyond staged critical size {math.pi / root_lam:.6g}"
         )
 
-    Es = np.linspace(0.0, _lead_zero(prob), samples)
+    Es = np.linspace(0.0, _lead_zero(prob), 257)
     ben, ctl = eigen_2x2(_ben_matrix(prob, Es)), eigen_2x2(_nb_matrix(prob, Es, a))
     ben_order = ~((ben.values[:, 0] >= -1e-9 * max(1.0, lam1)) & (ben.values[:, 1] < 0))
     ctl_order = ctl.values[:, 0] >= 0
@@ -442,7 +439,7 @@ def min_control_decay_rate(
     """Threshold on ``|mu1(0)|`` above which the two-stage inequality holds.
 
     Solves ``a sqrt(m) tanh(sqrt(m) r/2) = sqrt(L1) tan(sqrt(L1) R/2)`` for
-    ``m``; the lhs is strictly increasing, so bisection applies.
+    ``m``; the lhs is strictly increasing, so Brent's method applies.
     """
     if lead_eigenvalue <= 0:
         raise NonpositiveLeadEigenvalueError("lead eigenvalue must be positive")
@@ -459,14 +456,8 @@ def min_control_decay_rate(
         rm = math.sqrt(m)
         return a * rm * math.tanh(rm * r / 2.0) - rhs
 
-    hi = 1.0
-    while excess(hi) <= 0:
-        hi *= 2
-        if hi > 1e15:
-            raise AssumptionViolatedError("no finite control rate satisfies the inequality")
-    from scipy.optimize import brentq
-
-    return float(brentq(excess, 0.0, hi, xtol=1e-14, rtol=1e-12))
+    failure = AssumptionViolatedError("no finite control rate satisfies the inequality")
+    return expanding_root(excess, 1e15, failure, xtol=1e-14, rtol=1e-12)
 
 
 def proportional_control_check(

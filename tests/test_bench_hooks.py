@@ -1,0 +1,38 @@
+"""The benchmark tracer wraps program functions and library kernels by name.
+
+``bench/tracing.py`` is loaded from its path, unchanged, and every name it
+patches must resolve on the imported package, so that a rename which would
+break a traced benchmark run fails here first.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import patchcontrol  # noqa: F401  (the tracer patches the imported package)
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing_under_test", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+
+@pytest.mark.parametrize("module, name", tracing._PROGRAM_FUNCTIONS)
+def test_program_function_resolves(module, name):
+    assert callable(getattr(importlib.import_module(f"patchcontrol.{module}"), name))
+
+
+@pytest.mark.parametrize("owner, attr", [site[:2] for site in tracing._KERNEL_SITES])
+def test_kernel_site_resolves(owner, attr):
+    assert callable(getattr(importlib.import_module(owner), attr))

@@ -17,6 +17,7 @@ from patchcontrol.cli import (
 )
 from patchcontrol.model import Verdict
 from patchcontrol.oracle import NoConvergenceError
+from patchcontrol.presets import preset_scenario
 from patchcontrol.simulate import InstabilityError
 
 
@@ -68,6 +69,37 @@ class TestCriticalSize:
 
 
 class TestVerdict:
+    def test_complex_control_eigenvalues_fall_back_to_symmetrization(self, capsys, tmp_path):
+        doc = {
+            "model": "staged",
+            "beneficial": {"A_diag": [1, 1], "M": [[-0.91, 2.24], [0.01, -0.02]]},
+            "control": {"A_diag": [1, 1], "M": [[-1, 1], [-1, -1]]},
+            "R": 4, "r": 1,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verdict", "--scenario", str(path), "--method", "closed")
+        assert (code, err) == (EXIT_OK, "")
+        assert parsed(out)["closed_rule"].startswith("symmetrized: ")
+
+    @pytest.mark.parametrize(
+        "doc", [[1, 2], {"model": "scalar", "R": 1, "r": 1}, {"model": "scalar", "beneficial": [1], "R": 1, "r": 1}]
+    )
+    @pytest.mark.parametrize("flags", [(), ("--a", "2")])
+    def test_malformed_scenario_with_or_without_overrides_exits_2(self, capsys, tmp_path, doc, flags):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verdict", "--scenario", str(path), "--method", "closed", *flags)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["R", "K"])
+    def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**preset_scenario("lone-star"), key: 10**400}))
+        code, _, err = run_cli(capsys, "verdict", "--scenario", str(path), "--method", "closed")
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and "Traceback" not in err
     def test_lone_star_mu10_both_agree(self, capsys):
         code, out, _ = run_cli(
             capsys, "verdict", "--preset", "lone-star", "--mu", "10",
@@ -306,6 +338,32 @@ class TestSweep:
             "--from", "0", "--to", "1", "--steps", "2",
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "name, value", [("a", "20"), ("b", "12"), ("growth", "0.5"), ("mu", "40"), ("R", "12"), ("r", "1.5")]
+    )
+    def test_sweep_value_overrides_like_the_flag(self, capsys, name, value):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--preset", "lone-star", "--vary", name, "--from", value, "--to", value, "--steps", "1",
+        )
+        assert code == EXIT_OK
+        margin = float(out.strip().splitlines()[1].split(",")[2])
+        code, out, _ = run_cli(capsys, "verdict", "--preset", "lone-star", "--method", "closed", f"--{name}", value)
+        assert code == EXIT_OK
+        assert f"{margin:.4g}" == parsed(out)["closed_margin"]
+        _, base, _ = run_cli(capsys, "verdict", "--preset", "lone-star", "--method", "closed")
+        assert parsed(base)["closed_margin"] != parsed(out)["closed_margin"]
+
+    @pytest.mark.parametrize("name", ["a", "b", "growth", "mu"])
+    def test_scalar_parameters_refused_on_staged_scenarios(self, capsys, name):
+        code, _, err = run_cli(capsys, "verdict", "--preset", "taiga-two-stage", "--method", "closed", f"--{name}", "2")
+        assert code == EXIT_VALIDATION
+        assert "scalar scenarios only" in err
+        code, _, err = run_cli(
+            capsys, "sweep", "--preset", "taiga-two-stage", "--vary", name, "--from", "1", "--to", "2", "--steps", "2",
+        )
+        assert code == EXIT_VALIDATION
+        assert "scalar scenarios only" in err
 
     def test_deterministic_output(self, capsys):
         outputs = []

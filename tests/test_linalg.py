@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from patchcontrol import (
+    AssumptionViolatedError,
+    BoundaryCondition,
+    GridSpec,
+    ScalarProblem,
+    UncontrollableError,
+    min_control_decay_rate,
+    min_mortality,
+)
 from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
     InvalidBracketError,
@@ -9,10 +18,12 @@ from patchcontrol.linalg import (
     NotSymmetricError,
     bracketed_root,
     eigen_basis_2x2,
+    expanding_root,
     max_real_eigenvalue,
     residual,
     symmetric_eigen,
 )
+from patchcontrol.oracle import NoConvergenceError, min_zone_width_fd
 
 # Rounded per-diffusion stage matrix of the two-stage taiga model.
 TAIGA_N = np.array([[-0.91, 2.24], [0.01, -0.02]])
@@ -153,3 +164,58 @@ class TestBracketedRoot:
         f = lambda x: np.tanh(x - 0.7) + 0.1 * (x - 0.7)
         root = bracketed_root(f, -3.0, 4.0, tol=1e-13)
         assert f(root - 1e-10) < 0 < f(root + 1e-10)
+
+
+class TestExpandingRoot:
+    def test_root_below_one_brackets_from_zero(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return x - 0.3
+
+        assert expanding_root(f, 1e3, ValueError("cap"), xtol=1e-15, rtol=1e-15) == pytest.approx(0.3, rel=1e-14)
+        assert probes[:3] == [1.0, 0.0, 1.0]  # first probe, then brentq on [0, 1]
+
+    def test_root_above_one_brackets_the_last_doubling(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return x - 5.5
+
+        assert expanding_root(f, 1e3, ValueError("cap"), xtol=1e-15, rtol=1e-15) == pytest.approx(5.5, rel=1e-14)
+        assert probes[:5] == [1.0, 2.0, 4.0, 8.0, 4.0]
+
+    def test_raises_the_given_failure_past_the_cap(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return -1.0
+
+        failure = LookupError("no root below the cap")
+        with pytest.raises(LookupError) as err:
+            expanding_root(f, 100.0, failure, xtol=1e-9, rtol=1e-9)
+        assert err.value is failure
+        assert probes == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+
+    # Each caller keeps its own error type once the doubling passes its cap.
+
+    def test_min_mortality_cap_is_uncontrollable(self):
+        # A hair below the periodic critical size and a 1e-9 control zone: the
+        # lhs ~ mu * r/2 stays below the rhs ~ 4e6 for every mu up to 1e12.
+        lam = np.pi**2 * (1 - 1e-6)
+        with pytest.raises(UncontrollableError, match="below 1e"):
+            min_mortality(1.0, lam, 1.0, 1.0, 1e-9)
+
+    def test_min_zone_width_fd_cap_is_no_convergence(self):
+        # sqrt(mu b) = 0.1 below the Neumann rhs 0.2145: no width eradicates.
+        layout = ScalarProblem(a=1, lam=0.2, b=1, mu=0.01, R=1, r=1, bc=BoundaryCondition.NEUMANN).to_layout()
+        coarse = GridSpec(cells_per_unit_length=1, refinement_levels=2)
+        with pytest.raises(NoConvergenceError, match="below 1000"):
+            min_zone_width_fd(layout, coarse)
+
+    def test_min_control_decay_rate_cap_is_assumption_violated(self):
+        with pytest.raises(AssumptionViolatedError, match="no finite control rate"):
+            min_control_decay_rate(1.0, R=1.0, r=1e-20)

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchcontrol import ScalarProblem, StagedProblem
 from patchcontrol.model import (
     BirthDeathParams,
     BoundaryCondition,
@@ -54,6 +56,11 @@ class TestValidateLayout:
             validate_layout(
                 PatchLayout(ScalarZone(1, 1), ScalarZone(1, -1), R=1, r=1, K=0)
             )
+        assert err.value.code == "InvalidPatchCount"
+
+    def test_rejects_patch_count_beyond_float_range(self):
+        with pytest.raises(LayoutError) as err:
+            validate_layout(PatchLayout(ScalarZone(1, 1), ScalarZone(1, -1), R=1, r=1, K=10**400))
         assert err.value.code == "InvalidPatchCount"
 
     def test_rejects_k_above_one_for_dirichlet(self):
@@ -152,7 +159,9 @@ class TestScenarioDocuments:
             scenario_from_dict(doc)
         assert err.value.code == "InvalidPatchCount"
 
-    @pytest.mark.parametrize("K", ["2", None, [2], float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "K", ["2", None, [2], float("nan"), float("inf"), pytest.param(10**400, id="int-beyond-float")]
+    )
     def test_non_numeric_patch_count_rejected(self, K):
         doc = scenario_to_dict(lone_star_layout())
         doc["K"] = K
@@ -183,7 +192,9 @@ class TestScenarioDocuments:
     @pytest.mark.parametrize(
         "path", [("R",), ("r",), ("beneficial", "diffusion"), ("control", "growth")]
     )
-    @pytest.mark.parametrize("value", ["14", "abc", None, [14.0], {"value": 14.0}])
+    @pytest.mark.parametrize(
+        "value", ["14", "abc", None, [14.0], {"value": 14.0}, pytest.param(10**400, id="int-beyond-float")]
+    )
     def test_non_numbers_rejected_not_coerced(self, path, value):
         doc = scenario_to_dict(lone_star_layout())
         target = doc
@@ -228,6 +239,9 @@ class TestScenarioDocuments:
             ("control", "M", [[[-2.0], [0.5]], [[0.1], [-2.0]]]),
             ("control", "M", [[-2.0, 0.5], 0.1]),
             ("control", "M", {"0": [-2.0, 0.5], "1": [0.1, -2.0]}),
+            ("beneficial", "A_diag", [1.0, 10**400]),
+            ("beneficial", "births", [0.52, -(10**400)]),
+            ("control", "M", [[-2.0, 0.5], [10**400, -2.0]]),
         ],
     )
     def test_staged_non_numbers_and_shapes_rejected_not_coerced(self, zone, key, value):
@@ -243,6 +257,77 @@ class TestScenarioDocuments:
         with pytest.raises(LayoutError) as err:
             scenario_from_dict(doc)
         assert err.value.code == "UnknownBoundaryCondition"
+
+
+def _refusal_code(build) -> str:
+    with pytest.raises(LayoutError) as err:
+        build()
+    return err.value.code
+
+
+_SCALAR_FIELDS = {"a": 16.67, "lam": 0.65, "b": 16.67, "mu": 10.0, "R": 14.0, "r": 1.0}
+_STAGED_FIELDS = {
+    "A_ben": np.ones(2), "M_ben": np.array([[-0.91, 2.24], [0.01, -0.02]]),
+    "A_nb": np.ones(2), "M_nb": np.array([[-1.7, 0.56], [0.0025, -0.8]]), "R": 40.0, "r": 1.0,
+}
+
+
+def _scalar_layout(a, lam, b, mu, R, r, K=1, bc=BoundaryCondition.PERIODIC):
+    return PatchLayout(ScalarZone(a, lam), ScalarZone(b, -mu), R=R, r=r, K=K, bc=bc)
+
+
+def _staged_layout(A_ben, M_ben, A_nb, M_nb, R, r, K=1, bc=BoundaryCondition.PERIODIC):
+    return PatchLayout(StageZone(A_ben, M_ben), StageZone(A_nb, M_nb), R=R, r=r, K=K, bc=bc)
+
+
+_BAD_COUNTS = [
+    {"K": 2.5},
+    {"K": math.nan},
+    {"K": math.inf},
+    {"K": 2, "bc": BoundaryCondition.DIRICHLET},
+    {"K": 2, "bc": BoundaryCondition.NEUMANN},
+]
+
+
+class TestProblemTypesRefuseWhatValidateLayoutRefuses:
+    """``ScalarProblem`` and ``StagedProblem`` refuse each invalid layout with
+    the code ``validate_layout`` gives for it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", sorted(_SCALAR_FIELDS))
+    def test_scalar_nonfinite_field(self, field, bad):
+        fields = {**_SCALAR_FIELDS, field: bad}
+        want = _refusal_code(lambda: validate_layout(_scalar_layout(**fields)))
+        assert _refusal_code(lambda: ScalarProblem(**fields)) == want
+
+    @pytest.mark.parametrize("change", _BAD_COUNTS)
+    def test_scalar_patch_count(self, change):
+        fields = {**_SCALAR_FIELDS, **change}
+        assert _refusal_code(lambda: ScalarProblem(**fields)) == "InvalidPatchCount"
+        assert _refusal_code(lambda: validate_layout(_scalar_layout(**fields))) == "InvalidPatchCount"
+
+    def test_scalar_negative_mortality_keeps_its_code(self):
+        assert _refusal_code(lambda: ScalarProblem(**{**_SCALAR_FIELDS, "mu": -1.0})) == "PositiveControlGrowth"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", sorted(_STAGED_FIELDS))
+    def test_staged_nonfinite_entry(self, field, bad):
+        value = np.array(_STAGED_FIELDS[field], dtype=float)
+        value.flat[0] = bad
+        fields = {**_STAGED_FIELDS, field: value if value.ndim else float(value)}
+        want = _refusal_code(lambda: validate_layout(_staged_layout(**fields)))
+        assert _refusal_code(lambda: StagedProblem(**fields)) == want
+
+    @pytest.mark.parametrize("change", _BAD_COUNTS)
+    def test_staged_patch_count(self, change):
+        fields = {**_STAGED_FIELDS, **change}
+        assert _refusal_code(lambda: StagedProblem(**fields)) == "InvalidPatchCount"
+        assert _refusal_code(lambda: validate_layout(_staged_layout(**fields))) == "InvalidPatchCount"
+
+    def test_staged_nine_stages(self):
+        fields = {**_STAGED_FIELDS, "A_ben": np.ones(9), "M_ben": -np.eye(9), "A_nb": np.ones(9), "M_nb": -np.eye(9)}
+        assert _refusal_code(lambda: StagedProblem(**fields)) == "StageCountOutOfRange"
+        assert _refusal_code(lambda: validate_layout(_staged_layout(**fields))) == "StageCountOutOfRange"
 
 
 class TestVerdictFromMargin:

@@ -8,6 +8,7 @@ from patchcontrol import (
     BoundaryCondition,
     GridSpec,
     InsufficientMortalityError,
+    LayoutError,
     NonpositiveGrowthError,
     ScalarProblem,
     SpectralMethod,
@@ -137,9 +138,9 @@ class TestPeriodicVerdict:
             assert v.margin == pytest.approx(periodic_verdict(p).margin)
 
     def test_nan_diffusion_gives_no_verdict(self):
-        p = ScalarProblem(a=math.nan, lam=0.65, b=16.67, mu=10.0, R=14, r=1)
-        with pytest.raises(ValueError, match="not finite"):
-            periodic_verdict(p)
+        with pytest.raises(LayoutError) as info:
+            ScalarProblem(a=math.nan, lam=0.65, b=16.67, mu=10.0, R=14, r=1)
+        assert info.value.code == "NonpositiveDiffusion"
 
     def test_equal_verdict_for_any_k(self):
         p1 = ScalarProblem(a=1, lam=0.9, b=2, mu=3, R=2.5, r=0.5, K=1)
@@ -252,6 +253,27 @@ class TestMinZoneWidth:
         p = ScalarProblem(a=1, lam=0.2, b=1, mu=2, R=1, r=r_star)
         oracle = min_zone_width_fd(p.to_layout(), GridSpec(cells_per_unit_length=256, refinement_levels=2))
         assert abs(r_star - oracle) <= 0.01 * max(r_star, oracle)
+
+    @pytest.mark.parametrize(
+        "a, lam, R, b, mu, bc",
+        [
+            (1.0, 0.2, 1.0, 1.0, 2.0, BoundaryCondition.NEUMANN),
+            (16.67, 0.65, 5.0, 16.67, 80.0, BoundaryCondition.NEUMANN),
+            (3.0, 0.05, 9.0, 0.4, 9.0, BoundaryCondition.NEUMANN),
+            (1.0, 0.2, 1.0, 1.0, 2.0, BoundaryCondition.PERIODIC),
+            (16.67, 0.65, 14.0, 16.67, 80.0, BoundaryCondition.PERIODIC),
+            (0.3, 2.0, 1.1, 25.0, 400.0, BoundaryCondition.PERIODIC),
+        ],
+    )
+    def test_closed_form_matches_mpmath_root(self, a, lam, R, b, mu, bc):
+        r_star = min_zone_width(a, lam, R, b, mu, bc)
+        half = mpmath.mpf(2 if bc is BoundaryCondition.PERIODIC else 1)
+        a, lam, R, b, mu = map(mpmath.mpf, (a, lam, R, b, mu))
+        rhs = mpmath.sqrt(lam * a) * mpmath.tan(R / half * mpmath.sqrt(lam / a))
+        expected = mpmath.findroot(
+            lambda r: mpmath.sqrt(mu * b) * mpmath.tanh(r / half * mpmath.sqrt(mu / b)) - rhs, r_star
+        )
+        assert r_star == pytest.approx(float(expected), rel=1e-12, abs=0)
 
     def test_margin_crosses_zero_at_solution(self):
         r_star = min_zone_width(1.0, 0.2, 1.0, 1.0, 2.0)

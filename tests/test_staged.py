@@ -25,6 +25,7 @@ from patchcontrol import (
 )
 from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
+    NoRealEigenvalueError,
     SingularBasisError,
     bracketed_root,
 )
@@ -264,6 +265,12 @@ class TestTwoStageVerdict:
         res = two_stage_verdict(prob)
         assert not res.eradicated
 
+    def test_complex_control_eigenvalues_violate_an_assumption(self):
+        prob = taiga_problem(control=np.array([[-1.0, 1.0], [-1.0, -1.0]]), R=4.0)
+        for criterion in (two_stage_verdict, two_stage_inequality_sides):
+            with pytest.raises(AssumptionViolatedError, match="control matrix at E=0"):
+                criterion(prob)
+
     def test_oversized_patch_inconclusive(self):
         prob = taiga_problem(R=50.0)
         res = two_stage_verdict(prob)
@@ -449,7 +456,11 @@ def _loop_two_stage_verdict(prob, certified=False, samples=257, lead_zero=_scann
         raise AssumptionViolatedError(
             f"need Lambda1(0) > 0 > Lambda2(0), got {lam1:.6g}, {lam2:.6g}"
         )
-    if max_real_eigenvalue(_loop_matrix(prob.M_nb, prob.A_ben, 0.0, a)) >= 0:
+    try:
+        mu1_0 = max_real_eigenvalue(_loop_matrix(prob.M_nb, prob.A_ben, 0.0, a))
+    except NoRealEigenvalueError as exc:
+        raise AssumptionViolatedError(f"control matrix at E=0: {exc}") from exc
+    if mu1_0 >= 0:
         return SufficiencyResult(False, "control zone not dissipative (mu1(0) >= 0)")
     root_lam = math.sqrt(lam1)
     if root_lam * prob.R / 2.0 >= math.pi / 2.0:
