@@ -169,12 +169,8 @@ def _resolve_layout(args) -> PatchLayout:
 
 
 def _grid(args) -> GridSpec:
-    kwargs = {}
-    if getattr(args, "grid_cells", None):
-        kwargs["cells_per_unit_length"] = args.grid_cells
-    if getattr(args, "grid_levels", None):
-        kwargs["refinement_levels"] = args.grid_levels
-    return GridSpec(**kwargs)
+    flags = {"cells_per_unit_length": args.grid_cells, "refinement_levels": args.grid_levels}
+    return GridSpec(**{key: value for key, value in flags.items() if value is not None})
 
 
 def cmd_critical_size(args) -> int:
@@ -255,12 +251,13 @@ def _verdicts_agree(layout, closed, oracle) -> bool:
 
 def cmd_min_mortality(args) -> int:
     layout = _resolve_layout(args)
+    grid = _grid(args)
     if not layout.is_scalar:
         print("min-mortality supports scalar scenarios only", file=sys.stderr)
         return EXIT_VALIDATION
     p = ScalarProblem.from_layout(layout)
     closed = min_mortality(p.a, p.lam, p.R, p.b, p.r, p.bc, p.K)
-    oracle = min_mortality_fd(layout, _grid(args))
+    oracle = min_mortality_fd(layout, grid)
     print(f"mu_star_closed = {_fmt(closed)}")
     print(f"mu_star_oracle = {_fmt(oracle)}")
     print(f"difference = {_fmt(abs(closed - oracle))}")
@@ -277,12 +274,13 @@ def cmd_min_mortality(args) -> int:
 
 def cmd_min_zone(args) -> int:
     layout = _resolve_layout(args)
+    grid = _grid(args)
     if not layout.is_scalar:
         print("min-zone supports scalar scenarios only", file=sys.stderr)
         return EXIT_VALIDATION
     p = ScalarProblem.from_layout(layout)
     closed = min_zone_width(p.a, p.lam, p.R, p.b, p.mu, p.bc, p.K)
-    oracle = min_zone_width_fd(layout, _grid(args))
+    oracle = min_zone_width_fd(layout, grid)
     print(f"r_star_closed = {_fmt(closed)}")
     print(f"r_star_oracle = {_fmt(oracle)}")
     print(f"difference = {_fmt(abs(closed - oracle))}")

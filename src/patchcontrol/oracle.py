@@ -7,14 +7,15 @@ Each zone gets its own uniform spacing (integer cell counts per zone at every
 refinement level).
 
 The assembled problem is generalized, ``K y = E B y`` with diagonal mass
-``B`` (half boxes at reflecting ends): the scalar stiffness is exactly
-symmetric and the similarity transform ``B^-1/2 K B^-1/2`` feeds standard
-symmetric eigensolvers.  Staged systems are block-coupled and nonsymmetric;
-their rightmost eigenvalue (real for the nonnegative-coupling stage systems
-handled here) is found densely for small systems and otherwise by
-shift-invert Arnoldi on the standard problem ``B^-1 K`` with 20 Krylov
-vectors and the shift above the Gershgorin bound, falling back to shifted
-inverse power iteration and then implicit-Euler time stepping.
+``B`` (half boxes at reflecting ends).  The scalar stiffness is exactly
+symmetric: one tridiagonal solve gives the top eigenvalue of ``B^-1/2 K
+B^-1/2``, on a ring after folding it onto half a period (the discrete
+half-period reduction behind the tan(R/2)/tanh(r/2) criterion).  Staged
+systems are block-coupled and nonsymmetric; their rightmost eigenvalue (real
+for the nonnegative-coupling stage systems handled here) is found densely for
+small systems and otherwise by shift-invert Arnoldi on ``B^-1 K`` with 20
+Krylov vectors and the shift above the Gershgorin bound, falling back to
+shifted inverse power iteration and then implicit-Euler time stepping.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from functools import partial
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, eigvalsh_tridiagonal
-from scipy.sparse.linalg import eigsh, splu
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.sparse.linalg import eigsh, splu  # noqa: F401  (eigsh: looked up here by the benchmark tracer)
 
 from .linalg import expanding_root
 from .model import (
@@ -53,12 +54,12 @@ class GridSpec:
     min_cells_per_zone: int = 16
 
     def __post_init__(self):
-        if self.cells_per_unit_length <= 0:
-            raise ValueError("cells_per_unit_length must be > 0")
-        if self.refinement_levels < 2:
-            raise ValueError("refinement_levels must be >= 2")
-        if self.min_cells_per_zone < 2:
-            raise ValueError("min_cells_per_zone must be >= 2")
+        if not math.isfinite(self.cells_per_unit_length) or self.cells_per_unit_length <= 0:
+            raise ValueError("cells_per_unit_length must be finite and > 0")
+        for name in ("refinement_levels", "min_cells_per_zone"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 2:
+                raise ValueError(f"{name} must be an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -226,31 +227,32 @@ def _pad_ends(v: np.ndarray, periodic: bool) -> np.ndarray:
 # Eigenvalue extraction
 # ---------------------------------------------------------------------------
 
-_DENSE_CUTOFF = 600
+def _scalar_top_eigenvalue(op: DiscreteOperator, layout: PatchLayout, grid: GridSpec) -> float:
+    """Top eigenvalue of ``B^-1 K`` for a scalar layout, by one tridiagonal solve.
 
-
-def _scalar_top_eigenvalue(op: DiscreteOperator) -> float:
-    S = op.symmetric_form().tocsr()
-    n = S.shape[0]
-    if op.bc is not BoundaryCondition.PERIODIC:
-        d = S.diagonal()
-        e = S.diagonal(1)
-        vals = eigvalsh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1))
-        return float(vals[0])
-    if n <= _DENSE_CUTOFF:
-        return float(np.linalg.eigvalsh(S.toarray())[-1])
-    # Shift-invert above the spectrum: the top eigenvalue is tiny next to the
-    # stiff diffusion modes, so plain largest-algebraic Lanczos stalls.
-    sigma = op.gershgorin_upper() + 1.0
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    try:
-        vals = eigsh(
-            S.tocsc(), k=1, sigma=sigma, which="LM", v0=v0,
-            return_eigenvectors=False, maxiter=5000,
-        )
-        return float(vals[0])
-    except (sparse.linalg.ArpackNoConvergence, sparse.linalg.ArpackError, RuntimeError):
-        return _staged_rightmost_eigenvalue(op)[0]
+    A ring's top eigenvector, the positive Perron vector, repeats every ``n/K``
+    nodes and is even about the middle of the first zone (mirror ``i -> c - i``
+    for its ``c`` cells).  One unit vector per orbit folds the ring onto the path
+    between two zone middles: entry ``(o, o')`` is ``sqrt(|o|/|o'|)`` times a
+    representative's row summed over orbit ``o'``, each stored entry once (a
+    two-node ring merges its two edges into one).
+    """
+    K, w = op.stiffness, 1.0 / np.sqrt(op.mass)
+    n = K.shape[0]
+    p, c, lo, hi = n, 0, 0, n - 1  # off a ring every node is its own orbit
+    if op.bc is BoundaryCondition.PERIODIC:
+        p, c = n // int(layout.K), _zone_cells(layout, grid, op.level)[0].cells
+        lo, hi = (c + 1) // 2, (c + p) // 2
+    q = (np.arange(n) - lo) % p + lo
+    orbit = np.where(q > hi, c + p - q, q) - lo  # path position of each node's orbit
+    size = np.bincount(orbit[:p])
+    m = len(size)
+    rows = K[np.arange(lo, hi + 1) % n].tocoo()
+    i, j = rows.row, orbit[rows.col]
+    v = rows.data * w[(rows.row + lo) % n] * w[rows.col] * np.sqrt(size[i] / size[j])
+    d = np.bincount(i[j == i], v[j == i], minlength=m)
+    e = np.bincount(i[j > i], v[j > i], minlength=m)[: m - 1]
+    return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(m - 1, m - 1))[0])
 
 
 def _staged_rightmost_eigenvalue(op: DiscreteOperator, max_iter: int = 500) -> tuple[float, str]:
@@ -354,7 +356,7 @@ def _time_stepping_slope(K: sparse.csc_matrix, B: np.ndarray, sigma: float) -> f
 def _top_eigenvalue_level(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[float, str]:
     op = assemble(layout, grid, level)
     if op.n_stages == 1:
-        return _scalar_top_eigenvalue(op), "symmetric"
+        return _scalar_top_eigenvalue(op, layout, grid), "symmetric"
     return _staged_rightmost_eigenvalue(op)
 
 

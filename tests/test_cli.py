@@ -16,7 +16,7 @@ from patchcontrol.cli import (
     main,
 )
 from patchcontrol.model import Verdict
-from patchcontrol.oracle import NoConvergenceError
+from patchcontrol.oracle import GridSpec, NoConvergenceError
 from patchcontrol.presets import preset_scenario
 from patchcontrol.simulate import InstabilityError
 
@@ -374,6 +374,32 @@ class TestSweep:
             )
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestGridFlags:
+    """A grid flag is checked by ``GridSpec`` whatever its value, 0 included,
+    before any result is printed."""
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--grid-cells", "0", "cells_per_unit_length"),
+            ("--grid-cells", "-5", "cells_per_unit_length"),
+            ("--grid-cells", "nan", "cells_per_unit_length"),
+            ("--grid-cells", "inf", "cells_per_unit_length"),
+            ("--grid-levels", "0", "refinement_levels"),
+            ("--grid-levels", "1", "refinement_levels"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verdict", "min-mortality", "min-zone", "spectrum"])
+    def test_invalid_grid_exits_2(self, capsys, command, flag, value, field):
+        kwargs = {field: float(value) if field == "cells_per_unit_length" else int(value)}
+        with pytest.raises(ValueError) as expected:
+            GridSpec(**kwargs)
+        code, out, err = run_cli(capsys, command, "--preset", "lone-star", flag, value)
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {expected.value}\n"
+        assert out == ""
 
 
 class TestPreset:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 from patchcontrol import (
     BoundaryCondition,
@@ -16,9 +17,11 @@ from patchcontrol import (
     min_mortality,
     top_eigenvalue_scalar,
 )
+from patchcontrol import oracle
 from patchcontrol.model import validate_layout
 from patchcontrol.oracle import (
     _staged_rightmost_eigenvalue,
+    _top_eigenvalue_level,
     _with_control_mortality,
     _zone_cells,
     assemble,
@@ -27,6 +30,7 @@ from patchcontrol.oracle import (
     top_eigenvalue_fd,
     verdict_fd,
 )
+from patchcontrol.presets import get_preset
 
 from conftest import BCS, loguniform, random_scalar_problem
 
@@ -320,6 +324,126 @@ class TestStagedArnoldi:
         rightmost = dense[np.argmax(dense.real)]
         assert abs(rightmost.imag) <= 1e-9 * abs(rightmost)
         assert abs(value - rightmost.real) <= 1e-9 * abs(rightmost.real)
+
+
+def _ring(rng: np.random.Generator, K: int, R: float, r: float) -> PatchLayout:
+    return PatchLayout(
+        ScalarZone(loguniform(rng, 0.1, 10.0), float(rng.uniform(-1.0, 3.0))),
+        ScalarZone(loguniform(rng, 0.1, 10.0), -loguniform(rng, 0.1, 30.0)),
+        R=R, r=r, K=K, bc=BoundaryCondition.PERIODIC,
+    )
+
+
+def _largest_entry(op) -> float:
+    return float(abs(op.symmetric_form()).max())
+
+
+class TestScalarRingFold:
+    """Each scalar ring level is solved on half a period (the folded path) and
+    must give the top eigenvalue of the whole ring.
+
+    The bound is relative to the largest entry of the symmetric form rather
+    than its largest diagonal entry: on a uniform ring the diagonal
+    ``-2a/h^2 + growth`` can nearly cancel while the couplings stay large."""
+
+    # One cell per unit length with a minimum of 2 per zone: at level 0 the
+    # zones have 2 or 3 cells (even and odd), r = 0.4 takes the minimum, and
+    # K = 1, R = 2, r = 0 is the two-node ring whose two edges share one entry.
+    GRID = GridSpec(cells_per_unit_length=1.0, refinement_levels=3, min_cells_per_zone=2)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("R", [2.0, 3.0])
+    @pytest.mark.parametrize("r", [0.0, 0.4, 3.0])
+    def test_matches_dense_reference(self, monkeypatch, K, R, r):
+        sizes = []
+        solve = oracle.eigvalsh_tridiagonal
+
+        def recording_solve(d, e, **kwargs):
+            sizes.append(len(d))
+            return solve(d, e, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", recording_solve)
+        rng = np.random.default_rng(int(100 * K + 10 * R + 10 * r))
+        for _ in range(3):
+            layout = _ring(rng, K, R, r)
+            for level in range(self.GRID.refinement_levels):
+                op = assemble(layout, self.GRID, level)
+                reference = np.linalg.eigvalsh(op.symmetric_form().toarray())[-1]
+                value, _ = _top_eigenvalue_level(layout, self.GRID, level)
+                assert abs(value - reference) <= 1e-13 * _largest_entry(op)
+                # One period has n / K nodes; the folded path covers half of it.
+                assert sizes[-1] <= op.n_unknowns // (2 * K) + 1
+
+    def test_two_node_ring(self):
+        layout = _ring(np.random.default_rng(3), 1, 2.0, 0.0)
+        op = assemble(layout, self.GRID, 0)
+        assert op.n_unknowns == 2 and op.stiffness.nnz == 4
+        reference = np.linalg.eigvalsh(op.symmetric_form().toarray())[-1]
+        value, _ = _top_eigenvalue_level(layout, self.GRID, 0)
+        assert abs(value - reference) <= 1e-13 * _largest_entry(op)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_lone_star_matches_shift_invert(self, level):
+        layout = get_preset("lone-star")
+        op = assemble(layout, GridSpec(), level)
+        assert op.n_unknowns == 960 * 2**level
+        S = op.symmetric_form().tocsc()
+        reference = eigsh(
+            S, k=1, sigma=op.gershgorin_upper() + 1.0, which="LM",
+            v0=np.ones(op.n_unknowns), return_eigenvectors=False,
+        )[0]
+        value, _ = _top_eigenvalue_level(layout, GridSpec(), level)
+        assert abs(value - reference) <= 1e-13 * _largest_entry(op)
+
+
+class TestScalarSinglePath:
+    """Every scalar layout is solved by the tridiagonal path alone."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            single_zone_layout(lam=0.5),
+            single_zone_layout(lam=0.5, bc=BoundaryCondition.NEUMANN),
+            PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0,
+                        bc=BoundaryCondition.DIRICHLET),
+            PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0,
+                        bc=BoundaryCondition.NEUMANN),
+            PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0, K=2),
+            get_preset("lone-star"),  # a ring of 960 to 3840 nodes
+        ],
+    )
+    def test_no_dense_or_sparse_eigensolver(self, monkeypatch, layout):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar layouts must not reach this eigensolver")
+
+        monkeypatch.setattr(oracle, "eigsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert math.isfinite(top_eigenvalue_fd(layout).top_eigenvalue)
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"cells_per_unit_length": math.nan}, "cells_per_unit_length"),
+            ({"cells_per_unit_length": math.inf}, "cells_per_unit_length"),
+            ({"cells_per_unit_length": 0.0}, "cells_per_unit_length"),
+            ({"refinement_levels": 2.5}, "refinement_levels"),
+            ({"refinement_levels": 3.0}, "refinement_levels"),
+            ({"refinement_levels": True}, "refinement_levels"),
+            ({"refinement_levels": 1}, "refinement_levels"),
+            ({"min_cells_per_zone": 2.5}, "min_cells_per_zone"),
+            ({"min_cells_per_zone": math.nan}, "min_cells_per_zone"),
+            ({"min_cells_per_zone": True}, "min_cells_per_zone"),
+        ],
+    )
+    def test_refuses(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            GridSpec(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        grid = GridSpec(refinement_levels=np.int64(2), min_cells_per_zone=np.int32(4))
+        assert top_eigenvalue_fd(single_zone_layout(lam=0.5), grid).error_estimate >= 0
 
 
 class TestConvergence:
