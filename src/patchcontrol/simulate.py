@@ -164,11 +164,15 @@ def simulate(run: SimulationRun) -> SimulationResult:
     n_nodes = op.n_nodes
 
     T = run.T if run.T is not None else default_horizon(layout)
+    if not math.isfinite(T):
+        raise ValueError(f"horizon T must be finite, got {T}")
     dt = run.dt if run.dt is not None else min(T / 2048.0, curvature_resolving_dt(layout))
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if T < 10 * dt:
         raise ValueError("horizon T must cover at least 10 steps")
+    if not all(math.isfinite(t) for t in run.snapshot_times):
+        raise ValueError(f"snapshot times must be finite, got {run.snapshot_times}")
 
     if run.initial_profile is None:
         y0 = default_initial_profile(layout, op.x, n_stages)

@@ -219,6 +219,22 @@ class TestSpectrum:
         assert out == ""
         assert err == "oracle did not converge: dense staged solve found no real eigenvalue\n"
 
+    def test_non_cooperative_staged_ring_exits_7_without_traceback(self, capsys, tmp_path):
+        # The stage coupling has a negative entry and a complex rightmost pair.
+        doc = {
+            "model": "staged",
+            "beneficial": {"A_diag": [1, 1, 1], "M": [[1, -2, 0], [2, 1, 0], [0, 0, -1]]},
+            "control": {"A_diag": [1, 1, 1], "M": [[-2, -2, 0], [2, -2, 0], [0, 0, -4]]},
+            "R": 2, "r": 1, "K": 2, "bc": "periodic",
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "spectrum", "--scenario", str(path), "--method", "fd")
+        assert code == EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert err.startswith("oracle did not converge: rightmost eigenvalue ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
 
 class TestSimulateCommand:
     def test_eradicating_mortality_gives_negative_exponent(self, capsys, tmp_path):
@@ -279,6 +295,25 @@ class TestSimulateCommand:
         assert code == EXIT_INSTABILITY
         assert out == ""
         assert err == "simulation unstable: solution norm became inf at t=1.5\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--T", "inf", "horizon T must be finite, got inf"),
+            ("--T", "nan", "horizon T must be finite, got nan"),
+            ("--dt", "nan", "dt must be finite and positive, got nan"),
+            ("--snapshots", "nan", "snapshot times must be finite, got (nan,)"),
+        ],
+    )
+    def test_non_finite_times_exit_2(self, capsys, tmp_path, flag, value, message):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "lone-star", flag, value, "--out", str(out_dir),
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
 
     def test_singular_crank_nicolson_matrix_exits_6(self, capsys, tmp_path):
         # Uniform growth 4 on a reflecting segment with dt = 2/4: B - dt/2 K is

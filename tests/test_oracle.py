@@ -326,6 +326,72 @@ class TestStagedArnoldi:
         assert abs(value - rightmost.real) <= 1e-9 * abs(rightmost.real)
 
 
+class TestStagedOnePeriod:
+    """Cooperative staged rings are solved on one period and give the rightmost
+    eigenvalue of the whole ``K``-ring."""
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize(
+        "diffusion, reaction, R, r, mu",
+        [([0.5, 0.2], _M2, 2.0, 2.0, 8.0), ([1.0, 2.0, 0.5], _M3, 1.5, 0.5, 3.0)],
+    )
+    def test_matches_dense_whole_ring(self, monkeypatch, diffusion, reaction, R, r, mu, K, level):
+        sizes = []
+        solve = oracle._staged_rightmost_eigenvalue
+
+        def recording_solve(op):
+            sizes.append(op.n_unknowns)
+            return solve(op)
+
+        monkeypatch.setattr(oracle, "_staged_rightmost_eigenvalue", recording_solve)
+        reaction = np.array(reaction)
+        layout = PatchLayout(
+            StageZone(diffusion, reaction),
+            StageZone(diffusion, reaction - mu * np.eye(len(diffusion))),
+            R=R, r=r, K=K, bc=BoundaryCondition.PERIODIC,
+        )
+        grid = GridSpec(cells_per_unit_length=16, min_cells_per_zone=8)
+        value, _ = _top_eigenvalue_level(layout, grid, level)
+        op = assemble(layout, grid, level)
+        dense = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
+        rightmost = dense[np.argmax(dense.real)]
+        assert abs(value - rightmost.real) <= 1e-9 * abs(rightmost.real)
+        assert sizes == [op.n_unknowns // K]
+
+
+class TestStagedComplexRightmost:
+    """A complex rightmost pair (possible only without cooperative coupling)
+    raises instead of returning the largest real eigenvalue or a fallback value."""
+
+    @staticmethod
+    def layout(reaction):
+        reaction = np.array(reaction, dtype=float)
+        diffusion = np.ones(len(reaction))
+        return PatchLayout(
+            StageZone(diffusion, reaction),
+            StageZone(diffusion, reaction - 3.0 * np.eye(len(reaction))),
+            R=2.0, r=1.0, K=1, bc=BoundaryCondition.PERIODIC,
+        )
+
+    def test_dense_branch(self):
+        # Rightmost 0.273 + 2.000i; the largest real eigenvalue is -1.727.
+        op = assemble(
+            self.layout([[1, -2, 0], [2, 1, 0], [0, 0, -1]]),
+            GridSpec(cells_per_unit_length=4, min_cells_per_zone=4),
+        )
+        assert op.n_unknowns < 200
+        with pytest.raises(oracle.NoConvergenceError, match="complex"):
+            _staged_rightmost_eigenvalue(op)
+
+    def test_arnoldi_branch(self):
+        # Rightmost -0.3203 + 2.00i.
+        op = assemble(self.layout([[0.5, -2], [2, 0.3]]), GridSpec(cells_per_unit_length=64))
+        assert op.n_unknowns == 384
+        with pytest.raises(oracle.NoConvergenceError, match="complex"):
+            _staged_rightmost_eigenvalue(op)
+
+
 def _ring(rng: np.random.Generator, K: int, R: float, r: float) -> PatchLayout:
     return PatchLayout(
         ScalarZone(loguniform(rng, 0.1, 10.0), float(rng.uniform(-1.0, 3.0))),
