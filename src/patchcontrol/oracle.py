@@ -7,14 +7,15 @@ Each zone gets its own uniform spacing (integer cell counts per zone at every
 refinement level).
 
 The assembled problem is generalized, ``K y = E B y`` with diagonal mass
-``B`` (half boxes at reflecting ends).  Eigensolves run on one period of a
-ring.  The scalar stiffness is exactly symmetric: one tridiagonal solve gives
-the top eigenvalue of ``B^-1/2 K B^-1/2``, on a ring after folding it onto
-half a period (the discrete half-period reduction behind the
-tan(R/2)/tanh(r/2) criterion).  Staged systems are block-coupled and
-nonsymmetric; their rightmost eigenvalue is found densely for small systems
-and otherwise by shift-invert Arnoldi on ``B^-1 K`` with 20 Krylov vectors and
-the shift above the Gershgorin bound, with no fallback to another method.
+``B`` (half boxes at reflecting ends).  The scalar stiffness is exactly
+symmetric: one tridiagonal solve gives the top eigenvalue of ``B^-1/2 K
+B^-1/2``, on a ring after assembling one period and folding it onto half a
+period (the discrete half-period reduction behind the tan(R/2)/tanh(r/2)
+criterion).  Staged systems are block-coupled and nonsymmetric and are solved
+on the whole ring; their rightmost eigenvalue is found densely for small
+systems and otherwise by shift-invert Arnoldi on ``B^-1 K`` with 20 Krylov
+vectors and the shift above the Gershgorin bound, with no fallback to another
+method.
 """
 
 from __future__ import annotations
@@ -295,17 +296,15 @@ def _staged_rightmost_eigenvalue(op: DiscreteOperator) -> tuple[float, str]:
 
 
 def _top_eigenvalue_level(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[float, str]:
-    """Top eigenvalue at one refinement level, solved on one period.
+    """Top eigenvalue at one refinement level.
 
-    A ring of ``K`` periods has the rightmost eigenvalue of one period: for a
-    scalar layout the Perron vector repeats every period; for cooperative
-    stages (nonnegative off-diagonal reactions) every twisted Bloch block of
-    the ``K``-ring is dominated entrywise in modulus by the untwisted one.
+    A scalar ring of ``K`` periods is solved on one period, as its top
+    eigenvector, the positive Perron vector, repeats every period.
     """
-    op = assemble(replace(layout, K=1), grid, level)
-    if op.n_stages == 1:
+    if layout.is_scalar:
+        op = assemble(replace(validate_layout(layout), K=1), grid, level)
         return _scalar_top_eigenvalue(op, layout, grid), "symmetric"
-    return _staged_rightmost_eigenvalue(op)
+    return _staged_rightmost_eigenvalue(assemble(layout, grid, level))
 
 
 def top_eigenvalue_fd(layout: PatchLayout, grid: GridSpec | None = None) -> SpectralReport:

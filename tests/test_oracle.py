@@ -18,7 +18,7 @@ from patchcontrol import (
     top_eigenvalue_scalar,
 )
 from patchcontrol import oracle
-from patchcontrol.model import validate_layout
+from patchcontrol.model import LayoutError, validate_layout
 from patchcontrol.oracle import (
     _staged_rightmost_eigenvalue,
     _top_eigenvalue_level,
@@ -326,38 +326,50 @@ class TestStagedArnoldi:
         assert abs(value - rightmost.real) <= 1e-9 * abs(rightmost.real)
 
 
-class TestStagedOnePeriod:
-    """Cooperative staged rings are solved on one period and give the rightmost
-    eigenvalue of the whole ``K``-ring."""
+class TestStagedWholeRing:
+    """Staged rings are solved on all ``K`` periods.  Without cooperative
+    coupling the growing mode can span two periods (a Turing-type instability
+    here: the inhibitor diffuses 40 times faster), which one period misses."""
 
-    @pytest.mark.parametrize("level", [0, 1])
-    @pytest.mark.parametrize("K", [2, 3])
-    @pytest.mark.parametrize(
-        "diffusion, reaction, R, r, mu",
-        [([0.5, 0.2], _M2, 2.0, 2.0, 8.0), ([1.0, 2.0, 0.5], _M3, 1.5, 0.5, 3.0)],
+    LAYOUT = PatchLayout(
+        StageZone([1.0, 40.0], [[1.0, -1.0], [5.0, -4.0]]),
+        StageZone([1.0, 40.0], [[0.5, -1.0], [5.0, -4.5]]),
+        R=5.0, r=0.7, K=2, bc=BoundaryCondition.PERIODIC,
     )
-    def test_matches_dense_whole_ring(self, monkeypatch, diffusion, reaction, R, r, mu, K, level):
-        sizes = []
-        solve = oracle._staged_rightmost_eigenvalue
+    GRID = GridSpec(cells_per_unit_length=8, min_cells_per_zone=4)
 
-        def recording_solve(op):
-            sizes.append(op.n_unknowns)
-            return solve(op)
-
-        monkeypatch.setattr(oracle, "_staged_rightmost_eigenvalue", recording_solve)
-        reaction = np.array(reaction)
-        layout = PatchLayout(
-            StageZone(diffusion, reaction),
-            StageZone(diffusion, reaction - mu * np.eye(len(diffusion))),
-            R=R, r=r, K=K, bc=BoundaryCondition.PERIODIC,
-        )
-        grid = GridSpec(cells_per_unit_length=16, min_cells_per_zone=8)
-        value, _ = _top_eigenvalue_level(layout, grid, level)
+    @staticmethod
+    def dense_rightmost(layout, grid, level):
         op = assemble(layout, grid, level)
-        dense = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
-        rightmost = dense[np.argmax(dense.real)]
-        assert abs(value - rightmost.real) <= 1e-9 * abs(rightmost.real)
-        assert sizes == [op.n_unknowns // K]
+        vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
+        return vals[np.argmax(vals.real)]
+
+    @pytest.mark.parametrize("level, path", [(0, "dense"), (1, "shift-invert-arnoldi")])
+    def test_antiperiodic_growth(self, level, path):
+        ring = self.dense_rightmost(self.LAYOUT, self.GRID, level)
+        period = self.dense_rightmost(replace(self.LAYOUT, K=1), self.GRID, level)
+        assert ring.imag == 0.0 and ring.real > 0.3 and period.real < -0.3
+        value, how = _top_eigenvalue_level(self.LAYOUT, self.GRID, level)
+        assert how == path
+        assert abs(value - ring.real) <= 1e-9 * ring.real
+
+    def test_verdict_is_not_eradication(self):
+        assert verdict_fd(self.LAYOUT, self.GRID).status is not VerdictStatus.ERADICATION
+
+
+class TestPatchCountChecked:
+    """The caller's ``K`` is validated before a scalar ring is cut to one period."""
+
+    @pytest.mark.parametrize(
+        "K, bc",
+        [(0, BoundaryCondition.PERIODIC), (2.5, BoundaryCondition.PERIODIC),
+         (2, BoundaryCondition.DIRICHLET)],
+    )
+    def test_refuses(self, K, bc):
+        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0, K=K, bc=bc)
+        with pytest.raises(LayoutError) as err:
+            top_eigenvalue_fd(layout, FAST)
+        assert err.value.code == "InvalidPatchCount"
 
 
 class TestStagedComplexRightmost:
