@@ -6,16 +6,16 @@ with the zone interfaces, so the flux-continuity gluing condition
 Each zone gets its own uniform spacing (integer cell counts per zone at every
 refinement level).
 
-The assembled problem is generalized, ``K y = E B y`` with diagonal mass
-``B`` (half boxes at reflecting ends).  The scalar stiffness is exactly
-symmetric: one tridiagonal solve gives the top eigenvalue of ``B^-1/2 K
-B^-1/2``, on a ring after assembling one period and folding it onto half a
-period (the discrete half-period reduction behind the tan(R/2)/tanh(r/2)
-criterion).  Staged systems are block-coupled and nonsymmetric and are solved
-on the whole ring; their rightmost eigenvalue is found densely for small
-systems and otherwise by shift-invert Arnoldi on ``B^-1 K`` with 20 Krylov
-vectors and the shift above the Gershgorin bound, with no fallback to another
-method.
+The problem is generalized, ``K y = E B y`` with diagonal mass ``B`` (half
+boxes at reflecting ends).  Scalar levels assemble no matrix: the bands of the
+symmetric tridiagonal ``B^-1/2 K B^-1/2`` are built straight from the per-node
+coefficients (on a ring, of one period folded onto half a period, the discrete
+half-period reduction behind the tan(R/2)/tanh(r/2) criterion), and one
+tridiagonal solve gives the top eigenvalue.  Staged levels and the simulator
+assemble ``K`` as CSR.  Staged systems are block-coupled and nonsymmetric and
+are solved on the whole ring; their rightmost eigenvalue is found densely for
+small systems and otherwise by shift-invert Arnoldi on ``B^-1 K`` with 20
+Krylov vectors and the shift above the Gershgorin bound, with no fallback.
 """
 
 from __future__ import annotations
@@ -87,8 +87,6 @@ class DiscreteOperator:
     mass: np.ndarray
     x: np.ndarray
     n_stages: int
-    bc: BoundaryCondition
-    level: int
 
     @property
     def n_unknowns(self) -> int:
@@ -119,9 +117,7 @@ def _zone_sequence(layout: PatchLayout) -> list[tuple[float, np.ndarray, np.ndar
 
     a_ben, m_ben = unpack(layout.beneficial)
     a_nb, m_nb = unpack(layout.control)
-    pair = []
-    if layout.R > 0:
-        pair.append((layout.R, a_ben, m_ben))
+    pair = [(layout.R, a_ben, m_ben)]  # R > 0 on a validated layout
     if layout.r > 0:
         pair.append((layout.r, a_nb, m_nb))
     reps = int(layout.K) if layout.bc is BoundaryCondition.PERIODIC else 1
@@ -137,18 +133,15 @@ def _zone_cells(layout: PatchLayout, grid: GridSpec, level: int) -> list[_ZoneCe
     return out
 
 
-def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOperator:
-    """Divergence-form discretization of the layout at one refinement level.
+def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
+    """Per-node coefficients ``(x, box, w_l, w_r, reac)`` of the scheme, one row per unknown node.
 
-    Node ``i`` receives ``(a_{i+1/2}(y_{i+1}-y_i)/h_R - a_{i-1/2}(y_i-y_{i-1})/h_L)
-    / box_i + mean(reaction of the two adjacent cells) * y_i``, with half boxes
-    at reflecting ends and interior-only unknowns for absorbing ends.
+    Node ``i`` receives ``(w_r (y_{i+1}-y_i) - w_l (y_i-y_{i-1})) / box + reac y_i``:
+    ``w = a / h`` of the cell on each side (shape (n, n_stages)) and ``reac`` the mean
+    reaction of the adjacent cells (shape (n, n_stages, n_stages)), with half boxes at
+    reflecting ends and interior-only unknowns for absorbing ends.
     """
-    validate_layout(layout)
     zones = _zone_cells(layout, grid, level)
-    if not zones:
-        raise ValueError("layout has no zones of positive width")
-    n_stages = zones[0].diffusion.shape[0]
 
     # Per-cell arrays in spatial order.
     h = np.concatenate([np.full(z.cells, z.h) for z in zones])
@@ -168,15 +161,22 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
         nodes = np.arange(0, n_cells + 1)
         x = x_all
 
-    n_nodes = len(nodes)
-
     # With one cell padded at each end, node k has left cell k and right cell k + 1.
     w_cell = a_cell / h[:, None]
     h_pad, w_pad, m_pad = (_pad_ends(v, periodic) for v in (h, w_cell, m_cell))
     box = h_pad[nodes] / 2 + h_pad[nodes + 1] / 2
     n_adj = 2 if periodic else 2 - (nodes == 0) - (nodes == n_cells)
     reac = (m_pad[nodes] + m_pad[nodes + 1]) / np.reshape(n_adj, (-1, 1, 1))
-    w_l, w_r = w_pad[nodes], w_pad[nodes + 1]
+    return x, box, w_pad[nodes], w_pad[nodes + 1], reac
+
+
+def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOperator:
+    """Divergence-form discretization of the layout at one refinement level (the
+    scheme is written out in ``_node_coefficients``)."""
+    validate_layout(layout)
+    x, box, w_l, w_r, reac = _node_coefficients(layout, grid, level)
+    n_nodes, n_stages = w_l.shape
+    periodic = layout.bc is BoundaryCondition.PERIODIC
     diag = -w_l - w_r
     mass = np.repeat(box, n_stages)
 
@@ -205,14 +205,7 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
         (data, (rows, cols)), shape=(n_nodes * n_stages, n_nodes * n_stages)
     ).tocsr()
     K.sum_duplicates()
-    return DiscreteOperator(
-        stiffness=K,
-        mass=mass,
-        x=x,
-        n_stages=n_stages,
-        bc=layout.bc,
-        level=level,
-    )
+    return DiscreteOperator(stiffness=K, mass=mass, x=x, n_stages=n_stages)
 
 
 def _pad_ends(v: np.ndarray, periodic: bool) -> np.ndarray:
@@ -227,32 +220,40 @@ def _pad_ends(v: np.ndarray, periodic: bool) -> np.ndarray:
 # Eigenvalue extraction
 # ---------------------------------------------------------------------------
 
-def _scalar_top_eigenvalue(op: DiscreteOperator, layout: PatchLayout, grid: GridSpec) -> float:
-    """Top eigenvalue of ``B^-1 K`` for a scalar layout, by one tridiagonal solve.
+def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bands ``(d, e)`` of a symmetric tridiagonal matrix whose top eigenvalue is that of
+    ``B^-1 K`` for a scalar layout, built from the node coefficients without assembling ``K``.
 
-    On a ring the mirror ``i -> c - i`` about the middle of the first zone (of
-    ``c`` cells) is a symmetry, and the top eigenvector, the positive Perron
-    vector, is even under it.  One unit vector per orbit folds the ring onto
-    the path between the two fixed points: entry ``(o, o')`` is
-    ``sqrt(|o|/|o'|)`` times a representative's row summed over orbit ``o'``,
-    each stored entry once (a two-node ring merges its two edges into one).
+    Off a ring they are the diagonal and superdiagonal of ``B^-1/2 K B^-1/2``.  On a ring
+    the mirror ``i -> c - i`` about the middle of the first zone (of ``c`` cells) is a
+    symmetry, and the top eigenvector, the positive Perron vector, is even under it.  One
+    unit vector per orbit folds the ring onto the path between the two fixed points, nodes
+    ``lo = (c+1)//2`` to ``hi = (c+n)//2``: an entry takes ``sqrt(|o|/|o'|)`` for orbit sizes
+    ``|o|`` (1 at a fixed node, else 2), and the edge mirrored at an end is added to the end
+    coupling (fixed node) or to the end diagonal (fixed cell midpoint).
     """
-    K, w = op.stiffness, 1.0 / np.sqrt(op.mass)
-    n = K.shape[0]
-    c, lo, hi = 0, 0, n - 1  # off a ring every node is its own orbit
-    if op.bc is BoundaryCondition.PERIODIC:
-        c = _zone_cells(layout, grid, op.level)[0].cells
+    _, box, w_l, w_r, reac = _node_coefficients(layout, grid, level)
+    w_l, w_r, w = w_l[:, 0], w_r[:, 0], 1.0 / np.sqrt(box)
+    n = len(box)
+    c, lo, hi = 0, 0, n - 1  # off a ring the path is the whole layout
+    if layout.bc is BoundaryCondition.PERIODIC:
+        c = _zone_cells(layout, grid, level)[0].cells
         lo, hi = (c + 1) // 2, (c + n) // 2
-    q = (np.arange(n) - lo) % n + lo
-    orbit = np.where(q > hi, c + n - q, q) - lo  # path position of each node's orbit
-    size = np.bincount(orbit)
-    m = len(size)
-    rows = K[np.arange(lo, hi + 1) % n].tocoo()
-    i, j = rows.row, orbit[rows.col]
-    v = rows.data * w[(rows.row + lo) % n] * w[rows.col] * np.sqrt(size[i] / size[j])
-    d = np.bincount(i[j == i], v[j == i], minlength=m)
-    e = np.bincount(i[j > i], v[j > i], minlength=m)[: m - 1]
-    return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(m - 1, m - 1))[0])
+    p = np.arange(lo, hi + 1) % n
+    d = ((-w_l - w_r) + box * reac[:, 0, 0])[p] * w[p] * w[p]
+    e = w_r[p[:-1]] * w[p[:-1]] * w[p[1:]]
+    if layout.bc is BoundaryCondition.PERIODIC:
+        size = np.full(len(p), 2.0)  # orbit sizes
+        size[0], size[-1] = 1 + c % 2, 1 + (c + n) % 2
+        e *= np.sqrt(size[:-1] / size[1:])
+        mirrored = w_l[lo] * w[lo] * w[lo - 1]  # the edge (lo - 1, lo)
+        if c % 2:
+            d[0] += mirrored
+        else:
+            e[0] += mirrored * np.sqrt(size[0] / size[1])
+        if (c + n) % 2:
+            d[-1] += w_r[hi] * w[hi] * w[(hi + 1) % n]
+    return d, e
 
 
 def _staged_rightmost_eigenvalue(op: DiscreteOperator) -> tuple[float, str]:
@@ -302,8 +303,9 @@ def _top_eigenvalue_level(layout: PatchLayout, grid: GridSpec, level: int) -> tu
     eigenvector, the positive Perron vector, repeats every period.
     """
     if layout.is_scalar:
-        op = assemble(replace(validate_layout(layout), K=1), grid, level)
-        return _scalar_top_eigenvalue(op, layout, grid), "symmetric"
+        d, e = _scalar_bands(replace(validate_layout(layout), K=1), grid, level)
+        top = len(d) - 1
+        return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(top, top))[0]), "symmetric"
     return _staged_rightmost_eigenvalue(assemble(layout, grid, level))
 
 
@@ -314,20 +316,14 @@ def top_eigenvalue_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Spec
     finest levels; ``error_estimate`` is their raw difference ``|E(h)-E(h/2)|``.
     """
     grid = grid or GridSpec()
-    values = []
-    how = ""
-    for level in range(grid.refinement_levels):
-        val, how = _top_eigenvalue_level(layout, grid, level)
-        values.append(val)
-    e_coarse, e_fine = values[-2], values[-1]
+    levels = [_top_eigenvalue_level(layout, grid, level) for level in range(grid.refinement_levels)]
+    (e_coarse, _), (e_fine, how) = levels[-2:]
     extrapolated = e_fine + (e_fine - e_coarse) / 3.0
     return SpectralReport(
         top_eigenvalue=float(extrapolated),
         method=SpectralMethod.FINITE_DIFFERENCE,
         error_estimate=abs(e_fine - e_coarse),
-        grid_or_step=(
-            f"cells/unit={grid.cells_per_unit_length:g}x2^{grid.refinement_levels - 1},{how}"
-        ),
+        grid_or_step=f"cells/unit={grid.cells_per_unit_length:g}x2^{grid.refinement_levels - 1},{how}",
     )
 
 

@@ -173,6 +173,8 @@ def simulate(run: SimulationRun) -> SimulationResult:
         raise ValueError("horizon T must cover at least 10 steps")
     if not all(math.isfinite(t) for t in run.snapshot_times):
         raise ValueError(f"snapshot times must be finite, got {run.snapshot_times}")
+    if min(run.snapshot_times, default=0.0) < 0:
+        raise ValueError(f"snapshot times must be nonnegative, got {run.snapshot_times}")
 
     if run.initial_profile is None:
         y0 = default_initial_profile(layout, op.x, n_stages)
@@ -203,7 +205,7 @@ def simulate(run: SimulationRun) -> SimulationResult:
     total_mass = np.empty(steps + 1)
     stage_log = np.empty((steps + 1, n_stages)) if n_stages > 1 else None
     snapshots: list[Snapshot] = []
-    pending = sorted(t for t in run.snapshot_times if 0.0 <= t)
+    pending = sorted(run.snapshot_times)
     snap_tol = 1e-12 * max(dt, 1.0)
 
     # states[j] is the state at step first + j, offsets[j] its log scale.

@@ -1,68 +1,12 @@
-"""Shared generators for the randomized verification sweeps."""
+"""Shared fixtures; the sweep generators are in ``sweeps.py``."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from patchcontrol import (
-    BoundaryCondition,
-    GridSpec,
-    ScalarProblem,
-    StagedProblem,
-    build_stage_matrix,
-)
-from patchcontrol.model import BirthDeathParams
-
-BCS = (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN, BoundaryCondition.PERIODIC)
-
-
-def loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-
-def random_scalar_problem(rng: np.random.Generator) -> ScalarProblem:
-    """Log-uniform draw over the verification sweep ranges, all three boundaries."""
-    return ScalarProblem(
-        a=loguniform(rng, 0.1, 100.0),
-        b=loguniform(rng, 0.1, 100.0),
-        lam=loguniform(rng, 0.01, 5.0),
-        mu=loguniform(rng, 0.01, 100.0),
-        R=loguniform(rng, 0.1, 30.0),
-        r=loguniform(rng, 0.01, 5.0),
-        bc=BCS[int(rng.integers(3))],
-        K=1,
-    )
-
-
-def random_birth_death(rng: np.random.Generator, n: int) -> BirthDeathParams:
-    deaths = np.array([loguniform(rng, 0.05, 2.0) for _ in range(n)])
-    births = np.array([loguniform(rng, 0.1, 3.0) for _ in range(n)])
-    return BirthDeathParams(deaths=deaths, births=births)
-
-
-def random_supercritical_stage_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Stage matrix with positive lead eigenvalue (births rescaled until it is)."""
-    from patchcontrol import max_real_eigenvalue
-
-    params = random_birth_death(rng, n)
-    M = build_stage_matrix(params)
-    for _ in range(60):
-        if max_real_eigenvalue(M) > 0.02:
-            return M
-        off = M - np.diag(np.diag(M))
-        M = np.diag(np.diag(M)) + off * 1.5
-    return M
+from patchcontrol import GridSpec
 
 
 @pytest.fixture
 def fast_grid() -> GridSpec:
     return GridSpec(cells_per_unit_length=64, refinement_levels=2)
-
-
-def scalar_layout(p: ScalarProblem):
-    return p.to_layout()
-
-
-def staged_problem_from_parts(A_ben, M_ben, A_nb, M_nb, R, r, bc=BoundaryCondition.PERIODIC, K=1):
-    return StagedProblem(A_ben=A_ben, M_ben=M_ben, A_nb=A_nb, M_nb=M_nb, R=R, r=r, bc=bc, K=K)

@@ -39,7 +39,7 @@ from patchcontrol.oracle import min_mortality_fd, top_eigenvalue_fd
 from patchcontrol.scalar import control_inequality_sides
 from patchcontrol.staged import two_stage_inequality_sides
 
-from conftest import loguniform, random_scalar_problem
+from sweeps import loguniform, random_scalar_problem
 
 TAIGA_N = np.array([[-0.91, 2.24], [0.01, -0.02]])
 SWEEP_GRID = GridSpec(cells_per_unit_length=64, refinement_levels=2)
@@ -296,7 +296,7 @@ def _symmetrized_eradication_draw(rng) -> StagedProblem | None:
     if n == 1:
         M_ben = np.array([[loguniform(rng, 0.1, 2.0)]])
     else:
-        from conftest import random_supercritical_stage_matrix
+        from sweeps import random_supercritical_stage_matrix
 
         M_ben = random_supercritical_stage_matrix(rng, n)
     sym_vals, _ = symmetric_eigen(symmetrized_zone_matrix(M_ben, A_ben))

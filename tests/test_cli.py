@@ -315,6 +315,17 @@ class TestSimulateCommand:
         assert err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    def test_negative_snapshot_time_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "lone-star", "--T", "2", "--dt", "0.01",
+            "--snapshots=-1,1", "--out", str(out_dir),
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: snapshot times must be nonnegative, got (-1.0, 1.0)\n"
+        assert not out_dir.exists()
+
     def test_singular_crank_nicolson_matrix_exits_6(self, capsys, tmp_path):
         # Uniform growth 4 on a reflecting segment with dt = 2/4: B - dt/2 K is
         # exactly the singular Neumann Laplacian, and SuperLU reports a zero pivot.

@@ -32,7 +32,7 @@ from patchcontrol.oracle import (
 )
 from patchcontrol.presets import get_preset
 
-from conftest import BCS, loguniform, random_scalar_problem
+from sweeps import BCS, loguniform, random_scalar_problem
 
 FAST = GridSpec(cells_per_unit_length=64, refinement_levels=2)
 
@@ -445,12 +445,33 @@ class TestScalarRingFold:
         for _ in range(3):
             layout = _ring(rng, K, R, r)
             for level in range(self.GRID.refinement_levels):
-                op = assemble(layout, self.GRID, level)
-                reference = np.linalg.eigvalsh(op.symmetric_form().toarray())[-1]
-                value, _ = _top_eigenvalue_level(layout, self.GRID, level)
-                assert abs(value - reference) <= 1e-13 * _largest_entry(op)
+                op = self.assert_matches_dense(layout, self.GRID, level)
                 # One period has n / K nodes; the folded path covers half of it.
                 assert sizes[-1] <= op.n_unknowns // (2 * K) + 1
+
+    @staticmethod
+    def assert_matches_dense(layout, grid, level):
+        op = assemble(layout, grid, level)
+        reference = np.linalg.eigvalsh(op.symmetric_form().toarray())[-1]
+        value, _ = _top_eigenvalue_level(layout, grid, level)
+        assert abs(value - reference) <= 1e-13 * _largest_entry(op)
+        return op
+
+    # A period of n nodes is a zone of c cells then one of r_cells, so c + n =
+    # 2c + r_cells: the fixed point lo is a node when c is even and a cell
+    # midpoint when it is odd, and hi likewise with r_cells.  The default grid
+    # doubles every count above level 0, so its odd cases exist at level 0 only.
+    @pytest.mark.parametrize("grid, base", [(GRID, 2), (GridSpec(), 32)], ids=["1-cell", "default"])
+    @pytest.mark.parametrize("c_odd", [0, 1])
+    @pytest.mark.parametrize("r_cells_odd", [0, 1])
+    def test_every_end_case(self, grid, base, c_odd, r_cells_odd):
+        c, r_cells = base + c_odd, base + r_cells_odd
+        h = 1.0 / grid.cells_per_unit_length
+        rng = np.random.default_rng(10 * base + 2 * c_odd + r_cells_odd)
+        for K in (1, 2):
+            layout = _ring(rng, K, c * h, r_cells * h)
+            assert [z.cells for z in _zone_cells(layout, grid, 0)[:2]] == [c, r_cells]
+            self.assert_matches_dense(layout, grid, 0)
 
     def test_two_node_ring(self):
         layout = _ring(np.random.default_rng(3), 1, 2.0, 0.0)
@@ -472,6 +493,55 @@ class TestScalarRingFold:
         )[0]
         value, _ = _top_eigenvalue_level(layout, GridSpec(), level)
         assert abs(value - reference) <= 1e-13 * _largest_entry(op)
+
+
+class TestScalarBands:
+    """Off a ring the scalar bands are the diagonal and superdiagonal of the
+    assembled ``symmetric_form`` exactly, at every level and on an odd-cell grid."""
+
+    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(13.3, 3, 5)], ids=["default", "13.3-cells"])
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN])
+    def test_equal_to_symmetric_form(self, grid, bc):
+        rng = np.random.default_rng(7 if bc is BoundaryCondition.DIRICHLET else 8)
+        for _ in range(4):
+            layout = replace(random_scalar_problem(rng), bc=bc).to_layout()
+            for level in range(grid.refinement_levels):
+                d, e = oracle._scalar_bands(layout, grid, level)
+                S = assemble(layout, grid, level).symmetric_form()
+                assert np.array_equal(d, S.diagonal())
+                assert np.array_equal(e, S.diagonal(1))
+
+
+class TestScalarWithoutAssembly:
+    """Scalar oracle work builds its bands directly and never assembles a matrix;
+    staged layouts still do."""
+
+    GRID = GridSpec(cells_per_unit_length=16, refinement_levels=2, min_cells_per_zone=4)
+
+    @pytest.fixture(autouse=True)
+    def refuse_assembly(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("assemble reached")
+
+        monkeypatch.setattr(oracle, "assemble", refuse)
+
+    @pytest.mark.parametrize("bc", list(BoundaryCondition))
+    def test_scalar_entry_points(self, bc):
+        # Growth 0.1 keeps a reflecting end controllable by width as well as by mortality.
+        layout = PatchLayout(ScalarZone(1.0, 0.1), ScalarZone(2.0, -3.0), R=2.0, r=1.0, bc=bc)
+        assert math.isfinite(top_eigenvalue_fd(layout, self.GRID).top_eigenvalue)
+        verdict_fd(layout, self.GRID)
+        assert math.isfinite(min_mortality_fd(layout, self.GRID))
+        assert math.isfinite(oracle.min_zone_width_fd(layout, self.GRID))
+
+    def test_staged_reaches_assemble(self):
+        layout = PatchLayout(
+            StageZone(np.array([1.0, 1.0]), np.array([[-0.5, 1.0], [0.5, -0.2]])),
+            StageZone(np.array([1.0, 1.0]), np.array([[-3.0, 0.0], [0.0, -3.0]])),
+            R=2.0, r=1.0,
+        )
+        with pytest.raises(AssertionError, match="assemble reached"):
+            top_eigenvalue_fd(layout, self.GRID)
 
 
 class TestScalarSinglePath:

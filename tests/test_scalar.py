@@ -26,7 +26,7 @@ from patchcontrol import (
 from patchcontrol.oracle import min_mortality_fd, min_zone_width_fd, top_eigenvalue_fd
 from patchcontrol.scalar import control_inequality_sides
 
-from conftest import random_scalar_problem
+from sweeps import random_scalar_problem
 
 mpmath.mp.dps = 50
 

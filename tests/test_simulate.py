@@ -31,7 +31,7 @@ from patchcontrol.simulate import (
     write_trajectory_csv,
 )
 
-from conftest import BCS, loguniform
+from sweeps import BCS, loguniform
 
 FAST = GridSpec(cells_per_unit_length=64, refinement_levels=2)
 COARSE = GridSpec(cells_per_unit_length=4, refinement_levels=2, min_cells_per_zone=8)
@@ -148,6 +148,11 @@ class TestSimulate:
                                         initial_profile=y0))
         with pytest.raises(TransientNotResolvedError):
             growth_exponent(result)
+
+    def test_negative_snapshot_time_refused(self):
+        run = SimulationRun(layout=get_preset("lone-star"), T=2.0, dt=0.01, snapshot_times=(-1.0, 1.0))
+        with pytest.raises(ValueError, match=r"snapshot times must be nonnegative, got \(-1.0, 1.0\)"):
+            simulate(run)
 
 
 class TestAbsoluteScale:

@@ -38,7 +38,7 @@ from patchcontrol.staged import (
     two_stage_inequality_sides,
 )
 
-from conftest import loguniform
+from sweeps import loguniform
 
 mpmath.mp.dps = 40
 
