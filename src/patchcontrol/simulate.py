@@ -8,15 +8,17 @@ the spectral verdicts in sign and the top eigenvalue in value.
 Each Crank-Nicolson step is taken as an implicit half-step followed by
 extrapolation: solve ``(B - dt/2 K) z = B y_n``, then ``y_{n+1} = 2 z - y_n``.
 This is the theta = 1/2 scheme itself (``(B - dt/2 K) y_{n+1} = (B + dt/2 K)
-y_n``), so one factored solve, one diagonal scaling and one norm make a step;
-no explicit right-hand-side matrix is formed.
+y_n``), so one factored solve, one diagonal scaling and one dot product make a
+step; no explicit right-hand-side matrix is formed. Off a ring a scalar layout's
+matrix is tridiagonal and LAPACK (``dgttrf``/``dgttrs``) factors it; rings and
+staged layouts use SuperLU.
 
 Growing modes are renormalized once the norm exceeds 1e100 (decaying ones once
 it falls below 1e-100); the accumulated log scale is folded into the reported
 log-norm series, so exponents remain exact while the stored profiles are
 defined up to a positive factor. The other diagnostics (log norm, total mass,
 per-stage norms, positivity ratio) are computed with numpy over blocks of
-stored states rather than step by step.
+stored states, the log norm from each step's own squared norm.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .model import BoundaryCondition, PatchLayout, validate_layout
-from .oracle import GridSpec, assemble
+from .oracle import DiscreteOperator, GridSpec, assemble
 
-_RENORM_THRESHOLD = 1e100
+_RENORM_SQ = 1e200  # rescale a state once its norm leaves [1e-100, 1e100]
 # States held between diagnostic passes. 256 rows ran no faster and cost ~6 MB
 # more peak memory on the criterion-9 designs.
 _BLOCK_ROWS = 64
@@ -155,14 +158,23 @@ def _checked_norm(y: np.ndarray, t: float) -> float:
     return norm
 
 
+def _half_step_solver(op: DiscreteOperator, dt: float, periodic: bool):
+    """``b -> 2 (B - dt/2 K)^-1 b`` (may overwrite ``b``); the matrix is halved, exactly, and
+    factored once: by LAPACK when tridiagonal (scalar, off a ring), else by SuperLU. Either
+    raises ``RuntimeError`` on an exactly zero pivot."""
+    A = 0.5 * (sparse.diags(op.mass) - (dt / 2.0) * op.stiffness).tocsc()
+    if periodic or op.n_stages > 1:
+        return splu(A).solve
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
+    if info > 0:
+        raise RuntimeError("Factor is exactly singular")
+    return lambda b: lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+
+
 def simulate(run: SimulationRun) -> SimulationResult:
     """Integrate the layout with the theta = 1/2 scheme (unconditionally stable,
     second order in dt) and record norms, masses and requested snapshots."""
     layout = validate_layout(run.layout)
-    op = assemble(layout, run.grid, run.level)
-    n_stages = op.n_stages
-    n_nodes = op.n_nodes
-
     T = run.T if run.T is not None else default_horizon(layout)
     if not math.isfinite(T):
         raise ValueError(f"horizon T must be finite, got {T}")
@@ -175,6 +187,13 @@ def simulate(run: SimulationRun) -> SimulationResult:
         raise ValueError(f"snapshot times must be finite, got {run.snapshot_times}")
     if min(run.snapshot_times, default=0.0) < 0:
         raise ValueError(f"snapshot times must be nonnegative, got {run.snapshot_times}")
+    level, levels = run.level, run.grid.refinement_levels
+    if not isinstance(level, (int, np.integer)) or isinstance(level, bool) or not 0 <= level < levels:
+        raise ValueError(f"level must be an integer in [0, {levels}), got {level!r}")
+
+    op = assemble(layout, run.grid, level)
+    n_stages = op.n_stages
+    n_nodes = op.n_nodes
 
     if run.initial_profile is None:
         y0 = default_initial_profile(layout, op.x, n_stages)
@@ -191,11 +210,10 @@ def simulate(run: SimulationRun) -> SimulationResult:
         if not np.any(y0 > 0):
             raise ValueError("initial profile must not be identically zero")
 
-    K = op.stiffness.tocsc()
     B = op.mass
     try:
-        lhs = splu((sparse.diags(B) - (dt / 2.0) * K).tocsc())
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        solve = _half_step_solver(op, dt, layout.bc is BoundaryCondition.PERIODIC)
+    except RuntimeError as exc:  # "Factor is exactly singular"
         raise InstabilityError(f"Crank-Nicolson matrix is singular at dt={dt:.6g}: {exc}") from exc
 
     steps = max(int(round(T / dt)), 10)
@@ -208,9 +226,10 @@ def simulate(run: SimulationRun) -> SimulationResult:
     pending = sorted(run.snapshot_times)
     snap_tol = 1e-12 * max(dt, 1.0)
 
-    # states[j] is the state at step first + j, offsets[j] its log scale.
+    # states[j] is the state at step first + j, offsets[j] its log scale, squares[j] its squared norm.
     states = np.empty((_BLOCK_ROWS, n_nodes * n_stages))
     offsets = np.empty(_BLOCK_ROWS)
+    squares = np.empty(_BLOCK_ROWS)
     min_ratio = 0.0
 
     def record_block(first: int, rows: int) -> None:
@@ -218,18 +237,18 @@ def simulate(run: SimulationRun) -> SimulationResult:
         Y = states[:rows]
         off = offsets[:rows]
         block = slice(first, first + rows)
-        log_l2[block] = off + np.log(np.linalg.norm(Y, axis=1))
+        log_l2[block] = off + 0.5 * np.log(squares[:rows])
         total_mass[block] = _absolute_scale(Y @ B, off)
         if stage_log is not None:
+            Y3 = Y.reshape(rows, n_nodes, n_stages)
             with np.errstate(divide="ignore"):
-                norms = np.linalg.norm(Y.reshape(rows, n_nodes, n_stages), axis=1)
-                stage_log[block] = off[:, None] + np.log(norms)
+                stage_log[block] = off[:, None] + 0.5 * np.log(np.einsum("rns,rns->rs", Y3, Y3))
         # Every stored state has a positive finite norm, so its peak is positive.
         min_ratio = min(min_ratio, float((Y.min(axis=1) / np.abs(Y).max(axis=1)).min()))
 
     y = states[0]
     y[:] = y0.reshape(-1)
-    _checked_norm(y, 0.0)
+    squares[0] = _checked_norm(y, 0.0) ** 2
     offset = offsets[0] = 0.0
     while pending and pending[0] <= 0.0:
         pending.pop(0)
@@ -241,12 +260,13 @@ def simulate(run: SimulationRun) -> SimulationResult:
         if row == _BLOCK_ROWS:
             record_block(first, row)
             first, row = k, 0
-        z = lhs.solve(B * y)
-        y = np.subtract(2.0 * z, y, out=states[row])
-        norm = _checked_norm(y, times[k])
-        if norm > _RENORM_THRESHOLD or norm < 1.0 / _RENORM_THRESHOLD:
+        y = np.subtract(solve(B * y), y, out=states[row])
+        squares[row] = sq = float(y @ y)
+        if not 1.0 / _RENORM_SQ <= sq <= _RENORM_SQ:  # also catches 0, inf and nan
+            norm = _checked_norm(y, times[k])
             offset += math.log(norm)
             y /= norm
+            squares[row] = 1.0  # unit norm, to round-off
         offsets[row] = offset
         while pending and times[k] >= pending[0] - snap_tol:
             pending.pop(0)

@@ -1,8 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from patchcontrol import (
@@ -26,6 +28,7 @@ from patchcontrol.simulate import (
     SimulationResult,
     Snapshot,
     _absolute_scale,
+    _half_step_solver,
     default_initial_profile,
     write_snapshot_csv,
     write_trajectory_csv,
@@ -152,6 +155,13 @@ class TestSimulate:
     def test_negative_snapshot_time_refused(self):
         run = SimulationRun(layout=get_preset("lone-star"), T=2.0, dt=0.01, snapshot_times=(-1.0, 1.0))
         with pytest.raises(ValueError, match=r"snapshot times must be nonnegative, got \(-1.0, 1.0\)"):
+            simulate(run)
+
+    @pytest.mark.parametrize("level", [-1, 1.5, 40, True, 2])
+    def test_level_outside_the_grid_refused(self, level):
+        # FAST has levels 0 and 1; True must not pass as level 1.
+        run = SimulationRun(layout=get_preset("lone-star"), T=2.0, dt=0.01, grid=FAST, level=level)
+        with pytest.raises(ValueError, match=r"level must be an integer in \[0, 2\), got "):
             simulate(run)
 
 
@@ -493,3 +503,51 @@ class TestStepLoopMatchesReference:
         assert down.final_log_scale < math.log(1e-100)
         assert simulate(NAMED_RUNS["taiga-two-stage"]).n_stages == 2
         assert simulate(NAMED_RUNS["dirichlet-spike-oscillates"]).min_density_ratio < -0.5
+
+
+ODD_GRID = GridSpec(13.3, 3, 5)
+
+
+def _half_step_draw(seed: int):
+    """Scalar Dirichlet or Neumann operator and a step of up to 3 for ``seed``."""
+    rng = np.random.default_rng(7000 + seed)
+    layout = PatchLayout(
+        ScalarZone(loguniform(rng, 0.3, 5.0), loguniform(rng, 0.1, 3.0)),
+        ScalarZone(loguniform(rng, 0.3, 5.0), -loguniform(rng, 0.1, 20.0)),
+        R=loguniform(rng, 1.0, 6.0),
+        r=loguniform(rng, 0.1, 1.5),
+        bc=BCS[seed % 2],
+    )
+    op = assemble(layout, (FAST, ODD_GRID)[seed // 2 % 2], int(rng.integers(2)))
+    return op, loguniform(rng, 1e-3, 3.0), rng.standard_normal(op.n_unknowns)
+
+
+class TestTridiagonalHalfStep:
+    """Off a ring a scalar step is solved by LAPACK ``dgttrs``, not SuperLU."""
+
+    def test_matches_superlu(self):
+        pivoted = 0
+        for seed in range(200):
+            op, dt, b = _half_step_draw(seed)
+            M = (sparse.diags(op.mass) - (dt / 2.0) * op.stiffness).tocsc()
+            want = 2.0 * splu(M).solve(b)
+            got = _half_step_solver(op, dt, periodic=False)(b.copy())
+            # At most 1.6e-12 over these draws, with condition numbers up to 3e5.
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), seed
+            pivoted += bool(lapack.dgttrf(M.diagonal(-1), M.diagonal(), M.diagonal(1))[3].any())
+        assert pivoted > 0  # some draws interchange rows (nonzero du2)
+
+    def test_superlu_only_on_rings_and_stages(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("splu called")
+
+        # The package re-exports the function ``simulate`` under the module's name.
+        monkeypatch.setattr(importlib.import_module("patchcontrol.simulate"), "splu", refuse)
+        for bc in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
+            layout = PatchLayout(ScalarZone(1.0, 0.8), ScalarZone(1.5, -3.0), R=2.0, r=1.0, bc=bc)
+            assert np.isfinite(simulate(SimulationRun(layout=layout, T=0.5, dt=0.01, grid=FAST)).log_l2).all()
+        ring = PatchLayout(ScalarZone(1.0, 0.8), ScalarZone(1.5, -3.0), R=2.0, r=1.0, K=2,
+                           bc=BoundaryCondition.PERIODIC)
+        for layout in (ring, get_preset("taiga-two-stage")):
+            with pytest.raises(AssertionError, match="splu called"):
+                simulate(SimulationRun(layout=layout, T=0.5, dt=0.01, grid=FAST))
