@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 
 REAL_EIG_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
-DEFAULT_SCAN = 4096
 
 
 class NoRealEigenvalueError(ValueError):
@@ -31,14 +30,6 @@ class ComplexOrRepeatedEigenvaluesError(ValueError):
 
 
 class SingularBasisError(ValueError):
-    pass
-
-
-class NoRootError(ValueError):
-    pass
-
-
-class InvalidBracketError(ValueError):
     pass
 
 
@@ -176,37 +167,6 @@ def residual(N: np.ndarray, pair: EigenPair) -> float:
     """Euclidean eigen-residual |N v - lambda v|."""
     N = np.asarray(N, dtype=float)
     return float(np.linalg.norm(N @ pair.vector - pair.value * pair.vector))
-
-
-def bracketed_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    scan_points: int = DEFAULT_SCAN,
-) -> float:
-    """First root of ``f`` in ``[lo, hi]``, found by sign-change scanning.
-
-    ``f`` must be continuous on the bracket; the scan resolution is the
-    caller's responsibility when ``f`` is not monotone.  Raises ``NoRootError``
-    if no sign change is found at the scan resolution and ``InvalidBracketError``
-    for a degenerate bracket.
-    """
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise InvalidBracketError(f"invalid bracket [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, max(int(scan_points), 2))
-    vals = np.array([f(x) for x in xs], dtype=float)
-    finite = np.isfinite(vals)
-    for i in range(len(xs) - 1):
-        if not (finite[i] and finite[i + 1]):
-            continue
-        if vals[i] == 0.0:
-            return float(xs[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            return float(brentq(f, xs[i], xs[i + 1], xtol=tol, rtol=8 * np.finfo(float).eps))
-    if finite[-1] and vals[-1] == 0.0:
-        return float(xs[-1])
-    raise NoRootError(f"no sign change of f on [{lo}, {hi}] at scan resolution {scan_points}")
 
 
 def expanding_root(

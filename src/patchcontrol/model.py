@@ -383,23 +383,3 @@ def dump_scenario(layout: PatchLayout, path: str) -> None:
         json.dump(scenario_to_dict(layout), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def layouts_equal(x: PatchLayout, y: PatchLayout) -> bool:
-    """Field-by-field equality, exact on every numeric entry."""
-    if x.is_scalar != y.is_scalar or x.bc is not y.bc:
-        return False
-    if (x.R, x.r, x.K) != (y.R, y.r, y.K):
-        return False
-    if x.is_scalar:
-        return (
-            x.beneficial.diffusion == y.beneficial.diffusion
-            and x.beneficial.growth == y.beneficial.growth
-            and x.control.diffusion == y.control.diffusion
-            and x.control.growth == y.control.growth
-        )
-    return (
-        np.array_equal(x.beneficial.diffusion_diag, y.beneficial.diffusion_diag)
-        and np.array_equal(x.beneficial.reaction, y.beneficial.reaction)
-        and np.array_equal(x.control.diffusion_diag, y.control.diffusion_diag)
-        and np.array_equal(x.control.reaction, y.control.reaction)
-    )

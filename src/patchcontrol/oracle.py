@@ -10,12 +10,14 @@ The problem is generalized, ``K y = E B y`` with diagonal mass ``B`` (half
 boxes at reflecting ends).  Scalar levels assemble no matrix: the bands of the
 symmetric tridiagonal ``B^-1/2 K B^-1/2`` are built straight from the per-node
 coefficients (on a ring, of one period folded onto half a period, the discrete
-half-period reduction behind the tan(R/2)/tanh(r/2) criterion), and one
-tridiagonal solve gives the top eigenvalue.  Staged levels and the simulator
-assemble ``K`` as CSR.  Staged systems are block-coupled and nonsymmetric and
-are solved on the whole ring; their rightmost eigenvalue is found densely for
-small systems and otherwise by shift-invert Arnoldi on ``B^-1 K`` with 20
-Krylov vectors and the shift above the Gershgorin bound, with no fallback.
+half-period reduction behind the tan(R/2)/tanh(r/2) criterion), and tridiagonal
+bisection gives the top eigenvalue: by index on the coarsest level, and on each
+finer level in a window from the coarser level's value up to the largest growth.
+Staged levels and the simulator assemble ``K`` as CSR.  Staged systems are
+block-coupled and nonsymmetric and are solved on the whole ring; their
+rightmost eigenvalue is found densely for small systems and otherwise by
+shift-invert Arnoldi on ``B^-1 K`` with 20 Krylov vectors and the shift above
+the Gershgorin bound, with no fallback.
 """
 
 from __future__ import annotations
@@ -296,17 +298,45 @@ def _staged_rightmost_eigenvalue(op: DiscreteOperator) -> tuple[float, str]:
     return theta.real, path
 
 
-def _top_eigenvalue_level(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[float, str]:
-    """Top eigenvalue at one refinement level.
+def _top_eigenvalue_level(
+    layout: PatchLayout, grid: GridSpec, level: int, near: float | None = None
+) -> tuple[float, str]:
+    """Top eigenvalue at one refinement level; ``near`` is the coarser level's value.
 
     A scalar ring of ``K`` periods is solved on one period, as its top
-    eigenvector, the positive Perron vector, repeats every period.
+    eigenvector, the positive Perron vector, repeats every period.  A scalar
+    level is bisected by index, or with ``near`` in the window
+    ``(near - delta, upper]``: every Gershgorin row of ``B^-1 K`` has centre plus
+    radius equal to the node's mean reaction, so the largest growth bounds the
+    top (padded for Sturm-count rounding).  ``delta`` grows 16-fold while the
+    window is empty; once the window holds the whole spectrum, an empty window
+    raises ``NoConvergenceError``.
     """
-    if layout.is_scalar:
-        d, e = _scalar_bands(replace(validate_layout(layout), K=1), grid, level)
+    if not layout.is_scalar:
+        return _staged_rightmost_eigenvalue(assemble(layout, grid, level))
+    layout = replace(validate_layout(layout), K=1)
+    d, e = _scalar_bands(layout, grid, level)
+    if near is None:
         top = len(d) - 1
         return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(top, top))[0]), "symmetric"
-    return _staged_rightmost_eigenvalue(assemble(layout, grid, level))
+    upper = max(layout.beneficial.growth, layout.control.growth) + 1e-12 * float(np.abs(d).max())
+    delta = 1e-6 * (1.0 + abs(near))
+    while True:
+        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(near - delta, upper))
+        if len(vals):
+            return float(vals[-1]), "symmetric"
+        radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
+        if near - delta < (d - radius).min():
+            raise NoConvergenceError(f"no eigenvalue below the growth bound {upper:.6g}")
+        delta *= 16.0
+
+
+def _level_chain(layout: PatchLayout, grid: GridSpec) -> list[tuple[float, str]]:
+    """Top eigenvalue per refinement level, each level after the first windowed at the one before."""
+    levels: list[tuple[float, str]] = []
+    for level in range(grid.refinement_levels):
+        levels.append(_top_eigenvalue_level(layout, grid, level, levels[-1][0] if levels else None))
+    return levels
 
 
 def top_eigenvalue_fd(layout: PatchLayout, grid: GridSpec | None = None) -> SpectralReport:
@@ -316,8 +346,7 @@ def top_eigenvalue_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Spec
     finest levels; ``error_estimate`` is their raw difference ``|E(h)-E(h/2)|``.
     """
     grid = grid or GridSpec()
-    levels = [_top_eigenvalue_level(layout, grid, level) for level in range(grid.refinement_levels)]
-    (e_coarse, _), (e_fine, how) = levels[-2:]
+    (e_coarse, _), (e_fine, how) = _level_chain(layout, grid)[-2:]
     extrapolated = e_fine + (e_fine - e_coarse) / 3.0
     return SpectralReport(
         top_eigenvalue=float(extrapolated),
@@ -329,7 +358,7 @@ def top_eigenvalue_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Spec
 
 def refinement_history(layout: PatchLayout, grid: GridSpec) -> list[float]:
     """Per-level top eigenvalues (for convergence-order diagnostics)."""
-    return [_top_eigenvalue_level(layout, grid, lvl)[0] for lvl in range(grid.refinement_levels)]
+    return [value for value, _ in _level_chain(layout, grid)]
 
 
 def verdict_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Verdict:

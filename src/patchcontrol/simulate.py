@@ -161,10 +161,14 @@ def _checked_norm(y: np.ndarray, t: float) -> float:
 def _half_step_solver(op: DiscreteOperator, dt: float, periodic: bool):
     """``b -> 2 (B - dt/2 K)^-1 b`` (may overwrite ``b``); the matrix is halved, exactly, and
     factored once: by LAPACK when tridiagonal (scalar, off a ring), else by SuperLU. Either
-    raises ``RuntimeError`` on an exactly zero pivot."""
+    raises ``RuntimeError`` on an exactly zero pivot; SuperLU also on a pivot at round-off
+    level, ``n eps max|A|`` or less (a singular ring Laplacian factors with one)."""
     A = 0.5 * (sparse.diags(op.mass) - (dt / 2.0) * op.stiffness).tocsc()
     if periodic or op.n_stages > 1:
-        return splu(A).solve
+        lu = splu(A)
+        if np.abs(lu.U.diagonal()).min() <= A.shape[0] * np.finfo(float).eps * abs(A).max():
+            raise RuntimeError("Factor is exactly singular")
+        return lu.solve
     dl, d, du, du2, ipiv, info = lapack.dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
     if info > 0:
         raise RuntimeError("Factor is exactly singular")

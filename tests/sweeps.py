@@ -7,7 +7,10 @@ suites run in one pytest command.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+from scipy.optimize import brentq
 
 from patchcontrol import BoundaryCondition, ScalarProblem, build_stage_matrix
 from patchcontrol.model import BirthDeathParams
@@ -51,3 +54,37 @@ def random_supercritical_stage_matrix(rng: np.random.Generator, n: int) -> np.nd
         off = M - np.diag(np.diag(M))
         M = np.diag(np.diag(M)) + off * 1.5
     return M
+
+
+class NoRootError(ValueError):
+    pass
+
+
+class InvalidBracketError(ValueError):
+    pass
+
+
+def bracketed_root(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12, scan_points: int = 4096
+) -> float:
+    """First root of ``f`` in ``[lo, hi]``: a sign-change scan, then Brent's method.
+
+    The reference root finder of the test suite.  ``f`` must be continuous on
+    the bracket; raises ``NoRootError`` if no sign change shows at the scan
+    resolution and ``InvalidBracketError`` for a degenerate bracket.
+    """
+    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
+        raise InvalidBracketError(f"invalid bracket [{lo}, {hi}]")
+    xs = np.linspace(lo, hi, max(int(scan_points), 2))
+    vals = np.array([f(x) for x in xs], dtype=float)
+    finite = np.isfinite(vals)
+    for i in range(len(xs) - 1):
+        if not (finite[i] and finite[i + 1]):
+            continue
+        if vals[i] == 0.0:
+            return float(xs[i])
+        if vals[i] * vals[i + 1] < 0.0:
+            return float(brentq(f, xs[i], xs[i + 1], xtol=tol, rtol=8 * np.finfo(float).eps))
+    if finite[-1] and vals[-1] == 0.0:
+        return float(xs[-1])
+    raise NoRootError(f"no sign change of f on [{lo}, {hi}] at scan resolution {scan_points}")

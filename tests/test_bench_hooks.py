@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import patchcontrol  # noqa: F401  (the tracer patches the imported package)
+from patchcontrol import GridSpec, get_preset, oracle
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -36,3 +37,16 @@ def test_program_function_resolves(module, name):
 @pytest.mark.parametrize("owner, attr", [site[:2] for site in tracing._KERNEL_SITES])
 def test_kernel_site_resolves(owner, attr):
     assert callable(getattr(importlib.import_module(owner), attr))
+
+
+def test_scalar_levels_traced_as_tridiagonal_solves():
+    # The per-layer figure oracle.solve.tridiagonal must not read 0 on the scalar path.
+    grid = GridSpec(cells_per_unit_length=8, refinement_levels=3)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        oracle.top_eigenvalue_fd(get_preset("lone-star"), grid)
+    names = [span.name for span in tracer.spans]
+    top = names.index("oracle.top_eigenvalue_fd")
+    solves = [s for s in tracer.spans if s.name == "oracle.solve.tridiagonal"]
+    assert len(solves) >= grid.refinement_levels
+    assert all(s.parent == top for s in solves)

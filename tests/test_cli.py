@@ -326,14 +326,14 @@ class TestSimulateCommand:
         assert err == "error: snapshot times must be nonnegative, got (-1.0, 1.0)\n"
         assert not out_dir.exists()
 
-    def test_singular_crank_nicolson_matrix_exits_6(self, capsys, tmp_path):
-        # Uniform growth 4 on a reflecting segment with dt = 2/4: B - dt/2 K is
-        # exactly the singular Neumann Laplacian, and SuperLU reports a zero pivot.
+    @staticmethod
+    def assert_singular_exits_6(capsys, tmp_path, bc):
+        # Uniform growth 4 with dt = 2/4: B - dt/2 K is exactly the singular Laplacian.
         doc = {
             "model": "scalar",
             "beneficial": {"diffusion": 1.0, "growth": 4.0},
             "control": {"diffusion": 1.0, "growth": 4.0},
-            "R": 2.0, "r": 0.0, "K": 1, "bc": "neumann",
+            "R": 2.0, "r": 0.0, "K": 1, "bc": bc,
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -344,6 +344,15 @@ class TestSimulateCommand:
         assert code == EXIT_INSTABILITY
         assert err.startswith("simulation unstable: Crank-Nicolson matrix is singular")
         assert len(err.splitlines()) == 1
+
+    def test_singular_crank_nicolson_matrix_exits_6(self, capsys, tmp_path):
+        # On a reflecting segment the tridiagonal LAPACK factor meets an exact zero pivot.
+        self.assert_singular_exits_6(capsys, tmp_path, "neumann")
+
+    def test_singular_crank_nicolson_ring_exits_6(self, capsys, tmp_path):
+        # On a ring SuperLU's smallest pivot is round-off (about 1e-15), not an
+        # exact zero; unchecked, the steps grow along the null vector.
+        self.assert_singular_exits_6(capsys, tmp_path, "periodic")
 
 
 

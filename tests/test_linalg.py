@@ -12,11 +12,8 @@ from patchcontrol import (
 )
 from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
-    InvalidBracketError,
     NoRealEigenvalueError,
-    NoRootError,
     NotSymmetricError,
-    bracketed_root,
     eigen_basis_2x2,
     expanding_root,
     max_real_eigenvalue,
@@ -24,6 +21,8 @@ from patchcontrol.linalg import (
     symmetric_eigen,
 )
 from patchcontrol.oracle import NoConvergenceError, min_zone_width_fd
+
+from sweeps import InvalidBracketError, NoRootError, bracketed_root
 
 # Rounded per-diffusion stage matrix of the two-stage taiga model.
 TAIGA_N = np.array([[-0.91, 2.24], [0.01, -0.02]])
@@ -148,6 +147,8 @@ class TestEigenBasis2x2:
 
 
 class TestBracketedRoot:
+    """The reference root finder of the test suite (``tests/sweeps.py``)."""
+
     def test_sqrt_two(self):
         root = bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
         assert root == pytest.approx(np.sqrt(2.0), abs=1e-12)

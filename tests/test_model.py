@@ -15,11 +15,31 @@ from patchcontrol.model import (
     ScalarZone,
     StageZone,
     Verdict,
-    layouts_equal,
     scenario_from_dict,
     scenario_to_dict,
     validate_layout,
 )
+
+
+def layouts_equal(x: PatchLayout, y: PatchLayout) -> bool:
+    """Field-by-field equality, exact on every numeric entry."""
+    if x.is_scalar != y.is_scalar or x.bc is not y.bc:
+        return False
+    if (x.R, x.r, x.K) != (y.R, y.r, y.K):
+        return False
+    if x.is_scalar:
+        return (
+            x.beneficial.diffusion == y.beneficial.diffusion
+            and x.beneficial.growth == y.beneficial.growth
+            and x.control.diffusion == y.control.diffusion
+            and x.control.growth == y.control.growth
+        )
+    return (
+        np.array_equal(x.beneficial.diffusion_diag, y.beneficial.diffusion_diag)
+        and np.array_equal(x.beneficial.reaction, y.beneficial.reaction)
+        and np.array_equal(x.control.diffusion_diag, y.control.diffusion_diag)
+        and np.array_equal(x.control.reaction, y.control.reaction)
+    )
 
 
 def lone_star_layout(mu=1958.0):

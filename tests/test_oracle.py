@@ -569,6 +569,100 @@ class TestScalarSinglePath:
         assert math.isfinite(top_eigenvalue_fd(layout).top_eigenvalue)
 
 
+class TestWindowedLevels:
+    """Levels after the first are bisected in a window from the coarser level's
+    value up to the largest growth; the index solve on the same bands is the
+    reference, and ``stebz`` agrees with itself to a few ``eps max|d|``."""
+
+    GRID = GridSpec(cells_per_unit_length=16, refinement_levels=3, min_cells_per_zone=4)
+
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        """Record ``(select, number of values)`` for every tridiagonal solve."""
+        calls = []
+        solve = oracle.eigvalsh_tridiagonal
+
+        def recording_solve(d, e, **kwargs):
+            vals = solve(d, e, **kwargs)
+            calls.append((kwargs["select"], len(vals)))
+            return vals
+
+        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", recording_solve)
+        return calls
+
+    @staticmethod
+    def assert_matches_index_solve(layout, grid, level, near):
+        windowed, how = _top_eigenvalue_level(layout, grid, level, near)
+        indexed, _ = _top_eigenvalue_level(layout, grid, level)
+        d, _ = oracle._scalar_bands(replace(layout, K=1), grid, level)
+        assert how == "symmetric"
+        assert abs(windowed - indexed) <= 4 * np.finfo(float).eps * np.abs(d).max()
+        return windowed
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_matches_index_solve(self, bc):
+        rng = np.random.default_rng(40 + BCS.index(bc))
+        for K in (1, 2, 3) if bc is BoundaryCondition.PERIODIC else (1,):
+            layout = replace(random_scalar_problem(rng), bc=bc, K=K).to_layout()
+            near = _top_eigenvalue_level(layout, self.GRID, 0)[0]
+            for level in (1, 2):
+                near = self.assert_matches_index_solve(layout, self.GRID, level, near)
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.NEUMANN, BoundaryCondition.PERIODIC])
+    def test_top_equal_to_the_bound(self, bc):
+        # Uniform growth with reflecting ends or on a ring: the constant vector
+        # is the top eigenvector and the top equals the growth bound exactly.
+        K = 2 if bc is BoundaryCondition.PERIODIC else 1
+        layout = PatchLayout(ScalarZone(1.0, 0.7), ScalarZone(3.0, 0.7), R=2.0, r=1.0, K=K, bc=bc)
+        history = refinement_history(layout, self.GRID)
+        for level in (1, 2):
+            value = self.assert_matches_index_solve(layout, self.GRID, level, history[level - 1])
+            assert value == history[level]
+            assert abs(value - 0.7) <= 1e-12
+
+    def test_empty_first_window_widens(self, windows):
+        # Two cells per zone at level 0: the next level moves the top by far
+        # more than the first window's 1e-6 (1 + |near|).
+        grid = GridSpec(cells_per_unit_length=1.0, refinement_levels=2, min_cells_per_zone=2)
+        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0,
+                             bc=BoundaryCondition.DIRICHLET)
+        near = _top_eigenvalue_level(layout, grid, 0)[0]
+        del windows[:]
+        self.assert_matches_index_solve(layout, grid, 1, near)
+        assert windows[0] == ("v", 0) and windows[-2:] == [("v", 1), ("i", 1)]
+
+    def test_wide_window_returns_the_largest(self, windows):
+        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0,
+                             bc=BoundaryCondition.NEUMANN)
+        d, e = oracle._scalar_bands(layout, self.GRID, 1)
+        third = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[-3]
+        self.assert_matches_index_solve(layout, self.GRID, 1, third)
+        assert windows[0][0] == "v" and windows[0][1] >= 3
+
+    def test_no_eigenvalue_below_the_bound_raises(self, monkeypatch, windows):
+        # A bound below the whole spectrum: the window widens past the
+        # Gershgorin lower bound of the bands and then raises.
+        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0,
+                             bc=BoundaryCondition.DIRICHLET)
+        solve = oracle.eigvalsh_tridiagonal
+        monkeypatch.setattr(
+            oracle, "eigvalsh_tridiagonal",
+            lambda d, e, **kwargs: solve(d, e, **{**kwargs, "select_range": (-2e9, -1e9)}),
+        )
+        with pytest.raises(oracle.NoConvergenceError, match="growth bound"):
+            _top_eigenvalue_level(layout, self.GRID, 1, 0.5)
+        assert 1 < len(windows) < 20 and all(count == 0 for _, count in windows)
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_history_is_the_extrapolated_chain(self, bc):
+        layout = replace(random_scalar_problem(np.random.default_rng(50 + BCS.index(bc))), bc=bc).to_layout()
+        history = refinement_history(layout, self.GRID)
+        report = top_eigenvalue_fd(layout, self.GRID)
+        assert len(history) == self.GRID.refinement_levels
+        assert report.top_eigenvalue == history[-1] + (history[-1] - history[-2]) / 3.0
+        assert report.error_estimate == abs(history[-1] - history[-2])
+
+
 class TestGridSpec:
     @pytest.mark.parametrize(
         "kwargs, message",

@@ -27,7 +27,6 @@ from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
     NoRealEigenvalueError,
     SingularBasisError,
-    bracketed_root,
 )
 from patchcontrol.model import BirthDeathParams, LayoutError
 from patchcontrol.oracle import top_eigenvalue_fd
@@ -38,7 +37,7 @@ from patchcontrol.staged import (
     two_stage_inequality_sides,
 )
 
-from sweeps import loguniform
+from sweeps import bracketed_root, loguniform
 
 mpmath.mp.dps = 40
 
