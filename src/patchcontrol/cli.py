@@ -291,7 +291,7 @@ def cmd_spectrum(args) -> int:
     layout = _resolve_layout(args)
     grid = _grid(args)
     if args.method in ("root", "both") and layout.is_scalar:
-        rep = top_eigenvalue_scalar(ScalarProblem.from_layout(layout), grid)
+        rep = top_eigenvalue_scalar(ScalarProblem.from_layout(layout))
         print(f"root_method = {rep.method.value}")
         print(f"root_top_eigenvalue = {_fmt(rep.top_eigenvalue)}")
         print(f"root_error_estimate = {_fmt(rep.error_estimate)}")
@@ -351,7 +351,7 @@ def cmd_sweep(args) -> int:
         if layout.is_scalar:
             p = ScalarProblem.from_layout(layout)
             v = scalar_verdict(p)
-            top = top_eigenvalue_scalar(p, grid).top_eigenvalue
+            top = top_eigenvalue_scalar(p).top_eigenvalue
             margin, status = v.margin, v.status.value
         else:
             v = verdict_fd(layout, grid)

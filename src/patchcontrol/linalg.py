@@ -163,12 +163,6 @@ def eigen_basis_2x2(N: np.ndarray) -> tuple[EigenPair, EigenPair]:
     return tuple(EigenPair(value=float(e.values[j]), vector=e.vectors[:, j]) for j in (0, 1))
 
 
-def residual(N: np.ndarray, pair: EigenPair) -> float:
-    """Euclidean eigen-residual |N v - lambda v|."""
-    N = np.asarray(N, dtype=float)
-    return float(np.linalg.norm(N @ pair.vector - pair.value * pair.vector))
-
-
 def expanding_root(
     f: Callable[[float], float], cap: float, failure: Exception, xtol: float, rtol: float
 ) -> float:

@@ -98,11 +98,6 @@ class DiscreteOperator:
     def n_nodes(self) -> int:
         return len(self.x)
 
-    def symmetric_form(self) -> sparse.csr_matrix:
-        """Similarity-transformed symmetric matrix (same spectrum as B^-1 K)."""
-        w = 1.0 / np.sqrt(self.mass)
-        return sparse.diags(w) @ self.stiffness @ sparse.diags(w)
-
     def gershgorin_upper(self) -> float:
         """Upper bound on real parts of eigenvalues of ``B^-1 K``."""
         K = self.stiffness.tocsr()
@@ -111,27 +106,21 @@ class DiscreteOperator:
         return float(((K.diagonal() + radii) / self.mass).max())
 
 
-def _zone_sequence(layout: PatchLayout) -> list[tuple[float, np.ndarray, np.ndarray]]:
+def _zone_cells(layout: PatchLayout, grid: GridSpec, level: int) -> list[_ZoneCells]:
+    """The zones in spatial order (``K`` pairs on a ring) with their cell counts at ``level``."""
     def unpack(zone):
         if isinstance(zone, ScalarZone):
             return np.array([zone.diffusion]), np.array([[zone.growth]])
         return zone.diffusion_diag, zone.reaction
 
-    a_ben, m_ben = unpack(layout.beneficial)
-    a_nb, m_nb = unpack(layout.control)
-    pair = [(layout.R, a_ben, m_ben)]  # R > 0 on a validated layout
+    pair = [(layout.R, *unpack(layout.beneficial))]  # R > 0 on a validated layout
     if layout.r > 0:
-        pair.append((layout.r, a_nb, m_nb))
+        pair.append((layout.r, *unpack(layout.control)))
     reps = int(layout.K) if layout.bc is BoundaryCondition.PERIODIC else 1
-    return pair * reps
-
-
-def _zone_cells(layout: PatchLayout, grid: GridSpec, level: int) -> list[_ZoneCells]:
-    factor = 2**level
     out = []
-    for width, diff, reac in _zone_sequence(layout):
+    for width, diff, reac in pair * reps:
         base = max(grid.min_cells_per_zone, int(round(width * grid.cells_per_unit_length)))
-        out.append(_ZoneCells(width=width, cells=base * factor, diffusion=diff, reaction=reac))
+        out.append(_ZoneCells(width=width, cells=base * 2**level, diffusion=diff, reaction=reac))
     return out
 
 
@@ -145,10 +134,11 @@ def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
     """
     zones = _zone_cells(layout, grid, level)
 
-    # Per-cell arrays in spatial order.
-    h = np.concatenate([np.full(z.cells, z.h) for z in zones])
-    a_cell = np.vstack([np.tile(z.diffusion, (z.cells, 1)) for z in zones])
-    m_cell = np.concatenate([np.tile(z.reaction, (z.cells, 1, 1)) for z in zones])
+    # Per-cell arrays in spatial order, indexed from the per-zone ones.
+    zone = np.repeat(np.arange(len(zones)), [z.cells for z in zones])
+    h = np.array([z.h for z in zones])[zone]
+    a_cell = np.array([z.diffusion for z in zones])[zone]
+    m_cell = np.array([z.reaction for z in zones])[zone]
     n_cells = len(h)
     x_all = np.concatenate([[0.0], np.cumsum(h)])
 

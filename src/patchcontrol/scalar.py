@@ -4,17 +4,20 @@ The spatial operator is ``a y'' + lam y`` on the beneficial zone and
 ``b y'' - mu y`` on the control zone, glued by continuity of ``y`` and of the
 flux ``a y'``.  Its top eigenvalue decides eradication; the criteria below
 express its sign through tan/tanh balances, one per boundary condition, and
-the dispersion solver locates the eigenvalue itself.  Inverse design inverts
-the balance: the minimal zone width in closed form, the minimal mortality by
+the dispersion relation locates the eigenvalue itself: its first poles bracket
+the top root for one Brent solve, on every scalar layout and without the grid
+oracle, which this module does not import.  Inverse design inverts the
+balance: the minimal zone width in closed form, the minimal mortality by
 Brent's method.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .linalg import expanding_root
@@ -31,7 +34,8 @@ from .model import (
 
 _BISECT_RTOL = 1e-10
 _BRACKET_CAP = 1e12
-_SCAN_POINTS = 4096
+_ROOT_XTOL = 1e-13  # Brent tolerances of the dispersion root, in x = (lam - E)/a
+_ROOT_RTOL = 8 * sys.float_info.epsilon
 
 
 class NonpositiveGrowthError(ValueError):
@@ -205,45 +209,39 @@ def _effective_widths(p: ScalarProblem) -> tuple[float, float]:
     return p.R, p.r
 
 
-def _dispersion_residual(p: ScalarProblem, x: np.ndarray) -> np.ndarray:
-    """Residual whose roots in ``x = (lam - E)/a`` are eigenvalues.
+def _dispersion_residual(
+    x: float, a: float, lam: float, R: float, b: float, mu: float, r: float, dirichlet: bool
+) -> float:
+    """Residual whose roots in ``x = (lam - E)/a > 0`` are eigenvalues (``R``, ``r`` effective widths).
 
-    Valid on ``0 < x < (lam + mu)/a`` (oscillatory beneficial zone, decaying
-    control zone).  Dirichlet uses the normalized tan/tanh difference; the
-    Neumann and periodic cases use the flux-matching product form.
+    Dirichlet uses the normalized tan/tanh sum, Neumann and rings the
+    flux-matching difference.  With ``q = mu + E`` the control zone decays for
+    ``q > 0`` and oscillates for ``q < 0``, where its tanh continues to a tan.
+    Between consecutive poles the residual increases in ``x``; at each pole it
+    jumps from +inf to -inf.
     """
-    x = np.asarray(x, dtype=float)
-    R_eff, r_eff = _effective_widths(p)
-    q = p.lam + p.mu - p.a * x  # equals mu + E, > 0 inside the window
-    sqx = np.sqrt(x)
-    if p.bc is BoundaryCondition.DIRICHLET:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ben = np.tan(R_eff * sqx) / (p.a * sqx)
-            gam = np.sqrt(np.maximum(q, 0.0) / p.b)
-            ctl = np.where(
-                gam * p.b > 1e-300,
-                np.tanh(r_eff * gam) / np.maximum(p.b * gam, 1e-300),
-                r_eff / p.b,
-            )
-        return ben + ctl
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ben = p.a * sqx * np.tan(R_eff * sqx)
-        ctl = np.sqrt(np.maximum(q, 0.0) * p.b) * np.tanh(r_eff * np.sqrt(np.maximum(q, 0.0) / p.b))
-    return ben - ctl
+    k = math.sqrt(x)
+    q = lam + mu - a * x
+    g = math.sqrt(abs(q) / b)
+    if dirichlet:
+        if g == 0.0:
+            ctl = r / b  # the limit of tanh(r g) / (b g)
+        else:
+            ctl = (math.tanh(r * g) if q > 0 else math.tan(r * g)) / (b * g)
+        return math.tan(R * k) / (a * k) + ctl
+    return a * k * math.tan(R * k) - b * g * (math.tanh(r * g) if q > 0 else -math.tan(r * g))
 
 
-def top_eigenvalue_scalar(p: ScalarProblem, grid: "GridSpec | None" = None) -> SpectralReport:
-    """Largest eigenvalue of the scalar two-zone operator.
+def top_eigenvalue_scalar(p: ScalarProblem) -> SpectralReport:
+    """Largest eigenvalue of the scalar two-zone operator: a root of the dispersion relation.
 
-    Solves the transcendental dispersion equation on the window
-    ``E in (-mu, lam)`` by pole-aware bracket scanning (poles of the tan term
-    split the window into continuity intervals).  If no root exists there the
-    top eigenvalue lies at or below ``-mu`` and the finite-difference oracle
-    is used instead; that fallback is part of the contract.
+    The residual's poles alone bracket the top eigenvalue.  With ``P1 < P2``
+    the first two poles of both zones' tan terms, it lies in ``[0, P1)`` for
+    reflecting ends and rings and in ``(P1, P2)`` for absorbing ends, and one
+    Brent solve finds it.  When the control zone outgrows the beneficial one
+    (``lam < -mu``) the zones are exchanged, a reflection of the domain that
+    keeps the spectrum, so the top always has ``x >= 0``.
     """
-    eps = 1e-9 * max(1.0, abs(p.lam), p.mu)
-    R_eff, _ = _effective_widths(p)
-
     if p.r == 0.0:
         # No control zone: the beneficial zone fills the whole domain.
         if p.bc is BoundaryCondition.DIRICHLET:
@@ -252,47 +250,47 @@ def top_eigenvalue_scalar(p: ScalarProblem, grid: "GridSpec | None" = None) -> S
             value = p.lam
         return SpectralReport(value, SpectralMethod.DISPERSION_ROOT, 0.0, "analytic r=0")
 
-    x_lo = eps / p.a
-    x_hi = (p.lam + p.mu - eps) / p.a
-    if x_hi > x_lo:
-        root_x = _scan_dispersion(p, x_lo, x_hi, R_eff)
-        if root_x is not None:
-            E = p.lam - p.a * root_x
-            err = max(p.a * 1e-13, 1e-12 * (1.0 + abs(E)))
-            return SpectralReport(E, SpectralMethod.DISPERSION_ROOT, err, f"scan={_SCAN_POINTS}")
+    R, r = _effective_widths(p)
+    a, lam, b, mu = p.a, p.lam, p.b, p.mu
+    if lam < -mu:
+        a, lam, R, b, mu, r = b, -mu, r, a, -lam, R
+    dirichlet = p.bc is BoundaryCondition.DIRICHLET
+    # tan(R sqrt(x)) and tan(r sqrt((a x - lam - mu) / b)) blow up at odd multiples of pi/2.
+    # Poles are kept with their multiplicity: where one of each zone coincides, both zones'
+    # fluxes vanish at the interface and that pole is itself an eigenvalue.
+    poles = sorted([
+        *(((k + 0.5) * math.pi / R) ** 2 for k in (0, 1)),
+        *((lam + mu + b * ((k + 0.5) * math.pi / r) ** 2) / a for k in (0, 1)),
+    ])
+    f = partial(_dispersion_residual, a=a, lam=lam, R=R, b=b, mu=mu, r=r, dirichlet=dirichlet)
+    if dirichlet:
+        x, x_err = _pole_bracket_root(f, poles[0], poles[1], lo_is_pole=True)
+    else:
+        x, x_err = _pole_bracket_root(f, 0.0, poles[0], lo_is_pole=False)
+    E = lam - a * x
+    err = max(a * x_err, 1e-12 * (1.0 + abs(E)))
+    return SpectralReport(E, SpectralMethod.DISPERSION_ROOT, err, "pole bracket")
 
-    from .oracle import GridSpec, top_eigenvalue_fd
 
-    report = top_eigenvalue_fd(p.to_layout(), grid or GridSpec())
-    return replace(report, method=SpectralMethod.FINITE_DIFFERENCE)
+def _pole_bracket_root(f, lo: float, hi: float, lo_is_pole: bool) -> tuple[float, float]:
+    """Root of ``f`` and a bound on its error in ``x``.
 
-
-def _scan_dispersion(p: ScalarProblem, x_lo: float, x_hi: float, R_eff: float) -> float | None:
-    """Smallest root of the dispersion residual in ``(x_lo, x_hi)``, or None."""
-    poles = []
-    k = 0
-    while True:
-        xp = ((math.pi / 2 + k * math.pi) / R_eff) ** 2
-        if xp >= x_hi:
-            break
-        if xp > x_lo:
-            poles.append(xp)
-        k += 1
-        if k > 100_000:  # unreachable at sane widths; guards infinite loops
-            break
-    breaks = [x_lo] + poles + [x_hi]
-    for u, v in zip(breaks[:-1], breaks[1:]):
-        pad = 1e-12 * max(1.0, v - u) + 1e-300
-        xs = np.linspace(u + pad, v - pad, _SCAN_POINTS)
-        vals = _dispersion_residual(p, xs)
-        finite = np.isfinite(vals)
-        sign_change = np.nonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0))[0]
-        if sign_change.size == 0:
-            continue
-        i = int(sign_change[0])
-        f = lambda x: float(_dispersion_residual(p, np.array([x]))[0])
-        return float(brentq(f, xs[i], xs[i + 1], xtol=1e-13, rtol=8 * np.finfo(float).eps))
-    return None
+    ``f`` increases on ``(lo, hi)`` to +inf at the pole ``hi``, from -inf at
+    ``lo`` if that is a pole and from ``f(lo) <= 0`` otherwise.  The ends step
+    ``1e-12 hi`` off the poles; an end where ``f`` already has the far end's
+    sign lies within that step of the root, and two poles closer than two steps
+    (or coinciding) pin the root between them.
+    """
+    pad = 1e-12 * hi
+    if hi - lo <= 2 * pad:
+        return (lo + hi) / 2, pad
+    lo, hi = lo + pad * lo_is_pole, hi - pad
+    if f(hi) <= 0:
+        return hi, pad
+    if lo_is_pole and f(lo) >= 0:
+        return lo, pad
+    x = brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
+    return x, _ROOT_XTOL + _ROOT_RTOL * x
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,23 @@ class TestSpectrum:
         fd = float(values["fd_top_eigenvalue"])
         assert abs(root - fd) <= 1e-3 * max(1, abs(root))
 
+    def test_root_below_control_mortality_is_a_dispersion_root(self, capsys, tmp_path):
+        # Tiny absorbing patch: the top eigenvalue lies below -mu.
+        doc = {
+            "model": "scalar",
+            "beneficial": {"diffusion": 1.0, "growth": 0.1},
+            "control": {"diffusion": 1.0, "growth": -0.05},
+            "R": 0.5, "r": 0.5, "K": 1, "bc": "dirichlet",
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "spectrum", "--scenario", str(path), "--method", "root")
+        assert code == EXIT_OK
+        values = parsed(out)
+        assert values["root_method"] == "DispersionRoot"
+        assert float(values["root_top_eigenvalue"]) < -0.05
+        assert "fd_top_eigenvalue" not in values
+
     def test_oracle_no_convergence_exits_7_without_traceback(self, capsys, monkeypatch):
         def no_convergence(op):
             raise NoConvergenceError("dense staged solve found no real eigenvalue")

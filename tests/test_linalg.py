@@ -17,7 +17,6 @@ from patchcontrol.linalg import (
     eigen_basis_2x2,
     expanding_root,
     max_real_eigenvalue,
-    residual,
     symmetric_eigen,
 )
 from patchcontrol.oracle import NoConvergenceError, min_zone_width_fd
@@ -26,6 +25,12 @@ from sweeps import InvalidBracketError, NoRootError, bracketed_root
 
 # Rounded per-diffusion stage matrix of the two-stage taiga model.
 TAIGA_N = np.array([[-0.91, 2.24], [0.01, -0.02]])
+
+
+def residual(N, pair) -> float:
+    """Euclidean eigen-residual |N v - lambda v|."""
+    N = np.asarray(N, dtype=float)
+    return float(np.linalg.norm(N @ pair.vector - pair.value * pair.vector))
 
 
 def charpoly_eigenvalues(N):

@@ -37,6 +37,12 @@ from sweeps import BCS, loguniform, random_scalar_problem
 FAST = GridSpec(cells_per_unit_length=64, refinement_levels=2)
 
 
+def symmetric_form(op) -> sparse.csr_matrix:
+    """``B^-1/2 K B^-1/2``: symmetric for a scalar layout, with the spectrum of ``B^-1 K``."""
+    w = 1.0 / np.sqrt(op.mass)
+    return sparse.diags(w) @ op.stiffness @ sparse.diags(w)
+
+
 def single_zone_layout(a=1.0, lam=0.0, R=2.0, bc=BoundaryCondition.DIRICHLET, K=1):
     return PatchLayout(
         beneficial=ScalarZone(a, lam),
@@ -53,7 +59,7 @@ class TestAssembly:
         # Uniform grid: all eigenvalues are -4a/h^2 sin^2(k pi h / (2L)).
         layout = single_zone_layout(a=1.0, lam=0.0, R=2.0)
         op = assemble(layout, GridSpec(cells_per_unit_length=32, refinement_levels=2), level=0)
-        S = op.symmetric_form().toarray()
+        S = symmetric_form(op).toarray()
         vals = np.sort(np.linalg.eigvalsh(S))[::-1]
         n_cells = 64
         h = 2.0 / n_cells
@@ -65,21 +71,21 @@ class TestAssembly:
     def test_neumann_top_mode_is_constant(self):
         layout = single_zone_layout(a=3.0, lam=0.7, R=1.5, bc=BoundaryCondition.NEUMANN)
         op = assemble(layout, FAST, level=0)
-        S = op.symmetric_form().toarray()
+        S = symmetric_form(op).toarray()
         top = np.linalg.eigvalsh(S)[-1]
         assert top == pytest.approx(0.7, abs=1e-10)
 
     def test_periodic_top_mode_is_constant(self):
         layout = single_zone_layout(a=2.0, lam=-0.3, R=1.0, bc=BoundaryCondition.PERIODIC, K=2)
         op = assemble(layout, FAST, level=0)
-        S = op.symmetric_form().toarray()
+        S = symmetric_form(op).toarray()
         top = np.linalg.eigvalsh(S)[-1]
         assert top == pytest.approx(-0.3, abs=1e-10)
 
     def test_two_zone_scalar_matrix_symmetric(self):
         layout = PatchLayout(ScalarZone(2.0, 0.5), ScalarZone(0.3, -4.0), R=3.0, r=0.7, K=2)
         op = assemble(layout, FAST, level=0)
-        S = op.symmetric_form()
+        S = symmetric_form(op)
         asym = np.abs((S - S.T).toarray()).max()
         assert asym <= 1e-14 * max(1.0, np.abs(S.toarray()).max())
 
@@ -413,7 +419,7 @@ def _ring(rng: np.random.Generator, K: int, R: float, r: float) -> PatchLayout:
 
 
 def _largest_entry(op) -> float:
-    return float(abs(op.symmetric_form()).max())
+    return float(abs(symmetric_form(op)).max())
 
 
 class TestScalarRingFold:
@@ -452,7 +458,7 @@ class TestScalarRingFold:
     @staticmethod
     def assert_matches_dense(layout, grid, level):
         op = assemble(layout, grid, level)
-        reference = np.linalg.eigvalsh(op.symmetric_form().toarray())[-1]
+        reference = np.linalg.eigvalsh(symmetric_form(op).toarray())[-1]
         value, _ = _top_eigenvalue_level(layout, grid, level)
         assert abs(value - reference) <= 1e-13 * _largest_entry(op)
         return op
@@ -477,7 +483,7 @@ class TestScalarRingFold:
         layout = _ring(np.random.default_rng(3), 1, 2.0, 0.0)
         op = assemble(layout, self.GRID, 0)
         assert op.n_unknowns == 2 and op.stiffness.nnz == 4
-        reference = np.linalg.eigvalsh(op.symmetric_form().toarray())[-1]
+        reference = np.linalg.eigvalsh(symmetric_form(op).toarray())[-1]
         value, _ = _top_eigenvalue_level(layout, self.GRID, 0)
         assert abs(value - reference) <= 1e-13 * _largest_entry(op)
 
@@ -486,7 +492,7 @@ class TestScalarRingFold:
         layout = get_preset("lone-star")
         op = assemble(layout, GridSpec(), level)
         assert op.n_unknowns == 960 * 2**level
-        S = op.symmetric_form().tocsc()
+        S = symmetric_form(op).tocsc()
         reference = eigsh(
             S, k=1, sigma=op.gershgorin_upper() + 1.0, which="LM",
             v0=np.ones(op.n_unknowns), return_eigenvectors=False,
@@ -507,7 +513,7 @@ class TestScalarBands:
             layout = replace(random_scalar_problem(rng), bc=bc).to_layout()
             for level in range(grid.refinement_levels):
                 d, e = oracle._scalar_bands(layout, grid, level)
-                S = assemble(layout, grid, level).symmetric_form()
+                S = symmetric_form(assemble(layout, grid, level))
                 assert np.array_equal(d, S.diagonal())
                 assert np.array_equal(e, S.diagonal(1))
 

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from patchcontrol import (
     BoundaryCondition,
@@ -24,9 +27,10 @@ from patchcontrol import (
     top_eigenvalue_scalar,
 )
 from patchcontrol.oracle import min_mortality_fd, min_zone_width_fd, top_eigenvalue_fd
+from patchcontrol import scalar
 from patchcontrol.scalar import control_inequality_sides
 
-from sweeps import random_scalar_problem
+from sweeps import BCS, random_scalar_problem
 
 mpmath.mp.dps = 50
 
@@ -166,13 +170,16 @@ class TestTopEigenvalue:
         fd = top_eigenvalue_fd(p.to_layout(), FAST)
         assert abs(rep.top_eigenvalue - fd.top_eigenvalue) <= 1e-3 * max(1, abs(rep.top_eigenvalue))
 
-    def test_fallback_when_top_mode_below_window(self):
-        # Tiny absorbing patch: top eigenvalue far below -mu.
+    def test_root_below_control_mortality(self):
+        # Tiny absorbing patch: the top eigenvalue lies far below -mu, where the
+        # control zone oscillates too.
         p = ScalarProblem(a=1, lam=0.1, b=1, mu=0.05, R=0.5, r=0.5,
                           bc=BoundaryCondition.DIRICHLET)
-        rep = top_eigenvalue_scalar(p, FAST)
-        assert rep.method is SpectralMethod.FINITE_DIFFERENCE
+        rep = top_eigenvalue_scalar(p)
+        assert rep.method is SpectralMethod.DISPERSION_ROOT
         assert rep.top_eigenvalue < -p.mu
+        fd = top_eigenvalue_fd(p.to_layout(), GridSpec(cells_per_unit_length=256))
+        assert abs(fd.top_eigenvalue - rep.top_eigenvalue) <= 1e-3 * (1 + abs(rep.top_eigenvalue))
 
     def test_monotone_in_mu(self):
         base = dict(a=1, lam=1, b=1, R=2, r=0.8)
@@ -203,6 +210,119 @@ class TestTopEigenvalue:
             e_dir = top_eigenvalue_fd(pd.to_layout(), FAST).top_eigenvalue
             e_per = top_eigenvalue_fd(pp.to_layout(), FAST).top_eigenvalue
             assert e_dir <= e_per + 1e-6
+
+
+def scan_dispersion_root(p: ScalarProblem) -> float | None:
+    """Top eigenvalue from a 4096-point sign scan of each interval between the
+    beneficial zone's poles in the window ``E in (-mu, lam)``, refined by Brent's
+    method; None when no root lies in the window.  The reference for the pole bracket."""
+    R_eff, r_eff = (p.R / 2, p.r / 2) if p.bc is BoundaryCondition.PERIODIC else (p.R, p.r)
+    eps = 1e-9 * max(1.0, abs(p.lam), p.mu)
+    x_lo, x_hi = eps / p.a, (p.lam + p.mu - eps) / p.a
+
+    def residual(x):
+        sqx = np.sqrt(x)
+        gam = np.sqrt(np.maximum(p.lam + p.mu - p.a * x, 0.0) / p.b)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if p.bc is BoundaryCondition.DIRICHLET:
+                ctl = np.where(gam * p.b > 1e-300,
+                               np.tanh(r_eff * gam) / np.maximum(p.b * gam, 1e-300), r_eff / p.b)
+                return np.tan(R_eff * sqx) / (p.a * sqx) + ctl
+            return p.a * sqx * np.tan(R_eff * sqx) - p.b * gam * np.tanh(r_eff * gam)
+
+    poles = []
+    k = 0
+    while (xp := ((math.pi / 2 + k * math.pi) / R_eff) ** 2) < x_hi:
+        if xp > x_lo:
+            poles.append(xp)
+        k += 1
+    breaks = [x_lo, *poles, x_hi]
+    for u, v in zip(breaks[:-1], breaks[1:]):
+        pad = 1e-12 * max(1.0, v - u) + 1e-300
+        xs = np.linspace(u + pad, v - pad, 4096)
+        vals = residual(xs)
+        change = np.nonzero(np.isfinite(vals[:-1] * vals[1:]) & (vals[:-1] * vals[1:] < 0))[0]
+        if change.size:
+            i = int(change[0])
+            x = brentq(lambda t: float(residual(t)), xs[i], xs[i + 1],
+                       xtol=1e-13, rtol=8 * np.finfo(float).eps)
+            return p.lam - p.a * x
+    return None
+
+
+class TestPoleBracketRoot:
+    """The dispersion root is bracketed by the residual's first poles, with no
+    scan and no finite-difference path."""
+
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dispersion root must not call the FD oracle")
+
+        for name in ("top_eigenvalue_fd", "assemble", "eigvalsh_tridiagonal"):
+            monkeypatch.setattr(f"patchcontrol.oracle.{name}", refuse)
+
+    @pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(a=16.67, lam=0.65, b=16.67, mu=10.0, R=14, r=1),  # in the window
+            dict(a=1, lam=0.1, b=1, mu=0.05, R=0.5, r=0.5),  # below -mu on absorbing ends
+            dict(a=1, lam=-0.7, b=2, mu=0.7, R=1.5, r=0.8),  # lam = -mu
+            dict(a=1, lam=-2.0, b=3, mu=0.5, R=1.5, r=0.8),  # lam < -mu: zones exchanged
+            dict(a=2, lam=0.4, b=0.5, mu=0.0, R=1.5, r=0.8),  # mu = 0
+            dict(a=2, lam=0.4, b=0.5, mu=3.0, R=1.5, r=0.0),  # r = 0
+        ],
+        ids=["in-window", "below-mu", "lam-eq-minus-mu", "lam-below-minus-mu", "mu-0", "r-0"],
+    )
+    def test_answers_without_the_oracle(self, no_oracle, bc, params):
+        p = ScalarProblem(bc=bc, K=2 if bc is BoundaryCondition.PERIODIC else 1, **params)
+        rep = top_eigenvalue_scalar(p)
+        assert rep.method is SpectralMethod.DISPERSION_ROOT
+        assert math.isfinite(rep.top_eigenvalue) and math.isfinite(rep.error_estimate)
+        assert rep.top_eigenvalue <= max(p.lam, -p.mu)
+        if p.lam == -p.mu and bc is not BoundaryCondition.DIRICHLET:
+            assert rep.top_eigenvalue == p.lam  # one uniform growth, flat top mode
+
+    @pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+    def test_exchanged_zones_match_the_oracle(self, bc):
+        p = ScalarProblem(a=1, lam=-2.0, b=3, mu=0.5, R=1.5, r=0.8, bc=bc)
+        rep = top_eigenvalue_scalar(p)
+        fd = top_eigenvalue_fd(p.to_layout(), GridSpec(cells_per_unit_length=256))
+        assert abs(fd.top_eigenvalue - rep.top_eigenvalue) <= 1e-3 * (1 + abs(rep.top_eigenvalue))
+
+    @pytest.mark.parametrize("mu", [0.5, 0.5 * (1 + 1e-13), 0.5 * (1 - 1e-9)])
+    def test_coinciding_poles_hold_the_absorbing_root(self, mu):
+        # One uniform zone cut in half: the first poles of both zones coincide, and
+        # the top mode sin(pi s / (R + r)) has zero flux at the interface.
+        p = ScalarProblem(a=2, lam=-0.5, b=2, mu=mu, R=1.5, r=1.5, bc=BoundaryCondition.DIRICHLET)
+        expected = max(p.lam, -p.mu) - 2 * (math.pi / 3) ** 2
+        assert top_eigenvalue_scalar(p).top_eigenvalue == pytest.approx(expected, abs=1e-8)
+
+    def test_equals_the_pole_scan_in_the_window(self):
+        rng = np.random.default_rng(1201)
+        compared = 0
+        for _ in range(150):
+            p = random_scalar_problem(rng)
+            reference = scan_dispersion_root(p)
+            if reference is None:
+                continue
+            rep = top_eigenvalue_scalar(p)
+            assert abs(rep.top_eigenvalue - reference) <= rep.error_estimate, p
+            compared += 1
+        assert compared >= 100
+
+    def test_scalar_module_imports_nothing_from_oracle(self):
+        # The closed-form layer stays independent of the FD oracle it is checked against.
+        tree = ast.parse(Path(scalar.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [node.module or ""] + [alias.name for alias in node.names]
+        assert imported
+        assert not [name for name in imported if "oracle" in name.split(".")]
 
 
 class TestMinMortality:
