@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 closed-form/oracle disagreement,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -84,6 +85,7 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patchcontrol",

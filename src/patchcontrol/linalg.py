@@ -1,12 +1,13 @@
 """Small dense eigenvalue helpers and scalar root finding.
 
 Everything here works on matrices up to 8x8; the heavy grid eigensolves
-live in :mod:`patchcontrol.oracle`.  :func:`expanding_root` is the one
-search for a first eradicating parameter used by the inverse solvers.
+live in :mod:`patchcontrol.oracle`.  :func:`expanding_root`, the inverse
+solvers' search for a first eradicating parameter, evaluates each point once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,10 +169,13 @@ def expanding_root(
 ) -> float:
     """Root of ``f`` below the first ``hi = 1, 2, 4, ...`` with ``f(hi) > 0``.
 
-    Brent's method runs on ``[hi/2, hi]``, or on ``[0, 1]`` when ``f(1) > 0``;
-    ``f`` must be nonpositive at the lower end.  Raises ``failure`` once
-    ``hi`` would exceed ``cap``.
+    Returns ``0.0`` when ``f(0) >= 0``; otherwise Brent's method runs on
+    ``[hi/2, hi]``, or on ``[0, 1]`` when ``f(1) > 0``.  ``f`` is evaluated
+    at most once per point.  Raises ``failure`` once ``hi`` would exceed ``cap``.
     """
+    f = functools.cache(f)
+    if f(0.0) >= 0:
+        return 0.0
     hi = 1.0
     while f(hi) <= 0:
         hi *= 2

@@ -372,7 +372,7 @@ def verdict_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Verdict:
 
 def _first_eradicating(layout: PatchLayout, grid: GridSpec | None, with_value, cap: float, what: str) -> float:
     """Smallest ``x`` in ``[0, cap]`` at which the oracle top eigenvalue of the
-    scalar layout ``with_value(x)`` is nonpositive."""
+    scalar layout ``with_value(x)`` is nonpositive, one FD solve per ``x``."""
     if not layout.is_scalar:
         raise ValueError(f"oracle {what} search supports scalar layouts only")
     grid = grid or GridSpec()
@@ -380,8 +380,6 @@ def _first_eradicating(layout: PatchLayout, grid: GridSpec | None, with_value, c
     def top(x: float) -> float:
         return top_eigenvalue_fd(with_value(x), grid).top_eigenvalue
 
-    if top(0.0) <= 0:
-        return 0.0
     failure = NoConvergenceError(f"no eradicating {what} below {cap:g} (oracle)")
     return expanding_root(lambda x: -top(x), cap, failure, xtol=1e-9, rtol=1e-5)
 

@@ -315,10 +315,10 @@ def min_mortality(
 ) -> float:
     """Smallest control mortality ``mu`` that flips the verdict to Eradication.
 
-    The lhs of the deciding inequality is strictly increasing in ``mu``, so
-    the zero of the margin is unique and Brent's method applies.  Raises
-    ``UncontrollableError`` when the patch is beyond its clause-(i) threshold
-    (no mortality works) or when there is no control zone to act on.
+    The lhs of the deciding inequality increases strictly in ``mu``, so the
+    margin has one zero, found by Brent's method (``0.0`` if the margin is
+    already nonnegative at ``mu = 0``).  Raises ``UncontrollableError`` beyond
+    the clause-(i) threshold (no mortality works) or with no control zone.
     """
     probe = ScalarProblem(a=a, lam=lam, b=b, mu=0.0, R=R, r=r, bc=bc, K=K)
     if lam <= 0:
@@ -334,8 +334,6 @@ def min_mortality(
     def margin(mu: float) -> float:
         return scalar_verdict(replace(probe, mu=mu)).margin
 
-    if margin(0.0) > 0:
-        return 0.0
     failure = UncontrollableError(f"no eradicating mortality below {_BRACKET_CAP:g}")
     return expanding_root(margin, _BRACKET_CAP, failure, xtol=1e-14, rtol=_BISECT_RTOL)
 

@@ -209,6 +209,8 @@ def simulate(run: SimulationRun) -> SimulationResult:
             raise ValueError(
                 f"initial profile must have shape ({n_nodes}, {n_stages}) on this grid, got {y0.shape}"
             )
+        if not np.all(np.isfinite(y0)):
+            raise ValueError("initial profile must be finite")
         if np.any(y0 < 0):
             raise ValueError("initial profile must be nonnegative")
         if not np.any(y0 > 0):

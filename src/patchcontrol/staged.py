@@ -443,8 +443,8 @@ def min_control_decay_rate(
     """
     if lead_eigenvalue <= 0:
         raise NonpositiveLeadEigenvalueError("lead eigenvalue must be positive")
-    if r <= 0:
-        raise AssumptionViolatedError("need a control zone of positive width")
+    if r <= 0 or R < 0:
+        raise AssumptionViolatedError("need a control zone of positive width and R >= 0")
     root_lam = math.sqrt(lead_eigenvalue)
     if root_lam * R / 2.0 >= math.pi / 2.0:
         raise AssumptionViolatedError(

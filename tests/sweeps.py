@@ -88,3 +88,36 @@ def bracketed_root(
     if finite[-1] and vals[-1] == 0.0:
         return float(xs[-1])
     raise NoRootError(f"no sign change of f on [{lo}, {hi}] at scan resolution {scan_points}")
+
+
+def legacy_expanding_root(
+    f: Callable[[float], float], cap: float, failure: Exception, xtol: float, rtol: float
+) -> float:
+    """Reference for ``patchcontrol.linalg.expanding_root`` without its memo
+    and its zero test: Brent's method evaluates both ends of the last doubling
+    again, and each caller tests ``x = 0`` itself (see :data:`LEGACY_SEARCHES`)."""
+    hi = 1.0
+    while f(hi) <= 0:
+        hi *= 2
+        if hi > cap:
+            raise failure
+    return float(brentq(f, hi / 2 if hi > 1 else 0.0, hi, xtol=xtol, rtol=rtol))
+
+
+def _legacy_search(zero_test: Callable[[float], bool] | None):
+    def search(f, cap, failure, xtol, rtol):
+        if zero_test is not None and zero_test(f(0.0)):
+            return 0.0
+        return legacy_expanding_root(f, cap, failure, xtol, rtol)
+
+    return search
+
+
+# Module using ``expanding_root`` -> the old search behind that caller's old
+# zero pre-check: ``margin(0) > 0`` in ``min_mortality``, ``top(0) <= 0`` in
+# the oracle's ``_first_eradicating`` (``f = -top``), none in ``min_control_decay_rate``.
+LEGACY_SEARCHES = {
+    "patchcontrol.scalar": _legacy_search(lambda margin: margin > 0),
+    "patchcontrol.oracle": _legacy_search(lambda minus_top: -minus_top <= 0),
+    "patchcontrol.staged": _legacy_search(None),
+}

@@ -13,6 +13,7 @@ from patchcontrol.cli import (
     EXIT_UNCONTROLLABLE,
     EXIT_VALIDATION,
     _verdicts_agree,
+    build_parser,
     main,
 )
 from patchcontrol.model import Verdict
@@ -479,3 +480,33 @@ class TestPreset:
         code, out, _ = run_cli(capsys, "preset", "list")
         assert code == EXIT_OK
         assert out.split() == ["lone-star", "taiga-one-stage", "taiga-two-stage"]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; later calls must not see earlier ones."""
+
+    SEQUENCE = (
+        ("verdict", "--method", "bogus"),
+        ("min-mortality", "--preset", "lone-star", "--grid-levels", "2"),
+        ("spectrum", "--preset", "lone-star", "--method", "fd"),
+        ("verdict", "--preset", "taiga-two-stage"),
+    )
+
+    @staticmethod
+    def run(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_and_reversed_calls_agree(self, capsys):
+        first = {argv: self.run(capsys, argv) for argv in self.SEQUENCE}
+        assert first[self.SEQUENCE[0]][0] == ("SystemExit", 2)
+        assert all(code == EXIT_OK for code, _, _ in list(first.values())[1:])
+        for order in (self.SEQUENCE, self.SEQUENCE[::-1]):
+            assert {argv: self.run(capsys, argv) for argv in order} == first

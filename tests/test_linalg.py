@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from patchcontrol import (
     UncontrollableError,
     min_control_decay_rate,
     min_mortality,
+    oracle,
+    scalar,
+    staged,
 )
 from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
@@ -19,9 +24,17 @@ from patchcontrol.linalg import (
     max_real_eigenvalue,
     symmetric_eigen,
 )
-from patchcontrol.oracle import NoConvergenceError, min_zone_width_fd
+from patchcontrol.oracle import NoConvergenceError, min_mortality_fd, min_zone_width_fd
+from patchcontrol.presets import get_preset
 
-from sweeps import InvalidBracketError, NoRootError, bracketed_root
+from sweeps import (
+    LEGACY_SEARCHES,
+    InvalidBracketError,
+    NoRootError,
+    bracketed_root,
+    loguniform,
+    random_scalar_problem,
+)
 
 # Rounded per-diffusion stage matrix of the two-stage taiga model.
 TAIGA_N = np.array([[-0.91, 2.24], [0.01, -0.02]])
@@ -181,7 +194,8 @@ class TestExpandingRoot:
             return x - 0.3
 
         assert expanding_root(f, 1e3, ValueError("cap"), xtol=1e-15, rtol=1e-15) == pytest.approx(0.3, rel=1e-14)
-        assert probes[:3] == [1.0, 0.0, 1.0]  # first probe, then brentq on [0, 1]
+        assert probes[:2] == [0.0, 1.0]  # the zero test, then brentq on [0, 1] reusing both ends
+        assert len(probes) == len(set(probes))
 
     def test_root_above_one_brackets_the_last_doubling(self):
         probes = []
@@ -191,7 +205,19 @@ class TestExpandingRoot:
             return x - 5.5
 
         assert expanding_root(f, 1e3, ValueError("cap"), xtol=1e-15, rtol=1e-15) == pytest.approx(5.5, rel=1e-14)
-        assert probes[:5] == [1.0, 2.0, 4.0, 8.0, 4.0]
+        assert probes[:5] == [0.0, 1.0, 2.0, 4.0, 8.0]
+        assert len(probes) == len(set(probes))
+
+    @pytest.mark.parametrize("at_zero", [0.0, 0.25])
+    def test_nonnegative_at_zero_returns_zero_after_one_probe(self, at_zero):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return at_zero + x
+
+        assert expanding_root(f, 1e3, ValueError("cap"), xtol=1e-15, rtol=1e-15) == 0.0
+        assert probes == [0.0]
 
     def test_raises_the_given_failure_past_the_cap(self):
         probes = []
@@ -204,7 +230,7 @@ class TestExpandingRoot:
         with pytest.raises(LookupError) as err:
             expanding_root(f, 100.0, failure, xtol=1e-9, rtol=1e-9)
         assert err.value is failure
-        assert probes == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        assert probes == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
 
     # Each caller keeps its own error type once the doubling passes its cap.
 
@@ -225,3 +251,74 @@ class TestExpandingRoot:
     def test_min_control_decay_rate_cap_is_assumption_violated(self):
         with pytest.raises(AssumptionViolatedError, match="no finite control rate"):
             min_control_decay_rate(1.0, R=1.0, r=1e-20)
+
+    def test_min_control_decay_rate_refuses_negative_R(self):
+        # The rhs would be negative, so the zero test would answer 0.0.
+        with pytest.raises(AssumptionViolatedError, match="R >= 0"):
+            min_control_decay_rate(1.0, R=-1.0, r=1.0)
+
+
+def outcome(call):
+    """``call()``, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def old_and_new(monkeypatch, module, call):
+    """Outcomes of ``call`` under the old search of ``module`` and the current one."""
+    new = outcome(call)
+    with monkeypatch.context() as m:
+        m.setattr(module, "expanding_root", LEGACY_SEARCHES[module.__name__])
+        return outcome(call), new
+
+
+class TestExpandingRootMatchesTheOldSearch:
+    """Memoizing the search and folding in the zero tests leaves every result bit-identical."""
+
+    def test_min_mortality_criterion_6_draws(self, monkeypatch):
+        rng = np.random.default_rng(1313)
+        searched = 0
+        for _ in range(50):
+            p = random_scalar_problem(rng)
+            old, new = old_and_new(
+                monkeypatch, scalar, lambda: scalar.min_mortality(p.a, p.lam, p.R, p.b, p.r, p.bc, p.K)
+            )
+            assert old == new, p
+            searched += isinstance(new, float) and new > 0
+        assert searched >= 10
+
+    def test_min_control_decay_rate_draws(self, monkeypatch):
+        rng = np.random.default_rng(1314)
+        for _ in range(20):
+            lead = loguniform(rng, 0.01, 2.0)
+            R = rng.uniform(0.05, 0.95) * np.pi / np.sqrt(lead)
+            r, a = loguniform(rng, 0.01, 5.0), loguniform(rng, 0.1, 10.0)
+            old, new = old_and_new(monkeypatch, staged, lambda: staged.min_control_decay_rate(lead, R, r, a))
+            assert old == new
+            assert new > 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"bc": BoundaryCondition.DIRICHLET, "R": 6.0}, {"bc": BoundaryCondition.NEUMANN, "R": 5.0, "r": 2.0}],
+        ids=["preset", "dirichlet-small", "neumann"],
+    )
+    @pytest.mark.parametrize("search", [min_mortality_fd, min_zone_width_fd])
+    def test_oracle_searches_on_lone_star(self, monkeypatch, overrides, search):
+        layout = replace(get_preset("lone-star"), **overrides)
+        if search is min_zone_width_fd:  # at the preset's mortality 10 no width eradicates
+            layout = replace(layout, control=replace(layout.control, growth=-100.0))
+        grid = GridSpec(refinement_levels=2)
+        points = []
+        top_eigenvalue_fd = oracle.top_eigenvalue_fd
+
+        def recording(lay, g):
+            points.append((lay.control.growth, lay.r))
+            return top_eigenvalue_fd(lay, g)
+
+        monkeypatch.setattr(oracle, "top_eigenvalue_fd", recording)
+        new = search(layout, grid)
+        assert len(points) == len(set(points))  # one FD solve per searched x
+        monkeypatch.setattr(oracle, "expanding_root", LEGACY_SEARCHES["patchcontrol.oracle"])
+        assert search(layout, grid) == new

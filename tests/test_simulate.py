@@ -157,6 +157,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"snapshot times must be nonnegative, got \(-1.0, 1.0\)"):
             simulate(run)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_initial_profile_refused(self, bad):
+        # NaN passes a ``< 0`` test; it used to surface as an instability at t = 0.
+        layout = ScalarProblem(a=1.0, lam=1.0, b=1.0, mu=1.0, R=2.0, r=1.0, bc=BoundaryCondition.NEUMANN).to_layout()
+        y0 = np.ones(assemble(layout, COARSE, 0).n_nodes)
+        y0[3] = bad
+        run = SimulationRun(layout=layout, T=1.0, dt=0.01, grid=COARSE, initial_profile=y0)
+        with pytest.raises(ValueError, match="initial profile must be finite"):
+            simulate(run)
+
     @pytest.mark.parametrize("level", [-1, 1.5, 40, True, 2])
     def test_level_outside_the_grid_refused(self, level):
         # FAST has levels 0 and 1; True must not pass as level 1.
