@@ -12,7 +12,6 @@ from patchcontrol import (
     ScalarProblem,
     min_mortality,
     min_zone_width,
-    periodic_verdict,
     scalar_verdict,
 )
 from patchcontrol.oracle import min_mortality_fd, verdict_fd
@@ -27,7 +26,7 @@ print("=" * 70)
 base = dict(a=16.67, lam=0.65, b=16.67, R=14.0, r=1.0)
 for mu in (10.0, 50.0):
     p = ScalarProblem(mu=mu, **base)
-    v = periodic_verdict(p)
+    v = scalar_verdict(p)
     lhs, rhs = control_inequality_sides(p)
     oracle = verdict_fd(p.to_layout(), GRID)
     print(f"mu = {mu:5.1f}: lhs = {lhs:7.3f} vs rhs = {rhs:7.3f} "

@@ -79,6 +79,7 @@ _SCALAR_FIELDS = {
     "mu": ("control", "growth", -1.0),
 }
 _SWEEPABLE = ("R", "r", *_SCALAR_FIELDS)
+_SCENARIO_FLAGS = ("R", "r", "K", "bc", *_SCALAR_FIELDS)
 
 
 def _fmt(value: float) -> str:
@@ -146,7 +147,7 @@ def _resolve_scenario(args) -> dict:
         raise LayoutError("InvalidScenario", "a scenario is required: use --scenario or --preset")
     if not isinstance(doc, dict):
         raise LayoutError("InvalidScenario", "scenario must be a JSON object")
-    for key in ("R", "r", "K", "bc", *_SCALAR_FIELDS):
+    for key in _SCENARIO_FLAGS:
         val = getattr(args, key, None)
         if val is not None:
             _override(doc, key, val)
@@ -265,7 +266,7 @@ def cmd_min_mortality(args) -> int:
     print(f"difference = {_fmt(abs(closed - oracle))}")
     rel = abs(closed - oracle) / max(closed, oracle, 1e-300)
     print(f"relative_difference = {_fmt(rel)}")
-    if args.preset == "lone-star":
+    if args.preset == "lone-star" and all(getattr(args, key) is None for key in _SCENARIO_FLAGS):
         print(
             "note = a published estimate for this configuration quotes a minimal "
             "mortality of about 1958; direct bisection of the threshold inequality "

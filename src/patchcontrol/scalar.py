@@ -2,13 +2,13 @@
 
 The spatial operator is ``a y'' + lam y`` on the beneficial zone and
 ``b y'' - mu y`` on the control zone, glued by continuity of ``y`` and of the
-flux ``a y'``.  Its top eigenvalue decides eradication; the criteria below
-express its sign through tan/tanh balances, one per boundary condition, and
-the dispersion relation locates the eigenvalue itself: its first poles bracket
-the top root for one Brent solve, on every scalar layout and without the grid
-oracle, which this module does not import.  Inverse design inverts the
-balance: the minimal zone width in closed form, the minimal mortality by
-Brent's method.
+flux ``a y'``.  Its top eigenvalue decides eradication: one tan/tanh balance
+gives its sign inside a band of ``lam / a`` set by the boundary, with rings
+read as reflecting ends on the half widths ``R/2, r/2``.  The dispersion
+relation locates the eigenvalue itself: its first poles bracket the top root
+for one Brent solve, on every scalar layout and without the grid oracle, which
+this module does not import.  Inverse design inverts the balance: the minimal
+zone width in closed form, the minimal mortality by Brent's method.
 """
 
 from __future__ import annotations
@@ -96,8 +96,10 @@ class ScalarProblem:
 
 def critical_patch_dirichlet(a: float, lam: float) -> float:
     """Critical beneficial-zone width ``pi * sqrt(a / lam)`` under absorbing ends."""
-    if a <= 0:
-        raise LayoutError("NonpositiveDiffusion", "a must be > 0")
+    if not math.isfinite(a) or a <= 0:
+        raise LayoutError("NonpositiveDiffusion", "a must be finite and > 0")
+    if not math.isfinite(lam):
+        raise LayoutError("NonfiniteGrowth", "lam must be finite")
     if lam <= 0:
         raise NonpositiveGrowthError("critical patch size undefined for lam <= 0")
     return math.pi * math.sqrt(a / lam)
@@ -126,66 +128,50 @@ def _sqrt_tan(lam: float, a: float, R_eff: float) -> float:
     return math.sqrt(lam * a) * math.tan(R_eff * math.sqrt(lam / a))
 
 
-def dirichlet_verdict(p: ScalarProblem) -> Verdict:
-    """Exact trichotomy for absorbing ends on ``[0, R + r]``."""
-    if p.lam < 0:
-        return Verdict.from_margin(-p.lam, "negative-growth")
-    s = p.lam / p.a
-    hi = (math.pi / p.R) ** 2
-    lo = (math.pi / (2 * p.R)) ** 2
-    if s >= hi:
-        return Verdict.from_margin(hi - s, "dirichlet-critical-size")
-    if s <= lo:
-        return Verdict.from_margin(lo - s, "dirichlet-half-size")
-    lhs, rhs = control_inequality_sides(p)
-    return Verdict.from_margin(lhs - rhs, "dirichlet-tan-tanh")
+def _effective_widths(p: ScalarProblem) -> tuple[float, float]:
+    """Widths of the one-pair problem: halved on rings, whose top eigenfunction is even about zone middles."""
+    if p.bc is BoundaryCondition.PERIODIC:
+        return p.R / 2, p.r / 2
+    return p.R, p.r
 
 
-def neumann_verdict(p: ScalarProblem) -> Verdict:
-    """Exact trichotomy for reflecting ends on ``[0, R + r]``."""
-    if p.lam < 0:
-        return Verdict.from_margin(-p.lam, "negative-growth")
-    s = p.lam / p.a
-    thresh = (math.pi / (2 * p.R)) ** 2
-    if s >= thresh:
-        return Verdict.from_margin(thresh - s, "neumann-critical-size")
-    lhs, rhs = control_inequality_sides(p)
-    return Verdict.from_margin(lhs - rhs, "neumann-tan-tanh")
+def _controllable_band(p: ScalarProblem) -> tuple[float, float]:
+    """``(lo, hi)``: the band of ``lam / a`` where the tan/tanh balance decides.
+
+    Above it no control suffices, below it none is needed.  With the quarter-wave
+    threshold ``q = (pi / (2 R_eff))**2``, reflecting ends and rings give
+    ``(-inf, q)`` and absorbing ends, critical at a half wave, ``(q, 4 q)``.
+    """
+    R_eff, _ = _effective_widths(p)
+    q = (math.pi / (2 * R_eff)) ** 2
+    if p.bc is BoundaryCondition.DIRICHLET:
+        # Not 4 * q: ``**`` is not always correctly rounded, so the two can differ in the last bit.
+        return q, (math.pi / R_eff) ** 2
+    return -math.inf, q
 
 
-def periodic_verdict(p: ScalarProblem) -> Verdict:
-    """Exact trichotomy on the torus of ``K`` beneficial/control pairs.
+def scalar_verdict(p: ScalarProblem) -> Verdict:
+    """Exact trichotomy of the scalar two-zone model, for every boundary condition.
 
-    The outcome does not depend on ``K``: the top eigenfunction of the
-    periodic operator is itself periodic with the single-pair period.
+    On rings the outcome does not depend on ``K``: the top eigenfunction of
+    the periodic operator is itself periodic with the single-pair period.
     """
     if p.lam < 0:
         return Verdict.from_margin(-p.lam, "negative-growth")
     s = p.lam / p.a
-    thresh = (math.pi / p.R) ** 2
-    if s >= thresh:
-        return Verdict.from_margin(thresh - s, "periodic-critical-size")
+    lo, hi = _controllable_band(p)
+    if s >= hi:
+        return Verdict.from_margin(hi - s, f"{p.bc.value}-critical-size")
+    if s <= lo:
+        return Verdict.from_margin(lo - s, "dirichlet-half-size")
     lhs, rhs = control_inequality_sides(p)
-    return Verdict.from_margin(lhs - rhs, "periodic-tan-tanh")
-
-
-_VERDICTS = {
-    BoundaryCondition.DIRICHLET: dirichlet_verdict,
-    BoundaryCondition.NEUMANN: neumann_verdict,
-    BoundaryCondition.PERIODIC: periodic_verdict,
-}
-
-
-def scalar_verdict(p: ScalarProblem) -> Verdict:
-    """Dispatch to the boundary-condition-appropriate criterion."""
-    return _VERDICTS[p.bc](p)
+    return Verdict.from_margin(lhs - rhs, f"{p.bc.value}-tan-tanh")
 
 
 def control_inequality_sides(p: ScalarProblem) -> tuple[float, float]:
     """(lhs, rhs) of the deciding tan/tanh inequality; eradication iff lhs > rhs.
 
-    Only defined inside the controllable band (below the clause-(i) threshold,
-    and above the Dirichlet half-size threshold for absorbing ends).
+    Only defined inside the controllable band (see :func:`_controllable_band`).
     """
     if p.lam < 0 or (p.lam == 0 and p.bc is BoundaryCondition.DIRICHLET):
         raise NonpositiveGrowthError("inequality sides need lam > 0 (lam >= 0 off absorbing ends)")
@@ -193,20 +179,13 @@ def control_inequality_sides(p: ScalarProblem) -> tuple[float, float]:
         lhs = -_tanh_over_sqrt(p.mu, p.b, p.r)
         rhs = math.tan(p.R * math.sqrt(p.lam / p.a)) / math.sqrt(p.a * p.lam)
         return lhs, rhs
-    if p.bc is BoundaryCondition.NEUMANN:
-        return _sqrt_tanh(p.mu, p.b, p.r), _sqrt_tan(p.lam, p.a, p.R)
-    return _sqrt_tanh(p.mu, p.b, p.r / 2), _sqrt_tan(p.lam, p.a, p.R / 2)
+    R, r = _effective_widths(p)
+    return _sqrt_tanh(p.mu, p.b, r), _sqrt_tan(p.lam, p.a, R)
 
 
 # ---------------------------------------------------------------------------
 # Dispersion-equation eigenvalue solver
 # ---------------------------------------------------------------------------
-
-
-def _effective_widths(p: ScalarProblem) -> tuple[float, float]:
-    if p.bc is BoundaryCondition.PERIODIC:
-        return p.R / 2, p.r / 2
-    return p.R, p.r
 
 
 def _dispersion_residual(
@@ -243,9 +222,9 @@ def top_eigenvalue_scalar(p: ScalarProblem) -> SpectralReport:
     keeps the spectrum, so the top always has ``x >= 0``.
     """
     if p.r == 0.0:
-        # No control zone: the beneficial zone fills the whole domain.
+        # No control zone: the beneficial zone fills the domain; absorbing ends cost a half wave.
         if p.bc is BoundaryCondition.DIRICHLET:
-            value = p.lam - p.a * (math.pi / p.R) ** 2
+            value = p.lam - p.a * _controllable_band(p)[1]
         else:
             value = p.lam
         return SpectralReport(value, SpectralMethod.DISPERSION_ROOT, 0.0, "analytic r=0")
@@ -298,12 +277,6 @@ def _pole_bracket_root(f, lo: float, hi: float, lo_is_pole: bool) -> tuple[float
 # ---------------------------------------------------------------------------
 
 
-def _clause_i_threshold(p: ScalarProblem) -> float:
-    if p.bc is BoundaryCondition.NEUMANN:
-        return (math.pi / (2 * p.R)) ** 2
-    return (math.pi / p.R) ** 2
-
-
 def min_mortality(
     a: float,
     lam: float,
@@ -316,17 +289,18 @@ def min_mortality(
     """Smallest control mortality ``mu`` that flips the verdict to Eradication.
 
     The lhs of the deciding inequality increases strictly in ``mu``, so the
-    margin has one zero, found by Brent's method (``0.0`` if the margin is
-    already nonnegative at ``mu = 0``).  Raises ``UncontrollableError`` beyond
-    the clause-(i) threshold (no mortality works) or with no control zone.
+    margin has one zero, found by Brent's method (``0.0`` below the band or if
+    the margin is already nonnegative at ``mu = 0``).  Raises ``UncontrollableError``
+    above the band (no mortality works) or with no control zone.
     """
     probe = ScalarProblem(a=a, lam=lam, b=b, mu=0.0, R=R, r=r, bc=bc, K=K)
     if lam <= 0:
         return 0.0
     s = lam / a
-    if s >= _clause_i_threshold(probe):
+    lo, hi = _controllable_band(probe)
+    if s >= hi:
         raise UncontrollableError("patch at or beyond critical size: no mortality suffices")
-    if bc is BoundaryCondition.DIRICHLET and s < (math.pi / (2 * R)) ** 2:
+    if s < lo:
         return 0.0
     if r == 0.0:
         raise UncontrollableError("no control zone (r = 0): mortality has nothing to act on")
@@ -359,8 +333,7 @@ def min_zone_width(
     probe = ScalarProblem(a=a, lam=lam, b=b, mu=max(mu, 0.0), R=R, r=0.0, bc=bc, K=K)
     if lam <= 0:
         return 0.0
-    s = lam / a
-    if s >= _clause_i_threshold(probe):
+    if lam / a >= _controllable_band(probe)[1]:
         raise UncontrollableError("patch at or beyond critical size: no zone width suffices")
     if bc is BoundaryCondition.DIRICHLET:
         return 0.0

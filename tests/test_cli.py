@@ -168,6 +168,16 @@ class TestMinMortality:
         assert abs(closed - oracle) / max(closed, oracle) <= 0.05
         assert "note" in values  # documented literature discrepancy
 
+    @pytest.mark.parametrize("overrides", [("--R", "5", "--bc", "neumann"), ("--mu", "10")])
+    def test_lone_star_note_only_without_overrides(self, capsys, overrides):
+        code, out, _ = run_cli(
+            capsys, "min-mortality", "--preset", "lone-star", "--grid-levels", "2", *overrides
+        )
+        assert code == EXIT_OK
+        values = parsed(out)
+        assert "mu_star_closed" in values
+        assert "note" not in values  # the published estimate is for the preset as given
+
     def test_beyond_critical_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "min-mortality", "--preset", "lone-star", "--R", "16")
         assert code == EXIT_UNCONTROLLABLE

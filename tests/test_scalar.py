@@ -16,13 +16,11 @@ from patchcontrol import (
     ScalarProblem,
     SpectralMethod,
     UncontrollableError,
+    Verdict,
     VerdictStatus,
     critical_patch_dirichlet,
-    dirichlet_verdict,
     min_mortality,
     min_zone_width,
-    neumann_verdict,
-    periodic_verdict,
     scalar_verdict,
     top_eigenvalue_scalar,
 )
@@ -30,7 +28,15 @@ from patchcontrol.oracle import min_mortality_fd, min_zone_width_fd, top_eigenva
 from patchcontrol import scalar
 from patchcontrol.scalar import control_inequality_sides
 
-from sweeps import BCS, random_scalar_problem
+from sweeps import (
+    BCS,
+    legacy_inequality_sides,
+    legacy_min_mortality,
+    legacy_min_zone_width,
+    legacy_scalar_verdict,
+    random_band_edge_problem,
+    random_scalar_problem,
+)
 
 mpmath.mp.dps = 50
 
@@ -62,11 +68,25 @@ class TestCriticalPatch:
         with pytest.raises(NonpositiveGrowthError):
             critical_patch_dirichlet(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "a, lam, code",
+        [
+            (math.nan, 1.0, "NonpositiveDiffusion"),
+            (math.inf, 1.0, "NonpositiveDiffusion"),
+            (1.0, math.nan, "NonfiniteGrowth"),
+            (1.0, math.inf, "NonfiniteGrowth"),
+        ],
+    )
+    def test_nonfinite_inputs_refused(self, a, lam, code):
+        with pytest.raises(LayoutError) as info:
+            critical_patch_dirichlet(a, lam)
+        assert info.value.code == code
+
 
 class TestDirichletVerdict:
     def test_clause_i_survival(self):
         p = ScalarProblem(a=1, lam=10, b=1, mu=5, R=math.pi, r=1, bc=BoundaryCondition.DIRICHLET)
-        v = dirichlet_verdict(p)
+        v = scalar_verdict(p)
         assert v.status is VerdictStatus.SURVIVAL
         assert v.deciding_rule == "dirichlet-critical-size"
 
@@ -74,7 +94,7 @@ class TestDirichletVerdict:
         # lam/a = 0.039 < pi^2/(2R)^2 = 0.0504 at R = 7
         p = ScalarProblem(a=16.67, lam=0.65, b=16.67, mu=3.0, R=7, r=1,
                           bc=BoundaryCondition.DIRICHLET)
-        v = dirichlet_verdict(p)
+        v = scalar_verdict(p)
         assert v.status is VerdictStatus.ERADICATION
         fd = top_eigenvalue_fd(p.to_layout(), FAST)
         assert fd.top_eigenvalue < -10 * fd.error_estimate
@@ -82,7 +102,7 @@ class TestDirichletVerdict:
     def test_wide_control_zone_matches_oracle_sign(self):
         p = ScalarProblem(a=1, lam=0.5, b=1, mu=5, R=3.5, r=50,
                           bc=BoundaryCondition.DIRICHLET)
-        v = dirichlet_verdict(p)
+        v = scalar_verdict(p)
         fd = top_eigenvalue_fd(p.to_layout(), FAST)
         assert abs(fd.top_eigenvalue) > 10 * fd.error_estimate
         expected = VerdictStatus.ERADICATION if fd.top_eigenvalue < 0 else VerdictStatus.SURVIVAL
@@ -90,7 +110,7 @@ class TestDirichletVerdict:
 
     def test_negative_growth_short_circuit(self):
         p = ScalarProblem(a=1, lam=-0.3, b=1, mu=0, R=2, r=1, bc=BoundaryCondition.DIRICHLET)
-        v = dirichlet_verdict(p)
+        v = scalar_verdict(p)
         assert v.status is VerdictStatus.ERADICATION
         assert v.margin == pytest.approx(0.3)
         assert v.deciding_rule == "negative-growth"
@@ -99,11 +119,11 @@ class TestDirichletVerdict:
 class TestNeumannVerdict:
     def test_clause_i_survival(self):
         p = ScalarProblem(a=1, lam=1, b=1, mu=5, R=math.pi, r=1, bc=BoundaryCondition.NEUMANN)
-        assert neumann_verdict(p).status is VerdictStatus.SURVIVAL
+        assert scalar_verdict(p).status is VerdictStatus.SURVIVAL
 
     def test_tan_tanh_eradication(self):
         p = ScalarProblem(a=1, lam=0.2, b=1, mu=2, R=1, r=1, bc=BoundaryCondition.NEUMANN)
-        v = neumann_verdict(p)
+        v = scalar_verdict(p)
         lhs = float(mpmath.sqrt(2) * mpmath.tanh(mpmath.sqrt(2)))
         rhs = float(mpmath.sqrt(mpmath.mpf("0.2")) * mpmath.tan(mpmath.sqrt(mpmath.mpf("0.2"))))
         assert lhs == pytest.approx(1.2564, abs=1e-4)
@@ -115,7 +135,7 @@ class TestNeumannVerdict:
 
     def test_zero_mortality_survival(self):
         p = ScalarProblem(a=1, lam=0.1, b=1, mu=0, R=1, r=2, bc=BoundaryCondition.NEUMANN)
-        assert neumann_verdict(p).status is VerdictStatus.SURVIVAL
+        assert scalar_verdict(p).status is VerdictStatus.SURVIVAL
 
 
 class TestPeriodicVerdict:
@@ -127,7 +147,7 @@ class TestPeriodicVerdict:
 
     def test_lone_star_mu10_survival(self):
         p = ScalarProblem(a=16.67, lam=0.65, b=16.67, mu=10.0, R=14, r=1)
-        v = periodic_verdict(p)
+        v = scalar_verdict(p)
         lhs, rhs = control_inequality_sides(p)
         assert lhs == pytest.approx(4.7642, abs=1e-3)
         assert v.status is VerdictStatus.SURVIVAL
@@ -137,9 +157,9 @@ class TestPeriodicVerdict:
     def test_k_independence_of_verdict(self):
         for K in (1, 3):
             p = ScalarProblem(a=2, lam=0.4, b=1, mu=6, R=3, r=0.8, K=K)
-            v = periodic_verdict(p)
+            v = scalar_verdict(p)
             assert v.status is VerdictStatus.ERADICATION
-            assert v.margin == pytest.approx(periodic_verdict(p).margin)
+            assert v.margin == pytest.approx(scalar_verdict(p).margin)
 
     def test_nan_diffusion_gives_no_verdict(self):
         with pytest.raises(LayoutError) as info:
@@ -149,7 +169,7 @@ class TestPeriodicVerdict:
     def test_equal_verdict_for_any_k(self):
         p1 = ScalarProblem(a=1, lam=0.9, b=2, mu=3, R=2.5, r=0.5, K=1)
         p3 = ScalarProblem(a=1, lam=0.9, b=2, mu=3, R=2.5, r=0.5, K=3)
-        assert periodic_verdict(p1) == periodic_verdict(p3)
+        assert scalar_verdict(p1) == scalar_verdict(p3)
 
 
 class TestTopEigenvalue:
@@ -437,3 +457,50 @@ class TestVerdictOracleAgreement:
             assert v.status is expected, f"disagreement at {p}"
             checked += 1
         assert checked >= 40
+
+
+def _bits(f, *args):
+    """``f(*args)`` with every float as its exact bits, or the exception's type and message."""
+    try:
+        out = f(*args)
+    except Exception as exc:  # noqa: BLE001 - the old and new code must fail alike
+        return type(exc), str(exc)
+    if isinstance(out, Verdict):
+        return out.status, out.margin.hex(), out.deciding_rule
+    if isinstance(out, tuple):
+        return tuple(x.hex() for x in out)
+    return out.hex()
+
+
+class TestOneCriterionMatchesPerBoundaryVerdicts:
+    """The band-driven criterion reproduces the per-boundary verdicts bit for bit."""
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(1414)
+        rules = set()
+        for _ in range(3000):
+            p = random_band_edge_problem(rng)
+            new = _bits(scalar_verdict, p)
+            assert new == _bits(legacy_scalar_verdict, p), p
+            if isinstance(new[0], VerdictStatus):
+                rules.add(new[2])
+            assert _bits(control_inequality_sides, p) == _bits(legacy_inequality_sides, p), p
+            mortality_args = (p.a, p.lam, p.R, p.b, p.r, p.bc, p.K)
+            assert _bits(min_mortality, *mortality_args) == _bits(legacy_min_mortality, *mortality_args), p
+            width_args = (p.a, p.lam, p.R, p.b, p.mu, p.bc, p.K)
+            assert _bits(min_zone_width, *width_args) == _bits(legacy_min_zone_width, *width_args), p
+        assert rules >= {
+            "negative-growth",
+            "dirichlet-half-size",
+            *(f"{bc.value}-{rule}" for bc in BCS for rule in ("critical-size", "tan-tanh")),
+        }
+
+    def test_half_wave_threshold_bits(self):
+        # ``x ** 2`` is not always correctly rounded (here on about 1 R in 4,000), so
+        # the half-wave threshold is not 4 times the quarter-wave one in every bit.
+        rng = np.random.default_rng(1415)
+        for R in np.exp(rng.uniform(-3.0, 4.0, 20000)):
+            p = ScalarProblem(a=1.0, lam=1.5 * (math.pi / R) ** 2, b=1.0, mu=1.0, R=R, r=0.0,
+                              bc=BoundaryCondition.DIRICHLET)
+            assert _bits(scalar_verdict, p) == _bits(legacy_scalar_verdict, p), p
+            assert top_eigenvalue_scalar(p).top_eigenvalue == p.lam - p.a * (math.pi / p.R) ** 2, p
