@@ -19,18 +19,11 @@ from .model import (
     StageZone,
     Verdict,
     VerdictStatus,
-    dump_scenario,
-    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate_layout,
 )
-from .linalg import (
-    EigenPair,
-    eigen_basis_2x2,
-    max_real_eigenvalue,
-    symmetric_eigen,
-)
+from .linalg import max_real_eigenvalue, symmetric_eigen
 from .scalar import (
     InsufficientMortalityError,
     NonpositiveGrowthError,
@@ -47,14 +40,12 @@ from .staged import (
     ControlCheck,
     StagedProblem,
     SufficiencyResult,
-    TransferMatrix,
     build_stage_matrix,
     critical_patch_staged,
     min_control_decay_rate,
     proportional_control_check,
     symmetrized_critical_patch,
     symmetrized_sufficient_verdict,
-    transfer_matrix,
     two_stage_verdict,
     uniform_control_verdict,
 )
@@ -92,13 +83,9 @@ __all__ = [
     "StageZone",
     "Verdict",
     "VerdictStatus",
-    "dump_scenario",
-    "load_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
     "validate_layout",
-    "EigenPair",
-    "eigen_basis_2x2",
     "max_real_eigenvalue",
     "symmetric_eigen",
     "InsufficientMortalityError",
@@ -114,14 +101,12 @@ __all__ = [
     "ControlCheck",
     "StagedProblem",
     "SufficiencyResult",
-    "TransferMatrix",
     "build_stage_matrix",
     "critical_patch_staged",
     "min_control_decay_rate",
     "proportional_control_check",
     "symmetrized_critical_patch",
     "symmetrized_sufficient_verdict",
-    "transfer_matrix",
     "two_stage_verdict",
     "uniform_control_verdict",
     "DiscreteOperator",

@@ -34,25 +34,12 @@ class SingularBasisError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue with its eigenvector.
-
-    The normalization convention is set by the producing routine:
-    :func:`symmetric_eigen` returns unit vectors with the first nonzero
-    component positive, :func:`eigen_basis_2x2` pins one component to 1.
-    """
-
-    value: float
-    vector: np.ndarray
-
-
-def _as_square(N: np.ndarray, max_dim: int = 8) -> np.ndarray:
+def _as_square(N: np.ndarray) -> np.ndarray:
     N = np.atleast_2d(np.asarray(N, dtype=float))
     if N.ndim != 2 or N.shape[0] != N.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {N.shape}")
-    if N.shape[0] > max_dim:
-        raise ValueError(f"matrix dimension {N.shape[0]} exceeds {max_dim}")
+    if N.shape[0] > 8:
+        raise ValueError(f"matrix dimension {N.shape[0]} exceeds 8")
     return N
 
 
@@ -72,16 +59,11 @@ def max_real_eigenvalue(N: np.ndarray) -> float:
     return float(real.real.max())
 
 
-def real_eigenvalues(N: np.ndarray) -> np.ndarray:
-    """All eigenvalues (complex array) of a small square matrix."""
-    return np.linalg.eigvals(_as_square(N))
+def symmetric_eigen(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and the matching orthonormal eigenvector columns
+    of a symmetric matrix.
 
-
-def symmetric_eigen(S: np.ndarray) -> tuple[np.ndarray, list[EigenPair]]:
-    """Descending eigenvalues and orthonormal eigenpairs of a symmetric matrix.
-
-    Each returned vector has unit norm and its first nonzero component
-    positive.  Raises ``NotSymmetricError`` above 1e-12 relative asymmetry.
+    Raises ``NotSymmetricError`` above 1e-12 relative asymmetry.
     """
     S = _as_square(S)
     scale = 1.0 + np.abs(S).max(initial=0.0)
@@ -89,16 +71,7 @@ def symmetric_eigen(S: np.ndarray) -> tuple[np.ndarray, list[EigenPair]]:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     vals, vecs = np.linalg.eigh(S)
     order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    pairs = []
-    for j in range(len(vals)):
-        v = vecs[:, j].copy()
-        nz = np.flatnonzero(np.abs(v) > 1e-14)
-        if nz.size and v[nz[0]] < 0:
-            v = -v
-        pairs.append(EigenPair(value=float(vals[j]), vector=v))
-    return vals, pairs
+    return vals[order], vecs[:, order]
 
 
 @dataclass(frozen=True)
@@ -154,14 +127,6 @@ def eigen_2x2(N: np.ndarray) -> Eigen2x2:
     unpinnable = np.abs(pivot) <= 1e-14 * (1.0 + np.abs(N).max(axis=(-2, -1)))[..., None]
     vectors = np.swapaxes(v / np.where(unpinnable, 1.0, pivot)[..., None], -1, -2)
     return Eigen2x2(disc=disc[..., 0], values=lam, vectors=vectors, unpinnable=unpinnable)
-
-
-def eigen_basis_2x2(N: np.ndarray) -> tuple[EigenPair, EigenPair]:
-    """Eigenbasis of one 2x2 matrix with real distinct eigenvalues, pinned as
-    in :func:`eigen_2x2`; ``p1`` belongs to the larger eigenvalue."""
-    e = eigen_2x2(_as_square(N, max_dim=2))
-    e.check()
-    return tuple(EigenPair(value=float(e.values[j]), vector=e.vectors[:, j]) for j in (0, 1))
 
 
 def expanding_root(

@@ -12,7 +12,6 @@ The core is dimensionless; presets document their units (km, month or year).
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -141,10 +140,6 @@ class PatchLayout:
     @property
     def is_scalar(self) -> bool:
         return isinstance(self.beneficial, ScalarZone)
-
-    @property
-    def period(self) -> float:
-        return self.R + self.r
 
     @property
     def total_length(self) -> float:
@@ -371,15 +366,4 @@ def scenario_to_dict(layout: PatchLayout) -> dict:
         "K": int(layout.K),
         "bc": layout.bc.value,
     }
-
-
-def load_scenario(path: str) -> PatchLayout:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
-
-
-def dump_scenario(layout: PatchLayout, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(layout), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 

@@ -346,11 +346,6 @@ def top_eigenvalue_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Spec
     )
 
 
-def refinement_history(layout: PatchLayout, grid: GridSpec) -> list[float]:
-    """Per-level top eigenvalues (for convergence-order diagnostics)."""
-    return [value for value, _ in _level_chain(layout, grid)]
-
-
 def verdict_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Verdict:
     """Verdict from the sign of the finite-difference top eigenvalue.
 

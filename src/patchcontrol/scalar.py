@@ -141,13 +141,18 @@ def _controllable_band(p: ScalarProblem) -> tuple[float, float]:
     Above it no control suffices, below it none is needed.  With the quarter-wave
     threshold ``q = (pi / (2 R_eff))**2``, reflecting ends and rings give
     ``(-inf, q)`` and absorbing ends, critical at a half wave, ``(q, 4 q)``.
+    ``q`` is the first pole of the deciding tan; where its argument
+    ``R_eff sqrt(lam / a)`` and ``lam / a`` round to opposite sides of the pole,
+    the tan's side wins: ``q`` moves onto ``lam / a``, a zero (Marginal) margin.
     """
     R_eff, _ = _effective_widths(p)
     q = (math.pi / (2 * R_eff)) ** 2
+    s = p.lam / p.a
+    past_pole = R_eff * math.sqrt(max(s, 0.0)) > math.pi / 2
     if p.bc is BoundaryCondition.DIRICHLET:
         # Not 4 * q: ``**`` is not always correctly rounded, so the two can differ in the last bit.
-        return q, (math.pi / R_eff) ** 2
-    return -math.inf, q
+        return (q if past_pole else max(q, s)), (math.pi / R_eff) ** 2
+    return -math.inf, (min(q, s) if past_pole else q)
 
 
 def scalar_verdict(p: ScalarProblem) -> Verdict:

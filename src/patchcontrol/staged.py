@@ -17,7 +17,7 @@ Three routes of increasing specificity:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .linalg import (
     eigen_2x2,
     expanding_root,
     max_real_eigenvalue,
-    real_eigenvalues,
     symmetric_eigen,
 )
 from .model import (
@@ -201,7 +200,7 @@ def uniform_control_verdict(
         raise AssumptionViolatedError("lead eigenvalue of M must be positive")
     if mu <= lam1:
         raise AssumptionViolatedError("mu must exceed Lambda1")
-    vals = real_eigenvalues(M)
+    vals = np.linalg.eigvals(M)
     others = np.delete(vals, int(np.argmin(np.abs(vals - lam1))))
     if others.size and others.real.max() >= 0:
         raise AssumptionViolatedError("a non-lead eigenvalue has nonnegative real part")
@@ -241,19 +240,30 @@ def symmetrized_zone_matrix(M: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (M * Ainv[None, :] + Ainv[:, None] * M.T) / 2.0
 
 
-def symmetrized_sufficient_verdict(prob: StagedProblem, k: int | None = None) -> SufficiencyResult:
+def _as_ring(prob: StagedProblem) -> StagedProblem:
+    """The ring whose half widths ``R/2, r/2`` the one-sided criteria read.
+
+    A reflecting pair ``(R, r)`` mirrors exactly onto the ring ``(2R, 2r)``;
+    absorbing ends only lower the symmetrized Rayleigh quotient, so they map there too.
+    """
+    if prob.bc is BoundaryCondition.PERIODIC:
+        return prob
+    return replace(prob, R=2 * prob.R, r=2 * prob.r, bc=BoundaryCondition.PERIODIC)
+
+
+def symmetrized_sufficient_verdict(prob: StagedProblem) -> SufficiencyResult:
     """One-sided eradication test via symmetrization of both zone matrices.
 
     Eradication requires the patch to stay below the symmetrized critical
-    size and the control-zone sinh/cosh term to dominate ``2 R n k lam1 /
-    (1 + cos(R sqrt(lam1)))``.  Anything else is Inconclusive, never Survival.
+    size and ``sqrt|mu1| tanh(r sqrt|mu1| / 2)`` to dominate ``2 R n k lam1 /
+    (1 + cos(R sqrt(lam1)))`` on the ring of :func:`_as_ring`, ``k`` counting
+    positive symmetrized eigenvalues.  Anything else is Inconclusive, never Survival.
     """
+    ring = _as_ring(prob)
     n = prob.dimension
     lams, _ = symmetric_eigen(symmetrized_zone_matrix(prob.M_ben, prob.A_ben))
     mus, _ = symmetric_eigen(symmetrized_zone_matrix(prob.M_nb, prob.A_nb))
     k_pos = int(np.sum(lams > 0))
-    if k is not None and k != k_pos:
-        return SufficiencyResult(False, f"stated k={k} but {k_pos} positive eigenvalue(s) found")
     if mus[0] >= 0:
         return SufficiencyResult(False, "control zone not dissipative")
     if k_pos == 0:
@@ -261,14 +271,15 @@ def symmetrized_sufficient_verdict(prob: StagedProblem, k: int | None = None) ->
     lam1 = float(lams[0])
     mu1 = float(mus[0])
     r_c_sym = math.pi / math.sqrt(lam1)
-    if prob.R > r_c_sym:
-        return SufficiencyResult(False, f"patch wider than symmetrized critical size {r_c_sym:.6g}")
+    if ring.R > r_c_sym:
+        size = r_c_sym * (prob.R / ring.R)  # in prob's own widths
+        return SufficiencyResult(False, f"patch wider than symmetrized critical size {size:.6g}")
     root_mu = math.sqrt(abs(mu1))
-    lhs = root_mu * math.sinh(prob.r * root_mu) / (1.0 + math.cosh(prob.r * root_mu))
-    denom = 1.0 + math.cos(prob.R * math.sqrt(lam1))
+    lhs = root_mu * math.tanh(ring.r * root_mu / 2.0)
+    denom = 1.0 + math.cos(ring.R * math.sqrt(lam1))
     if denom <= 0:
         return SufficiencyResult(False, "patch at the symmetrized critical size")
-    rhs = 2.0 * prob.R * n * k_pos * lam1 / denom
+    rhs = 2.0 * ring.R * n * k_pos * lam1 / denom
     if lhs > rhs:
         return SufficiencyResult(True, "symmetrized interface inequality holds", margin=lhs - rhs)
     return SufficiencyResult(False, "symmetrized interface inequality fails", margin=lhs - rhs)
@@ -285,13 +296,6 @@ def symmetrized_critical_patch(prob: StagedProblem) -> float:
 # ---------------------------------------------------------------------------
 # Two-stage transfer-matrix criterion
 # ---------------------------------------------------------------------------
-
-
-def transfer_matrix(N_ben: np.ndarray, N_nb: np.ndarray) -> TransferMatrix:
-    """Basis-change matrix between the pinned eigenbases of two 2x2 matrices."""
-    tm, _, raise_failure = _transfer(eigen_2x2(N_ben), eigen_2x2(N_nb))
-    raise_failure(())
-    return tm
 
 
 def _transfer(ben: Eigen2x2, ctl: Eigen2x2):
@@ -342,8 +346,16 @@ def _lead_at_zero(N: np.ndarray, zone: str) -> float:
         raise AssumptionViolatedError(f"{zone} matrix at E=0: {exc}") from exc
 
 
+def _two_stage_ring(prob: StagedProblem) -> StagedProblem:
+    """:func:`_as_ring` for the two-stage criterion, which cannot read absorbing ends."""
+    if prob.bc is BoundaryCondition.DIRICHLET:
+        raise AssumptionViolatedError("two-stage criterion needs reflecting ends or a ring")
+    return _as_ring(prob)
+
+
 def two_stage_inequality_sides(prob: StagedProblem) -> tuple[float, float]:
     """(lhs, rhs) of the two-stage interface inequality, evaluated at E = 0."""
+    prob = _two_stage_ring(prob)
     a = prob.a_ratio
     if a is None:
         raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
@@ -368,10 +380,11 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
     ``det M_ben < 0``, and ``E0`` is the positive eigenvalue of ``M_ben``.
     ``certified=True`` skips the sign-pattern sampling, as justified by a
     passing :func:`proportional_control_check`.  The first failing sample is
-    reported.
+    reported.  Reflecting ends are read on the ring of :func:`_as_ring`; absorbing ends raise.
     """
     if prob.dimension != 2:
         raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
+    ring = _two_stage_ring(prob)
     a = prob.a_ratio
     if a is None:
         raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
@@ -391,10 +404,9 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
         return SufficiencyResult(False, "control zone not dissipative (mu1(0) >= 0)")
 
     root_lam = math.sqrt(lam1)
-    if root_lam * prob.R / 2.0 >= math.pi / 2.0:
-        return SufficiencyResult(
-            False, f"patch at or beyond staged critical size {math.pi / root_lam:.6g}"
-        )
+    if root_lam * ring.R / 2.0 >= math.pi / 2.0:
+        size = math.pi / root_lam * (prob.R / ring.R)
+        return SufficiencyResult(False, f"patch at or beyond staged critical size {size:.6g}")
 
     Es = np.linspace(0.0, _lead_zero(prob), 257)
     ben, ctl = eigen_2x2(_ben_matrix(prob, Es)), eigen_2x2(_nb_matrix(prob, Es, a))
@@ -427,7 +439,7 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
             f"(c12*c21={tm.off_product[i]:.3g}, c11*c22={tm.diag_product[i]:.3g})",
         )
 
-    lhs, rhs = two_stage_inequality_sides(prob)
+    lhs, rhs = two_stage_inequality_sides(ring)
     if lhs > rhs:
         return SufficiencyResult(True, "two-stage interface inequality holds", margin=lhs - rhs)
     return SufficiencyResult(False, "two-stage interface inequality fails", margin=lhs - rhs)

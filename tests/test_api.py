@@ -1,4 +1,8 @@
-"""The package's public names: each one resolves, none is listed twice."""
+"""The package's public names: each one resolves, none is listed twice, and
+names with no caller in the package, CLI, benchmark or demos are gone."""
+
+import importlib
+import inspect
 
 import pytest
 
@@ -19,3 +23,35 @@ def test_per_boundary_verdicts_are_gone(name):
     # One scalar_verdict serves every boundary condition.
     assert name not in patchcontrol.__all__
     assert not hasattr(patchcontrol, name)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("model", "load_scenario"),
+        ("model", "dump_scenario"),
+        ("linalg", "EigenPair"),
+        ("linalg", "eigen_basis_2x2"),
+        ("linalg", "real_eigenvalues"),
+        ("oracle", "refinement_history"),
+        ("staged", "transfer_matrix"),
+    ],
+)
+def test_names_without_a_caller_are_gone(module, name):
+    assert name not in patchcontrol.__all__
+    assert not hasattr(patchcontrol, name)
+    assert not hasattr(importlib.import_module(f"patchcontrol.{module}"), name)
+
+
+def test_layout_has_no_period():
+    assert not hasattr(patchcontrol.PatchLayout, "period")
+
+
+def test_transfer_matrix_type_is_not_exported():
+    # It stays in ``staged`` as the return type of the sampler's basis changes.
+    assert "TransferMatrix" not in patchcontrol.__all__
+    assert not hasattr(patchcontrol, "TransferMatrix")
+
+
+def test_symmetrized_verdict_takes_only_the_problem():
+    assert list(inspect.signature(patchcontrol.symmetrized_sufficient_verdict).parameters) == ["prob"]

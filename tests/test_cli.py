@@ -130,6 +130,37 @@ class TestVerdict:
         assert values["oracle_status"] == "Eradication"
         assert values["agreement"] == "yes"
 
+    @pytest.mark.parametrize("bc, route", [("neumann", "two-stage"), ("dirichlet", "symmetrized")])
+    def test_staged_preset_with_closed_ends_agrees(self, capsys, bc, route):
+        # Reflecting ends are read on the mirrored ring (80, 2), beyond its critical
+        # size; the two-stage criterion refuses absorbing ends, and symmetrization decides.
+        code, out, _ = run_cli(
+            capsys, "verdict", "--preset", "taiga-two-stage", "--bc", bc, "--grid-levels", "2",
+        )
+        assert code == EXIT_OK
+        values = parsed(out)
+        assert values["closed_status"] == "Inconclusive"
+        assert values["closed_rule"].startswith(f"{route}: ")
+        assert values["agreement"] == "yes"
+
+    def test_wide_strong_control_zone_does_not_overflow(self, capsys, tmp_path):
+        doc = {
+            "model": "staged",
+            "beneficial": {"A_diag": [1, 1, 1], "M": [[-0.5, 0, 1], [0.6, -0.5, 0], [0, 0.6, -0.5]]},
+            "control": {"A_diag": [1, 1, 1], "M": [[-400, 0, 0], [0, -400, 0], [0, 0, -400]]},
+            "R": 1, "r": 40, "bc": "periodic",
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        margins = []
+        for r in ("40", "30"):
+            code, out, err = run_cli(capsys, "verdict", "--scenario", str(path), "--method", "closed", "--r", r)
+            assert (code, err) == (EXIT_OK, "")
+            values = parsed(out)
+            assert values["closed_status"] == "Eradication"
+            margins.append(values["closed_margin"])
+        assert margins[0] == margins[1]
+
     def test_missing_scenario_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verdict")
         assert code == EXIT_VALIDATION

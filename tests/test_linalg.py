@@ -19,7 +19,7 @@ from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
     NoRealEigenvalueError,
     NotSymmetricError,
-    eigen_basis_2x2,
+    eigen_2x2,
     expanding_root,
     max_real_eigenvalue,
     symmetric_eigen,
@@ -40,10 +40,17 @@ from sweeps import (
 TAIGA_N = np.array([[-0.91, 2.24], [0.01, -0.02]])
 
 
-def residual(N, pair) -> float:
+def residual(N, value, vector) -> float:
     """Euclidean eigen-residual |N v - lambda v|."""
     N = np.asarray(N, dtype=float)
-    return float(np.linalg.norm(N @ pair.vector - pair.value * pair.vector))
+    return float(np.linalg.norm(N @ vector - value * vector))
+
+
+def eigen_basis(N):
+    """Checked eigenvalues and pinned eigenvector columns of one 2x2 matrix."""
+    e = eigen_2x2(N)
+    e.check()
+    return e.values, e.vectors
 
 
 def charpoly_eigenvalues(N):
@@ -84,12 +91,12 @@ class TestMaxRealEigenvalue:
 class TestSymmetricEigen:
     def test_taiga_symmetrization(self):
         S = (TAIGA_N + TAIGA_N.T) / 2
-        vals, pairs = symmetric_eigen(S)
+        vals, vecs = symmetric_eigen(S)
         assert np.sqrt(vals[0]) == pytest.approx(0.863, abs=3e-3)
         roots = np.sort(charpoly_eigenvalues(S).real)[::-1]
         np.testing.assert_allclose(vals, roots, rtol=1e-12)
-        for pair in pairs:
-            assert residual(S, pair) <= 1e-10 * (1 + np.abs(S).max())
+        for j in range(2):
+            assert residual(S, vals[j], vecs[:, j]) <= 1e-10 * (1 + np.abs(S).max())
 
     def test_identity(self):
         vals, _ = symmetric_eigen(np.eye(2))
@@ -100,8 +107,7 @@ class TestSymmetricEigen:
         for _ in range(20):
             A = rng.normal(size=(4, 4))
             S = (A + A.T) / 2
-            vals, pairs = symmetric_eigen(S)
-            V = np.column_stack([p.vector for p in pairs])
+            vals, V = symmetric_eigen(S)
             np.testing.assert_allclose(V @ np.diag(vals) @ V.T, S, atol=1e-9)
             np.testing.assert_allclose(V.T @ V, np.eye(4), atol=1e-10)
 
@@ -123,27 +129,27 @@ class TestEigenBasis2x2:
     def test_closed_form_cycle(self):
         # [[-2, 1], [1, -1]] has eigenvalues (-3 +- sqrt5)/2 and v1[1] = L1 + 2.
         N = np.array([[-2.0, 1.0], [1.0, -1.0]])
-        p1, p2 = eigen_basis_2x2(N)
+        vals, V = eigen_basis(N)
         lam1 = (-3 + np.sqrt(5)) / 2
         lam2 = (-3 - np.sqrt(5)) / 2
-        assert p1.value == pytest.approx(lam1, rel=1e-14)
-        assert p2.value == pytest.approx(lam2, rel=1e-14)
-        assert p1.vector[0] == 1.0
-        assert p2.vector[1] == 1.0
-        assert p1.vector[1] == pytest.approx(lam1 + 2.0, rel=1e-12)
-        assert p2.vector[0] == pytest.approx(1.0 / (lam2 + 2.0), rel=1e-12)
+        assert vals[0] == pytest.approx(lam1, rel=1e-14)
+        assert vals[1] == pytest.approx(lam2, rel=1e-14)
+        assert V[0, 0] == 1.0
+        assert V[1, 1] == 1.0
+        assert V[1, 0] == pytest.approx(lam1 + 2.0, rel=1e-12)
+        assert V[0, 1] == pytest.approx(1.0 / (lam2 + 2.0), rel=1e-12)
 
     def test_diagonal(self):
-        p1, p2 = eigen_basis_2x2(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(p1.vector, [1.0, 0.0])
-        np.testing.assert_allclose(p2.vector, [0.0, 1.0])
+        _, V = eigen_basis(np.diag([2.0, 1.0]))
+        np.testing.assert_allclose(V[:, 0], [1.0, 0.0])
+        np.testing.assert_allclose(V[:, 1], [0.0, 1.0])
 
     def test_residual_against_lead_eigenvalue(self):
         N = TAIGA_N
-        p1, p2 = eigen_basis_2x2(N)
-        assert p1.value == pytest.approx(max_real_eigenvalue(N), rel=1e-12)
-        assert residual(N, p1) <= 1e-10 * (1 + np.abs(N).max())
-        assert residual(N, p2) <= 1e-10 * (1 + np.abs(N).max())
+        vals, V = eigen_basis(N)
+        assert vals[0] == pytest.approx(max_real_eigenvalue(N), rel=1e-12)
+        assert residual(N, vals[0], V[:, 0]) <= 1e-10 * (1 + np.abs(N).max())
+        assert residual(N, vals[1], V[:, 1]) <= 1e-10 * (1 + np.abs(N).max())
 
     def test_random_residuals(self):
         rng = np.random.default_rng(3)
@@ -151,17 +157,17 @@ class TestEigenBasis2x2:
         while done < 50:
             N = rng.normal(size=(2, 2))
             try:
-                p1, p2 = eigen_basis_2x2(N)
+                vals, V = eigen_basis(N)
             except ComplexOrRepeatedEigenvaluesError:
                 continue
             scale = 1e-10 * (1 + np.abs(N).max())
-            assert residual(N, p1) <= scale * max(1.0, np.abs(p1.vector).max())
-            assert residual(N, p2) <= scale * max(1.0, np.abs(p2.vector).max())
+            for j in range(2):
+                assert residual(N, vals[j], V[:, j]) <= scale * max(1.0, np.abs(V[:, j]).max())
             done += 1
 
     def test_complex_pair_rejected(self):
         with pytest.raises(ComplexOrRepeatedEigenvaluesError):
-            eigen_basis_2x2(np.array([[0.0, -1.0], [1.0, 0.0]]))
+            eigen_basis(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 class TestBracketedRoot:

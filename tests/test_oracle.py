@@ -20,13 +20,13 @@ from patchcontrol import (
 from patchcontrol import oracle
 from patchcontrol.model import LayoutError, validate_layout
 from patchcontrol.oracle import (
+    _level_chain,
     _staged_rightmost_eigenvalue,
     _top_eigenvalue_level,
     _with_control_mortality,
     _zone_cells,
     assemble,
     min_mortality_fd,
-    refinement_history,
     top_eigenvalue_fd,
     verdict_fd,
 )
@@ -620,7 +620,7 @@ class TestWindowedLevels:
         # is the top eigenvector and the top equals the growth bound exactly.
         K = 2 if bc is BoundaryCondition.PERIODIC else 1
         layout = PatchLayout(ScalarZone(1.0, 0.7), ScalarZone(3.0, 0.7), R=2.0, r=1.0, K=K, bc=bc)
-        history = refinement_history(layout, self.GRID)
+        history = [value for value, _ in _level_chain(layout, self.GRID)]
         for level in (1, 2):
             value = self.assert_matches_index_solve(layout, self.GRID, level, history[level - 1])
             assert value == history[level]
@@ -662,7 +662,7 @@ class TestWindowedLevels:
     @pytest.mark.parametrize("bc", BCS)
     def test_history_is_the_extrapolated_chain(self, bc):
         layout = replace(random_scalar_problem(np.random.default_rng(50 + BCS.index(bc))), bc=bc).to_layout()
-        history = refinement_history(layout, self.GRID)
+        history = [value for value, _ in _level_chain(layout, self.GRID)]
         report = top_eigenvalue_fd(layout, self.GRID)
         assert len(history) == self.GRID.refinement_levels
         assert report.top_eigenvalue == history[-1] + (history[-1] - history[-2]) / 3.0
@@ -698,8 +698,8 @@ class TestConvergence:
     def test_second_order_ratio(self):
         p = ScalarProblem(a=1.0, lam=1.0, b=2.0, mu=3.0, R=2.0, r=1.0,
                           bc=BoundaryCondition.DIRICHLET)
-        hist = refinement_history(p.to_layout(), GridSpec(cells_per_unit_length=32,
-                                                          refinement_levels=4))
+        hist = [value for value, _ in _level_chain(p.to_layout(), GridSpec(cells_per_unit_length=32,
+                                                                           refinement_levels=4))]
         d1 = hist[1] - hist[0]
         d2 = hist[2] - hist[1]
         d3 = hist[3] - hist[2]

@@ -1,5 +1,6 @@
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -472,23 +473,69 @@ def _bits(f, *args):
     return out.hex()
 
 
+def _straddles_quarter_wave(p: ScalarProblem) -> bool:
+    """Whether ``lam / a`` is inside the band by rounding while the deciding tan's
+    argument ``R_eff sqrt(lam / a)`` is across its pole ``pi/2`` from the band."""
+    if p.lam <= 0:
+        return False
+    R_eff = p.R / 2 if p.bc is BoundaryCondition.PERIODIC else p.R
+    s = p.lam / p.a
+    q = (math.pi / (2 * R_eff)) ** 2
+    past_pole = R_eff * math.sqrt(s) > math.pi / 2
+    if p.bc is BoundaryCondition.DIRICHLET:
+        return s > q and not past_pole
+    return s < q and past_pole
+
+
+def _search_args(p: ScalarProblem):
+    return (p.a, p.lam, p.R, p.b, p.r, p.bc, p.K), (p.a, p.lam, p.R, p.b, p.mu, p.bc, p.K)
+
+
 class TestOneCriterionMatchesPerBoundaryVerdicts:
-    """The band-driven criterion reproduces the per-boundary verdicts bit for bit."""
+    """The band-driven criterion reproduces the per-boundary verdicts bit for bit,
+    except where the reference reads the deciding tan past its pole."""
+
+    def assert_decided_by_the_root(self, p: ScalarProblem):
+        top = top_eigenvalue_scalar(p).top_eigenvalue
+        v = scalar_verdict(p)
+        assert v.status is VerdictStatus.MARGINAL or (v.status is VerdictStatus.ERADICATION) == (top < 0), p
+        mortality_args, width_args = _search_args(p)
+        if p.bc is BoundaryCondition.DIRICHLET:
+            # Half the critical width: the population dies out without control
+            # (with no control zone at all the mortality search refuses, as inside the band).
+            assert top_eigenvalue_scalar(replace(p, mu=0.0)).top_eigenvalue < 0, p
+            if p.r > 0:
+                assert min_mortality(*mortality_args) == 0.0, p
+            assert min_zone_width(*width_args) == 0.0, p
+        else:
+            # The critical width: no control can eradicate.
+            assert top > 0, p
+            with pytest.raises(UncontrollableError):
+                min_mortality(*mortality_args)
+            with pytest.raises(UncontrollableError):
+                min_zone_width(*width_args)
 
     def test_seeded_draws(self):
         rng = np.random.default_rng(1414)
         rules = set()
+        straddling = 0
         for _ in range(3000):
             p = random_band_edge_problem(rng)
+            if _straddles_quarter_wave(p):
+                # The reference reads the tan on the wrong branch here (Neumann
+                # draws past the pole, Dirichlet half-size draws short of it).
+                self.assert_decided_by_the_root(p)
+                straddling += 1
+                continue
             new = _bits(scalar_verdict, p)
             assert new == _bits(legacy_scalar_verdict, p), p
             if isinstance(new[0], VerdictStatus):
                 rules.add(new[2])
             assert _bits(control_inequality_sides, p) == _bits(legacy_inequality_sides, p), p
-            mortality_args = (p.a, p.lam, p.R, p.b, p.r, p.bc, p.K)
+            mortality_args, width_args = _search_args(p)
             assert _bits(min_mortality, *mortality_args) == _bits(legacy_min_mortality, *mortality_args), p
-            width_args = (p.a, p.lam, p.R, p.b, p.mu, p.bc, p.K)
             assert _bits(min_zone_width, *width_args) == _bits(legacy_min_zone_width, *width_args), p
+        assert 0 < straddling <= 50  # 26 with glibc's libm
         assert rules >= {
             "negative-growth",
             "dirichlet-half-size",
@@ -504,3 +551,29 @@ class TestOneCriterionMatchesPerBoundaryVerdicts:
                               bc=BoundaryCondition.DIRICHLET)
             assert _bits(scalar_verdict, p) == _bits(legacy_scalar_verdict, p), p
             assert top_eigenvalue_scalar(p).top_eigenvalue == p.lam - p.a * (math.pi / p.R) ** 2, p
+
+
+class TestQuarterWaveEdge:
+    """``lam`` at ``a (pi / (2 R_eff))**2`` and its two float neighbours: the side
+    of the edge is the tan's, so no verdict contradicts the dispersion root."""
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_no_flipped_verdict(self, bc):
+        rng = np.random.default_rng(3 + BCS.index(bc))
+        for _ in range(400):
+            a = math.exp(rng.uniform(-2.0, 4.0))
+            R = math.exp(rng.uniform(-2.0, 3.0))
+            R_eff = R / 2 if bc is BoundaryCondition.PERIODIC else R
+            edge = a * (math.pi / (2 * R_eff)) ** 2
+            for lam in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                p = ScalarProblem(a=a, lam=lam, b=1.0, mu=1.0, R=R, r=0.5, bc=bc)
+                v = scalar_verdict(p)
+                top = top_eigenvalue_scalar(p).top_eigenvalue
+                if v.status is not VerdictStatus.MARGINAL and abs(top) > 1e-6:
+                    assert (v.status is VerdictStatus.ERADICATION) == (top < 0), p
+                mortality_args, width_args = _search_args(p)
+                for search, args in ((min_mortality, mortality_args), (min_zone_width, width_args)):
+                    try:
+                        assert search(*args) >= 0.0, p
+                    except (UncontrollableError, InsufficientMortalityError):
+                        pass

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -19,7 +20,6 @@ from patchcontrol import (
     scalar_verdict,
     symmetrized_critical_patch,
     symmetrized_sufficient_verdict,
-    transfer_matrix,
     two_stage_verdict,
     uniform_control_verdict,
 )
@@ -27,6 +27,7 @@ from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
     NoRealEigenvalueError,
     SingularBasisError,
+    eigen_2x2,
 )
 from patchcontrol.model import BirthDeathParams, LayoutError
 from patchcontrol.oracle import top_eigenvalue_fd
@@ -34,6 +35,7 @@ from patchcontrol.staged import (
     SufficiencyResult,
     _ben_matrix,
     _lead_zero,
+    _transfer,
     two_stage_inequality_sides,
 )
 
@@ -224,11 +226,81 @@ class TestSymmetrizedVerdict:
             assert fd.top_eigenvalue < 10 * fd.error_estimate
         assert eradicated >= 10
 
-    def test_stated_k_mismatch(self):
-        prob = taiga_problem(R=3.0)
-        res = symmetrized_sufficient_verdict(prob, k=2)
-        assert not res.eradicated
-        assert "k=2" in res.reason
+
+class TestClosedEnds:
+    """Reflecting and absorbing ends are read on the mirrored ring ``(2R, 2r)``."""
+
+    GRID = GridSpec(cells_per_unit_length=16, refinement_levels=2)
+
+    def assert_sound(self, prob):
+        fd = top_eigenvalue_fd(prob.to_layout(), self.GRID)
+        assert fd.top_eigenvalue < 10 * fd.error_estimate, prob
+
+    def test_neumann_pair_is_the_mirrored_ring(self):
+        ring = taiga_problem()
+        prob = replace(ring, R=ring.R / 2, r=ring.r / 2, bc=BoundaryCondition.NEUMANN)
+        assert two_stage_verdict(prob) == two_stage_verdict(ring)
+        assert two_stage_inequality_sides(prob) == two_stage_inequality_sides(ring)
+        assert symmetrized_sufficient_verdict(prob) == replace(
+            symmetrized_sufficient_verdict(ring), reason="patch wider than symmetrized critical size 1.8201"
+        )
+
+    def test_two_stage_refuses_absorbing_ends(self):
+        prob = replace(taiga_problem(), bc=BoundaryCondition.DIRICHLET)
+        with pytest.raises(AssumptionViolatedError, match="reflecting ends or a ring"):
+            two_stage_verdict(prob)
+        with pytest.raises(AssumptionViolatedError, match="reflecting ends or a ring"):
+            two_stage_inequality_sides(prob)
+
+    def test_two_stage_neumann_certificates_are_sound(self):
+        # Rescaled taiga matrices with a uniform control shift; patches up to
+        # 0.95 of the ring's critical size, so past the quarter wave of Neumann ends.
+        rng = np.random.default_rng(5)
+        certified = 0
+        for _ in range(60):
+            M = TAIGA_N * rng.uniform(0.5, 2.0)
+            shift = rng.uniform(0.3, 3.0)
+            R = rng.uniform(0.2, 0.95) * math.pi / math.sqrt(max_real_eigenvalue(M))
+            prob = StagedProblem(
+                A_ben=[1.0, 1.0], M_ben=M, A_nb=[1.0, 1.0], M_nb=M - shift * np.eye(2),
+                R=R, r=rng.uniform(0.2, 3.0), bc=BoundaryCondition.NEUMANN,
+            )
+            if two_stage_verdict(prob).eradicated:
+                certified += 1
+                self.assert_sound(prob)
+        assert certified >= 10
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET])
+    def test_symmetrized_certificates_are_sound(self, bc):
+        rng = np.random.default_rng(7)
+        certified = 0
+        for _ in range(60):
+            b1 = loguniform(rng, 0.5, 3.0)
+            M = np.array([[-loguniform(rng, 0.2, 2.0), b1], [b1 * rng.uniform(0.7, 1.3), -loguniform(rng, 0.2, 2.0)]])
+            A = np.array([1.0, loguniform(rng, 0.5, 2.0)])
+            shift = loguniform(rng, 1.0, 30.0)
+            lam1 = np.linalg.eigvalsh((M / A + (M / A).T) / 2)[-1]
+            if lam1 <= 0:
+                continue
+            R = rng.uniform(0.05, 0.5) * math.pi / math.sqrt(lam1)
+            prob = StagedProblem(
+                A_ben=A, M_ben=M, A_nb=A, M_nb=M - shift * np.eye(2), R=R, r=loguniform(rng, 0.2, 3.0), bc=bc,
+            )
+            if symmetrized_sufficient_verdict(prob).eradicated:
+                certified += 1
+                self.assert_sound(prob)
+        assert certified >= 10
+
+    def test_wide_strong_control_zone_does_not_overflow(self):
+        # r sqrt|mu1| = 800: sinh and cosh overflow, their ratio tanh(400) is 1.
+        prob = StagedProblem(
+            A_ben=[1, 1, 1], M_ben=[[-0.5, 0, 1], [0.6, -0.5, 0], [0, 0.6, -0.5]],
+            A_nb=[1, 1, 1], M_nb=-400 * np.eye(3), R=1.0, r=40.0,
+        )
+        res = symmetrized_sufficient_verdict(prob)
+        assert res.eradicated
+        assert res.margin == symmetrized_sufficient_verdict(replace(prob, r=30.0)).margin
+        assert res.margin == pytest.approx(20.0 - 0.773, abs=1e-3)
 
 
 class TestTwoStageVerdict:
@@ -341,25 +413,22 @@ class TestProportionalControl:
 
 class TestTransferMatrix:
     def test_identity_for_identical_bases(self):
-        tm = transfer_matrix(TAIGA_N, TAIGA_N)
+        tm, failed, _ = _transfer(eigen_2x2(TAIGA_N), eigen_2x2(TAIGA_N))
+        assert not failed
         np.testing.assert_allclose(tm.c, np.eye(2), atol=1e-13)
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(19)
         done = 0
         while done < 50:
-            N1 = rng.normal(size=(2, 2))
-            N2 = rng.normal(size=(2, 2))
-            try:
-                tm = transfer_matrix(N1, N2)
-            except (ValueError, SingularBasisError):
+            ben = eigen_2x2(rng.normal(size=(2, 2)))
+            ctl = eigen_2x2(rng.normal(size=(2, 2)))
+            tm, failed, raise_failure = _transfer(ben, ctl)
+            if failed:
+                with pytest.raises((ComplexOrRepeatedEigenvaluesError, SingularBasisError)):
+                    raise_failure(())
                 continue
-            from patchcontrol.linalg import eigen_basis_2x2
-
-            p1, p2 = eigen_basis_2x2(N1)
-            q1, q2 = eigen_basis_2x2(N2)
-            V = np.column_stack([p1.vector, p2.vector])
-            W = np.column_stack([q1.vector, q2.vector])
+            V, W = ben.vectors, ctl.vectors
             assert np.abs(W - V @ tm.c).max() <= 1e-10 * (1 + np.abs(W).max())
             done += 1
 
@@ -374,7 +443,8 @@ class TestTransferMatrix:
             extra = loguniform(rng, 0.01, 2.0)
             M_ben = np.array([[-m1, b1], [b2, -m2]])
             M_nb = np.array([[-(m1 + extra), omega * b1], [omega * b2, -(m2 + extra)]])
-            tm = transfer_matrix(M_ben, M_nb)
+            tm, failed, _ = _transfer(eigen_2x2(M_ben), eigen_2x2(M_nb))
+            assert not failed
             assert tm.c[0, 0] >= 1.0 - 1e-12
             assert tm.c[1, 1] >= 1.0 - 1e-12
             assert tm.off_product <= 1e-12
