@@ -296,7 +296,8 @@ def min_mortality(
     The lhs of the deciding inequality increases strictly in ``mu``, so the
     margin has one zero, found by Brent's method (``0.0`` below the band or if
     the margin is already nonnegative at ``mu = 0``).  Raises ``UncontrollableError``
-    above the band (no mortality works) or with no control zone.
+    above the band (no mortality works) or with no control zone off absorbing
+    ends; inside their band absorbing ends eradicate without one.
     """
     probe = ScalarProblem(a=a, lam=lam, b=b, mu=0.0, R=R, r=r, bc=bc, K=K)
     if lam <= 0:
@@ -307,7 +308,7 @@ def min_mortality(
         raise UncontrollableError("patch at or beyond critical size: no mortality suffices")
     if s < lo:
         return 0.0
-    if r == 0.0:
+    if r == 0.0 and bc is not BoundaryCondition.DIRICHLET:
         raise UncontrollableError("no control zone (r = 0): mortality has nothing to act on")
 
     def margin(mu: float) -> float:

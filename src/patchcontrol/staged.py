@@ -8,8 +8,8 @@ Three routes of increasing specificity:
 * symmetrization: a one-sided sufficient condition comparing quadratic forms
   of the symmetrized per-zone matrices (conservative for strongly
   nonsymmetric stage couplings);
-* the two-stage transfer-matrix criterion: a sharper one-sided condition for
-  ``n = 2`` requiring a sign pattern of the change of basis between the
+* the two-stage criterion: a sharper one-sided condition for ``n = 2``
+  requiring a sign pattern of the closed-form change of basis between the
   per-zone eigenvector bases, certifiable without sampling when the control
   zone is calibrated by a proportional birth-rate reduction.
 """
@@ -141,29 +141,6 @@ class SufficiencyResult:
 
 
 @dataclass(frozen=True)
-class TransferMatrix:
-    """Change of basis between the per-zone eigenvector bases.
-
-    ``c = V^-1 W`` where the columns of ``V`` and ``W`` are the pinned
-    eigenvectors of the beneficial- and control-zone matrices; column ``j``
-    of ``c`` holds the coordinates of ``w_j`` in the ``v`` basis
-    (``W = V @ c``).  The criterion uses only the transpose-invariant
-    products ``c[0,1]*c[1,0]`` and ``c[0,0]*c[1,1]``.  Leading axes of ``c``,
-    if any, index a stack of matrix pairs, and the products follow them.
-    """
-
-    c: np.ndarray
-
-    @property
-    def off_product(self) -> np.ndarray:
-        return self.c[..., 0, 1] * self.c[..., 1, 0]
-
-    @property
-    def diag_product(self) -> np.ndarray:
-        return self.c[..., 0, 0] * self.c[..., 1, 1]
-
-
-@dataclass(frozen=True)
 class ControlCheck:
     holds: bool
     reason: str
@@ -204,8 +181,6 @@ def uniform_control_verdict(
     others = np.delete(vals, int(np.argmin(np.abs(vals - lam1))))
     if others.size and others.real.max() >= 0:
         raise AssumptionViolatedError("a non-lead eigenvalue has nonnegative real part")
-    if bc is BoundaryCondition.NEUMANN:
-        raise LayoutError("UnsupportedBoundary", "uniform-control criteria cover Dirichlet and periodic ends")
     p = ScalarProblem(a=a, lam=lam1, b=b, mu=mu - lam1, R=R, r=r, bc=bc, K=K)
     return scalar_verdict(p)
 
@@ -214,11 +189,11 @@ def critical_patch_staged(A: np.ndarray, M: np.ndarray) -> float:
     """Critical patch size ``pi / sqrt(Lambda1(A^-1 M))`` of the staged system
     under absorbing ends and no control zone."""
     A = np.atleast_1d(np.asarray(A, dtype=float))
-    if A.ndim == 2:
-        A = np.diag(A)
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if A.ndim != 1 or len(A) != M.shape[0]:
+        raise LayoutError("DimensionMismatch", f"diffusion diagonal of shape {A.shape} for {M.shape[0]} stages")
     if np.any(A <= 0):
         raise LayoutError("NonpositiveDiffusion", "diffusion diagonal must be > 0")
-    M = np.atleast_2d(np.asarray(M, dtype=float))
     lam1 = max_real_eigenvalue(M / A[:, None])
     if lam1 <= 0:
         raise NonpositiveLeadEigenvalueError(
@@ -294,27 +269,21 @@ def symmetrized_critical_patch(prob: StagedProblem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Two-stage transfer-matrix criterion
+# Two-stage basis-change criterion
 # ---------------------------------------------------------------------------
 
 
-def _transfer(ben: Eigen2x2, ctl: Eigen2x2):
-    """Basis changes between two stacks of eigenbases, the items that have
-    none (their ``c`` is the identity), and a function raising an item's error."""
-    V, W = ben.vectors, ctl.vectors
-    det = V[..., 0, 0] * V[..., 1, 1] - V[..., 0, 1] * V[..., 1, 0]
-    singular = np.abs(det) <= 1e-12 * (1.0 + np.abs(V).max(axis=(-2, -1)) ** 2)
-    failed = ben.degenerate | ctl.degenerate | singular
-
-    def raise_failure(index) -> None:
-        ben.check(index)
-        ctl.check(index)
-        if singular[index]:
-            raise SingularBasisError(f"beneficial eigenbasis nearly singular (det={det[index]:.3g})")
-
-    keep = ~failed[..., None, None]
-    c = np.linalg.solve(np.where(keep, V, np.eye(2)), np.where(keep, W, np.eye(2)))
-    return TransferMatrix(c=c), failed, raise_failure
+def _basis_change(ben: Eigen2x2, ctl: Eigen2x2) -> tuple[np.ndarray, np.ndarray]:
+    """``c = V^-1 W`` and ``det V`` for stacks of pinned eigenbases ``V = [[1, q], [p, 1]]``
+    and ``W = [[1, q'], [p', 1]]``: column ``j`` of ``c`` holds the coordinates of
+    ``w_j`` in the ``v`` basis.  Items with ``det V = 0``, as where a repeated
+    eigenvalue pins one vector twice, get ``c = 0``."""
+    q, p = ben.vectors[..., 0, 1], ben.vectors[..., 1, 0]
+    q2, p2 = ctl.vectors[..., 0, 1], ctl.vectors[..., 1, 0]
+    det = 1.0 - p * q
+    c = np.stack([1.0 - q * p2, q2 - q, p2 - p, 1.0 - p * q2], axis=-1)
+    c = c / np.where(det == 0.0, np.inf, det)[..., None]
+    return c.reshape(*det.shape, 2, 2), det
 
 
 def _ben_matrix(prob: StagedProblem, E) -> np.ndarray:
@@ -414,9 +383,10 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
     ctl_order = ctl.values[:, 0] >= 0
     failed = (ben.disc <= 0) | (ctl.disc <= 0) | ben_order | ctl_order
     if not certified:
-        tm, degenerate, raise_failure = _transfer(ben, ctl)
-        tol = 1e-12
-        failed |= degenerate | (tm.off_product > tol) | (tm.diag_product < -tol)
+        c, det = _basis_change(ben, ctl)
+        singular = np.abs(det) <= 1e-12 * (1.0 + np.abs(ben.vectors).max(axis=(-2, -1)) ** 2)
+        off, diag = c[:, 0, 1] * c[:, 1, 0], c[:, 0, 0] * c[:, 1, 1]
+        failed |= ben.degenerate | ctl.degenerate | singular | (off > 1e-12) | (diag < -1e-12)
     if failed.any():  # report the first failing sample, its checks in order
         i = int(np.argmax(failed))
         E = Es[i]
@@ -430,13 +400,14 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
         if ctl_order[i]:
             return SufficiencyResult(False, f"control eigenvalue ordering fails at E={E:.6g}")
         try:
-            raise_failure(i)
+            ben.check(i)
+            ctl.check(i)
+            if singular[i]:
+                raise SingularBasisError(f"beneficial eigenbasis nearly singular (det={det[i]:.3g})")
         except (ComplexOrRepeatedEigenvaluesError, SingularBasisError) as exc:
             raise AssumptionViolatedError(f"eigenbasis degenerates at E={E:.6g}: {exc}") from exc
         return SufficiencyResult(
-            False,
-            f"sign conditions fail at E={E:.6g} "
-            f"(c12*c21={tm.off_product[i]:.3g}, c11*c22={tm.diag_product[i]:.3g})",
+            False, f"sign conditions fail at E={E:.6g} (c12*c21={off[i]:.3g}, c11*c22={diag[i]:.3g})"
         )
 
     lhs, rhs = two_stage_inequality_sides(ring)

@@ -101,6 +101,16 @@ class TestVerdict:
         code, _, err = run_cli(capsys, "verdict", "--scenario", str(path), "--method", "closed")
         assert code == EXIT_VALIDATION
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_taiga_at_the_verdict_boundary_exits_0(self, capsys):
+        # The FD top eigenvalue is -6.1e-7 here: the Arnoldi pair passes by backward error.
+        code, out, err = run_cli(
+            capsys, "verdict", "--preset", "taiga-two-stage", "--r", "0.7340402649927732",
+            "--grid-levels", "2",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert parsed(out)["oracle_status"] == "Eradication"
+
     def test_lone_star_mu10_both_agree(self, capsys):
         code, out, _ = run_cli(
             capsys, "verdict", "--preset", "lone-star", "--mu", "10",

@@ -332,6 +332,34 @@ class TestStagedArnoldi:
         assert abs(value - rightmost.real) <= 1e-9 * abs(rightmost.real)
 
 
+class TestStagedBackwardError:
+    """Arnoldi pairs are accepted by backward error, which stays at round-off when
+    the eigenvalue itself is near zero, as at the taiga preset's verdict boundary."""
+
+    GRID = GridSpec(refinement_levels=2)
+
+    def test_scan_across_the_verdict_boundary(self):
+        taiga = get_preset("taiga-two-stage")
+        signs = set()
+        for r in np.random.default_rng(16).uniform(0.7335, 0.7345, 8):
+            report = top_eigenvalue_fd(replace(taiga, r=float(r)), self.GRID)
+            assert "shift-invert-arnoldi" in report.grid_or_step
+            signs.add(np.sign(report.top_eigenvalue))
+        assert signs == {-1.0, 1.0}
+
+    def test_perturbed_eigenvector_is_refused(self, monkeypatch):
+        eigs = sparse.linalg.eigs
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = eigs(*args, **kwargs)
+            noise = np.random.default_rng(3).standard_normal(vecs.shape)
+            return vals, vecs + 1e-3 * np.linalg.norm(vecs) / np.linalg.norm(noise) * noise
+
+        monkeypatch.setattr(sparse.linalg, "eigs", perturbed)
+        with pytest.raises(oracle.NoConvergenceError, match="backward error"):
+            top_eigenvalue_fd(replace(get_preset("taiga-two-stage"), r=0.734), self.GRID)
+
+
 class TestStagedWholeRing:
     """Staged rings are solved on all ``K`` periods.  Without cooperative
     coupling the growing mode can span two periods (a Turing-type instability

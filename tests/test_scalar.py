@@ -379,6 +379,11 @@ class TestMinMortality:
         with pytest.raises(UncontrollableError):
             min_mortality(1.0, 0.5, 2.0, 1.0, 0.0)
 
+    def test_no_control_zone_inside_the_absorbing_band_needs_none(self):
+        # R = 2.5 lies between the quarter wave pi/2 and the critical width pi.
+        assert scalar_verdict(ScalarProblem(1.0, 1.0, 1.0, 0.0, 2.5, 0.0, BoundaryCondition.DIRICHLET)).margin > 0
+        assert min_mortality(1.0, 1.0, 2.5, 1.0, 0.0, BoundaryCondition.DIRICHLET) == 0.0
+
 
 class TestMinZoneWidth:
     def test_periodic_reference_value(self):
@@ -501,11 +506,9 @@ class TestOneCriterionMatchesPerBoundaryVerdicts:
         assert v.status is VerdictStatus.MARGINAL or (v.status is VerdictStatus.ERADICATION) == (top < 0), p
         mortality_args, width_args = _search_args(p)
         if p.bc is BoundaryCondition.DIRICHLET:
-            # Half the critical width: the population dies out without control
-            # (with no control zone at all the mortality search refuses, as inside the band).
+            # Half the critical width: the population dies out without control.
             assert top_eigenvalue_scalar(replace(p, mu=0.0)).top_eigenvalue < 0, p
-            if p.r > 0:
-                assert min_mortality(*mortality_args) == 0.0, p
+            assert min_mortality(*mortality_args) == 0.0, p
             assert min_zone_width(*width_args) == 0.0, p
         else:
             # The critical width: no control can eradicate.
@@ -515,10 +518,21 @@ class TestOneCriterionMatchesPerBoundaryVerdicts:
             with pytest.raises(UncontrollableError):
                 min_zone_width(*width_args)
 
+    def assert_mortality_follows_the_root(self, p: ScalarProblem):
+        # Zero mortality where the root is negative, a refusal where it is positive;
+        # at the critical width itself the root is zero up to round-off, and either holds.
+        top = top_eigenvalue_scalar(replace(p, mu=0.0)).top_eigenvalue
+        mortality_args, _ = _search_args(p)
+        if top < -1e-12 * (1.0 + abs(p.lam)):
+            assert min_mortality(*mortality_args) == 0.0, p
+        elif top > 1e-12 * (1.0 + abs(p.lam)):
+            with pytest.raises(UncontrollableError):
+                min_mortality(*mortality_args)
+
     def test_seeded_draws(self):
         rng = np.random.default_rng(1414)
         rules = set()
-        straddling = 0
+        straddling = no_zone = 0
         for _ in range(3000):
             p = random_band_edge_problem(rng)
             if _straddles_quarter_wave(p):
@@ -533,9 +547,16 @@ class TestOneCriterionMatchesPerBoundaryVerdicts:
                 rules.add(new[2])
             assert _bits(control_inequality_sides, p) == _bits(legacy_inequality_sides, p), p
             mortality_args, width_args = _search_args(p)
-            assert _bits(min_mortality, *mortality_args) == _bits(legacy_min_mortality, *mortality_args), p
+            if p.bc is BoundaryCondition.DIRICHLET and p.r == 0.0:
+                # No control zone: the reference refuses inside the band, where the
+                # dispersion root says no mortality is needed.
+                self.assert_mortality_follows_the_root(p)
+                no_zone += 1
+            else:
+                assert _bits(min_mortality, *mortality_args) == _bits(legacy_min_mortality, *mortality_args), p
             assert _bits(min_zone_width, *width_args) == _bits(legacy_min_zone_width, *width_args), p
         assert 0 < straddling <= 50  # 26 with glibc's libm
+        assert no_zone > 0
         assert rules >= {
             "negative-growth",
             "dirichlet-half-size",
