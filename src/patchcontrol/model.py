@@ -122,6 +122,24 @@ class BirthDeathParams:
         return len(self.deaths)
 
 
+def build_stage_matrix(params: BirthDeathParams) -> np.ndarray:
+    """Cyclic stage matrix: deaths on the diagonal, maturation on the
+    subdiagonal, fecundity closing the cycle in the top-right corner.
+
+    The one-stage cycle degenerates to the net rate ``b1 - m1`` so that the
+    scalar reduction is exact.
+    """
+    n = params.dimension
+    if n == 1:
+        return np.array([[params.births[0] - params.deaths[0]]])
+    M = np.zeros((n, n))
+    np.fill_diagonal(M, -params.deaths)
+    for j in range(n - 1):
+        M[j + 1, j] = params.births[j]
+    M[0, n - 1] = params.births[n - 1]
+    return M
+
+
 @dataclass(frozen=True)
 class PatchLayout:
     """Full arrangement: beneficial/control zone pair, widths, repetitions, boundary."""
@@ -195,6 +213,8 @@ def _validate_zone(zone: Zone, which: str) -> None:
             raise LayoutError("NonfiniteGrowth", f"{which} zone growth must be finite")
         return
     if isinstance(zone, StageZone):
+        if zone.diffusion_diag.ndim != 1:
+            raise LayoutError("DimensionMismatch", f"{which} zone diffusion must be 1-D, got {zone.diffusion_diag.shape}")
         n = zone.dimension
         if n < 1 or n > MAX_STAGES:
             raise LayoutError("StageCountOutOfRange", f"{which} zone needs 1..{MAX_STAGES} stages")
@@ -310,8 +330,6 @@ def _zone_from_dict(d: dict, model: str, which: str) -> Zone:
             raise LayoutError("InvalidScenario", f"{which} zone: give either 'M' or births/deaths, not both")
         reaction = _json_array(d, "M", f"{which} zone", ndim=2)
     elif "births" in d and "deaths" in d:
-        from .staged import build_stage_matrix  # local import avoids a cycle
-
         rates = {key: _json_array(d, key, f"{which} zone", ndim=1) for key in ("deaths", "births")}
         reaction = build_stage_matrix(BirthDeathParams(**rates))
     else:

@@ -128,8 +128,8 @@ def _sqrt_tan(lam: float, a: float, R_eff: float) -> float:
     return math.sqrt(lam * a) * math.tan(R_eff * math.sqrt(lam / a))
 
 
-def _effective_widths(p: ScalarProblem) -> tuple[float, float]:
-    """Widths of the one-pair problem: halved on rings, whose top eigenfunction is even about zone middles."""
+def _effective_widths(p) -> tuple[float, float]:
+    """Widths of a scalar or staged one-pair problem: halved on rings, whose top eigenfunction is even about mid-zone."""
     if p.bc is BoundaryCondition.PERIODIC:
         return p.R / 2, p.r / 2
     return p.R, p.r

@@ -12,12 +12,20 @@ Three routes of increasing specificity:
   requiring a sign pattern of the closed-form change of basis between the
   per-zone eigenvector bases, certifiable without sampling when the control
   zone is calibrated by a proportional birth-rate reduction.
+
+The one-sided criteria read widths as the scalar criterion does: one zone pair
+on the half widths ``R/2, r/2`` of a ring, on ``R, r`` themselves otherwise.  A
+reflecting pair ``(R, r)`` mirrors exactly onto the ring ``(2R, 2r)``, whose
+half widths it is; absorbing ends only lower the symmetrized Rayleigh quotient,
+so the symmetrized bound reads them the same way.  Like ``scalar_verdict``,
+the two-stage balance tests the tan's first pole on the argument it evaluates:
+a patch at or past it is never certified.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +40,16 @@ from .linalg import (
     symmetric_eigen,
 )
 from .model import (
-    BirthDeathParams,
     BoundaryCondition,
     LayoutError,
     PatchLayout,
     StageZone,
     Verdict,
+    _validate_zone,
+    build_stage_matrix,  # noqa: F401  re-exported: callers reach it as staged.build_stage_matrix
     validate_layout,
 )
-from .scalar import ScalarProblem, scalar_verdict
+from .scalar import ScalarProblem, _effective_widths, scalar_verdict
 
 
 class AssumptionViolatedError(ValueError):
@@ -49,24 +58,6 @@ class AssumptionViolatedError(ValueError):
 
 class NonpositiveLeadEigenvalueError(ValueError):
     pass
-
-
-def build_stage_matrix(params: BirthDeathParams) -> np.ndarray:
-    """Cyclic stage matrix: deaths on the diagonal, maturation on the
-    subdiagonal, fecundity closing the cycle in the top-right corner.
-
-    The one-stage cycle degenerates to the net rate ``b1 - m1`` so that the
-    scalar reduction is exact.
-    """
-    n = params.dimension
-    if n == 1:
-        return np.array([[params.births[0] - params.deaths[0]]])
-    M = np.zeros((n, n))
-    np.fill_diagonal(M, -params.deaths)
-    for j in range(n - 1):
-        M[j + 1, j] = params.births[j]
-    M[0, n - 1] = params.births[n - 1]
-    return M
 
 
 @dataclass(frozen=True)
@@ -188,13 +179,9 @@ def uniform_control_verdict(
 def critical_patch_staged(A: np.ndarray, M: np.ndarray) -> float:
     """Critical patch size ``pi / sqrt(Lambda1(A^-1 M))`` of the staged system
     under absorbing ends and no control zone."""
-    A = np.atleast_1d(np.asarray(A, dtype=float))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if A.ndim != 1 or len(A) != M.shape[0]:
-        raise LayoutError("DimensionMismatch", f"diffusion diagonal of shape {A.shape} for {M.shape[0]} stages")
-    if np.any(A <= 0):
-        raise LayoutError("NonpositiveDiffusion", "diffusion diagonal must be > 0")
-    lam1 = max_real_eigenvalue(M / A[:, None])
+    zone = StageZone(A, M)
+    _validate_zone(zone, "beneficial")  # a 1-D positive diagonal, one row of M per stage, finite entries
+    lam1 = max_real_eigenvalue(zone.reaction / zone.diffusion_diag[:, None])
     if lam1 <= 0:
         raise NonpositiveLeadEigenvalueError(
             f"lead eigenvalue {lam1:.6g} <= 0: the population decays on any patch"
@@ -215,26 +202,16 @@ def symmetrized_zone_matrix(M: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (M * Ainv[None, :] + Ainv[:, None] * M.T) / 2.0
 
 
-def _as_ring(prob: StagedProblem) -> StagedProblem:
-    """The ring whose half widths ``R/2, r/2`` the one-sided criteria read.
-
-    A reflecting pair ``(R, r)`` mirrors exactly onto the ring ``(2R, 2r)``;
-    absorbing ends only lower the symmetrized Rayleigh quotient, so they map there too.
-    """
-    if prob.bc is BoundaryCondition.PERIODIC:
-        return prob
-    return replace(prob, R=2 * prob.R, r=2 * prob.r, bc=BoundaryCondition.PERIODIC)
-
-
 def symmetrized_sufficient_verdict(prob: StagedProblem) -> SufficiencyResult:
     """One-sided eradication test via symmetrization of both zone matrices.
 
-    Eradication requires the patch to stay below the symmetrized critical
-    size and ``sqrt|mu1| tanh(r sqrt|mu1| / 2)`` to dominate ``2 R n k lam1 /
-    (1 + cos(R sqrt(lam1)))`` on the ring of :func:`_as_ring`, ``k`` counting
-    positive symmetrized eigenvalues.  Anything else is Inconclusive, never Survival.
+    On the half widths ``R_eff, r_eff`` (see the module docstring), eradication
+    requires the patch to stay below the symmetrized critical size and
+    ``sqrt|mu1| tanh(r_eff sqrt|mu1|)`` to dominate ``4 R_eff n k lam1 /
+    (1 + cos(2 R_eff sqrt(lam1)))``, ``k`` counting positive symmetrized
+    eigenvalues.  Anything else is Inconclusive, never Survival.
     """
-    ring = _as_ring(prob)
+    R_eff, r_eff = _effective_widths(prob)
     n = prob.dimension
     lams, _ = symmetric_eigen(symmetrized_zone_matrix(prob.M_ben, prob.A_ben))
     mus, _ = symmetric_eigen(symmetrized_zone_matrix(prob.M_nb, prob.A_nb))
@@ -246,15 +223,15 @@ def symmetrized_sufficient_verdict(prob: StagedProblem) -> SufficiencyResult:
     lam1 = float(lams[0])
     mu1 = float(mus[0])
     r_c_sym = math.pi / math.sqrt(lam1)
-    if ring.R > r_c_sym:
-        size = r_c_sym * (prob.R / ring.R)  # in prob's own widths
+    if 2 * R_eff > r_c_sym:
+        size = r_c_sym / 2 * (prob.R / R_eff)  # in prob's own widths
         return SufficiencyResult(False, f"patch wider than symmetrized critical size {size:.6g}")
     root_mu = math.sqrt(abs(mu1))
-    lhs = root_mu * math.tanh(ring.r * root_mu / 2.0)
-    denom = 1.0 + math.cos(ring.R * math.sqrt(lam1))
+    lhs = root_mu * math.tanh(r_eff * root_mu)
+    denom = 1.0 + math.cos(2 * R_eff * math.sqrt(lam1))
     if denom <= 0:
         return SufficiencyResult(False, "patch at the symmetrized critical size")
-    rhs = 2.0 * ring.R * n * k_pos * lam1 / denom
+    rhs = 4.0 * R_eff * n * k_pos * lam1 / denom
     if lhs > rhs:
         return SufficiencyResult(True, "symmetrized interface inequality holds", margin=lhs - rhs)
     return SufficiencyResult(False, "symmetrized interface inequality fails", margin=lhs - rhs)
@@ -286,15 +263,10 @@ def _basis_change(ben: Eigen2x2, ctl: Eigen2x2) -> tuple[np.ndarray, np.ndarray]
     return c.reshape(*det.shape, 2, 2), det
 
 
-def _ben_matrix(prob: StagedProblem, E) -> np.ndarray:
-    """``A^-1 (M_ben - E I)``, one matrix per entry of ``E``."""
+def _zone_matrix(prob: StagedProblem, M: np.ndarray, E, a: float = 1.0) -> np.ndarray:
+    """``A^-1 (M - E I) / a`` with ``A = A_ben``, one matrix per entry of ``E``."""
     Ainv = 1.0 / prob.A_ben
-    return prob.M_ben * Ainv[:, None] - np.multiply.outer(E, np.diag(Ainv))
-
-
-def _nb_matrix(prob: StagedProblem, E, a: float) -> np.ndarray:
-    Ainv = 1.0 / prob.A_ben
-    return (prob.M_nb * Ainv[:, None] - np.multiply.outer(E, np.diag(Ainv))) / a
+    return (M * Ainv[:, None] - np.multiply.outer(E, np.diag(Ainv))) / a
 
 
 def _lead_zero(prob: StagedProblem) -> float:
@@ -302,41 +274,56 @@ def _lead_zero(prob: StagedProblem) -> float:
     E0 = float(eigen_2x2(prob.M_ben).values[0])
     # The eigenvalues at E0 are 0 and the trace: zero leads only for a
     # nonpositive trace, which can fail when m12 * m21 < 0.
-    if np.trace(_ben_matrix(prob, E0)) > 0:
+    if np.trace(_zone_matrix(prob, prob.M_ben, E0)) > 0:
         raise AssumptionViolatedError("lead eigenvalue does not cross zero")
     return E0
 
 
-def _lead_at_zero(N: np.ndarray, zone: str) -> float:
+def _lead_at_zero(prob: StagedProblem, M: np.ndarray, zone: str, a: float = 1.0) -> float:
     """Largest real eigenvalue of a zone matrix at E = 0; none is an assumption failure."""
     try:
-        return max_real_eigenvalue(N)
+        return max_real_eigenvalue(_zone_matrix(prob, M, 0.0, a))
     except NoRealEigenvalueError as exc:
         raise AssumptionViolatedError(f"{zone} matrix at E=0: {exc}") from exc
 
 
-def _two_stage_ring(prob: StagedProblem) -> StagedProblem:
-    """:func:`_as_ring` for the two-stage criterion, which cannot read absorbing ends."""
+def _two_stage_reading(prob: StagedProblem) -> tuple[float, float, float]:
+    """``(a, R_eff, r_eff)`` of a problem the two-stage criterion reads, with ``A_nb = a A_ben``."""
+    if prob.dimension != 2:
+        raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
     if prob.bc is BoundaryCondition.DIRICHLET:
         raise AssumptionViolatedError("two-stage criterion needs reflecting ends or a ring")
-    return _as_ring(prob)
-
-
-def two_stage_inequality_sides(prob: StagedProblem) -> tuple[float, float]:
-    """(lhs, rhs) of the two-stage interface inequality, evaluated at E = 0."""
-    prob = _two_stage_ring(prob)
     a = prob.a_ratio
     if a is None:
         raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
-    lam1 = _lead_at_zero(_ben_matrix(prob, 0.0), "beneficial")
+    return (a, *_effective_widths(prob))
+
+
+def _two_stage_balance(lam1: float, mu1: float, a: float, R: float, R_eff: float, r_eff: float) -> tuple[float, float]:
+    """``(a sqrt|mu1| tanh(sqrt|mu1| r_eff), sqrt(lam1) tan(sqrt(lam1) R_eff))`` for ``lam1 > 0``.
+
+    Its only refusal: ``AssumptionViolatedError`` at or past the tan's first pole, ``sqrt(lam1) R_eff >= pi/2``
+    on the argument the tan reads, quoting the critical size in the widths of ``R`` (effective width ``R_eff``)."""
+    root_lam = math.sqrt(lam1)
+    if root_lam * R_eff >= math.pi / 2.0:
+        size = math.pi / root_lam * (R / (2 * R_eff))
+        raise AssumptionViolatedError(f"patch at or beyond staged critical size {size:.6g}")
+    root_mu = math.sqrt(abs(mu1))
+    return a * root_mu * math.tanh(root_mu * r_eff), root_lam * math.tan(root_lam * R_eff)
+
+
+def two_stage_inequality_sides(prob: StagedProblem) -> tuple[float, float]:
+    """(lhs, rhs) of the two-stage interface inequality, evaluated at E = 0.
+
+    Raises ``AssumptionViolatedError`` where :func:`two_stage_verdict` cannot read
+    the problem, and for a patch at or past the staged critical size.
+    """
+    a, R_eff, r_eff = _two_stage_reading(prob)
+    lam1 = _lead_at_zero(prob, prob.M_ben, "beneficial")
     if lam1 <= 0:
         raise AssumptionViolatedError("lead eigenvalue nonpositive")
-    mu1 = _lead_at_zero(_nb_matrix(prob, 0.0, a), "control")
-    root_lam = math.sqrt(lam1)
-    root_mu = math.sqrt(abs(mu1))
-    lhs = a * root_mu * math.tanh(root_mu * prob.r / 2.0)
-    rhs = root_lam * math.tan(root_lam * prob.R / 2.0)
-    return lhs, rhs
+    mu1 = _lead_at_zero(prob, prob.M_nb, "control", a)
+    return _two_stage_balance(lam1, mu1, a, prob.R, R_eff, r_eff)
 
 
 def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> SufficiencyResult:
@@ -349,16 +336,10 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
     ``det M_ben < 0``, and ``E0`` is the positive eigenvalue of ``M_ben``.
     ``certified=True`` skips the sign-pattern sampling, as justified by a
     passing :func:`proportional_control_check`.  The first failing sample is
-    reported.  Reflecting ends are read on the ring of :func:`_as_ring`; absorbing ends raise.
+    reported.  Widths are read as in the module docstring; absorbing ends raise.
     """
-    if prob.dimension != 2:
-        raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
-    ring = _two_stage_ring(prob)
-    a = prob.a_ratio
-    if a is None:
-        raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
-
-    at_zero = eigen_2x2(_ben_matrix(prob, 0.0))
+    a, R_eff, r_eff = _two_stage_reading(prob)
+    at_zero = eigen_2x2(_zone_matrix(prob, prob.M_ben, 0.0))
     try:
         at_zero.check(vectors=False)
     except ComplexOrRepeatedEigenvaluesError as exc:
@@ -368,17 +349,19 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
         raise AssumptionViolatedError(
             f"need Lambda1(0) > 0 > Lambda2(0), got {lam1:.6g}, {lam2:.6g}"
         )
-    mu1_0 = _lead_at_zero(_nb_matrix(prob, 0.0, a), "control")
+    mu1_0 = _lead_at_zero(prob, prob.M_nb, "control", a)
     if mu1_0 >= 0:
         return SufficiencyResult(False, "control zone not dissipative (mu1(0) >= 0)")
-
-    root_lam = math.sqrt(lam1)
-    if root_lam * ring.R / 2.0 >= math.pi / 2.0:
-        size = math.pi / root_lam * (prob.R / ring.R)
-        return SufficiencyResult(False, f"patch at or beyond staged critical size {size:.6g}")
+    lead = _lead_at_zero(prob, prob.M_ben, "beneficial")  # eigvals, as the sides read it: the pole test uses it too
+    if lead <= 0:
+        raise AssumptionViolatedError("lead eigenvalue nonpositive")
+    try:
+        lhs, rhs = _two_stage_balance(lead, mu1_0, a, prob.R, R_eff, r_eff)
+    except AssumptionViolatedError as exc:  # at or past the pole: Inconclusive, not a failed assumption
+        return SufficiencyResult(False, str(exc))
 
     Es = np.linspace(0.0, _lead_zero(prob), 257)
-    ben, ctl = eigen_2x2(_ben_matrix(prob, Es)), eigen_2x2(_nb_matrix(prob, Es, a))
+    ben, ctl = eigen_2x2(_zone_matrix(prob, prob.M_ben, Es)), eigen_2x2(_zone_matrix(prob, prob.M_nb, Es, a))
     ben_order = ~((ben.values[:, 0] >= -1e-9 * max(1.0, lam1)) & (ben.values[:, 1] < 0))
     ctl_order = ctl.values[:, 0] >= 0
     failed = (ben.disc <= 0) | (ctl.disc <= 0) | ben_order | ctl_order
@@ -410,34 +393,28 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
             False, f"sign conditions fail at E={E:.6g} (c12*c21={off[i]:.3g}, c11*c22={diag[i]:.3g})"
         )
 
-    lhs, rhs = two_stage_inequality_sides(ring)
     if lhs > rhs:
         return SufficiencyResult(True, "two-stage interface inequality holds", margin=lhs - rhs)
     return SufficiencyResult(False, "two-stage interface inequality fails", margin=lhs - rhs)
 
 
-def min_control_decay_rate(
-    lead_eigenvalue: float, R: float, r: float, a: float = 1.0
-) -> float:
+def min_control_decay_rate(lead_eigenvalue: float, R: float, r: float, a: float = 1.0) -> float:
     """Threshold on ``|mu1(0)|`` above which the two-stage inequality holds.
 
     Solves ``a sqrt(m) tanh(sqrt(m) r/2) = sqrt(L1) tan(sqrt(L1) R/2)`` for
-    ``m``; the lhs is strictly increasing, so Brent's method applies.
+    ``m`` (the balance of a ring ``(R, r)``); the lhs is strictly increasing,
+    so Brent's method applies.
     """
-    if lead_eigenvalue <= 0:
+    if not 0 < lead_eigenvalue < math.inf:
         raise NonpositiveLeadEigenvalueError("lead eigenvalue must be positive")
-    if r <= 0 or R < 0:
+    if not (0 < r < math.inf and 0 <= R < math.inf):
         raise AssumptionViolatedError("need a control zone of positive width and R >= 0")
-    root_lam = math.sqrt(lead_eigenvalue)
-    if root_lam * R / 2.0 >= math.pi / 2.0:
-        raise AssumptionViolatedError(
-            f"patch at or beyond staged critical size {math.pi / root_lam:.6g}"
-        )
-    rhs = root_lam * math.tan(root_lam * R / 2.0)
+    if not 0 < a < math.inf:
+        raise LayoutError("NonpositiveDiffusion", "a must be finite and > 0")
 
     def excess(m: float) -> float:
-        rm = math.sqrt(m)
-        return a * rm * math.tanh(rm * r / 2.0) - rhs
+        lhs, rhs = _two_stage_balance(lead_eigenvalue, m, a, R, R / 2, r / 2)
+        return lhs - rhs
 
     failure = AssumptionViolatedError("no finite control rate satisfies the inequality")
     return expanding_root(excess, 1e15, failure, xtol=1e-14, rtol=1e-12)
@@ -464,8 +441,11 @@ def proportional_control_check(
     ``m1/a1 >= m2/a2``.
     """
     for name, v in (("a1", a1), ("a2", a2), ("m1", m1), ("m2", m2), ("b1", b1), ("b2", b2)):
-        if v <= 0:
-            return ControlCheck(False, f"{name} must be positive")
+        if not 0 < v < math.inf:
+            return ControlCheck(False, f"{name} must be finite and positive")
+    for name, v in (("mtilde1", mtilde1), ("mtilde2", mtilde2)):
+        if not math.isfinite(v):
+            return ControlCheck(False, f"{name} must be finite")
     if not (0.0 < omega < 1.0):
         return ControlCheck(False, "omega out of range (0, 1)")
     if m1 * m2 - b1 * b2 >= 0:

@@ -15,17 +15,34 @@ import numpy as np
 from scipy.optimize import brentq
 
 from patchcontrol import (
+    AssumptionViolatedError,
     BoundaryCondition,
     InsufficientMortalityError,
     NonpositiveGrowthError,
     ScalarProblem,
+    StagedProblem,
+    SufficiencyResult,
     UncontrollableError,
     Verdict,
     build_stage_matrix,
 )
-from patchcontrol.linalg import expanding_root
+from patchcontrol.linalg import (
+    ComplexOrRepeatedEigenvaluesError,
+    SingularBasisError,
+    eigen_2x2,
+    expanding_root,
+    symmetric_eigen,
+)
 from patchcontrol.model import BirthDeathParams
 from patchcontrol.scalar import _sqrt_tan, _sqrt_tanh, _tanh_over_sqrt
+from patchcontrol.staged import (
+    NonpositiveLeadEigenvalueError,
+    _basis_change,
+    _lead_at_zero,
+    _lead_zero,
+    _zone_matrix,
+    symmetrized_zone_matrix,
+)
 
 BCS = (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN, BoundaryCondition.PERIODIC)
 
@@ -270,3 +287,145 @@ def random_band_edge_problem(rng: np.random.Generator) -> ScalarProblem:
         bc=bc,
         K=int(rng.integers(1, 4)) if bc is BoundaryCondition.PERIODIC else 1,
     )
+
+
+# Reference for ``patchcontrol.staged``'s one-sided criteria before they read
+# widths through ``scalar._effective_widths``: a reflecting or absorbing pair
+# was doubled onto the ring ``(2R, 2r)``, which the criteria halved again.
+
+
+def legacy_as_ring(prob: StagedProblem) -> StagedProblem:
+    if prob.bc is BoundaryCondition.PERIODIC:
+        return prob
+    return replace(prob, R=2 * prob.R, r=2 * prob.r, bc=BoundaryCondition.PERIODIC)
+
+
+def _legacy_two_stage_ring(prob: StagedProblem) -> StagedProblem:
+    if prob.bc is BoundaryCondition.DIRICHLET:
+        raise AssumptionViolatedError("two-stage criterion needs reflecting ends or a ring")
+    return legacy_as_ring(prob)
+
+
+def legacy_two_stage_inequality_sides(prob: StagedProblem) -> tuple[float, float]:
+    """Evaluates the tan past its first pole, and reads any number of stages."""
+    prob = _legacy_two_stage_ring(prob)
+    a = prob.a_ratio
+    if a is None:
+        raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
+    lam1 = _lead_at_zero(prob, prob.M_ben, "beneficial")
+    if lam1 <= 0:
+        raise AssumptionViolatedError("lead eigenvalue nonpositive")
+    mu1 = _lead_at_zero(prob, prob.M_nb, "control", a)
+    root_lam = math.sqrt(lam1)
+    root_mu = math.sqrt(abs(mu1))
+    lhs = a * root_mu * math.tanh(root_mu * prob.r / 2.0)
+    rhs = root_lam * math.tan(root_lam * prob.R / 2.0)
+    return lhs, rhs
+
+
+def legacy_two_stage_verdict(prob: StagedProblem, certified: bool = False) -> SufficiencyResult:
+    """Tests the critical size on the closed-form ``Lambda1(0)`` but evaluates the
+    tan on the ``np.linalg.eigvals`` one: where they straddle the pole it certifies."""
+    if prob.dimension != 2:
+        raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
+    ring = _legacy_two_stage_ring(prob)
+    a = prob.a_ratio
+    if a is None:
+        raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
+    at_zero = eigen_2x2(_zone_matrix(prob, prob.M_ben, 0.0))
+    try:
+        at_zero.check(vectors=False)
+    except ComplexOrRepeatedEigenvaluesError as exc:
+        raise AssumptionViolatedError(f"beneficial eigenvalues at E=0: {exc}") from exc
+    lam1, lam2 = (float(v) for v in at_zero.values)
+    if not (lam1 > 0 > lam2):
+        raise AssumptionViolatedError(f"need Lambda1(0) > 0 > Lambda2(0), got {lam1:.6g}, {lam2:.6g}")
+    mu1_0 = _lead_at_zero(prob, prob.M_nb, "control", a)
+    if mu1_0 >= 0:
+        return SufficiencyResult(False, "control zone not dissipative (mu1(0) >= 0)")
+    root_lam = math.sqrt(lam1)
+    if root_lam * ring.R / 2.0 >= math.pi / 2.0:
+        size = math.pi / root_lam * (prob.R / ring.R)
+        return SufficiencyResult(False, f"patch at or beyond staged critical size {size:.6g}")
+    Es = np.linspace(0.0, _lead_zero(prob), 257)
+    ben, ctl = eigen_2x2(_zone_matrix(prob, prob.M_ben, Es)), eigen_2x2(_zone_matrix(prob, prob.M_nb, Es, a))
+    ben_order = ~((ben.values[:, 0] >= -1e-9 * max(1.0, lam1)) & (ben.values[:, 1] < 0))
+    ctl_order = ctl.values[:, 0] >= 0
+    failed = (ben.disc <= 0) | (ctl.disc <= 0) | ben_order | ctl_order
+    if not certified:
+        c, det = _basis_change(ben, ctl)
+        singular = np.abs(det) <= 1e-12 * (1.0 + np.abs(ben.vectors).max(axis=(-2, -1)) ** 2)
+        off, diag = c[:, 0, 1] * c[:, 1, 0], c[:, 0, 0] * c[:, 1, 1]
+        failed |= ben.degenerate | ctl.degenerate | singular | (off > 1e-12) | (diag < -1e-12)
+    if failed.any():
+        i = int(np.argmax(failed))
+        E = Es[i]
+        try:
+            ben.check(i, vectors=False)
+            ctl.check(i, vectors=False)
+        except ComplexOrRepeatedEigenvaluesError as exc:
+            raise AssumptionViolatedError(f"eigenvalue ordering fails at E={E:.6g}: {exc}") from exc
+        if ben_order[i]:
+            raise AssumptionViolatedError(f"beneficial eigenvalue ordering fails at E={E:.6g}")
+        if ctl_order[i]:
+            return SufficiencyResult(False, f"control eigenvalue ordering fails at E={E:.6g}")
+        try:
+            ben.check(i)
+            ctl.check(i)
+            if singular[i]:
+                raise SingularBasisError(f"beneficial eigenbasis nearly singular (det={det[i]:.3g})")
+        except (ComplexOrRepeatedEigenvaluesError, SingularBasisError) as exc:
+            raise AssumptionViolatedError(f"eigenbasis degenerates at E={E:.6g}: {exc}") from exc
+        return SufficiencyResult(
+            False, f"sign conditions fail at E={E:.6g} (c12*c21={off[i]:.3g}, c11*c22={diag[i]:.3g})"
+        )
+    lhs, rhs = legacy_two_stage_inequality_sides(ring)
+    if lhs > rhs:
+        return SufficiencyResult(True, "two-stage interface inequality holds", margin=lhs - rhs)
+    return SufficiencyResult(False, "two-stage interface inequality fails", margin=lhs - rhs)
+
+
+def legacy_symmetrized_sufficient_verdict(prob: StagedProblem) -> SufficiencyResult:
+    ring = legacy_as_ring(prob)
+    n = prob.dimension
+    lams, _ = symmetric_eigen(symmetrized_zone_matrix(prob.M_ben, prob.A_ben))
+    mus, _ = symmetric_eigen(symmetrized_zone_matrix(prob.M_nb, prob.A_nb))
+    k_pos = int(np.sum(lams > 0))
+    if mus[0] >= 0:
+        return SufficiencyResult(False, "control zone not dissipative")
+    if k_pos == 0:
+        return SufficiencyResult(True, "beneficial symmetrization nonpositive", margin=-float(lams[0]))
+    lam1 = float(lams[0])
+    mu1 = float(mus[0])
+    r_c_sym = math.pi / math.sqrt(lam1)
+    if ring.R > r_c_sym:
+        size = r_c_sym * (prob.R / ring.R)
+        return SufficiencyResult(False, f"patch wider than symmetrized critical size {size:.6g}")
+    root_mu = math.sqrt(abs(mu1))
+    lhs = root_mu * math.tanh(ring.r * root_mu / 2.0)
+    denom = 1.0 + math.cos(ring.R * math.sqrt(lam1))
+    if denom <= 0:
+        return SufficiencyResult(False, "patch at the symmetrized critical size")
+    rhs = 2.0 * ring.R * n * k_pos * lam1 / denom
+    if lhs > rhs:
+        return SufficiencyResult(True, "symmetrized interface inequality holds", margin=lhs - rhs)
+    return SufficiencyResult(False, "symmetrized interface inequality fails", margin=lhs - rhs)
+
+
+def legacy_min_control_decay_rate(lead_eigenvalue: float, R: float, r: float, a: float = 1.0) -> float:
+    """Tests the pole and evaluates the tan on ``sqrt(L1) R / 2``; took any ``a`` and NaN widths."""
+    if lead_eigenvalue <= 0:
+        raise NonpositiveLeadEigenvalueError("lead eigenvalue must be positive")
+    if r <= 0 or R < 0:
+        raise AssumptionViolatedError("need a control zone of positive width and R >= 0")
+    root_lam = math.sqrt(lead_eigenvalue)
+    if root_lam * R / 2.0 >= math.pi / 2.0:
+        raise AssumptionViolatedError(f"patch at or beyond staged critical size {math.pi / root_lam:.6g}")
+    rhs = root_lam * math.tan(root_lam * R / 2.0)
+
+    def excess(m: float) -> float:
+        rm = math.sqrt(m)
+        return a * rm * math.tanh(rm * r / 2.0) - rhs
+
+    failure = AssumptionViolatedError("no finite control rate satisfies the inequality")
+    return expanding_root(excess, 1e15, failure, xtol=1e-14, rtol=1e-12)

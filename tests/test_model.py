@@ -71,6 +71,13 @@ class TestValidateLayout:
             validate_layout(PatchLayout(ben, ctl, R=1, r=1))
         assert err.value.code == "DimensionMismatch"
 
+    def test_rejects_a_diffusion_diagonal_that_is_not_1d(self):
+        # A 2x2 ``A`` used to pass and reach the criteria, which raised a bare ValueError.
+        ben = StageZone([[1.0, 5.0], [5.0, 2.0]], np.eye(2))
+        with pytest.raises(LayoutError) as err:
+            validate_layout(PatchLayout(ben, StageZone(np.ones(2), -np.eye(2)), R=1, r=1))
+        assert err.value.code == "DimensionMismatch"
+
     def test_rejects_bad_patch_count(self):
         with pytest.raises(LayoutError) as err:
             validate_layout(

@@ -37,13 +37,20 @@ from patchcontrol.oracle import top_eigenvalue_fd, verdict_fd
 from patchcontrol.staged import (
     SufficiencyResult,
     _basis_change,
-    _ben_matrix,
     _lead_zero,
-    _nb_matrix,
+    _zone_matrix,
     two_stage_inequality_sides,
 )
 
-from sweeps import bracketed_root, loguniform
+from sweeps import (
+    bracketed_root,
+    legacy_as_ring,
+    legacy_min_control_decay_rate,
+    legacy_symmetrized_sufficient_verdict,
+    legacy_two_stage_inequality_sides,
+    legacy_two_stage_verdict,
+    loguniform,
+)
 
 mpmath.mp.dps = 40
 
@@ -66,6 +73,11 @@ class TestBuildStageMatrix:
     def test_one_stage_collapses_to_net_rate(self):
         M = build_stage_matrix(BirthDeathParams(deaths=[2.0], births=[5.0]))
         np.testing.assert_allclose(M, [[3.0]])
+
+    def test_lives_in_model_and_resolves_from_staged(self):
+        from patchcontrol import model, staged
+
+        assert build_stage_matrix is model.build_stage_matrix is staged.build_stage_matrix
 
 
 class TestUniformControl:
@@ -178,6 +190,20 @@ class TestCriticalPatchStaged:
             critical_patch_staged(np.array(A), TAIGA_N)
         assert err.value.code == "DimensionMismatch"
 
+    @pytest.mark.parametrize(
+        "A, M, code",
+        [
+            ([1.0, math.nan], TAIGA_N, "NonpositiveDiffusion"),
+            ([math.inf, 1.0], TAIGA_N, "NonpositiveDiffusion"),
+            (np.ones(2), [[-0.91, math.nan], [0.01, -0.02]], "NonfiniteGrowth"),
+            (np.ones(2), [[-0.91, 2.24], [math.inf, -0.02]], "NonfiniteGrowth"),
+        ],
+    )
+    def test_refuses_nonfinite_entries(self, A, M, code):
+        with pytest.raises(LayoutError) as err:
+            critical_patch_staged(np.array(A), np.array(M))
+        assert err.value.code == code
+
     def test_nonpositive_lead_raises(self):
         from patchcontrol.staged import NonpositiveLeadEigenvalueError
 
@@ -258,7 +284,8 @@ class TestSymmetrizedVerdict:
 
 
 class TestClosedEnds:
-    """Reflecting and absorbing ends are read on the mirrored ring ``(2R, 2r)``."""
+    """Reflecting and absorbing ends are read on their own widths ``R, r``, rings on
+    ``R/2, r/2``; a reflecting pair is exactly the half of its mirrored ring ``(2R, 2r)``."""
 
     GRID = GridSpec(cells_per_unit_length=16, refinement_levels=2)
 
@@ -372,6 +399,27 @@ class TestTwoStageVerdict:
             with pytest.raises(AssumptionViolatedError, match="control matrix at E=0"):
                 criterion(prob)
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((math.nan, 40.0, 1.0, 1.0), "NonpositiveLeadEigenvalueError"),
+            ((math.inf, 40.0, 1.0, 1.0), "NonpositiveLeadEigenvalueError"),
+            ((0.005, math.nan, 1.0, 1.0), "AssumptionViolatedError"),
+            ((0.005, math.inf, 1.0, 1.0), "AssumptionViolatedError"),
+            ((0.005, 40.0, math.nan, 1.0), "AssumptionViolatedError"),
+            ((0.005, 40.0, math.inf, 1.0), "AssumptionViolatedError"),
+            ((0.005, 40.0, 1.0, math.nan), "NonpositiveDiffusion"),
+            ((0.005, 40.0, 1.0, math.inf), "NonpositiveDiffusion"),
+            ((0.005, 40.0, 1.0, 0.0), "NonpositiveDiffusion"),
+            ((0.005, 40.0, 1.0, -1.0), "NonpositiveDiffusion"),
+        ],
+    )
+    def test_control_rate_refuses_bad_input(self, args, error):
+        # Before: scipy's bare "function value at x=0.0 is NaN", or a doubling up to 1e15 for a <= 0.
+        with pytest.raises(ValueError) as err:
+            min_control_decay_rate(*args)
+        assert error in (type(err.value).__name__, getattr(err.value, "code", None))
+
     def test_oversized_patch_inconclusive(self):
         prob = taiga_problem(R=50.0)
         res = two_stage_verdict(prob)
@@ -395,6 +443,20 @@ class TestProportionalControl:
         )
         assert not check.holds
         assert check.reason == "lead eigenvalue nonpositive"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a1", "a2", "m1", "m2", "b1", "b2", "omega", "mtilde1", "mtilde2"])
+    def test_refuses_nonfinite_parameters(self, name, bad):
+        # NaN and inf used to slip past every comparison and certify the sign conditions.
+        field = dict(a1=1.1, a2=50.0, m1=1.0, m2=1.0, b1=0.52, b2=2.46, omega=0.5, mtilde1=1.0, mtilde2=1.0)
+        check = proportional_control_check(**{**field, name: bad})
+        assert not check.holds
+        if name == "omega":
+            assert check.reason == "omega out of range (0, 1)"
+        elif name.startswith("mtilde"):
+            assert check.reason == f"{name} must be finite"
+        else:
+            assert check.reason == f"{name} must be finite and positive"
 
     def test_diffusion_ordering_fails(self):
         check = proportional_control_check(
@@ -728,7 +790,7 @@ class TestTwoStageSamplerMatchesLoop:
         # are 0 and a positive trace, so the lead eigenvalue never vanishes.
         prob = _staged([1.0, 50.0], [[0.5, 1], [-0.1, -1]], [[-1.5, 1], [-0.1, -3]])
         E0 = max(np.linalg.eigvals(prob.M_ben).real)
-        assert np.trace(_ben_matrix(prob, E0)) > 0
+        assert np.trace(_zone_matrix(prob, prob.M_ben, E0)) > 0
         for certified in (False, True):
             with pytest.raises(AssumptionViolatedError, match="^lead eigenvalue does not cross zero$"):
                 two_stage_verdict(prob, certified=certified)
@@ -738,11 +800,11 @@ class TestTwoStageSamplerMatchesLoop:
     @pytest.mark.parametrize("seed", [s for s in range(30) if s % 3 < 2])
     def test_closed_form_zero_matches_scanned_root(self, seed):
         prob = _seeded_two_stage(seed)
-        lam1 = max_real_eigenvalue(_ben_matrix(prob, 0.0))
+        lam1 = max_real_eigenvalue(_zone_matrix(prob, prob.M_ben, 0.0))
         E0 = _lead_zero(prob)
         assert abs(E0 - _scanned_lead_zero(prob, lam1)) <= 1e-12
-        scale = 1.0 + np.abs(_ben_matrix(prob, 0.0)).max()
-        assert abs(max_real_eigenvalue(_ben_matrix(prob, E0))) <= 4 * np.finfo(float).eps * scale
+        scale = 1.0 + np.abs(_zone_matrix(prob, prob.M_ben, 0.0)).max()
+        assert abs(max_real_eigenvalue(_zone_matrix(prob, prob.M_ben, E0))) <= 4 * np.finfo(float).eps * scale
 
 
 class TestBasisChangeMatchesLoopSolve:
@@ -759,7 +821,7 @@ class TestBasisChangeMatchesLoopSolve:
             except AssumptionViolatedError:
                 continue
             a = prob.a_ratio
-            ben, ctl = eigen_2x2(_ben_matrix(prob, Es)), eigen_2x2(_nb_matrix(prob, Es, a))
+            ben, ctl = eigen_2x2(_zone_matrix(prob, prob.M_ben, Es)), eigen_2x2(_zone_matrix(prob, prob.M_nb, Es, a))
             c, det = _basis_change(ben, ctl)
             failed = ben.degenerate | ctl.degenerate | _singular(ben, det)
             for i, E in enumerate(Es):
@@ -776,3 +838,115 @@ class TestBasisChangeMatchesLoopSolve:
                 assert fails == (want[0, 1] * want[1, 0] > tol or want[0, 0] * want[1, 1] < -tol), (seed, E)
                 compared += 1
         assert compared >= 10000
+
+
+# ---------------------------------------------------------------------------
+# Transition: one width reading and one two-stage balance against the mirrored ring
+# ---------------------------------------------------------------------------
+
+
+def _bits(call, *args, **kwargs):
+    """``call``'s status, reason and margin bits, its value's bits, or what it raised."""
+    try:
+        res = call(*args, **kwargs)
+    except ValueError as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(res, float):
+        return ("value", res.hex())
+    if isinstance(res, tuple):
+        return ("sides", *(float(x).hex() for x in res))
+    return ("result", res.status, res.reason, None if res.margin is None else float(res.margin).hex())
+
+
+def _seeded_staged(seed, bc=None):
+    """Two-stage proportional control, rescaled taiga or a 3-stage cycle under uniform
+    control, with ``R`` up to 1.3 times the staged critical size; the boundary cycles."""
+    rng = np.random.default_rng(seed)
+    family = seed % 3
+    bc = bc or (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN, BoundaryCondition.PERIODIC)[seed // 3 % 3]
+    if family == 0:
+        A = np.array([loguniform(rng, 0.3, 3.0), 1.0])
+        A[1] = A[0] * loguniform(rng, 1.0, 40.0)
+        m2 = loguniform(rng, 0.05, 1.0)
+        m1 = m2 * loguniform(rng, 1.0, 4.0)
+        b1 = loguniform(rng, 0.2, 3.0)
+        b2 = m1 * m2 / b1 * loguniform(rng, 1.05, 4.0)
+        M_ben = np.array([[-m1, b1], [b2, -m2]])
+        extra, omega = loguniform(rng, 0.05, 3.0), rng.uniform(0.05, 0.8)
+        M_nb = np.array([[-m1 - extra, omega * b1], [omega * b2, -m2 - extra]])
+    elif family == 1:
+        A = np.ones(2)
+        M_ben = TAIGA_N * loguniform(rng, 0.5, 2.0)
+        M_nb = M_ben - loguniform(rng, 0.3, 2.0) * np.eye(2)
+    else:
+        params = BirthDeathParams(
+            deaths=[loguniform(rng, 0.05, 1.0) for _ in range(3)], births=[loguniform(rng, 0.3, 3.0) for _ in range(3)]
+        )
+        A, M_ben = np.array([loguniform(rng, 0.5, 2.0) for _ in range(3)]), build_stage_matrix(params)
+        M_nb = -np.diag([loguniform(rng, 0.5, 30.0) for _ in range(3)])
+    lead = max_real_eigenvalue(M_ben / A[:, None])
+    critical = math.pi / math.sqrt(lead) if lead > 0 else 5.0
+    if bc is not BoundaryCondition.PERIODIC:
+        critical /= 2  # a pair is half of its mirrored ring
+    return StagedProblem(
+        A_ben=A, M_ben=M_ben, A_nb=loguniform(rng, 0.4, 2.5) * A, M_nb=M_nb,
+        R=rng.uniform(0.02, 1.3) * critical, r=loguniform(rng, 0.1, 3.0), bc=bc,
+    )
+
+
+class TestOneWidthReadingMatchesTheRing:
+    """Reading a pair's widths directly, as ``scalar._effective_widths`` does, gives
+    the mirrored-ring reading's outcomes bit for bit; only the two-stage sides now
+    refuse a patch at or past the pole, and a problem without 2 stages."""
+
+    def test_seeded_draws(self):
+        seen = {"certified": 0, "pole": 0, "symmetrized": 0, "rate": 0}
+        for seed in range(450):
+            prob = _seeded_staged(seed)
+            for certified in (False, True):
+                want = _bits(legacy_two_stage_verdict, prob, certified)
+                assert _bits(two_stage_verdict, prob, certified) == want, (seed, certified)
+                seen["certified"] += want[:2] == ("result", "Eradication")
+                seen["pole"] += want[2].startswith("patch at or beyond")
+            want = _bits(legacy_symmetrized_sufficient_verdict, prob)
+            assert _bits(symmetrized_sufficient_verdict, prob) == want, seed
+            seen["symmetrized"] += want[:2] == ("result", "Eradication")
+            ring = legacy_as_ring(prob)
+            lead, a = max_real_eigenvalue(prob.M_ben / prob.A_ben[:, None]), prob.a_ratio or 1.0
+            want = _bits(legacy_min_control_decay_rate, lead, ring.R, ring.r, a)
+            assert _bits(min_control_decay_rate, lead, ring.R, ring.r, a) == want, seed
+            seen["rate"] += want[0] == "value"
+            want, got = _bits(legacy_two_stage_inequality_sides, prob), _bits(two_stage_inequality_sides, prob)
+            if prob.dimension != 2:
+                assert got == ("raised", "AssumptionViolatedError", "two-stage criterion needs exactly 2 stages")
+            elif got[0] == "raised" and got[2].startswith("patch at or beyond staged critical size"):
+                root_lam = math.sqrt(max_real_eigenvalue(_zone_matrix(prob, prob.M_ben, 0.0)))
+                assert root_lam * ring.R / 2.0 >= math.pi / 2.0, seed
+            else:
+                assert got == want, seed
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN])
+    def test_never_certified_at_the_pole(self, bc):
+        # Within 4 ulp of pi / sqrt(Lambda1(0)) the closed-form and eigvals values of
+        # Lambda1(0) can straddle the pole, where the ring reading certified with margins near 3e15.
+        legacy_certified = 0
+        for seed in range(0, 120, 3):
+            base = _seeded_staged(seed + seed // 3 % 2, bc)  # proportional and taiga draws
+            lead = max_real_eigenvalue(_zone_matrix(base, base.M_ben, 0.0))
+            R = math.pi / math.sqrt(lead) / (2 if bc is BoundaryCondition.NEUMANN else 1)
+            for step in range(-4, 5):
+                prob = replace(base, R=float(R + step * np.spacing(R)))
+                for certified in (False, True):
+                    res = two_stage_verdict(prob, certified)
+                    assert not res.eradicated, (seed, step, res)
+                    legacy_certified += legacy_two_stage_verdict(prob, certified).eradicated
+                sides = _bits(two_stage_inequality_sides, prob)
+                if res.reason.startswith("patch at or beyond staged critical size"):
+                    assert sides == ("raised", "AssumptionViolatedError", res.reason)
+                elif sides[0] == "raised":  # the verdict stopped earlier, at a non-dissipative control zone
+                    assert sides[2].startswith("patch at or beyond staged critical size"), sides
+                else:
+                    lhs, rhs = two_stage_inequality_sides(prob)
+                    assert lhs < rhs < math.inf
+        assert legacy_certified > 0
