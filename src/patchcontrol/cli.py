@@ -260,7 +260,7 @@ def cmd_min_mortality(args) -> int:
         return EXIT_VALIDATION
     p = ScalarProblem.from_layout(layout)
     closed = min_mortality(p.a, p.lam, p.R, p.b, p.r, p.bc, p.K)
-    oracle = min_mortality_fd(layout, grid)
+    oracle = min_mortality_fd(layout, grid, guess=closed)
     print(f"mu_star_closed = {_fmt(closed)}")
     print(f"mu_star_oracle = {_fmt(oracle)}")
     print(f"difference = {_fmt(abs(closed - oracle))}")
@@ -283,7 +283,7 @@ def cmd_min_zone(args) -> int:
         return EXIT_VALIDATION
     p = ScalarProblem.from_layout(layout)
     closed = min_zone_width(p.a, p.lam, p.R, p.b, p.mu, p.bc, p.K)
-    oracle = min_zone_width_fd(layout, grid)
+    oracle = min_zone_width_fd(layout, grid, guess=closed)
     print(f"r_star_closed = {_fmt(closed)}")
     print(f"r_star_oracle = {_fmt(oracle)}")
     print(f"difference = {_fmt(abs(closed - oracle))}")

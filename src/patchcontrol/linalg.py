@@ -130,20 +130,31 @@ def eigen_2x2(N: np.ndarray) -> Eigen2x2:
 
 
 def expanding_root(
-    f: Callable[[float], float], cap: float, failure: Exception, xtol: float, rtol: float
+    f: Callable[[float], float], cap: float, failure: Exception, xtol: float, rtol: float, start: float | None = None
 ) -> float:
-    """Root of ``f`` below the first ``hi = 1, 2, 4, ...`` with ``f(hi) > 0``.
+    """Root of ``f`` at its first sign change from ``f <= 0`` to ``f > 0``.
 
-    Returns ``0.0`` when ``f(0) >= 0``; otherwise Brent's method runs on
-    ``[hi/2, hi]``, or on ``[0, 1]`` when ``f(1) > 0``.  ``f`` is evaluated
-    at most once per point.  Raises ``failure`` once ``hi`` would exceed ``cap``.
+    Unseeded (``start`` None or 0), it returns ``0.0`` when ``f(0) >= 0``, else
+    doubles ``hi = 1, 2, 4, ...`` until ``f(hi) > 0`` and runs Brent's method on
+    ``[hi/2, hi]``, or on ``[0, 1]``.  A guess ``start > 0`` opens the bracket
+    ``[0.95 start, 1.05 start]``: ``lo`` halves, ``hi`` taking its place, while
+    ``f(lo) > 0``, drops to 0 for the zero test below ``1e-12 start``, and ``hi``
+    doubles as above.  ``f`` is evaluated at most once per point.  Raises
+    ``failure`` once ``hi`` would exceed ``cap``, ``ValueError`` for a negative
+    or non-finite ``start``.
     """
+    if start is not None and not (np.isfinite(start) and start >= 0):
+        raise ValueError(f"start must be finite and nonnegative, got {start}")
     f = functools.cache(f)
-    if f(0.0) >= 0:
+    lo, hi = (0.95 * start, 1.05 * start) if start else (0.0, 1.0)
+    while lo > 0 and f(lo) > 0:
+        lo, hi = lo / 2, lo
+        if lo < 1e-12 * start:
+            lo = 0.0
+    if lo == 0 and f(0.0) >= 0:
         return 0.0
-    hi = 1.0
     while f(hi) <= 0:
-        hi *= 2
+        lo, hi = hi, 2 * hi
         if hi > cap:
             raise failure
-    return float(brentq(f, hi / 2 if hi > 1 else 0.0, hi, xtol=xtol, rtol=rtol))
+    return float(brentq(f, lo, hi, xtol=xtol, rtol=rtol))

@@ -282,7 +282,8 @@ def _staged_rightmost_eigenvalue(op: DiscreteOperator) -> tuple[float, str]:
             raise NoConvergenceError(f"shift-invert Arnoldi failed: {exc}") from exc
         theta, path, v = complex(vals[0]), "shift-invert-arnoldi", vecs[:, 0]
         res = float(np.linalg.norm(K @ v - theta * (B * v)))
-        scale = (float(abs(K).sum(axis=0).max()) + abs(theta) * float(B.max())) * float(np.linalg.norm(v))
+        norm1 = float(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max())  # every column holds its diagonal
+        scale = (norm1 + abs(theta) * float(B.max())) * float(np.linalg.norm(v))
         if not res <= 1e-6 * scale:
             raise NoConvergenceError(f"shift-invert Arnoldi backward error {res / scale:.3g} is too large")
     if abs(theta.imag) > 1e-8 * (1.0 + abs(theta.real)):
@@ -367,9 +368,9 @@ def verdict_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _first_eradicating(layout: PatchLayout, grid: GridSpec | None, with_value, cap: float, what: str) -> float:
-    """Smallest ``x`` in ``[0, cap]`` at which the oracle top eigenvalue of the
-    scalar layout ``with_value(x)`` is nonpositive, one FD solve per ``x``."""
+def _first_eradicating(layout: PatchLayout, grid: GridSpec | None, with_value, cap: float, what: str, guess) -> float:
+    """Smallest ``x`` in ``[0, cap]`` at which the oracle top eigenvalue of the scalar layout
+    ``with_value(x)`` is nonpositive, one FD solve per ``x``, searched from ``guess`` if given."""
     if not layout.is_scalar:
         raise ValueError(f"oracle {what} search supports scalar layouts only")
     grid = grid or GridSpec()
@@ -378,18 +379,18 @@ def _first_eradicating(layout: PatchLayout, grid: GridSpec | None, with_value, c
         return top_eigenvalue_fd(with_value(x), grid).top_eigenvalue
 
     failure = NoConvergenceError(f"no eradicating {what} below {cap:g} (oracle)")
-    return expanding_root(lambda x: -top(x), cap, failure, xtol=1e-9, rtol=1e-5)
+    return expanding_root(lambda x: -top(x), cap, failure, xtol=1e-9, rtol=1e-5, start=guess)
 
 
 def _with_control_mortality(layout: PatchLayout, mu: float) -> PatchLayout:
     return replace(layout, control=replace(layout.control, growth=-mu))
 
 
-def min_mortality_fd(layout: PatchLayout, grid: GridSpec | None = None) -> float:
-    """Smallest scalar control mortality with a nonpositive oracle top eigenvalue."""
-    return _first_eradicating(layout, grid, partial(_with_control_mortality, layout), 1e12, "mortality")
+def min_mortality_fd(layout: PatchLayout, grid: GridSpec | None = None, guess: float | None = None) -> float:
+    """Smallest scalar control mortality with a nonpositive oracle top eigenvalue, searched from ``guess`` if given."""
+    return _first_eradicating(layout, grid, partial(_with_control_mortality, layout), 1e12, "mortality", guess)
 
 
-def min_zone_width_fd(layout: PatchLayout, grid: GridSpec | None = None) -> float:
-    """Smallest scalar control-zone width with a nonpositive oracle top eigenvalue."""
-    return _first_eradicating(layout, grid, lambda r: replace(layout, r=r), 1e3, "width")
+def min_zone_width_fd(layout: PatchLayout, grid: GridSpec | None = None, guess: float | None = None) -> float:
+    """Smallest scalar control-zone width with a nonpositive oracle top eigenvalue, searched from ``guess`` if given."""
+    return _first_eradicating(layout, grid, lambda r: replace(layout, r=r), 1e3, "width", guess)

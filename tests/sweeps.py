@@ -7,8 +7,10 @@ suites run in one pytest command.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -49,6 +51,18 @@ BCS = (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN, BoundaryCondition
 
 def loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def imported_names(module) -> list[str]:
+    """Every module and name that ``module``'s source imports, read from its syntax tree."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+    return imported
 
 
 def random_scalar_problem(rng: np.random.Generator) -> ScalarProblem:
@@ -134,7 +148,8 @@ def legacy_expanding_root(
 
 
 def _legacy_search(zero_test: Callable[[float], bool] | None):
-    def search(f, cap, failure, xtol, rtol):
+    def search(f, cap, failure, xtol, rtol, start=None):
+        assert start is None, "the old search had no seed"
         if zero_test is not None and zero_test(f(0.0)):
             return 0.0
         return legacy_expanding_root(f, cap, failure, xtol, rtol)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from patchcontrol import VerdictStatus
+from patchcontrol import VerdictStatus, oracle
 from patchcontrol.cli import (
     EXIT_DISAGREEMENT,
     EXIT_INSTABILITY,
@@ -223,6 +223,27 @@ class TestMinMortality:
         code, _, err = run_cli(capsys, "min-mortality", "--preset", "lone-star", "--R", "16")
         assert code == EXIT_UNCONTROLLABLE
         assert "uncontrollable" in err
+
+
+class TestInverseSearchSeeded:
+    def test_lone_star_item_fd_solves(self, capsys, monkeypatch):
+        # The oracle searches start at the closed answers: 20 FD solves unseeded.
+        calls = []
+        top_eigenvalue_fd = oracle.top_eigenvalue_fd
+
+        def counting(layout, grid):
+            calls.append(layout)
+            return top_eigenvalue_fd(layout, grid)
+
+        monkeypatch.setattr(oracle, "top_eigenvalue_fd", counting)
+        base = ("--preset", "lone-star", "--grid-levels", "2")
+        code, out, _ = run_cli(capsys, "min-mortality", *base)
+        assert code == EXIT_OK
+        mu_closed = float(parsed(out)["mu_star_closed"])
+        code, out, _ = run_cli(capsys, "min-zone", *base, "--mu", repr(2 * mu_closed))
+        assert code == EXIT_OK
+        assert math.isfinite(float(parsed(out)["r_star_oracle"]))
+        assert len(calls) <= 12
 
 
 class TestMinZone:

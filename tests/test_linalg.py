@@ -264,6 +264,94 @@ class TestExpandingRoot:
             min_control_decay_rate(1.0, R=-1.0, r=1.0)
 
 
+class TestSeededExpandingRoot:
+    """A guess at the root moves the first bracket to ``[0.95, 1.05]`` times the guess."""
+
+    @staticmethod
+    def search(root, start, cap=1e3):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return x - root
+
+        found = expanding_root(f, cap, ValueError("cap"), xtol=1e-15, rtol=1e-15, start=start)
+        assert found == pytest.approx(root, rel=1e-14)
+        assert len(probes) == len(set(probes))
+        return probes
+
+    def test_exact_guess_brackets_it(self):
+        assert self.search(5.5, 5.5)[:2] == [0.95 * 5.5, 1.05 * 5.5]
+
+    def test_high_guess_halves_lo(self):
+        assert self.search(5.5, 55.0)[:5] == [52.25, 26.125, 13.0625, 6.53125, 3.265625]
+
+    def test_low_guess_doubles_hi(self):
+        hi = 1.05 * 0.55
+        assert self.search(5.5, 0.55)[:5] == [0.95 * 0.55, hi, 2 * hi, 4 * hi, 8 * hi]
+
+    def test_zero_guess_is_the_unseeded_search(self):
+        assert self.search(5.5, 0.0) == self.search(5.5, None)
+
+    def test_root_at_zero_ends_with_the_zero_test(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return 0.25 + x
+
+        assert expanding_root(f, 1e3, ValueError("cap"), xtol=1e-15, rtol=1e-15, start=2.0) == 0.0
+        # lo halves from 1.9 while at least 1e-12 * start, then drops to 0.
+        assert probes[-1] == 0.0 and 1e-12 * 2.0 <= probes[-2] < 2e-12 * 2.0
+        assert len(probes) == 41  # 1.9 / 2**k for k = 0..39, then 0
+
+    def test_raises_the_given_failure_past_the_cap(self):
+        failure = LookupError("no root below the cap")
+        with pytest.raises(LookupError) as err:
+            expanding_root(lambda x: -1.0, 100.0, failure, xtol=1e-9, rtol=1e-9, start=3.0)
+        assert err.value is failure
+
+    def test_min_zone_width_fd_cap_is_no_convergence(self):
+        layout = ScalarProblem(a=1, lam=0.2, b=1, mu=0.01, R=1, r=1, bc=BoundaryCondition.NEUMANN).to_layout()
+        coarse = GridSpec(cells_per_unit_length=1, refinement_levels=2)
+        with pytest.raises(NoConvergenceError, match="below 1000"):
+            min_zone_width_fd(layout, coarse, guess=0.5)
+
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), -1.0])
+    def test_refuses_a_seed_that_is_not_finite_and_nonnegative(self, start):
+        f = lambda x: x - 1.0  # noqa: E731
+        with pytest.raises(ValueError, match="start must be finite and nonnegative"):
+            expanding_root(f, 1e3, LookupError("cap"), xtol=1e-9, rtol=1e-9, start=start)
+
+    def test_oracle_mortality_search_agrees_with_the_unseeded_search(self, monkeypatch):
+        # Criterion-6 draws: every guess lands on the unseeded root within the
+        # search's rtol, and the exact guess costs at most 6 FD solves.
+        grid = GridSpec(cells_per_unit_length=32, refinement_levels=2)
+        calls = []
+        top_eigenvalue_fd = oracle.top_eigenvalue_fd
+
+        def counting(lay, g):
+            calls.append(lay)
+            return top_eigenvalue_fd(lay, g)
+
+        monkeypatch.setattr(oracle, "top_eigenvalue_fd", counting)
+        rng = np.random.default_rng(1818)
+        searched = 0
+        for _ in range(25):
+            p = random_scalar_problem(rng)
+            layout = p.to_layout()
+            unseeded = outcome(lambda: min_mortality_fd(layout, grid))
+            if not isinstance(unseeded, float):
+                continue
+            for guess in (unseeded, 10 * unseeded, unseeded / 10, 0.0):
+                calls.clear()
+                assert min_mortality_fd(layout, grid, guess=guess) == pytest.approx(unseeded, rel=1e-5), (p, guess)
+                if guess == unseeded:
+                    assert len(calls) <= 6
+            searched += unseeded > 0
+        assert searched >= 10
+
+
 def outcome(call):
     """``call()``, or the type and message of what it raised."""
     try:

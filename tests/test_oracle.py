@@ -32,7 +32,7 @@ from patchcontrol.oracle import (
 )
 from patchcontrol.presets import get_preset
 
-from sweeps import BCS, loguniform, random_scalar_problem
+from sweeps import BCS, imported_names, loguniform, random_scalar_problem, random_supercritical_stage_matrix
 
 FAST = GridSpec(cells_per_unit_length=64, refinement_levels=2)
 
@@ -358,6 +358,26 @@ class TestStagedBackwardError:
         monkeypatch.setattr(sparse.linalg, "eigs", perturbed)
         with pytest.raises(oracle.NoConvergenceError, match="backward error"):
             top_eigenvalue_fd(replace(get_preset("taiga-two-stage"), r=0.734), self.GRID)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_column_sum_norm_from_the_csc_segments(self, level):
+        # The acceptance scale sums |K| per CSC segment; every column holds its
+        # diagonal, so no segment is empty and the sums equal abs(K)'s column sums.
+        rng = np.random.default_rng(1717)
+        for _ in range(12):
+            bc = BCS[int(rng.integers(3))]
+            M = random_supercritical_stage_matrix(rng, int(rng.integers(2, 4)))
+            diffusion = [loguniform(rng, 0.1, 10.0) for _ in range(len(M))]
+            layout = PatchLayout(
+                StageZone(diffusion, M),
+                StageZone(diffusion, M - loguniform(rng, 0.1, 5.0) * np.eye(len(M))),
+                R=loguniform(rng, 0.5, 5.0), r=loguniform(rng, 0.1, 3.0),
+                K=int(rng.integers(1, 3)) if bc is BoundaryCondition.PERIODIC else 1, bc=bc,
+            )
+            K = assemble(layout, GridSpec(cells_per_unit_length=16, min_cells_per_zone=8), level).stiffness.tocsc()
+            assert np.diff(K.indptr).min() >= 1
+            segments = np.add.reduceat(np.abs(K.data), K.indptr[:-1])
+            assert np.array_equal(segments, np.asarray(abs(K).sum(axis=0)).ravel())
 
 
 class TestStagedWholeRing:
@@ -799,6 +819,12 @@ class TestVerdictFd:
 
 
 class TestOracleInverseDesign:
+    def test_oracle_module_imports_nothing_from_scalar(self):
+        # The oracle checks the closed form; a search guess is the caller's input.
+        imported = imported_names(oracle)
+        assert imported
+        assert not [name for name in imported if "scalar" in name.split(".")]
+
     def test_min_mortality_zero_when_already_eradicated(self):
         p = ScalarProblem(a=16.67, lam=0.65, b=16.67, mu=0.0, R=7.0, r=1.0,
                           bc=BoundaryCondition.DIRICHLET)

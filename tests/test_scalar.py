@@ -1,7 +1,5 @@
-import ast
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -31,6 +29,7 @@ from patchcontrol.scalar import control_inequality_sides
 
 from sweeps import (
     BCS,
+    imported_names,
     legacy_inequality_sides,
     legacy_min_mortality,
     legacy_min_zone_width,
@@ -335,13 +334,7 @@ class TestPoleBracketRoot:
 
     def test_scalar_module_imports_nothing_from_oracle(self):
         # The closed-form layer stays independent of the FD oracle it is checked against.
-        tree = ast.parse(Path(scalar.__file__).read_text(encoding="utf-8"))
-        imported = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported += [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                imported += [node.module or ""] + [alias.name for alias in node.names]
+        imported = imported_names(scalar)
         assert imported
         assert not [name for name in imported if "oracle" in name.split(".")]
 
