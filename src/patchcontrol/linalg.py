@@ -1,21 +1,24 @@
 """Small dense eigenvalue helpers and scalar root finding.
 
 Everything here works on matrices up to 8x8; the heavy grid eigensolves
-live in :mod:`patchcontrol.oracle`.  :func:`expanding_root`, the inverse
-solvers' search for a first eradicating parameter, evaluates each point once.
+live in :mod:`patchcontrol.oracle`.  :func:`brentq` is Brent's method with
+SciPy's iterates, so the package never imports :mod:`scipy.optimize`;
+:func:`expanding_root`, the inverse solvers' search for a first eradicating
+parameter, evaluates each point once.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 REAL_EIG_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
+_BRENT_ITERATIONS = 100
 
 
 class NoRealEigenvalueError(ValueError):
@@ -129,6 +132,65 @@ def eigen_2x2(N: np.ndarray) -> Eigen2x2:
     return Eigen2x2(disc=disc[..., 0], values=lam, vectors=vectors, unpinnable=unpinnable)
 
 
+def brentq(f: Callable[[float], float], lo: float, hi: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in ``[lo, hi]`` by Brent's method (Brent 1973, ch. 4).
+
+    A statement-for-statement copy of SciPy's C ``brentq`` and the NaN check of
+    its Python wrapper: the same points, in the same floating-point order, give
+    the same root bits and error messages as ``scipy.optimize.brentq`` with its
+    default 100 iterations.  Returns an end where ``f`` is 0, else stops once
+    the bracket is narrower than ``xtol + rtol |x|``.  Raises ``ValueError`` for
+    a NaN value or ends of the same sign, ``RuntimeError`` after 100 iterations.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(lo), float(hi), float(xtol), float(rtol)  # C doubles, as SciPy parses them
+    fpre, fcur = value(xpre), value(xcur)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_ITERATIONS):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to +-inf or NaN, which the test below refuses
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_ITERATIONS} iterations.")
+
+
 def expanding_root(
     f: Callable[[float], float], cap: float, failure: Exception, xtol: float, rtol: float, start: float | None = None
 ) -> float:
@@ -157,4 +219,4 @@ def expanding_root(
         lo, hi = hi, 2 * hi
         if hi > cap:
             raise failure
-    return float(brentq(f, lo, hi, xtol=xtol, rtol=rtol))
+    return brentq(f, lo, hi, xtol, rtol)

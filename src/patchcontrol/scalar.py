@@ -18,9 +18,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial
 
-from scipy.optimize import brentq
-
-from .linalg import expanding_root
+from .linalg import brentq, expanding_root
 from .model import (
     BoundaryCondition,
     LayoutError,
@@ -273,7 +271,7 @@ def _pole_bracket_root(f, lo: float, hi: float, lo_is_pole: bool) -> tuple[float
         return hi, pad
     if lo_is_pole and f(lo) >= 0:
         return lo, pad
-    x = brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
+    x = brentq(f, lo, hi, _ROOT_XTOL, _ROOT_RTOL)
     return x, _ROOT_XTOL + _ROOT_RTOL * x
 
 

@@ -17,7 +17,10 @@ The one-sided criteria read widths as the scalar criterion does: one zone pair
 on the half widths ``R/2, r/2`` of a ring, on ``R, r`` themselves otherwise.  A
 reflecting pair ``(R, r)`` mirrors exactly onto the ring ``(2R, 2r)``, whose
 half widths it is; absorbing ends only lower the symmetrized Rayleigh quotient,
-so the symmetrized bound reads them the same way.  Like ``scalar_verdict``,
+so the symmetrized bound reads them the same way.  For cooperative stages
+(positive off-diagonals in both zone matrices) they also lower the principal
+eigenvalue, so the two-stage criterion reads them the same way too; it refuses
+any other absorbing pair.  Like ``scalar_verdict``,
 the two-stage balance tests the tan's first pole on the argument it evaluates:
 a patch at or past it is never certified.
 """
@@ -291,8 +294,11 @@ def _two_stage_reading(prob: StagedProblem) -> tuple[float, float, float]:
     """``(a, R_eff, r_eff)`` of a problem the two-stage criterion reads, with ``A_nb = a A_ben``."""
     if prob.dimension != 2:
         raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
-    if prob.bc is BoundaryCondition.DIRICHLET:
-        raise AssumptionViolatedError("two-stage criterion needs reflecting ends or a ring")
+    # With positive off-diagonals in both zones (cooperative, irreducible), absorbing ends lower the
+    # principal eigenvalue below that of reflecting ends on the same widths, which are read instead.
+    cooperative = min(prob.M_ben[0, 1], prob.M_ben[1, 0], prob.M_nb[0, 1], prob.M_nb[1, 0]) > 0
+    if prob.bc is BoundaryCondition.DIRICHLET and not cooperative:
+        raise AssumptionViolatedError("two-stage criterion needs reflecting ends or a ring, or cooperative stages")
     a = prob.a_ratio
     if a is None:
         raise AssumptionViolatedError("control diffusion must be a scalar multiple of the beneficial one")
@@ -336,7 +342,8 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
     ``det M_ben < 0``, and ``E0`` is the positive eigenvalue of ``M_ben``.
     ``certified=True`` skips the sign-pattern sampling, as justified by a
     passing :func:`proportional_control_check`.  The first failing sample is
-    reported.  Widths are read as in the module docstring; absorbing ends raise.
+    reported.  Widths are read as in the module docstring; absorbing ends raise
+    unless both zone matrices have positive off-diagonal entries.
     """
     a, R_eff, r_eff = _two_stage_reading(prob)
     at_zero = eigen_2x2(_zone_matrix(prob, prob.M_ben, 0.0))

@@ -1,8 +1,19 @@
+import importlib
+import math
+import os
+import pkgutil
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
+import patchcontrol
 from patchcontrol import (
     AssumptionViolatedError,
     BoundaryCondition,
@@ -19,6 +30,7 @@ from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
     NoRealEigenvalueError,
     NotSymmetricError,
+    brentq,
     eigen_2x2,
     expanding_root,
     max_real_eigenvalue,
@@ -32,6 +44,7 @@ from sweeps import (
     InvalidBracketError,
     NoRootError,
     bracketed_root,
+    imported_names,
     loguniform,
     random_scalar_problem,
 )
@@ -416,3 +429,127 @@ class TestExpandingRootMatchesTheOldSearch:
         assert len(points) == len(set(points))  # one FD solve per searched x
         monkeypatch.setattr(oracle, "expanding_root", LEGACY_SEARCHES["patchcontrol.oracle"])
         assert search(layout, grid) == new
+
+
+# ---------------------------------------------------------------------------
+# Brent's method: SciPy's iterates without importing scipy.optimize
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+PACKAGE_TOLERANCES = [(1e-9, 1e-5), (1e-13, 8 * EPS)]  # expanding_root's callers; the dispersion root
+
+
+def brent_run(solver, f, lo, hi, xtol, rtol):
+    """``solver``'s root bits (or what it raised) and the points at which it evaluated ``f``."""
+    points = []
+
+    def counted(x):
+        points.append(x)
+        return f(x)
+
+    return outcome(lambda: solver(counted, lo, hi, xtol=xtol, rtol=rtol).hex()), [float(x).hex() for x in points]
+
+
+def seeded_brent_problem(rng, family):
+    """``(f, lo, hi)``: smooth monotone, a tan/tanh dispersion residual, a step, or a
+    residual so small that C's secant slopes underflow and divide by zero."""
+    if family == "power":
+        c, p = loguniform(rng, 0.1, 10.0), loguniform(rng, 0.3, 5.0)
+        return (lambda x: x**p - c), 0.0, max(c, 1.0) + 1.0
+    if family == "atan":
+        s = rng.uniform(-3.0, 3.0)
+        return (lambda x: math.atan(x - s) + 0.1 * (x - s) ** 3), -4.0, 5.0
+    if family == "exp":
+        s, k = rng.uniform(0.1, 0.9), loguniform(rng, 1.0, 50.0)
+        return (lambda x: math.expm1(k * (x - s))), 0.0, 1.0
+    if family == "dispersion":
+        a, lam, b, mu = (loguniform(rng, 0.1, 10.0) for _ in range(4))
+        R, r = loguniform(rng, 0.1, 5.0), loguniform(rng, 0.01, 5.0)
+        pole = (math.pi / (2 * R)) ** 2
+        f = partial(scalar._dispersion_residual, a=a, lam=lam, R=R, b=b, mu=mu, r=r, dirichlet=False)
+        return f, 0.0, pole * (1 - 1e-12)
+    if family == "step":
+        t = rng.uniform(0.05, 0.95)
+        return (lambda x: -1.0 if x < t else 1.0), 0.0, 1.0
+    s, scale = rng.uniform(0.1, 0.9), 10.0 ** rng.uniform(-200.0, -150.0)  # "tiny"
+    return (lambda x: scale * ((x - s) ** 3 + 0.01 * (x - s))), 0.0, 1.0
+
+
+class TestBrentqMatchesScipy:
+    """``linalg.brentq`` copies SciPy's ``brentq``: the same points, root bits and errors."""
+
+    # Besides the package's tolerances, two coarse pairs under which the step test's
+    # ``3 |sbis| - delta`` bound decides a few draws.
+    @pytest.mark.parametrize("xtol, rtol", [*PACKAGE_TOLERANCES, (1e-2, 4 * EPS), (1e-3, 1e-3)])
+    @pytest.mark.parametrize("family", ["power", "atan", "exp", "dispersion", "step", "tiny"])
+    def test_seeded_draws(self, family, xtol, rtol):
+        rng = np.random.default_rng(1900)
+        roots = 0
+        for _ in range(300):
+            f, lo, hi = seeded_brent_problem(rng, family)
+            want = brent_run(scipy_brentq, f, lo, hi, xtol, rtol)
+            got = brent_run(brentq, f, lo, hi, xtol, rtol)
+            assert got == want, (family, lo, hi)  # equal points, so equal calls to f
+            roots += isinstance(got[0], str)
+        assert roots >= 150
+
+    @pytest.mark.parametrize("lo, hi", [(0.25, 1.0), (0.0, 0.25)])
+    def test_zero_at_an_end_returns_it_after_two_calls(self, lo, hi):
+        f = lambda x: x - 0.25  # noqa: E731
+        want = brent_run(scipy_brentq, f, lo, hi, 1e-9, 1e-5)
+        assert brent_run(brentq, f, lo, hi, 1e-9, 1e-5) == want
+        assert want == ((0.25).hex(), [float(lo).hex(), float(hi).hex()])
+
+    def test_ends_of_the_same_sign_raise(self):
+        f = lambda x: x + 1.0  # noqa: E731
+        with pytest.raises(ValueError, match="must have different signs"):
+            brentq(f, 0.0, 1.0, 1e-9, 1e-5)
+        assert brent_run(brentq, f, 0.0, 1.0, 1e-9, 1e-5) == brent_run(scipy_brentq, f, 0.0, 1.0, 1e-9, 1e-5)
+
+    @pytest.mark.parametrize("nan_from", [1.0, 0.6])
+    def test_nan_raises_scipys_value_error(self, nan_from):
+        f = lambda x: math.nan if x >= nan_from else x - 0.7  # noqa: E731
+        with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+            brentq(f, 0.0, 1.0, 1e-9, 1e-5)
+        assert brent_run(brentq, f, 0.0, 1.0, 1e-9, 1e-5) == brent_run(scipy_brentq, f, 0.0, 1.0, 1e-9, 1e-5)
+
+    def test_runs_out_after_100_iterations(self):
+        f = lambda x: -1.0 if x < 1e-300 else 1.0  # noqa: E731
+        want = brent_run(scipy_brentq, f, 0.0, 1.0, 5e-324, 4 * EPS)
+        got = brent_run(brentq, f, 0.0, 1.0, 5e-324, 4 * EPS)
+        assert got == want
+        assert got[0] == (RuntimeError, "Failed to converge after 100 iterations.")
+        assert len(got[1]) == 2 + 100
+
+
+class TestImportsWithoutScipyOptimize:
+    """Importing ``scipy.optimize`` costs each process 0.2-0.3 s and 17 MB, and the package needs none of it."""
+
+    def test_no_module_imports_it(self):
+        modules = [patchcontrol] + [
+            importlib.import_module(f"patchcontrol.{info.name}") for info in pkgutil.iter_modules(patchcontrol.__path__)
+        ]
+        assert {"patchcontrol.linalg", "patchcontrol.scalar", "patchcontrol.cli"} <= {m.__name__ for m in modules}
+        for module in modules:
+            assert not [name for name in imported_names(module) if "optimize" in name.split(".")], module.__name__
+
+    def test_a_fresh_process_never_loads_it(self):
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import patchcontrol
+            from patchcontrol import cli
+            for argv in (
+                ["critical-size", "--preset", "lone-star"],
+                ["spectrum", "--preset", "lone-star", "--method", "both"],
+                ["min-mortality", "--preset", "lone-star", "--grid-levels", "2"],
+                ["min-zone", "--preset", "lone-star", "--mu", "100", "--grid-levels", "2"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
+            print(sorted(name for name in sys.modules if name.startswith("scipy.optimize")))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(patchcontrol.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

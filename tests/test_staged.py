@@ -303,11 +303,32 @@ class TestClosedEnds:
         )
 
     def test_two_stage_refuses_absorbing_ends(self):
-        prob = replace(taiga_problem(), bc=BoundaryCondition.DIRICHLET)
+        # Absorbing ends are read only for cooperative stages; this control zone has no birth.
+        no_birth = np.array([[-1.7, 0.0], [0.0025, -0.8]])
+        prob = replace(taiga_problem(control=no_birth), bc=BoundaryCondition.DIRICHLET)
         with pytest.raises(AssumptionViolatedError, match="reflecting ends or a ring"):
             two_stage_verdict(prob)
         with pytest.raises(AssumptionViolatedError, match="reflecting ends or a ring"):
             two_stage_inequality_sides(prob)
+        two_stage_verdict(replace(prob, bc=BoundaryCondition.NEUMANN))  # reflecting ends are read
+
+    def test_two_stage_dirichlet_certificates_are_sound(self):
+        # Cooperative stages: absorbing ends are read as reflecting ones on the same widths,
+        # which the comparison principle makes a sufficient condition.
+        rng = np.random.default_rng(5)
+        certified = 0
+        for _ in range(150):
+            M = TAIGA_N * rng.uniform(0.5, 2.0)
+            shift = rng.uniform(0.3, 3.0)
+            R = rng.uniform(0.2, 0.95) * math.pi / math.sqrt(max_real_eigenvalue(M))
+            prob = StagedProblem(
+                A_ben=[1.0, 1.0], M_ben=M, A_nb=[1.0, 1.0], M_nb=M - shift * np.eye(2),
+                R=R, r=rng.uniform(0.2, 3.0), bc=BoundaryCondition.DIRICHLET,
+            )
+            if two_stage_verdict(prob).eradicated:
+                certified += 1
+                self.assert_sound(prob)
+        assert certified >= 20
 
     def test_two_stage_neumann_certificates_are_sound(self):
         # Rescaled taiga matrices with a uniform control shift; patches up to
@@ -897,16 +918,22 @@ def _seeded_staged(seed, bc=None):
 class TestOneWidthReadingMatchesTheRing:
     """Reading a pair's widths directly, as ``scalar._effective_widths`` does, gives
     the mirrored-ring reading's outcomes bit for bit; only the two-stage sides now
-    refuse a patch at or past the pole, and a problem without 2 stages."""
+    refuse a patch at or past the pole, and a problem without 2 stages.  The
+    two-stage criterion reads cooperative absorbing ends as reflecting ones."""
 
     def test_seeded_draws(self):
-        seen = {"certified": 0, "pole": 0, "symmetrized": 0, "rate": 0}
+        seen = {"certified": 0, "dirichlet certified": 0, "pole": 0, "symmetrized": 0, "rate": 0}
         for seed in range(450):
             prob = _seeded_staged(seed)
+            two_stage = prob
+            if prob.bc is BoundaryCondition.DIRICHLET and prob.dimension == 2:
+                assert min(prob.M_ben[0, 1], prob.M_ben[1, 0], prob.M_nb[0, 1], prob.M_nb[1, 0]) > 0, seed
+                two_stage = replace(prob, bc=BoundaryCondition.NEUMANN)
             for certified in (False, True):
-                want = _bits(legacy_two_stage_verdict, prob, certified)
+                want = _bits(legacy_two_stage_verdict, two_stage, certified)
                 assert _bits(two_stage_verdict, prob, certified) == want, (seed, certified)
                 seen["certified"] += want[:2] == ("result", "Eradication")
+                seen["dirichlet certified"] += want[:2] == ("result", "Eradication") and two_stage is not prob
                 seen["pole"] += want[2].startswith("patch at or beyond")
             want = _bits(legacy_symmetrized_sufficient_verdict, prob)
             assert _bits(symmetrized_sufficient_verdict, prob) == want, seed
@@ -916,7 +943,7 @@ class TestOneWidthReadingMatchesTheRing:
             want = _bits(legacy_min_control_decay_rate, lead, ring.R, ring.r, a)
             assert _bits(min_control_decay_rate, lead, ring.R, ring.r, a) == want, seed
             seen["rate"] += want[0] == "value"
-            want, got = _bits(legacy_two_stage_inequality_sides, prob), _bits(two_stage_inequality_sides, prob)
+            want, got = _bits(legacy_two_stage_inequality_sides, two_stage), _bits(two_stage_inequality_sides, prob)
             if prob.dimension != 2:
                 assert got == ("raised", "AssumptionViolatedError", "two-stage criterion needs exactly 2 stages")
             elif got[0] == "raised" and got[2].startswith("patch at or beyond staged critical size"):
