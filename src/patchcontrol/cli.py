@@ -400,6 +400,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_UNCONTROLLABLE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OverflowError as exc:  # a width or rate whose derived quantities leave the float range
+        given = " ".join(f"--{k} {v}" for k, v in vars(args).items() if k in _SCENARIO_FLAGS and v is not None)
+        print(f"error: out of floating-point range with {given or 'the scenario values'}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except TransientNotResolvedError as exc:
         print(f"transient not resolved: {exc}", file=sys.stderr)
         return EXIT_TRANSIENT

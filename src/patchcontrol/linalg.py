@@ -33,10 +33,6 @@ class ComplexOrRepeatedEigenvaluesError(ValueError):
     pass
 
 
-class SingularBasisError(ValueError):
-    pass
-
-
 def _as_square(N: np.ndarray) -> np.ndarray:
     N = np.atleast_2d(np.asarray(N, dtype=float))
     if N.ndim != 2 or N.shape[0] != N.shape[1]:

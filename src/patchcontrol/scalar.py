@@ -2,13 +2,14 @@
 
 The spatial operator is ``a y'' + lam y`` on the beneficial zone and
 ``b y'' - mu y`` on the control zone, glued by continuity of ``y`` and of the
-flux ``a y'``.  Its top eigenvalue decides eradication: one tan/tanh balance
-gives its sign inside a band of ``lam / a`` set by the boundary, with rings
-read as reflecting ends on the half widths ``R/2, r/2``.  The dispersion
-relation locates the eigenvalue itself: its first poles bracket the top root
-for one Brent solve, on every scalar layout and without the grid oracle, which
-this module does not import.  Inverse design inverts the balance: the minimal
-zone width in closed form, the minimal mortality by Brent's method.
+flux ``a y'``.  One tan/tanh interface balance at the eigenvalue ``E``, with
+rings read as reflecting ends on the half widths ``R/2, r/2``, answers both
+questions: at ``E = 0`` its sign is the verdict, inside a band of ``lam / a`` set
+by the boundary, and the ``E`` where its sides meet is the top eigenvalue, a root
+its first poles bracket for one Brent solve (below ``E = -mu`` the control zone's
+tanh continues to a tan), without the grid oracle, which this module does not
+import.  Inverse design inverts the balance: the minimal zone width in closed
+form, the minimal mortality by Brent's method.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .linalg import brentq, expanding_root
 from .model import (
@@ -103,29 +103,6 @@ def critical_patch_dirichlet(a: float, lam: float) -> float:
     return math.pi * math.sqrt(a / lam)
 
 
-def _tanh_over_sqrt(mu: float, b: float, r: float) -> float:
-    """tanh(r sqrt(mu/b)) / sqrt(b mu), continued to r/b at mu = 0."""
-    q = mu * b
-    if q <= 0 or r == 0.0:
-        # limit of tanh(r sqrt(mu/b)) / sqrt(b mu) as mu -> 0 is r/b
-        return r / b if q <= 0 else 0.0
-    return math.tanh(r * math.sqrt(mu / b)) / math.sqrt(q)
-
-
-def _sqrt_tanh(mu: float, b: float, r_eff: float) -> float:
-    """sqrt(mu b) * tanh(r_eff sqrt(mu/b)); 0 at mu = 0 or r_eff = 0."""
-    if mu <= 0 or r_eff <= 0:
-        return 0.0
-    return math.sqrt(mu * b) * math.tanh(r_eff * math.sqrt(mu / b))
-
-
-def _sqrt_tan(lam: float, a: float, R_eff: float) -> float:
-    """sqrt(lam a) * tan(R_eff sqrt(lam/a)) for lam >= 0."""
-    if lam == 0:
-        return 0.0
-    return math.sqrt(lam * a) * math.tan(R_eff * math.sqrt(lam / a))
-
-
 def _effective_widths(p) -> tuple[float, float]:
     """Widths of a scalar or staged one-pair problem: halved on rings, whose top eigenfunction is even about mid-zone."""
     if p.bc is BoundaryCondition.PERIODIC:
@@ -172,18 +149,33 @@ def scalar_verdict(p: ScalarProblem) -> Verdict:
 
 
 def control_inequality_sides(p: ScalarProblem) -> tuple[float, float]:
-    """(lhs, rhs) of the deciding tan/tanh inequality; eradication iff lhs > rhs.
-
-    Only defined inside the controllable band (see :func:`_controllable_band`).
-    """
+    """(lhs, rhs) of the balance at ``E = 0`` inside the controllable band; eradication iff lhs > rhs."""
     if p.lam < 0 or (p.lam == 0 and p.bc is BoundaryCondition.DIRICHLET):
         raise NonpositiveGrowthError("inequality sides need lam > 0 (lam >= 0 off absorbing ends)")
-    if p.bc is BoundaryCondition.DIRICHLET:
-        lhs = -_tanh_over_sqrt(p.mu, p.b, p.r)
-        rhs = math.tan(p.R * math.sqrt(p.lam / p.a)) / math.sqrt(p.a * p.lam)
-        return lhs, rhs
     R, r = _effective_widths(p)
-    return _sqrt_tanh(p.mu, p.b, r), _sqrt_tan(p.lam, p.a, R)
+    return _interface_balance(p.lam, p.mu, p.a, R, p.b, r, p.bc is BoundaryCondition.DIRICHLET)
+
+
+def _interface_balance(
+    ben: float, ctl: float, a: float, R: float, b: float, r: float, dirichlet: bool
+) -> tuple[float, float]:
+    """``(lhs, rhs)``, the control zone's tanh against the beneficial zone's tan, at net
+    rates ``ben = lam - E``, ``ctl = mu + E`` and effective widths ``R``, ``r``.
+
+    Reflecting ends and rings match ``sqrt(ctl b) tanh(r sqrt(ctl/b))`` against
+    ``sqrt(ben a) tan(R sqrt(ben/a))``, absorbing ends ``-tanh(..) / sqrt(ctl b)``
+    (``-r/b`` at ``ctl b = 0``) against ``tan(..) / sqrt(a ben)``.  Below ``ctl = 0``
+    ``tanh(i y) = i tan(y)``: the ``i`` cancels in ``tanh / sqrt``, squares to -1 in ``sqrt tanh``.
+    """
+    t = math.tan(R * math.sqrt(ben / a))
+    rhs = t / math.sqrt(a * ben) if dirichlet else math.sqrt(ben * a) * t
+    q = ctl * b
+    if q == 0 or r == 0:
+        return (-(r / b) if dirichlet else 0.0), rhs
+    s, y = math.sqrt(abs(q)), r * math.sqrt(abs(ctl) / b)
+    if dirichlet:
+        return -(math.tanh(y) if q > 0 else math.tan(y)) / s, rhs
+    return (s * math.tanh(y) if q > 0 else -s * math.tan(y)), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -191,45 +183,20 @@ def control_inequality_sides(p: ScalarProblem) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _dispersion_residual(
-    x: float, a: float, lam: float, R: float, b: float, mu: float, r: float, dirichlet: bool
-) -> float:
-    """Residual whose roots in ``x = (lam - E)/a > 0`` are eigenvalues (``R``, ``r`` effective widths).
-
-    Dirichlet uses the normalized tan/tanh sum, Neumann and rings the
-    flux-matching difference.  With ``q = mu + E`` the control zone decays for
-    ``q > 0`` and oscillates for ``q < 0``, where its tanh continues to a tan.
-    Between consecutive poles the residual increases in ``x``; at each pole it
-    jumps from +inf to -inf.
-    """
-    k = math.sqrt(x)
-    q = lam + mu - a * x
-    g = math.sqrt(abs(q) / b)
-    if dirichlet:
-        if g == 0.0:
-            ctl = r / b  # the limit of tanh(r g) / (b g)
-        else:
-            ctl = (math.tanh(r * g) if q > 0 else math.tan(r * g)) / (b * g)
-        return math.tan(R * k) / (a * k) + ctl
-    return a * k * math.tan(R * k) - b * g * (math.tanh(r * g) if q > 0 else -math.tan(r * g))
-
-
 def top_eigenvalue_scalar(p: ScalarProblem) -> SpectralReport:
     """Largest eigenvalue of the scalar two-zone operator: a root of the dispersion relation.
 
-    The residual's poles alone bracket the top eigenvalue.  With ``P1 < P2``
-    the first two poles of both zones' tan terms, it lies in ``[0, P1)`` for
-    reflecting ends and rings and in ``(P1, P2)`` for absorbing ends, and one
-    Brent solve finds it.  When the control zone outgrows the beneficial one
-    (``lam < -mu``) the zones are exchanged, a reflection of the domain that
-    keeps the spectrum, so the top always has ``x >= 0``.
+    The residual, the balance's ``rhs - lhs`` at ``x = (lam - E)/a``, increases
+    between poles, where it jumps from +inf to -inf.  With ``P1 < P2`` the first
+    two poles of both zones' tan terms, the top lies in ``[0, P1)`` for reflecting
+    ends and rings and in ``(P1, P2)`` for absorbing ends, and one Brent solve
+    finds it.  When the control zone outgrows the beneficial one (``lam < -mu``)
+    the zones are exchanged, a reflection of the domain that keeps the spectrum,
+    so the top always has ``x >= 0``.
     """
     if p.r == 0.0:
         # No control zone: the beneficial zone fills the domain; absorbing ends cost a half wave.
-        if p.bc is BoundaryCondition.DIRICHLET:
-            value = p.lam - p.a * _controllable_band(p)[1]
-        else:
-            value = p.lam
+        value = p.lam - p.a * _controllable_band(p)[1] if p.bc is BoundaryCondition.DIRICHLET else p.lam
         return SpectralReport(value, SpectralMethod.DISPERSION_ROOT, 0.0, "analytic r=0")
 
     R, r = _effective_widths(p)
@@ -244,11 +211,14 @@ def top_eigenvalue_scalar(p: ScalarProblem) -> SpectralReport:
         *(((k + 0.5) * math.pi / R) ** 2 for k in (0, 1)),
         *((lam + mu + b * ((k + 0.5) * math.pi / r) ** 2) / a for k in (0, 1)),
     ])
-    f = partial(_dispersion_residual, a=a, lam=lam, R=R, b=b, mu=mu, r=r, dirichlet=dirichlet)
-    if dirichlet:
-        x, x_err = _pole_bracket_root(f, poles[0], poles[1], lo_is_pole=True)
-    else:
-        x, x_err = _pole_bracket_root(f, 0.0, poles[0], lo_is_pole=False)
+
+    def f(x: float) -> float:
+        # The balance at E = lam - a x, its rates taken directly: lam - E cancels near x = 0.
+        lhs, rhs = _interface_balance(a * x, lam + mu - a * x, a, R, b, r, dirichlet)
+        return rhs - lhs
+
+    lo, hi = (poles[0], poles[1]) if dirichlet else (0.0, poles[0])
+    x, x_err = _pole_bracket_root(f, lo, hi, lo_is_pole=dirichlet)
     E = lam - a * x
     err = max(a * x_err, 1e-12 * (1.0 + abs(E)))
     return SpectralReport(E, SpectralMethod.DISPERSION_ROOT, err, "pole bracket")

@@ -36,7 +36,6 @@ from .linalg import (
     ComplexOrRepeatedEigenvaluesError,
     Eigen2x2,
     NoRealEigenvalueError,
-    SingularBasisError,
     eigen_2x2,
     expanding_root,
     max_real_eigenvalue,
@@ -392,10 +391,12 @@ def two_stage_verdict(prob: StagedProblem, certified: bool = False) -> Sufficien
         try:
             ben.check(i)
             ctl.check(i)
-            if singular[i]:
-                raise SingularBasisError(f"beneficial eigenbasis nearly singular (det={det[i]:.3g})")
-        except (ComplexOrRepeatedEigenvaluesError, SingularBasisError) as exc:
+        except ComplexOrRepeatedEigenvaluesError as exc:
             raise AssumptionViolatedError(f"eigenbasis degenerates at E={E:.6g}: {exc}") from exc
+        if singular[i]:
+            raise AssumptionViolatedError(
+                f"eigenbasis degenerates at E={E:.6g}: beneficial eigenbasis nearly singular (det={det[i]:.3g})"
+            )
         return SufficiencyResult(
             False, f"sign conditions fail at E={E:.6g} (c12*c21={off[i]:.3g}, c11*c22={diag[i]:.3g})"
         )

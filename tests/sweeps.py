@@ -30,13 +30,11 @@ from patchcontrol import (
 )
 from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
-    SingularBasisError,
     eigen_2x2,
     expanding_root,
     symmetric_eigen,
 )
 from patchcontrol.model import BirthDeathParams
-from patchcontrol.scalar import _sqrt_tan, _sqrt_tanh, _tanh_over_sqrt
 from patchcontrol.staged import (
     NonpositiveLeadEigenvalueError,
     _basis_change,
@@ -107,6 +105,10 @@ class InvalidBracketError(ValueError):
     pass
 
 
+class SingularBasisError(ValueError):
+    """A reference's beneficial eigenbasis is too close to singular to invert."""
+
+
 def bracketed_root(
     f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12, scan_points: int = 4096
 ) -> float:
@@ -170,6 +172,29 @@ LEGACY_SEARCHES = {
 # Reference for ``patchcontrol.scalar.scalar_verdict`` and the inverse design:
 # the criteria as one function per boundary condition, each with its own
 # thresholds, before they were read from one controllable band.
+
+
+def _tanh_over_sqrt(mu: float, b: float, r: float) -> float:
+    """tanh(r sqrt(mu/b)) / sqrt(b mu), continued to r/b at mu = 0."""
+    q = mu * b
+    if q <= 0 or r == 0.0:
+        # limit of tanh(r sqrt(mu/b)) / sqrt(b mu) as mu -> 0 is r/b
+        return r / b if q <= 0 else 0.0
+    return math.tanh(r * math.sqrt(mu / b)) / math.sqrt(q)
+
+
+def _sqrt_tanh(mu: float, b: float, r_eff: float) -> float:
+    """sqrt(mu b) * tanh(r_eff sqrt(mu/b)); 0 at mu = 0 or r_eff = 0."""
+    if mu <= 0 or r_eff <= 0:
+        return 0.0
+    return math.sqrt(mu * b) * math.tanh(r_eff * math.sqrt(mu / b))
+
+
+def _sqrt_tan(lam: float, a: float, R_eff: float) -> float:
+    """sqrt(lam a) * tan(R_eff sqrt(lam/a)) for lam >= 0."""
+    if lam == 0:
+        return 0.0
+    return math.sqrt(lam * a) * math.tan(R_eff * math.sqrt(lam / a))
 
 
 def legacy_inequality_sides(p: ScalarProblem) -> tuple[float, float]:

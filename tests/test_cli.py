@@ -102,6 +102,24 @@ class TestVerdict:
         assert code == EXIT_VALIDATION
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (("verdict", "--R", "1e-300"), "--R 1e-300"),
+            (("min-mortality", "--R", "1e-300"), "--R 1e-300"),
+            (("min-zone", "--R", "1e-300"), "--R 1e-300"),
+            (("spectrum", "--method", "root", "--R", "1e-300"), "--R 1e-300"),
+            (("verdict", "--r", "1e308"), "--r 1e+308"),
+            (("verdict", "--method", "oracle", "--r", "1e300"), "--r 1e+300"),
+        ],
+    )
+    def test_width_out_of_float_range_exits_2(self, capsys, argv, value):
+        # The quarter-wave threshold of a tiny R, or the grid of a huge r, leaves the float range.
+        code, _, err = run_cli(capsys, *argv, "--preset", "lone-star")
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"error: out of floating-point range with {value}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_taiga_at_the_verdict_boundary_exits_0(self, capsys):
         # The FD top eigenvalue is -6.1e-7 here: the Arnoldi pair passes by backward error.
         code, out, err = run_cli(

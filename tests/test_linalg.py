@@ -450,6 +450,15 @@ def brent_run(solver, f, lo, hi, xtol, rtol):
     return outcome(lambda: solver(counted, lo, hi, xtol=xtol, rtol=rtol).hex()), [float(x).hex() for x in points]
 
 
+def dispersion_residual(x, a, lam, R, b, mu, r):
+    """The scalar dispersion residual for reflecting ends in ``x = (lam - E)/a``, as the package
+    wrote it when ``brentq`` was checked against SciPy: a fixed function keeps the probes fixed."""
+    k = math.sqrt(x)
+    q = lam + mu - a * x
+    g = math.sqrt(abs(q) / b)
+    return a * k * math.tan(R * k) - b * g * (math.tanh(r * g) if q > 0 else -math.tan(r * g))
+
+
 def seeded_brent_problem(rng, family):
     """``(f, lo, hi)``: smooth monotone, a tan/tanh dispersion residual, a step, or a
     residual so small that C's secant slopes underflow and divide by zero."""
@@ -466,7 +475,7 @@ def seeded_brent_problem(rng, family):
         a, lam, b, mu = (loguniform(rng, 0.1, 10.0) for _ in range(4))
         R, r = loguniform(rng, 0.1, 5.0), loguniform(rng, 0.01, 5.0)
         pole = (math.pi / (2 * R)) ** 2
-        f = partial(scalar._dispersion_residual, a=a, lam=lam, R=R, b=b, mu=mu, r=r, dirichlet=False)
+        f = partial(dispersion_residual, a=a, lam=lam, R=R, b=b, mu=mu, r=r)
         return f, 0.0, pole * (1 - 1e-12)
     if family == "step":
         t = rng.uniform(0.05, 0.95)

@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -337,6 +339,42 @@ class TestPoleBracketRoot:
         imported = imported_names(scalar)
         assert imported
         assert not [name for name in imported if "oracle" in name.split(".")]
+
+    def test_only_the_interface_balance_writes_tan_and_tanh(self):
+        # The verdict, its sides and the dispersion root all read this one balance.
+        tree = ast.parse(Path(scalar.__file__).read_text(encoding="utf-8"))
+        balance = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_interface_balance")
+
+        def tan_refs(root):
+            return [
+                node for node in ast.walk(root)
+                if isinstance(node, ast.Attribute) and node.attr in ("tan", "tanh")
+                and isinstance(node.value, ast.Name) and node.value.id == "math"
+            ]
+
+        assert tan_refs(balance) and tan_refs(tree) == tan_refs(balance)
+        assert not {"tan", "tanh"} & set(imported_names(scalar))
+
+    @pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+    def test_balance_is_continuous_where_the_control_zone_turns(self, bc):
+        # At x = (lam + mu)/a the control zone's net rate ctl = mu + E changes sign and
+        # its tanh continues to a tan.  lhs passes through its ctl -> 0 limit, 0 for
+        # reflecting ends and rings and -r/b for absorbing ends, increasing and to
+        # first order in ctl: a tan continued with the wrong sign lands on the far side.
+        rng = np.random.default_rng(2002)
+        dirichlet = bc is BoundaryCondition.DIRICHLET
+        for _ in range(100):
+            p = replace(random_scalar_problem(rng), bc=bc)
+            R, r = scalar._effective_widths(p)
+            limit, slope = (-r / p.b, r**3 / p.b**2) if dirichlet else (0.0, 2 * r)
+            delta = 1e-9 * (p.lam + p.mu)
+            below, above = (
+                scalar._interface_balance(p.lam + p.mu - ctl, ctl, p.a, R, p.b, r, dirichlet)[0]
+                for ctl in (-delta, delta)
+            )
+            assert below <= limit <= above, p
+            for lhs in (below, above):
+                assert abs(lhs - limit) <= slope * delta + 4e-16 * abs(limit), p
 
 
 class TestMinMortality:

@@ -29,7 +29,6 @@ from patchcontrol import (
 from patchcontrol.linalg import (
     ComplexOrRepeatedEigenvaluesError,
     NoRealEigenvalueError,
-    SingularBasisError,
     eigen_2x2,
 )
 from patchcontrol.model import BirthDeathParams, LayoutError
@@ -43,6 +42,7 @@ from patchcontrol.staged import (
 )
 
 from sweeps import (
+    SingularBasisError,
     bracketed_root,
     legacy_as_ring,
     legacy_min_control_decay_rate,
