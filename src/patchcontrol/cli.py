@@ -184,9 +184,9 @@ def cmd_critical_size(args) -> int:
         return EXIT_OK
     prob = StagedProblem.from_layout(layout)
     rc = critical_patch_staged(prob.A_ben, prob.M_ben)
+    rc_sym = symmetrized_critical_patch(prob)  # before any output: an error exit prints nothing
     print(f"sqrt_lead_eigenvalue = {_fmt((np.pi / rc))}")
     print(f"R_c = {_fmt(rc)}")
-    rc_sym = symmetrized_critical_patch(prob)
     print(f"sqrt_lead_eigenvalue_sym = {_fmt(np.pi / rc_sym)}")
     print(f"R_c_sym = {_fmt(rc_sym)}")
     return EXIT_OK
@@ -206,35 +206,35 @@ def cmd_verdict(args) -> int:
     grid = _grid(args)
     closed_status = None
     oracle_status = None
+    lines = []  # printed once every value is computed, so an error exit prints nothing
 
     if args.method in ("closed", "both"):
         if layout.is_scalar:
             v = scalar_verdict(ScalarProblem.from_layout(layout))
             closed_status = v.status
-            print(f"closed_status = {v.status.value}")
-            print(f"closed_margin = {_fmt(v.margin)}")
-            print(f"closed_rule = {v.deciding_rule}")
+            lines.append(f"closed_status = {v.status.value}")
+            lines.append(f"closed_margin = {_fmt(v.margin)}")
+            lines.append(f"closed_rule = {v.deciding_rule}")
         else:
             res, route = _closed_staged_verdict(StagedProblem.from_layout(layout))
             closed_status = res
-            print(f"closed_status = {res.status}")
+            lines.append(f"closed_status = {res.status}")
             if res.margin is not None:
-                print(f"closed_margin = {_fmt(res.margin)}")
-            print(f"closed_rule = {route}: {res.reason}")
+                lines.append(f"closed_margin = {_fmt(res.margin)}")
+            lines.append(f"closed_rule = {route}: {res.reason}")
 
     if args.method in ("oracle", "both"):
         v = verdict_fd(layout, grid)
         oracle_status = v
-        print(f"oracle_status = {v.status.value}")
-        print(f"oracle_top_eigenvalue = {_fmt(-v.margin)}")
-        print(f"oracle_rule = {v.deciding_rule}")
+        lines.append(f"oracle_status = {v.status.value}")
+        lines.append(f"oracle_top_eigenvalue = {_fmt(-v.margin)}")
+        lines.append(f"oracle_rule = {v.deciding_rule}")
 
+    agree = _verdicts_agree(layout, closed_status, oracle_status)
     if args.method == "both":
-        agree = _verdicts_agree(layout, closed_status, oracle_status)
-        print(f"agreement = {'yes' if agree else 'NO'}")
-        if not agree:
-            return EXIT_DISAGREEMENT
-    return EXIT_OK
+        lines.append(f"agreement = {'yes' if agree else 'NO'}")
+    print(*lines, sep="\n")
+    return EXIT_OK if agree else EXIT_DISAGREEMENT
 
 
 def _verdicts_agree(layout, closed, oracle) -> bool:
@@ -293,16 +293,18 @@ def cmd_min_zone(args) -> int:
 def cmd_spectrum(args) -> int:
     layout = _resolve_layout(args)
     grid = _grid(args)
+    lines = []  # printed once every value is computed, so an error exit prints nothing
     if args.method in ("root", "both") and layout.is_scalar:
         rep = top_eigenvalue_scalar(ScalarProblem.from_layout(layout))
-        print(f"root_method = {rep.method.value}")
-        print(f"root_top_eigenvalue = {_fmt(rep.top_eigenvalue)}")
-        print(f"root_error_estimate = {_fmt(rep.error_estimate)}")
+        lines.append(f"root_method = {rep.method.value}")
+        lines.append(f"root_top_eigenvalue = {_fmt(rep.top_eigenvalue)}")
+        lines.append(f"root_error_estimate = {_fmt(rep.error_estimate)}")
     if args.method in ("fd", "both") or not layout.is_scalar:
         rep = top_eigenvalue_fd(layout, grid)
-        print(f"fd_top_eigenvalue = {_fmt(rep.top_eigenvalue)}")
-        print(f"fd_error_estimate = {_fmt(rep.error_estimate)}")
-        print(f"fd_grid = {rep.grid_or_step}")
+        lines.append(f"fd_top_eigenvalue = {_fmt(rep.top_eigenvalue)}")
+        lines.append(f"fd_error_estimate = {_fmt(rep.error_estimate)}")
+        lines.append(f"fd_grid = {rep.grid_or_step}")
+    print(*lines, sep="\n")
     return EXIT_OK
 
 

@@ -1,30 +1,29 @@
 """Finite-difference spectral oracle for the patchy diffusion operator.
 
-Discretizes the operator in divergence form on a grid whose nodes coincide
-with the zone interfaces, so the flux-continuity gluing condition
-``a y'_ben = b y'_nb`` is structural rather than an extra constraint row.
-Each zone gets its own uniform spacing (integer cell counts per zone at every
-refinement level).
+Discretizes the operator in divergence form on a grid whose nodes coincide with the zone interfaces,
+so the flux-continuity gluing condition ``a y'_ben = b y'_nb`` is structural rather than an extra
+constraint row.  Each zone gets its own uniform spacing (integer cell counts per zone at every
+refinement level), so the scheme is stated once per run of identical nodes: zone interiors,
+interfaces, reflecting ends and a ring's wrap node.
 
-The problem is generalized, ``K y = E B y`` with diagonal mass ``B`` (half
-boxes at reflecting ends).  Scalar levels assemble no matrix: the bands of the
-symmetric tridiagonal ``B^-1/2 K B^-1/2`` are built straight from the per-node
-coefficients (on a ring, of one period folded onto half a period, the discrete
-half-period reduction behind the tan(R/2)/tanh(r/2) criterion), and tridiagonal
-bisection gives the top eigenvalue: by index on the coarsest level, and on each
-finer level in a window from the coarser level's value up to the largest growth.
-Staged levels and the simulator assemble ``K`` as CSR.  Staged systems are
-block-coupled and nonsymmetric and are solved on the whole ring; their
-rightmost eigenvalue is found densely for small systems and otherwise by
-shift-invert Arnoldi on ``B^-1 K`` with 20 Krylov vectors and the shift above
-the Gershgorin bound, with no fallback.
+The problem is generalized, ``K y = E B y`` with diagonal mass ``B`` (half boxes at reflecting
+ends).  Scalar levels assemble no matrix: the bands of the symmetric tridiagonal ``B^-1/2 K B^-1/2``
+are computed per run and repeated (on a ring, of one period folded onto half a period, the discrete
+half-period reduction behind the tan(R/2)/tanh(r/2) criterion), and tridiagonal bisection gives the
+top eigenvalue: by index on the coarsest level, and on each finer level in a window from the coarser
+level's value up to the largest growth.  Staged levels and the simulator assemble ``K`` as CSR from
+the same runs repeated per node.  Staged systems are block-coupled and nonsymmetric and are solved
+on the whole ring; their rightmost eigenvalue is found densely for small systems and otherwise by
+shift-invert Arnoldi on ``B^-1 K`` (20 Krylov vectors, shift above the Gershgorin bound, no fallback).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -56,8 +55,9 @@ class GridSpec:
     min_cells_per_zone: int = 16
 
     def __post_init__(self):
-        if not math.isfinite(self.cells_per_unit_length) or self.cells_per_unit_length <= 0:
-            raise ValueError("cells_per_unit_length must be finite and > 0")
+        cells = self.cells_per_unit_length  # the chained comparison is exact: nan and huge integers fail it
+        if isinstance(cells, bool) or not isinstance(cells, numbers.Real) or not 0 < cells <= sys.float_info.max:
+            raise ValueError("cells_per_unit_length must be a finite real number > 0")
         for name in ("refinement_levels", "min_cells_per_zone"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 2:
@@ -124,47 +124,47 @@ def _zone_cells(layout: PatchLayout, grid: GridSpec, level: int) -> list[_ZoneCe
     return out
 
 
-def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
-    """Per-node coefficients ``(x, box, w_l, w_r, reac)`` of the scheme, one row per unknown node.
+def _node_runs(layout: PatchLayout, zones) -> list[tuple]:
+    """The scheme's node rule, stated once per run of identical nodes, in spatial order.
 
-    Node ``i`` receives ``(w_r (y_{i+1}-y_i) - w_l (y_i-y_{i-1})) / box + reac y_i``:
-    ``w = a / h`` of the cell on each side (shape (n, n_stages)) and ``reac`` the mean
-    reaction of the adjacent cells (shape (n, n_stages, n_stages)), with half boxes at
-    reflecting ends and interior-only unknowns for absorbing ends.
+    Node ``i`` receives ``(w_r (y_{i+1}-y_i) - w_l (y_i-y_{i-1})) / box + reac y_i``: ``w = a / h``
+    of the cell on each side, ``box`` half of each, ``reac`` their mean reaction; a reflecting end
+    has a zero pad cell beyond it, an absorbing end no unknown.  The runs ``(count, w_l, w_r, box,
+    reac)`` are zone interiors, interfaces, reflecting ends and a ring's wrap node (the last zone
+    to its left).  ``zones`` holds ``(cells, h, a, m)`` per zone of ``_zone_cells``: floats, or
+    per-stage arrays for ``assemble``.  Each cell entry ends with the adjacent cells it counts as.
     """
+    cells = [(n - 1, h, a / h, m, 1) for n, h, a, m in zones]
+    if layout.bc is BoundaryCondition.PERIODIC:
+        cells.insert(0, (0, *cells[-1][1:]))
+    elif layout.bc is BoundaryCondition.NEUMANN:
+        pad = (0, 0.0, np.zeros_like(cells[0][2]), np.zeros_like(cells[0][3]), 0)
+        cells = [pad, *cells, pad]
+    runs = []
+    for i, (count, h, w, m, adj) in enumerate(cells):
+        if i:
+            _, h_l, w_l, m_l, adj_l = cells[i - 1]
+            runs.append((1, w_l, w, h_l / 2 + h / 2, (m_l + m) / (adj_l + adj)))
+        if count:
+            runs.append((count, w, w, h / 2 + h / 2, (m + m) / 2))
+    return runs
+
+
+def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
+    """Per-node ``(x, box, w_l, w_r, reac)``, one row per unknown node: the runs of ``_node_runs``
+    repeated, ``w`` of shape (n, n_stages) and ``reac`` of shape (n, n_stages, n_stages)."""
     zones = _zone_cells(layout, grid, level)
-
-    # Per-cell arrays in spatial order, indexed from the per-zone ones.
-    zone = np.repeat(np.arange(len(zones)), [z.cells for z in zones])
-    h = np.array([z.h for z in zones])[zone]
-    a_cell = np.array([z.diffusion for z in zones])[zone]
-    m_cell = np.array([z.reaction for z in zones])[zone]
-    n_cells = len(h)
-    x_all = np.concatenate([[0.0], np.cumsum(h)])
-
-    periodic = layout.bc is BoundaryCondition.PERIODIC
-    if periodic:
-        nodes = np.arange(n_cells)  # node n_cells is identified with node 0
-        x = x_all[:-1]
-    elif layout.bc is BoundaryCondition.DIRICHLET:
-        nodes = np.arange(1, n_cells)
-        x = x_all[1:-1]
-    else:
-        nodes = np.arange(0, n_cells + 1)
-        x = x_all
-
-    # With one cell padded at each end, node k has left cell k and right cell k + 1.
-    w_cell = a_cell / h[:, None]
-    h_pad, w_pad, m_pad = (_pad_ends(v, periodic) for v in (h, w_cell, m_cell))
-    box = h_pad[nodes] / 2 + h_pad[nodes + 1] / 2
-    n_adj = 2 if periodic else 2 - (nodes == 0) - (nodes == n_cells)
-    reac = (m_pad[nodes] + m_pad[nodes + 1]) / np.reshape(n_adj, (-1, 1, 1))
-    return x, box, w_pad[nodes], w_pad[nodes + 1], reac
+    runs = _node_runs(layout, [(z.cells, z.h, z.diffusion, z.reaction) for z in zones])
+    counts = np.array([run[0] for run in runs], dtype=np.intp)
+    box, w_l, w_r, reac = (np.repeat(np.array([run[k] for run in runs]), counts, axis=0) for k in (3, 1, 2, 4))
+    x = np.concatenate([[0.0], np.cumsum(np.repeat([z.h for z in zones], [z.cells for z in zones]))])
+    first = 1 if layout.bc is BoundaryCondition.DIRICHLET else 0  # a ring's last node is its first
+    return x[first : first + len(box)], box, w_l, w_r, reac
 
 
 def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOperator:
     """Divergence-form discretization of the layout at one refinement level (the
-    scheme is written out in ``_node_coefficients``)."""
+    scheme is written out in ``_node_runs``)."""
     validate_layout(layout)
     x, box, w_l, w_r, reac = _node_coefficients(layout, grid, level)
     n_nodes, n_stages = w_l.shape
@@ -193,19 +193,9 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
     ])
     data = np.concatenate([w_l[has_l].ravel(), w_r[has_r].ravel(), diag.ravel(), block[nz]])
 
-    K = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(n_nodes * n_stages, n_nodes * n_stages)
-    ).tocsr()
+    K = sparse.coo_matrix((data, (rows, cols)), shape=(n_nodes * n_stages,) * 2).tocsr()
     K.sum_duplicates()
     return DiscreteOperator(stiffness=K, mass=mass, x=x, n_stages=n_stages)
-
-
-def _pad_ends(v: np.ndarray, periodic: bool) -> np.ndarray:
-    """``v`` with one cell added at each end: the wrap-around cells on a ring, zeros otherwise."""
-    if periodic:
-        return np.concatenate([v[-1:], v, v[:1]])
-    zero = np.zeros_like(v[:1])
-    return np.concatenate([zero, v, zero])
 
 
 # ---------------------------------------------------------------------------
@@ -213,38 +203,48 @@ def _pad_ends(v: np.ndarray, periodic: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bands ``(d, e)`` of a symmetric tridiagonal matrix whose top eigenvalue is that of
-    ``B^-1 K`` for a scalar layout, built from the node coefficients without assembling ``K``.
+    """Bands ``(d, e)`` of a symmetric tridiagonal matrix whose top eigenvalue is that of ``B^-1 K``
+    for a scalar layout, computed per run of ``_node_runs`` and repeated, without assembling ``K``.
 
-    Off a ring they are the diagonal and superdiagonal of ``B^-1/2 K B^-1/2``.  On a ring
-    the mirror ``i -> c - i`` about the middle of the first zone (of ``c`` cells) is a
-    symmetry, and the top eigenvector, the positive Perron vector, is even under it.  One
-    unit vector per orbit folds the ring onto the path between the two fixed points, nodes
-    ``lo = (c+1)//2`` to ``hi = (c+n)//2``: an entry takes ``sqrt(|o|/|o'|)`` for orbit sizes
-    ``|o|`` (1 at a fixed node, else 2), and the edge mirrored at an end is added to the end
-    coupling (fixed node) or to the end diagonal (fixed cell midpoint).
+    Off a ring they are the diagonal and superdiagonal of ``B^-1/2 K B^-1/2``.  On a ring the
+    mirror ``i -> c - i`` about the middle of the first zone (of ``c`` cells) is a symmetry, and
+    the top eigenvector, the positive Perron vector, is even under it.  One unit vector per orbit
+    folds the ring onto the path between the two fixed points, nodes ``lo = (c+1)//2`` to
+    ``hi = (c+n)//2``: an entry takes ``sqrt(|o|/|o'|)`` for orbit sizes ``|o|`` (1 at a fixed
+    node, else 2), and the edge mirrored at an end is added to the end coupling (fixed node) or
+    to the end diagonal (fixed cell midpoint).
     """
-    _, box, w_l, w_r, reac = _node_coefficients(layout, grid, level)
-    w_l, w_r, w = w_l[:, 0], w_r[:, 0], 1.0 / np.sqrt(box)
-    n = len(box)
-    c, lo, hi = 0, 0, n - 1  # off a ring the path is the whole layout
-    if layout.bc is BoundaryCondition.PERIODIC:
-        c = _zone_cells(layout, grid, level)[0].cells
-        lo, hi = (c + 1) // 2, (c + n) // 2
-    p = np.arange(lo, hi + 1) % n
-    d = ((-w_l - w_r) + box * reac[:, 0, 0])[p] * w[p] * w[p]
-    e = w_r[p[:-1]] * w[p[:-1]] * w[p[1:]]
-    if layout.bc is BoundaryCondition.PERIODIC:
-        size = np.full(len(p), 2.0)  # orbit sizes
+    # numpy scalars: a width whose cells underflow gives inf and a warning, as arrays do
+    zones = [(z.cells, np.float64(z.h), float(z.diffusion[0]), float(z.reaction[0, 0]))
+             for z in _zone_cells(layout, grid, level)]
+    runs = _node_runs(layout, zones)
+    np.array([run[0] for run in runs], dtype=np.intp)  # as in assemble: OverflowError past the index range
+    starts = [0, *itertools.accumulate(run[0] for run in runs)]
+    n = starts.pop()
+    w = [1.0 / np.sqrt(box) for _, _, _, box, _ in runs]
+    diag = [((-w_l - w_r) + box * reac) * wj * wj for (_, w_l, w_r, box, reac), wj in zip(runs, w)]
+    c = zones[0][0] if layout.bc is BoundaryCondition.PERIODIC else 0  # c > 0 on a ring only
+    lo, hi = ((c + 1) // 2, (c + n) // 2) if c else (0, n - 1)  # off a ring the path is the whole layout
+    # (nodes, run) along the path lo..hi; on a ring node n is node 0 again
+    path = [(k, j) for s, j in zip([*starts, n], [*range(len(runs)), 0])
+            if (k := min(s + runs[j][0], hi + 1) - max(s, lo)) > 0]
+    d = np.repeat([diag[j] for _, j in path], [k for k, _ in path])
+    steps = list(zip(path, [*path[1:], path[-1]]))  # a run of k nodes: k - 1 couplings inside, 1 onward
+    e = np.repeat([runs[j][2] * w[j] * w[t] for (_, j), (_, i) in steps for t in (j, i)],
+                  [r for (k, _), _ in steps for r in (k - 1, 1)][:-1] + [0])
+    if c:
+        # the runs holding nodes lo - 1, lo, hi and hi + 1 of the ring
+        before, first, last, after = (sum(s <= i % n for s in starts) - 1 for i in (lo - 1, lo, hi, hi + 1))
+        size = np.full(len(d), 2.0)  # orbit sizes
         size[0], size[-1] = 1 + c % 2, 1 + (c + n) % 2
         e *= np.sqrt(size[:-1] / size[1:])
-        mirrored = w_l[lo] * w[lo] * w[lo - 1]  # the edge (lo - 1, lo)
+        mirrored = runs[first][1] * w[first] * w[before]  # the edge (lo - 1, lo)
         if c % 2:
             d[0] += mirrored
         else:
             e[0] += mirrored * np.sqrt(size[0] / size[1])
         if (c + n) % 2:
-            d[-1] += w_r[hi] * w[hi] * w[(hi + 1) % n]
+            d[-1] += runs[last][2] * w[last] * w[after]
     return d, e
 
 
@@ -345,7 +345,7 @@ def top_eigenvalue_fd(layout: PatchLayout, grid: GridSpec | None = None) -> Spec
         top_eigenvalue=float(extrapolated),
         method=SpectralMethod.FINITE_DIFFERENCE,
         error_estimate=abs(e_fine - e_coarse),
-        grid_or_step=f"cells/unit={grid.cells_per_unit_length:g}x2^{grid.refinement_levels - 1},{how}",
+        grid_or_step=f"cells/unit={float(grid.cells_per_unit_length):g}x2^{grid.refinement_levels - 1},{how}",
     )
 
 
@@ -388,7 +388,7 @@ def _with_control_mortality(layout: PatchLayout, mu: float) -> PatchLayout:
 
 def min_mortality_fd(layout: PatchLayout, grid: GridSpec | None = None, guess: float | None = None) -> float:
     """Smallest scalar control mortality with a nonpositive oracle top eigenvalue, searched from ``guess`` if given."""
-    return _first_eradicating(layout, grid, partial(_with_control_mortality, layout), 1e12, "mortality", guess)
+    return _first_eradicating(layout, grid, lambda mu: _with_control_mortality(layout, mu), 1e12, "mortality", guess)
 
 
 def min_zone_width_fd(layout: PatchLayout, grid: GridSpec | None = None, guess: float | None = None) -> float:

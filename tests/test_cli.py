@@ -55,6 +55,14 @@ class TestCriticalSize:
         assert float(values["R_c"]) == pytest.approx(46.9, abs=0.2)
         assert float(values["R_c_sym"]) == pytest.approx(3.64, abs=0.02)
 
+    def test_staged_error_after_the_first_size_prints_nothing(self, capsys, monkeypatch):
+        def fails(prob):
+            raise ValueError("symmetrized size failed")
+
+        monkeypatch.setattr("patchcontrol.cli.symmetrized_critical_patch", fails)
+        code, out, err = run_cli(capsys, "critical-size", "--preset", "taiga-two-stage")
+        assert (code, out, err) == (EXIT_VALIDATION, "", "error: symmetrized size failed\n")
+
     def test_negative_growth_exits_2(self, capsys, tmp_path):
         doc = {
             "model": "scalar",
@@ -119,6 +127,22 @@ class TestVerdict:
         assert code == EXIT_VALIDATION
         assert err.startswith(f"error: out of floating-point range with {value}: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verdict", "--preset", "lone-star", "--r", "1e308"),
+            ("spectrum", "--preset", "lone-star", "--r", "1e300"),
+            ("verdict", "--preset", "taiga-two-stage", "--r", "1e300"),
+        ],
+        ids=["verdict-scalar", "spectrum", "verdict-staged"],
+    )
+    def test_error_after_the_closed_form_prints_nothing(self, capsys, argv):
+        # The closed form succeeds and the oracle grid then fails: no partial verdict on stdout.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: out of floating-point range with --r ")
 
     def test_taiga_at_the_verdict_boundary_exits_0(self, capsys):
         # The FD top eigenvalue is -6.1e-7 here: the Arnoldi pair passes by backward error.

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -566,18 +567,142 @@ class TestScalarBands:
                 assert np.array_equal(e, S.diagonal(1))
 
 
+# Reference: the per-node coefficients the scalar bands were built from before
+# they were computed per run of identical nodes, kept to pin the bands.
+
+def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
+    """Per-node coefficients ``(x, box, w_l, w_r, reac)`` of the scheme, one row per unknown node.
+
+    Node ``i`` receives ``(w_r (y_{i+1}-y_i) - w_l (y_i-y_{i-1})) / box + reac y_i``:
+    ``w = a / h`` of the cell on each side (shape (n, n_stages)) and ``reac`` the mean
+    reaction of the adjacent cells (shape (n, n_stages, n_stages)), with half boxes at
+    reflecting ends and interior-only unknowns for absorbing ends.
+    """
+    zones = _zone_cells(layout, grid, level)
+
+    # Per-cell arrays in spatial order, indexed from the per-zone ones.
+    zone = np.repeat(np.arange(len(zones)), [z.cells for z in zones])
+    h = np.array([z.h for z in zones])[zone]
+    a_cell = np.array([z.diffusion for z in zones])[zone]
+    m_cell = np.array([z.reaction for z in zones])[zone]
+    n_cells = len(h)
+    x_all = np.concatenate([[0.0], np.cumsum(h)])
+
+    periodic = layout.bc is BoundaryCondition.PERIODIC
+    if periodic:
+        nodes = np.arange(n_cells)  # node n_cells is identified with node 0
+        x = x_all[:-1]
+    elif layout.bc is BoundaryCondition.DIRICHLET:
+        nodes = np.arange(1, n_cells)
+        x = x_all[1:-1]
+    else:
+        nodes = np.arange(0, n_cells + 1)
+        x = x_all
+
+    # With one cell padded at each end, node k has left cell k and right cell k + 1.
+    w_cell = a_cell / h[:, None]
+    h_pad, w_pad, m_pad = (_pad_ends(v, periodic) for v in (h, w_cell, m_cell))
+    box = h_pad[nodes] / 2 + h_pad[nodes + 1] / 2
+    n_adj = 2 if periodic else 2 - (nodes == 0) - (nodes == n_cells)
+    reac = (m_pad[nodes] + m_pad[nodes + 1]) / np.reshape(n_adj, (-1, 1, 1))
+    return x, box, w_pad[nodes], w_pad[nodes + 1], reac
+
+
+def _pad_ends(v: np.ndarray, periodic: bool) -> np.ndarray:
+    """``v`` with one cell added at each end: the wrap-around cells on a ring, zeros otherwise."""
+    if periodic:
+        return np.concatenate([v[-1:], v, v[:1]])
+    zero = np.zeros_like(v[:1])
+    return np.concatenate([zero, v, zero])
+
+
+def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bands ``(d, e)`` of a symmetric tridiagonal matrix whose top eigenvalue is that of
+    ``B^-1 K`` for a scalar layout, built from the node coefficients without assembling ``K``.
+
+    Off a ring they are the diagonal and superdiagonal of ``B^-1/2 K B^-1/2``.  On a ring
+    the mirror ``i -> c - i`` about the middle of the first zone (of ``c`` cells) is a
+    symmetry, and the top eigenvector, the positive Perron vector, is even under it.  One
+    unit vector per orbit folds the ring onto the path between the two fixed points, nodes
+    ``lo = (c+1)//2`` to ``hi = (c+n)//2``: an entry takes ``sqrt(|o|/|o'|)`` for orbit sizes
+    ``|o|`` (1 at a fixed node, else 2), and the edge mirrored at an end is added to the end
+    coupling (fixed node) or to the end diagonal (fixed cell midpoint).
+    """
+    _, box, w_l, w_r, reac = _node_coefficients(layout, grid, level)
+    w_l, w_r, w = w_l[:, 0], w_r[:, 0], 1.0 / np.sqrt(box)
+    n = len(box)
+    c, lo, hi = 0, 0, n - 1  # off a ring the path is the whole layout
+    if layout.bc is BoundaryCondition.PERIODIC:
+        c = _zone_cells(layout, grid, level)[0].cells
+        lo, hi = (c + 1) // 2, (c + n) // 2
+    p = np.arange(lo, hi + 1) % n
+    d = ((-w_l - w_r) + box * reac[:, 0, 0])[p] * w[p] * w[p]
+    e = w_r[p[:-1]] * w[p[:-1]] * w[p[1:]]
+    if layout.bc is BoundaryCondition.PERIODIC:
+        size = np.full(len(p), 2.0)  # orbit sizes
+        size[0], size[-1] = 1 + c % 2, 1 + (c + n) % 2
+        e *= np.sqrt(size[:-1] / size[1:])
+        mirrored = w_l[lo] * w[lo] * w[lo - 1]  # the edge (lo - 1, lo)
+        if c % 2:
+            d[0] += mirrored
+        else:
+            e[0] += mirrored * np.sqrt(size[0] / size[1])
+        if (c + n) % 2:
+            d[-1] += w_r[hi] * w[hi] * w[(hi + 1) % n]
+    return d, e
+
+
+class TestScalarBandsMatchPerNode:
+    """``_scalar_bands`` gives the per-node reference's bands bit for bit at every
+    level: every boundary, K = 1-3 on rings, zero control width, four grids."""
+
+    @staticmethod
+    def draw(rng, bc, grid):
+        R = loguniform(rng, 0.05, 30.0 / grid.cells_per_unit_length ** 0.5)  # wider on coarser grids
+        K = int(rng.integers(1, 4)) if bc is BoundaryCondition.PERIODIC else 1
+        r = 0.0 if rng.random() < 0.25 else loguniform(rng, 0.01, 5.0)
+        return PatchLayout(
+            ScalarZone(loguniform(rng, 0.1, 100.0), float(rng.uniform(-1.0, 5.0))),
+            ScalarZone(loguniform(rng, 0.1, 100.0), -loguniform(rng, 0.01, 100.0)),
+            R=R, r=r, K=K, bc=bc,
+        )
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(), GridSpec(13.3, 3, 5), GridSpec(1.0, 2, 2), GridSpec(0.5, 4, 2)],
+        ids=["default", "13.3-cells", "1-cell", "half-cell"],
+    )
+    @pytest.mark.parametrize("bc", BCS)
+    def test_byte_equal(self, grid, bc):
+        rng = np.random.default_rng(60 + 3 * BCS.index(bc) + int(2 * grid.cells_per_unit_length))
+        layouts = [self.draw(rng, bc, grid) for _ in range(8)]
+        layouts.append(replace(layouts[0], r=0.0))
+        for layout in layouts:
+            for level in range(grid.refinement_levels):
+                for K in {1, layout.K}:
+                    got = oracle._scalar_bands(replace(layout, K=K), grid, level)
+                    want = _scalar_bands(replace(layout, K=K), grid, level)
+                    for g, w in zip(got, want):
+                        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                        assert g.tobytes() == w.tobytes()
+
+
 class TestScalarWithoutAssembly:
-    """Scalar oracle work builds its bands directly and never assembles a matrix;
-    staged layouts still do."""
+    """Scalar oracle work builds its bands per run and never assembles a matrix or
+    expands the runs into per-node arrays; staged layouts still assemble."""
 
     GRID = GridSpec(cells_per_unit_length=16, refinement_levels=2, min_cells_per_zone=4)
 
     @pytest.fixture(autouse=True)
     def refuse_assembly(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("assemble reached")
+        def refusing(what):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"{what} reached")
 
-        monkeypatch.setattr(oracle, "assemble", refuse)
+            return refuse
+
+        monkeypatch.setattr(oracle, "assemble", refusing("assemble"))
+        monkeypatch.setattr(oracle, "_node_coefficients", refusing("per-node expansion"))
 
     @pytest.mark.parametrize("bc", list(BoundaryCondition))
     def test_scalar_entry_points(self, bc):
@@ -724,6 +849,13 @@ class TestGridSpec:
             ({"cells_per_unit_length": math.nan}, "cells_per_unit_length"),
             ({"cells_per_unit_length": math.inf}, "cells_per_unit_length"),
             ({"cells_per_unit_length": 0.0}, "cells_per_unit_length"),
+            ({"cells_per_unit_length": -1}, "cells_per_unit_length"),
+            ({"cells_per_unit_length": True}, "cells_per_unit_length"),
+            ({"cells_per_unit_length": np.True_}, "cells_per_unit_length"),
+            ({"cells_per_unit_length": "64"}, "cells_per_unit_length"),
+            ({"cells_per_unit_length": 1j}, "cells_per_unit_length"),
+            ({"cells_per_unit_length": None}, "cells_per_unit_length"),
+            ({"cells_per_unit_length": 10**400}, "cells_per_unit_length"),
             ({"refinement_levels": 2.5}, "refinement_levels"),
             ({"refinement_levels": 3.0}, "refinement_levels"),
             ({"refinement_levels": True}, "refinement_levels"),
@@ -740,6 +872,16 @@ class TestGridSpec:
     def test_accepts_numpy_integers(self):
         grid = GridSpec(refinement_levels=np.int64(2), min_cells_per_zone=np.int32(4))
         assert top_eigenvalue_fd(single_zone_layout(lam=0.5), grid).error_estimate >= 0
+
+    @pytest.mark.parametrize("cells", [np.float64(13.3), np.int64(8), Fraction(17, 2), 10**300, 1e308])
+    def test_accepts_finite_reals(self, cells):
+        assert GridSpec(cells_per_unit_length=cells).cells_per_unit_length == cells
+
+    def test_any_real_type_gives_the_float_report(self):
+        layout = single_zone_layout(lam=0.5)
+        want = top_eigenvalue_fd(layout, GridSpec(8.5, 2, 4))
+        assert top_eigenvalue_fd(layout, GridSpec(Fraction(17, 2), 2, 4)) == want
+        assert want.grid_or_step.startswith("cells/unit=8.5x2^1,")
 
 
 class TestConvergence:
