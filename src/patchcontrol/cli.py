@@ -4,6 +4,12 @@ Subcommands: critical-size, verdict, min-mortality, min-zone, spectrum,
 simulate, sweep, preset.  Scenarios come from ``--scenario file.json`` or
 ``--preset name``; individual flags override scenario fields.
 
+Each subcommand returns its record, an ordered dict of output fields, and its
+exit code.  ``main`` prints the record as ``key = value`` lines once it is
+complete, so an error exit prints nothing to stdout, and maps each refusal and
+documented failure to one stderr line and its exit code.  ``sweep`` (CSV) and ``preset list``
+print their own output and return an empty record.
+
 Exit codes: 0 success, 2 validation error, 3 closed-form/oracle disagreement,
 4 uncontrollable scenario, 5 unresolved transient, 6 simulator instability,
 7 oracle eigensolver did not converge.
@@ -82,6 +88,10 @@ _SWEEPABLE = ("R", "r", *_SCALAR_FIELDS)
 _SCENARIO_FLAGS = ("R", "r", "K", "bc", *_SCALAR_FIELDS)
 
 
+class _Refusal(Exception):
+    """A scalar-only subcommand on a staged scenario, or a bad argument: exit 2 with this message."""
+
+
 def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", help="scenario JSON file")
     common.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario")
-    common.add_argument("--out", default=".", help="output directory for CSV files")
+    common.add_argument("--out", default=None, help="output directory for CSV files")
     common.add_argument("--grid-cells", type=float, default=None, help="oracle cells per unit length")
     common.add_argument("--grid-levels", type=int, default=None, help="oracle refinement levels")
     common.add_argument("--R", type=float, default=None, help="beneficial zone width")
@@ -176,20 +186,16 @@ def _grid(args) -> GridSpec:
     return GridSpec(**{key: value for key, value in flags.items() if value is not None})
 
 
-def cmd_critical_size(args) -> int:
+def cmd_critical_size(args) -> tuple[dict, int]:
     layout = _resolve_layout(args)
     if layout.is_scalar:
         rc = critical_patch_dirichlet(layout.beneficial.diffusion, layout.beneficial.growth)
-        print(f"R_c = {_fmt(rc)}")
-        return EXIT_OK
+        return dict(R_c=rc), EXIT_OK
     prob = StagedProblem.from_layout(layout)
     rc = critical_patch_staged(prob.A_ben, prob.M_ben)
-    rc_sym = symmetrized_critical_patch(prob)  # before any output: an error exit prints nothing
-    print(f"sqrt_lead_eigenvalue = {_fmt((np.pi / rc))}")
-    print(f"R_c = {_fmt(rc)}")
-    print(f"sqrt_lead_eigenvalue_sym = {_fmt(np.pi / rc_sym)}")
-    print(f"R_c_sym = {_fmt(rc_sym)}")
-    return EXIT_OK
+    rc_sym = symmetrized_critical_patch(prob)
+    record = dict(sqrt_lead_eigenvalue=np.pi / rc, R_c=rc, sqrt_lead_eigenvalue_sym=np.pi / rc_sym, R_c_sym=rc_sym)
+    return record, EXIT_OK
 
 
 def _closed_staged_verdict(prob: StagedProblem):
@@ -201,40 +207,33 @@ def _closed_staged_verdict(prob: StagedProblem):
     return symmetrized_sufficient_verdict(prob), "symmetrized"
 
 
-def cmd_verdict(args) -> int:
+def cmd_verdict(args) -> tuple[dict, int]:
     layout = _resolve_layout(args)
     grid = _grid(args)
-    closed_status = None
-    oracle_status = None
-    lines = []  # printed once every value is computed, so an error exit prints nothing
+    closed = oracle = None
+    record = {}
 
     if args.method in ("closed", "both"):
         if layout.is_scalar:
             v = scalar_verdict(ScalarProblem.from_layout(layout))
-            closed_status = v.status
-            lines.append(f"closed_status = {v.status.value}")
-            lines.append(f"closed_margin = {_fmt(v.margin)}")
-            lines.append(f"closed_rule = {v.deciding_rule}")
+            closed = v.status
+            record.update(closed_status=v.status.value, closed_margin=v.margin, closed_rule=v.deciding_rule)
         else:
-            res, route = _closed_staged_verdict(StagedProblem.from_layout(layout))
-            closed_status = res
-            lines.append(f"closed_status = {res.status}")
-            if res.margin is not None:
-                lines.append(f"closed_margin = {_fmt(res.margin)}")
-            lines.append(f"closed_rule = {route}: {res.reason}")
+            closed, route = _closed_staged_verdict(StagedProblem.from_layout(layout))
+            record["closed_status"] = closed.status
+            if closed.margin is not None:
+                record["closed_margin"] = closed.margin
+            record["closed_rule"] = f"{route}: {closed.reason}"
 
     if args.method in ("oracle", "both"):
-        v = verdict_fd(layout, grid)
-        oracle_status = v
-        lines.append(f"oracle_status = {v.status.value}")
-        lines.append(f"oracle_top_eigenvalue = {_fmt(-v.margin)}")
-        lines.append(f"oracle_rule = {v.deciding_rule}")
+        oracle = verdict_fd(layout, grid)
+        record.update(oracle_status=oracle.status.value, oracle_top_eigenvalue=-oracle.margin,
+                      oracle_rule=oracle.deciding_rule)
 
-    agree = _verdicts_agree(layout, closed_status, oracle_status)
+    agree = _verdicts_agree(layout, closed, oracle)
     if args.method == "both":
-        lines.append(f"agreement = {'yes' if agree else 'NO'}")
-    print(*lines, sep="\n")
-    return EXIT_OK if agree else EXIT_DISAGREEMENT
+        record["agreement"] = "yes" if agree else "NO"
+    return record, EXIT_OK if agree else EXIT_DISAGREEMENT
 
 
 def _verdicts_agree(layout, closed, oracle) -> bool:
@@ -252,98 +251,78 @@ def _verdicts_agree(layout, closed, oracle) -> bool:
     return True
 
 
-def cmd_min_mortality(args) -> int:
+def cmd_min_mortality(args) -> tuple[dict, int]:
     layout = _resolve_layout(args)
     grid = _grid(args)
     if not layout.is_scalar:
-        print("min-mortality supports scalar scenarios only", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Refusal("min-mortality supports scalar scenarios only")
     p = ScalarProblem.from_layout(layout)
     closed = min_mortality(p.a, p.lam, p.R, p.b, p.r, p.bc, p.K)
     oracle = min_mortality_fd(layout, grid, guess=closed)
-    print(f"mu_star_closed = {_fmt(closed)}")
-    print(f"mu_star_oracle = {_fmt(oracle)}")
-    print(f"difference = {_fmt(abs(closed - oracle))}")
-    rel = abs(closed - oracle) / max(closed, oracle, 1e-300)
-    print(f"relative_difference = {_fmt(rel)}")
+    diff = abs(closed - oracle)
+    record = dict(mu_star_closed=closed, mu_star_oracle=oracle, difference=diff,
+                  relative_difference=diff / max(closed, oracle, 1e-300))
     if args.preset == "lone-star" and all(getattr(args, key) is None for key in _SCENARIO_FLAGS):
-        print(
-            "note = a published estimate for this configuration quotes a minimal "
+        record["note"] = (
+            "a published estimate for this configuration quotes a minimal "
             "mortality of about 1958; direct bisection of the threshold inequality "
             "and the grid oracle both give the values above instead"
         )
-    return EXIT_OK
+    return record, EXIT_OK
 
 
-def cmd_min_zone(args) -> int:
+def cmd_min_zone(args) -> tuple[dict, int]:
     layout = _resolve_layout(args)
     grid = _grid(args)
     if not layout.is_scalar:
-        print("min-zone supports scalar scenarios only", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Refusal("min-zone supports scalar scenarios only")
     p = ScalarProblem.from_layout(layout)
     closed = min_zone_width(p.a, p.lam, p.R, p.b, p.mu, p.bc, p.K)
     oracle = min_zone_width_fd(layout, grid, guess=closed)
-    print(f"r_star_closed = {_fmt(closed)}")
-    print(f"r_star_oracle = {_fmt(oracle)}")
-    print(f"difference = {_fmt(abs(closed - oracle))}")
-    return EXIT_OK
+    return dict(r_star_closed=closed, r_star_oracle=oracle, difference=abs(closed - oracle)), EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[dict, int]:
     layout = _resolve_layout(args)
     grid = _grid(args)
-    lines = []  # printed once every value is computed, so an error exit prints nothing
-    if args.method in ("root", "both") and layout.is_scalar:
+    if args.method == "root" and not layout.is_scalar:
+        raise _Refusal("spectrum --method root supports scalar scenarios only")
+    record = {}
+    if args.method != "fd" and layout.is_scalar:
         rep = top_eigenvalue_scalar(ScalarProblem.from_layout(layout))
-        lines.append(f"root_method = {rep.method.value}")
-        lines.append(f"root_top_eigenvalue = {_fmt(rep.top_eigenvalue)}")
-        lines.append(f"root_error_estimate = {_fmt(rep.error_estimate)}")
-    if args.method in ("fd", "both") or not layout.is_scalar:
+        record.update(root_method=rep.method.value, root_top_eigenvalue=rep.top_eigenvalue,
+                      root_error_estimate=rep.error_estimate)
+    if args.method != "root":  # a staged layout has no root: --method both gives its FD values only
         rep = top_eigenvalue_fd(layout, grid)
-        lines.append(f"fd_top_eigenvalue = {_fmt(rep.top_eigenvalue)}")
-        lines.append(f"fd_error_estimate = {_fmt(rep.error_estimate)}")
-        lines.append(f"fd_grid = {rep.grid_or_step}")
-    print(*lines, sep="\n")
-    return EXIT_OK
+        record.update(fd_top_eigenvalue=rep.top_eigenvalue, fd_error_estimate=rep.error_estimate,
+                      fd_grid=rep.grid_or_step)
+    return record, EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, int]:
     layout = _resolve_layout(args)
     snapshots = tuple(float(s) for s in args.snapshots.split(",") if s.strip())
     grid = _grid(args)
-    run = SimulationRun(
-        layout=layout,
-        dt=args.dt,
-        T=args.T,
-        snapshot_times=snapshots,
-        grid=grid,
-        level=0,
-    )
+    run = SimulationRun(layout=layout, dt=args.dt, T=args.T, snapshot_times=snapshots, grid=grid, level=0)
     result = simulate(run)
-    os.makedirs(args.out, exist_ok=True)
-    traj_path = os.path.join(args.out, "trajectory.csv")
+    out = "." if args.out is None else args.out
+    os.makedirs(out, exist_ok=True)
+    traj_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(result, traj_path)
     written = [traj_path]
     for snap in result.snapshots:
-        path = os.path.join(args.out, f"snapshot_t{snap.t:.6g}.csv")
+        path = os.path.join(out, f"snapshot_t{snap.t:.6g}.csv")
         write_snapshot_csv(snap, path)
         written.append(path)
-    exponent = growth_exponent(result)
-    print(f"growth_exponent = {_fmt(exponent)}")
-    for path in written:
-        print(f"wrote = {path}")
-    return EXIT_OK
+    return dict(growth_exponent=growth_exponent(result), wrote=written), EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[dict, int]:
     base = _resolve_scenario(args)
     if args.vary not in _SWEEPABLE:
-        print(f"unknown sweep parameter {args.vary!r}; allowed: {sorted(_SWEEPABLE)}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Refusal(f"unknown sweep parameter {args.vary!r}; allowed: {sorted(_SWEEPABLE)}")
     if args.steps < 1:
-        print("--steps must be >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Refusal("--steps must be >= 1")
     grid = _grid(args)
     values = (
         np.linspace(args.lo, args.hi, args.steps) if args.steps > 1 else np.array([args.lo])
@@ -357,26 +336,24 @@ def cmd_sweep(args) -> int:
             p = ScalarProblem.from_layout(layout)
             v = scalar_verdict(p)
             top = top_eigenvalue_scalar(p).top_eigenvalue
-            margin, status = v.margin, v.status.value
         else:
             v = verdict_fd(layout, grid)
             top = -v.margin
-            margin, status = v.margin, v.status.value
-        lines.append(f"{args.vary},{value:.6g},{margin:.6g},{top:.6g},{status}")
+        lines.append(f"{args.vary},{value:.6g},{v.margin:.6g},{top:.6g},{v.status.value}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out != ".":
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sweep.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    return EXIT_OK
+    return {}, EXIT_OK
 
 
-def cmd_preset(args) -> int:
+def cmd_preset(args) -> tuple[dict, int]:
     for name in PRESET_NAMES:
         print(name)
-    return EXIT_OK
+    return {}, EXIT_OK
 
 
 _COMMANDS = {
@@ -395,7 +372,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        record, code = _COMMANDS[args.command](args)
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
     except (LayoutError, NonpositiveGrowthError, ValueError, OSError) as exc:
         if isinstance(exc, (UncontrollableError, InsufficientMortalityError)):
             print(f"uncontrollable: {exc}", file=sys.stderr)
@@ -415,6 +395,10 @@ def main(argv: list[str] | None = None) -> int:
     except NoConvergenceError as exc:
         print(f"oracle did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    for key, value in record.items():
+        for item in value if isinstance(value, list) else [value]:
+            print(f"{key} = {item if isinstance(item, str) else _fmt(item)}")
+    return code
 
 
 if __name__ == "__main__":

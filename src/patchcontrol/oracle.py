@@ -33,6 +33,7 @@ from scipy.sparse.linalg import eigsh, splu  # noqa: F401  (eigsh, splu: looked 
 from .linalg import expanding_root
 from .model import (
     BoundaryCondition,
+    LayoutError,
     PatchLayout,
     ScalarZone,
     SpectralMethod,
@@ -40,6 +41,10 @@ from .model import (
     Verdict,
     validate_layout,
 )
+
+
+# Most unknowns (cells times stages) of a level that is built: past it the arrays would need gigabytes.
+_MAX_UNKNOWNS = 2**22
 
 
 class NoConvergenceError(RuntimeError):
@@ -117,11 +122,11 @@ def _zone_cells(layout: PatchLayout, grid: GridSpec, level: int) -> list[_ZoneCe
     if layout.r > 0:
         pair.append((layout.r, *unpack(layout.control)))
     reps = int(layout.K) if layout.bc is BoundaryCondition.PERIODIC else 1
-    out = []
-    for width, diff, reac in pair * reps:
-        base = max(grid.min_cells_per_zone, int(round(width * grid.cells_per_unit_length)))
-        out.append(_ZoneCells(width=width, cells=base * 2**level, diffusion=diff, reaction=reac))
-    return out
+    cells = [max(grid.min_cells_per_zone, int(round(w * grid.cells_per_unit_length))) * 2**level for w, _, _ in pair]
+    if sum(cells) * reps * len(pair[0][1]) > _MAX_UNKNOWNS:  # cells x stages
+        raise LayoutError("GridTooLarge", f"level {level} would have more than {_MAX_UNKNOWNS} unknowns")
+    return [_ZoneCells(width=width, cells=n, diffusion=diff, reaction=reac)
+            for (width, diff, reac), n in zip(pair, cells)] * reps
 
 
 def _node_runs(layout: PatchLayout, zones) -> list[tuple]:
@@ -218,7 +223,6 @@ def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.n
     zones = [(z.cells, np.float64(z.h), float(z.diffusion[0]), float(z.reaction[0, 0]))
              for z in _zone_cells(layout, grid, level)]
     runs = _node_runs(layout, zones)
-    np.array([run[0] for run in runs], dtype=np.intp)  # as in assemble: OverflowError past the index range
     starts = [0, *itertools.accumulate(run[0] for run in runs)]
     n = starts.pop()
     w = [1.0 / np.sqrt(box) for _, _, _, box, _ in runs]

@@ -19,7 +19,7 @@ from patchcontrol.cli import (
 from patchcontrol.model import Verdict
 from patchcontrol.oracle import GridSpec, NoConvergenceError
 from patchcontrol.presets import preset_scenario
-from patchcontrol.simulate import InstabilityError
+from patchcontrol.simulate import InstabilityError, TransientNotResolvedError
 
 
 def run_cli(capsys, *argv):
@@ -118,31 +118,39 @@ class TestVerdict:
             (("min-zone", "--R", "1e-300"), "--R 1e-300"),
             (("spectrum", "--method", "root", "--R", "1e-300"), "--R 1e-300"),
             (("verdict", "--r", "1e308"), "--r 1e+308"),
-            (("verdict", "--method", "oracle", "--r", "1e300"), "--r 1e+300"),
         ],
     )
     def test_width_out_of_float_range_exits_2(self, capsys, argv, value):
-        # The quarter-wave threshold of a tiny R, or the grid of a huge r, leaves the float range.
+        # The quarter-wave threshold of a tiny R, or r times the cells per unit length, leaves the float range.
         code, _, err = run_cli(capsys, *argv, "--preset", "lone-star")
         assert code == EXIT_VALIDATION
         assert err.startswith(f"error: out of floating-point range with {value}: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("width", ["1e300", "1e15"])
+    def test_grid_too_large_exits_2(self, capsys, width):
+        # Refused before any array is built: at 1e15 the per-node arrays would need petabytes.
+        code, out, err = run_cli(capsys, "verdict", "--method", "oracle", "--r", width, "--preset", "lone-star")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: GridTooLarge: level 0 would have more than 4194304 unknowns\n"
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("verdict", "--preset", "lone-star", "--r", "1e308"),
-            ("spectrum", "--preset", "lone-star", "--r", "1e300"),
-            ("verdict", "--preset", "taiga-two-stage", "--r", "1e300"),
+            (("verdict", "--preset", "lone-star", "--r", "1e308"), "out of floating-point range with --r "),
+            (("spectrum", "--preset", "lone-star", "--r", "1e300"), "GridTooLarge: "),
+            (("verdict", "--preset", "taiga-two-stage", "--r", "1e300"), "GridTooLarge: "),
         ],
         ids=["verdict-scalar", "spectrum", "verdict-staged"],
     )
-    def test_error_after_the_closed_form_prints_nothing(self, capsys, argv):
+    def test_error_after_the_closed_form_prints_nothing(self, capsys, argv, message):
         # The closed form succeeds and the oracle grid then fails: no partial verdict on stdout.
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_VALIDATION
         assert out == ""
-        assert err.startswith("error: out of floating-point range with --r ")
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_taiga_at_the_verdict_boundary_exits_0(self, capsys):
         # The FD top eigenvalue is -6.1e-7 here: the Arnoldi pair passes by backward error.
@@ -266,6 +274,18 @@ class TestMinMortality:
         assert code == EXIT_UNCONTROLLABLE
         assert "uncontrollable" in err
 
+    def test_staged_scenario_refused(self, capsys):
+        code, out, err = run_cli(capsys, "min-mortality", "--preset", "taiga-two-stage")
+        assert (code, out, err) == (EXIT_VALIDATION, "", "min-mortality supports scalar scenarios only\n")
+
+    def test_oracle_failure_after_the_closed_form_prints_nothing(self, capsys, monkeypatch):
+        def no_convergence(layout, grid, guess):
+            raise NoConvergenceError("no sign change")
+
+        monkeypatch.setattr("patchcontrol.cli.min_mortality_fd", no_convergence)
+        code, out, err = run_cli(capsys, "min-mortality", "--preset", "lone-star")
+        assert (code, out, err) == (EXIT_NO_CONVERGENCE, "", "oracle did not converge: no sign change\n")
+
 
 class TestInverseSearchSeeded:
     def test_lone_star_item_fd_solves(self, capsys, monkeypatch):
@@ -311,6 +331,18 @@ class TestMinZone:
         code, _, _ = run_cli(capsys, "min-zone", "--preset", "lone-star", "--mu", "1e-4")
         assert code == EXIT_UNCONTROLLABLE
 
+    def test_staged_scenario_refused(self, capsys):
+        code, out, err = run_cli(capsys, "min-zone", "--preset", "taiga-two-stage")
+        assert (code, out, err) == (EXIT_VALIDATION, "", "min-zone supports scalar scenarios only\n")
+
+    def test_oracle_failure_after_the_closed_form_prints_nothing(self, capsys, monkeypatch):
+        def no_convergence(layout, grid, guess):
+            raise NoConvergenceError("no sign change")
+
+        monkeypatch.setattr("patchcontrol.cli.min_zone_width_fd", no_convergence)
+        code, out, err = run_cli(capsys, "min-zone", "--preset", "lone-star", "--mu", "80")
+        assert (code, out, err) == (EXIT_NO_CONVERGENCE, "", "oracle did not converge: no sign change\n")
+
 
 class TestSpectrum:
     def test_both_methods_agree(self, capsys):
@@ -340,6 +372,15 @@ class TestSpectrum:
         assert values["root_method"] == "DispersionRoot"
         assert float(values["root_top_eigenvalue"]) < -0.05
         assert "fd_top_eigenvalue" not in values
+
+    def test_root_on_staged_scenario_refused(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--preset", "taiga-two-stage", "--method", "root")
+        assert (code, out, err) == (EXIT_VALIDATION, "", "spectrum --method root supports scalar scenarios only\n")
+
+    def test_both_on_staged_scenario_gives_fd_values_only(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--preset", "taiga-two-stage", "--grid-levels", "2")
+        assert (code, err) == (EXIT_OK, "")
+        assert list(parsed(out)) == ["fd_top_eigenvalue", "fd_error_estimate", "fd_grid"]
 
     def test_oracle_no_convergence_exits_7_without_traceback(self, capsys, monkeypatch):
         def no_convergence(op):
@@ -414,6 +455,33 @@ class TestSimulateCommand:
         )
         assert code == EXIT_TRANSIENT
         assert "transient" in err
+
+    def test_unresolved_exponent_prints_nothing_after_writing_the_csvs(self, capsys, monkeypatch, tmp_path):
+        def unresolved(result):
+            raise TransientNotResolvedError("exponent fit residual too large")
+
+        monkeypatch.setattr("patchcontrol.cli.growth_exponent", unresolved)
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "lone-star", "--T", "1", "--dt", "0.01", "--snapshots", "0.5",
+            "--out", str(tmp_path),
+        )
+        assert (code, out, err) == (EXIT_TRANSIENT, "", "transient not resolved: exponent fit residual too large\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot_t0.5.csv", "trajectory.csv"]
+
+    def test_grid_too_large_writes_nothing(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--preset", "lone-star", "--K", "100000000", "--out", str(out_dir))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: GridTooLarge: level 0 would have more than 4194304 unknowns\n"
+        assert not out_dir.exists()
+
+    def test_default_out_is_the_working_directory(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "simulate", "--preset", "lone-star", "--T", "1", "--dt", "0.01")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["wrote = ./trajectory.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
 
     def test_instability_exits_6_without_traceback(self, capsys, monkeypatch, tmp_path):
         def unstable(run):
@@ -525,6 +593,31 @@ class TestSweep:
             "--from", "0", "--to", "1", "--steps", "2",
         )
         assert code == EXIT_VALIDATION
+
+    def test_no_steps_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--preset", "lone-star", "--vary", "mu", "--from", "0", "--to", "1", "--steps", "0",
+        )
+        assert (code, out, err) == (EXIT_VALIDATION, "", "--steps must be >= 1\n")
+
+    SWEEP = ("sweep", "--preset", "lone-star", "--vary", "mu", "--from", "1", "--to", "100", "--steps", "4")
+
+    def test_out_dir_gets_the_csv(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--out", str(tmp_path / "sub"))
+        assert code == EXIT_OK
+        assert (tmp_path / "sub" / "sweep.csv").read_bytes() == out.encode()
+
+    def test_out_dot_writes_into_the_working_directory(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--out", ".")
+        assert code == EXIT_OK
+        assert (tmp_path / "sweep.csv").read_bytes() == out.encode()
+
+    def test_without_out_no_file_is_written(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *self.SWEEP)
+        assert code == EXIT_OK and out
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "name, value", [("a", "20"), ("b", "12"), ("growth", "0.5"), ("mu", "40"), ("R", "12"), ("r", "1.5")]

@@ -427,6 +427,46 @@ class TestPatchCountChecked:
         assert err.value.code == "InvalidPatchCount"
 
 
+class TestGridTooLarge:
+    """A level is refused before any array is built when cells times stages exceed the limit."""
+
+    GRID = GridSpec(cells_per_unit_length=1, refinement_levels=2)
+
+    @staticmethod
+    def layout(R, K=1, staged=False, bc=BoundaryCondition.PERIODIC):
+        if staged:
+            zones = StageZone(np.ones(2), np.eye(2)), StageZone(np.ones(2), -np.eye(2))
+        else:
+            zones = ScalarZone(1.0, 1.0), ScalarZone(1.0, -1.0)
+        return PatchLayout(*zones, R=R, r=16.0, K=K, bc=bc)
+
+    @pytest.mark.parametrize(
+        "layout, level",
+        [
+            (layout(2**22 - 16), 0),
+            (layout(2**21 - 16), 1),
+            (layout(2**21 - 16, K=2), 0),
+            (layout(2**21 - 16, staged=True), 0),
+            (layout(2**22 - 16, bc=BoundaryCondition.DIRICHLET), 0),
+        ],
+        ids=["scalar", "level", "ring", "staged", "dirichlet"],
+    )
+    def test_limit_is_inclusive(self, layout, level):
+        limit = oracle._MAX_UNKNOWNS
+        assert limit == 2**22
+        zones = _zone_cells(layout, self.GRID, level)
+        assert sum(z.cells for z in zones) * len(zones[0].diffusion) == limit
+        with pytest.raises(LayoutError) as err:
+            _zone_cells(replace(layout, R=layout.R + 1), self.GRID, level)  # one more cell per period
+        assert str(err.value) == f"GridTooLarge: level {level} would have more than {limit} unknowns"
+
+    @pytest.mark.parametrize("solve", [top_eigenvalue_fd, assemble])
+    def test_huge_width_is_refused_not_allocated(self, solve):
+        with pytest.raises(LayoutError) as err:
+            solve(replace(get_preset("lone-star"), r=1e15), FAST)
+        assert err.value.code == "GridTooLarge"
+
+
 class TestStagedComplexRightmost:
     """A complex rightmost pair (possible only without cooperative coupling)
     raises instead of returning the largest real eigenvalue or a fallback value."""
