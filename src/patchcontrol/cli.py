@@ -55,6 +55,7 @@ from .simulate import (
     InstabilityError,
     SimulationRun,
     TransientNotResolvedError,
+    checked_run,
     growth_exponent,
     simulate,
     write_snapshot_csv,
@@ -304,9 +305,10 @@ def cmd_simulate(args) -> tuple[dict, int]:
     snapshots = tuple(float(s) for s in args.snapshots.split(",") if s.strip())
     grid = _grid(args)
     run = SimulationRun(layout=layout, dt=args.dt, T=args.T, snapshot_times=snapshots, grid=grid, level=0)
-    result = simulate(run)
+    checked_run(run)  # refused inputs write nothing; an unusable --out fails before the integration
     out = "." if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
+    result = simulate(run)
     traj_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(result, traj_path)
     written = [traj_path]
@@ -341,12 +343,12 @@ def cmd_sweep(args) -> tuple[dict, int]:
             top = -v.margin
         lines.append(f"{args.vary},{value:.6g},{v.margin:.6g},{top:.6g},{v.status.value}")
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sweep.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    sys.stdout.write(text)
     return {}, EXIT_OK
 
 

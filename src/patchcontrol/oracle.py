@@ -7,20 +7,20 @@ refinement level), so the scheme is stated once per run of identical nodes: zone
 interfaces, reflecting ends and a ring's wrap node.
 
 The problem is generalized, ``K y = E B y`` with diagonal mass ``B`` (half boxes at reflecting
-ends).  Scalar levels assemble no matrix: the bands of the symmetric tridiagonal ``B^-1/2 K B^-1/2``
-are computed per run and repeated (on a ring, of one period folded onto half a period, the discrete
-half-period reduction behind the tan(R/2)/tanh(r/2) criterion), and tridiagonal bisection gives the
-top eigenvalue: by index on the coarsest level, and on each finer level in a window from the coarser
-level's value up to the largest growth.  Staged levels and the simulator assemble ``K`` as CSR from
-the same runs repeated per node.  Staged systems are block-coupled and nonsymmetric and are solved
-on the whole ring; their rightmost eigenvalue is found densely for small systems and otherwise by
-shift-invert Arnoldi on ``B^-1 K`` (20 Krylov vectors, shift above the Gershgorin bound, no fallback).
+ends) and box-weighted reaction masses.  Scalar levels assemble no matrix: the bands of the
+symmetric tridiagonal ``B^-1/2 K B^-1/2`` are computed per run and repeated (a ring's on its
+reflecting half-period of widths ``R/2``, ``r/2``, the reduction behind the tan(R/2)/tanh(r/2)
+criterion, exact for the whole ring's grid when its zones have even cell counts), and tridiagonal
+bisection gives the top eigenvalue: by index on the coarsest level, and on each finer level in a
+window from the coarser level's value up to the largest growth.  Staged levels and the simulator
+assemble ``K`` as CSR from the same runs repeated per node.  Staged systems are block-coupled and
+nonsymmetric and are solved on the whole ring; their rightmost eigenvalue is found densely for
+small systems and otherwise by shift-invert Arnoldi on ``B^-1 K`` (20 Krylov vectors, shift above
+the Gershgorin bound, no fallback).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -132,50 +132,48 @@ def _zone_cells(layout: PatchLayout, grid: GridSpec, level: int) -> list[_ZoneCe
 def _node_runs(layout: PatchLayout, zones) -> list[tuple]:
     """The scheme's node rule, stated once per run of identical nodes, in spatial order.
 
-    Node ``i`` receives ``(w_r (y_{i+1}-y_i) - w_l (y_i-y_{i-1})) / box + reac y_i``: ``w = a / h``
-    of the cell on each side, ``box`` half of each, ``reac`` their mean reaction; a reflecting end
-    has a zero pad cell beyond it, an absorbing end no unknown.  The runs ``(count, w_l, w_r, box,
-    reac)`` are zone interiors, interfaces, reflecting ends and a ring's wrap node (the last zone
-    to its left).  ``zones`` holds ``(cells, h, a, m)`` per zone of ``_zone_cells``: floats, or
-    per-stage arrays for ``assemble``.  Each cell entry ends with the adjacent cells it counts as.
-    """
-    cells = [(n - 1, h, a / h, m, 1) for n, h, a, m in zones]
+    Node ``i`` receives ``(w_r (y_{i+1}-y_i) - w_l (y_i-y_{i-1}) + mass y_i) / box``: ``w = a / h``
+    of the cell on each side, ``box`` half of each and ``mass = h_l/2 m_l + h_r/2 m_r`` the reaction
+    over those halves (midpoint quadrature: second order also where the spacing changes).  A
+    reflecting end has a zero pad cell beyond it, an absorbing end no unknown.  The runs ``(count,
+    w_l, w_r, box, mass)`` are zone interiors, interfaces, reflecting ends and a ring's wrap node
+    (the last zone to its left); ``zones`` holds ``(cells, h, a, m)`` per zone of ``_zone_cells``."""
+    cells = [(n - 1, h, a / h, m) for n, h, a, m in zones]
     if layout.bc is BoundaryCondition.PERIODIC:
         cells.insert(0, (0, *cells[-1][1:]))
     elif layout.bc is BoundaryCondition.NEUMANN:
-        pad = (0, 0.0, np.zeros_like(cells[0][2]), np.zeros_like(cells[0][3]), 0)
+        pad = (0, 0.0, np.zeros_like(cells[0][2]), np.zeros_like(cells[0][3]))
         cells = [pad, *cells, pad]
     runs = []
-    for i, (count, h, w, m, adj) in enumerate(cells):
+    for i, (count, h, w, m) in enumerate(cells):
         if i:
-            _, h_l, w_l, m_l, adj_l = cells[i - 1]
-            runs.append((1, w_l, w, h_l / 2 + h / 2, (m_l + m) / (adj_l + adj)))
+            _, h_l, w_l, m_l = cells[i - 1]
+            runs.append((1, w_l, w, h_l / 2 + h / 2, h_l / 2 * m_l + h / 2 * m))
         if count:
-            runs.append((count, w, w, h / 2 + h / 2, (m + m) / 2))
+            runs.append((count, w, w, h, h * m))
     return runs
 
 
 def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
-    """Per-node ``(x, box, w_l, w_r, reac)``, one row per unknown node: the runs of ``_node_runs``
-    repeated, ``w`` of shape (n, n_stages) and ``reac`` of shape (n, n_stages, n_stages)."""
+    """Per-node ``(x, box, w_l, w_r, mass)``, one row per unknown node: the runs of ``_node_runs``
+    repeated, ``w`` of shape (n, n_stages) and ``mass`` of shape (n, n_stages, n_stages)."""
     zones = _zone_cells(layout, grid, level)
     runs = _node_runs(layout, [(z.cells, z.h, z.diffusion, z.reaction) for z in zones])
     counts = np.array([run[0] for run in runs], dtype=np.intp)
-    box, w_l, w_r, reac = (np.repeat(np.array([run[k] for run in runs]), counts, axis=0) for k in (3, 1, 2, 4))
+    box, w_l, w_r, mass = (np.repeat(np.array([run[k] for run in runs]), counts, axis=0) for k in (3, 1, 2, 4))
     x = np.concatenate([[0.0], np.cumsum(np.repeat([z.h for z in zones], [z.cells for z in zones]))])
     first = 1 if layout.bc is BoundaryCondition.DIRICHLET else 0  # a ring's last node is its first
-    return x[first : first + len(box)], box, w_l, w_r, reac
+    return x[first : first + len(box)], box, w_l, w_r, mass
 
 
 def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOperator:
     """Divergence-form discretization of the layout at one refinement level (the
     scheme is written out in ``_node_runs``)."""
     validate_layout(layout)
-    x, box, w_l, w_r, reac = _node_coefficients(layout, grid, level)
+    x, box, w_l, w_r, block = _node_coefficients(layout, grid, level)
     n_nodes, n_stages = w_l.shape
     periodic = layout.bc is BoundaryCondition.PERIODIC
     diag = -w_l - w_r
-    mass = np.repeat(box, n_stages)
 
     # Triplets grouped by kind; within each row they keep the per-node order
     # (left flux, right flux, diagonal, reaction), so summing duplicates adds
@@ -186,7 +184,6 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
     col_r = row[(i + 1) % n_nodes]
     has_l = periodic | (i > 0)  # the neighbour is an unknown
     has_r = periodic | (i < n_nodes - 1)
-    block = box[:, None, None] * reac
     nz = block != 0.0
     rows = np.concatenate([
         row[has_l].ravel(), row[has_r].ravel(), row.ravel(),
@@ -200,7 +197,7 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
 
     K = sparse.coo_matrix((data, (rows, cols)), shape=(n_nodes * n_stages,) * 2).tocsr()
     K.sum_duplicates()
-    return DiscreteOperator(stiffness=K, mass=mass, x=x, n_stages=n_stages)
+    return DiscreteOperator(stiffness=K, mass=np.repeat(box, n_stages), x=x, n_stages=n_stages)
 
 
 # ---------------------------------------------------------------------------
@@ -208,47 +205,19 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
 # ---------------------------------------------------------------------------
 
 def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bands ``(d, e)`` of a symmetric tridiagonal matrix whose top eigenvalue is that of ``B^-1 K``
-    for a scalar layout, computed per run of ``_node_runs`` and repeated, without assembling ``K``.
-
-    Off a ring they are the diagonal and superdiagonal of ``B^-1/2 K B^-1/2``.  On a ring the
-    mirror ``i -> c - i`` about the middle of the first zone (of ``c`` cells) is a symmetry, and
-    the top eigenvector, the positive Perron vector, is even under it.  One unit vector per orbit
-    folds the ring onto the path between the two fixed points, nodes ``lo = (c+1)//2`` to
-    ``hi = (c+n)//2``: an entry takes ``sqrt(|o|/|o'|)`` for orbit sizes ``|o|`` (1 at a fixed
-    node, else 2), and the edge mirrored at an end is added to the end coupling (fixed node) or
-    to the end diagonal (fixed cell midpoint).
-    """
+    """Bands ``(d, e)`` of ``B^-1/2 K B^-1/2`` for a scalar layout off a ring, its diagonal and
+    superdiagonal, computed per run of ``_node_runs`` and repeated, without assembling ``K``."""
     # numpy scalars: a width whose cells underflow gives inf and a warning, as arrays do
     zones = [(z.cells, np.float64(z.h), float(z.diffusion[0]), float(z.reaction[0, 0]))
              for z in _zone_cells(layout, grid, level)]
     runs = _node_runs(layout, zones)
-    starts = [0, *itertools.accumulate(run[0] for run in runs)]
-    n = starts.pop()
+    counts = [run[0] for run in runs]
     w = [1.0 / np.sqrt(box) for _, _, _, box, _ in runs]
-    diag = [((-w_l - w_r) + box * reac) * wj * wj for (_, w_l, w_r, box, reac), wj in zip(runs, w)]
-    c = zones[0][0] if layout.bc is BoundaryCondition.PERIODIC else 0  # c > 0 on a ring only
-    lo, hi = ((c + 1) // 2, (c + n) // 2) if c else (0, n - 1)  # off a ring the path is the whole layout
-    # (nodes, run) along the path lo..hi; on a ring node n is node 0 again
-    path = [(k, j) for s, j in zip([*starts, n], [*range(len(runs)), 0])
-            if (k := min(s + runs[j][0], hi + 1) - max(s, lo)) > 0]
-    d = np.repeat([diag[j] for _, j in path], [k for k, _ in path])
-    steps = list(zip(path, [*path[1:], path[-1]]))  # a run of k nodes: k - 1 couplings inside, 1 onward
-    e = np.repeat([runs[j][2] * w[j] * w[t] for (_, j), (_, i) in steps for t in (j, i)],
-                  [r for (k, _), _ in steps for r in (k - 1, 1)][:-1] + [0])
-    if c:
-        # the runs holding nodes lo - 1, lo, hi and hi + 1 of the ring
-        before, first, last, after = (sum(s <= i % n for s in starts) - 1 for i in (lo - 1, lo, hi, hi + 1))
-        size = np.full(len(d), 2.0)  # orbit sizes
-        size[0], size[-1] = 1 + c % 2, 1 + (c + n) % 2
-        e *= np.sqrt(size[:-1] / size[1:])
-        mirrored = runs[first][1] * w[first] * w[before]  # the edge (lo - 1, lo)
-        if c % 2:
-            d[0] += mirrored
-        else:
-            e[0] += mirrored * np.sqrt(size[0] / size[1])
-        if (c + n) % 2:
-            d[-1] += runs[last][2] * w[last] * w[after]
+    d = np.repeat([((-w_l - w_r) + mass) * wj * wj for (_, w_l, w_r, _, mass), wj in zip(runs, w)], counts)
+    # a run of k nodes has k - 1 couplings inside and 1 onward, the last run none (its count is 0)
+    onward = [*w[1:], w[-1]]
+    e = np.repeat([w_r * wj * wt for (_, _, w_r, _, _), wj, wn in zip(runs, w, onward) for wt in (wj, wn)],
+                  [*[r for k in counts for r in (k - 1, 1)][:-1], 0])
     return d, e
 
 
@@ -300,18 +269,21 @@ def _top_eigenvalue_level(
 ) -> tuple[float, str]:
     """Top eigenvalue at one refinement level; ``near`` is the coarser level's value.
 
-    A scalar ring of ``K`` periods is solved on one period, as its top
-    eigenvector, the positive Perron vector, repeats every period.  A scalar
-    level is bisected by index, or with ``near`` in the window
-    ``(near - delta, upper]``: every Gershgorin row of ``B^-1 K`` has centre plus
-    radius equal to the node's mean reaction, so the largest growth bounds the
-    top (padded for Sturm-count rounding).  ``delta`` grows 16-fold while the
-    window is empty; once the window holds the whole spectrum, an empty window
-    raises ``NoConvergenceError``.
+    A scalar ring of ``K`` periods is solved on one half-period with reflecting ends, widths
+    ``R/2`` and ``r/2`` and half the per-zone cell floor: its top eigenvector, the positive
+    Perron vector, repeats every period and is even about the middle of each zone.  A scalar
+    level is bisected by index, or with ``near`` in the window ``(near - delta, upper]``: every
+    Gershgorin row of ``B^-1 K`` has centre plus radius equal to the node's box-weighted mean
+    reaction ``mass / box``, so the largest growth bounds the top (padded for Sturm-count
+    rounding).  ``delta`` grows 16-fold while the window is empty; once the window holds the
+    whole spectrum, an empty window raises ``NoConvergenceError``.
     """
     if not layout.is_scalar:
         return _staged_rightmost_eigenvalue(assemble(layout, grid, level))
-    layout = replace(validate_layout(layout), K=1)
+    layout = validate_layout(layout)
+    if layout.bc is BoundaryCondition.PERIODIC:
+        layout = replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
+        grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))
     d, e = _scalar_bands(layout, grid, level)
     if near is None:
         top = len(d) - 1

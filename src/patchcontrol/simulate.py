@@ -32,7 +32,7 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .model import BoundaryCondition, PatchLayout, validate_layout
-from .oracle import DiscreteOperator, GridSpec, assemble
+from .oracle import DiscreteOperator, GridSpec, _zone_cells, assemble
 
 _RENORM_SQ = 1e200  # rescale a state once its norm leaves [1e-100, 1e100]
 # States held between diagnostic passes. 256 rows ran no faster and cost ~6 MB
@@ -175,9 +175,8 @@ def _half_step_solver(op: DiscreteOperator, dt: float, periodic: bool):
     return lambda b: lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
 
 
-def simulate(run: SimulationRun) -> SimulationResult:
-    """Integrate the layout with the theta = 1/2 scheme (unconditionally stable,
-    second order in dt) and record norms, masses and requested snapshots."""
+def checked_run(run: SimulationRun) -> tuple[PatchLayout, float, float]:
+    """The run's ``(layout, T, dt)``, or the ``ValueError`` or ``LayoutError`` refusing it before any array is built."""
     layout = validate_layout(run.layout)
     T = run.T if run.T is not None else default_horizon(layout)
     if not math.isfinite(T):
@@ -194,8 +193,15 @@ def simulate(run: SimulationRun) -> SimulationResult:
     level, levels = run.level, run.grid.refinement_levels
     if not isinstance(level, (int, np.integer)) or isinstance(level, bool) or not 0 <= level < levels:
         raise ValueError(f"level must be an integer in [0, {levels}), got {level!r}")
+    _zone_cells(layout, run.grid, level)  # GridTooLarge, before assemble allocates
+    return layout, T, dt
 
-    op = assemble(layout, run.grid, level)
+
+def simulate(run: SimulationRun) -> SimulationResult:
+    """Integrate the layout with the theta = 1/2 scheme (unconditionally stable,
+    second order in dt) and record norms, masses and requested snapshots."""
+    layout, T, dt = checked_run(run)
+    op = assemble(layout, run.grid, run.level)
     n_stages = op.n_stages
     n_nodes = op.n_nodes
 

@@ -476,6 +476,17 @@ class TestSimulateCommand:
         assert err == "error: GridTooLarge: level 0 would have more than 4194304 unknowns\n"
         assert not out_dir.exists()
 
+    def test_unusable_out_fails_before_the_integration(self, capsys, monkeypatch, tmp_path):
+        def refuse(run):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr("patchcontrol.cli.simulate", refuse)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, out, err = run_cli(capsys, "simulate", "--preset", "taiga-two-stage", "--T", "50", "--out", str(afile))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: [Errno 17] File exists") and len(err.splitlines()) == 1
+
     def test_default_out_is_the_working_directory(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(capsys, "simulate", "--preset", "lone-star", "--T", "1", "--dt", "0.01")
@@ -612,6 +623,14 @@ class TestSweep:
         code, out, _ = run_cli(capsys, *self.SWEEP, "--out", ".")
         assert code == EXIT_OK
         assert (tmp_path / "sweep.csv").read_bytes() == out.encode()
+
+    def test_unusable_out_prints_no_table(self, capsys, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, out, err = run_cli(capsys, "sweep", "--preset", "lone-star", "--vary", "mu", "--from", "1",
+                                 "--to", "2", "--steps", "2", "--out", str(afile))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: [Errno 17] File exists") and len(err.splitlines()) == 1
 
     def test_without_out_no_file_is_written(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

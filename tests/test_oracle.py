@@ -187,17 +187,13 @@ def _loop_assemble(layout: PatchLayout, grid: GridSpec, level: int):
         has_right = periodic or right_cell < n_cells
 
         box = 0.0
-        reac = np.zeros((n_stages, n_stages))
-        n_adj = 0
+        reac = np.zeros((n_stages, n_stages))  # each adjacent cell's reaction over its half of the box
         if has_left:
             box += h[left_cell] / 2
-            reac = reac + m_cell[left_cell]
-            n_adj += 1
+            reac = reac + h[left_cell] / 2 * m_cell[left_cell]
         if has_right:
             box += h[right_cell] / 2
-            reac = reac + m_cell[right_cell]
-            n_adj += 1
-        reac = reac / n_adj
+            reac = reac + h[right_cell] / 2 * m_cell[right_cell]
         mass[i * n_stages : (i + 1) * n_stages] = box
 
         diag = np.zeros(n_stages)
@@ -214,7 +210,7 @@ def _loop_assemble(layout: PatchLayout, grid: GridSpec, level: int):
             if neighbor in index:
                 add_diffusion(i, index[neighbor], w)
         add_diffusion(i, i, diag)
-        add_block(i, i, box * reac)
+        add_block(i, i, reac)
 
     K = sparse.coo_matrix(
         (data, (rows, cols)), shape=(n_nodes * n_stages, n_nodes * n_stages)
@@ -511,18 +507,19 @@ def _largest_entry(op) -> float:
     return float(abs(symmetric_form(op)).max())
 
 
-class TestScalarRingFold:
-    """Each scalar ring level is solved on half a period (the folded path) and
-    must give the top eigenvalue of the whole ring.
+class TestScalarRingHalfPeriod:
+    """Each scalar ring level is solved on its reflecting half-period and, where
+    the ring's zones have twice the half-period's cells, must give the top
+    eigenvalue of the whole assembled ring.
 
     The bound is relative to the largest entry of the symmetric form rather
     than its largest diagonal entry: on a uniform ring the diagonal
     ``-2a/h^2 + growth`` can nearly cancel while the couplings stay large."""
 
-    # One cell per unit length with a minimum of 2 per zone: at level 0 the
-    # zones have 2 or 3 cells (even and odd), r = 0.4 takes the minimum, and
-    # K = 1, R = 2, r = 0 is the two-node ring whose two edges share one entry.
-    GRID = GridSpec(cells_per_unit_length=1.0, refinement_levels=3, min_cells_per_zone=2)
+    # Two cells per unit length with a floor of 4 per zone (2 on the half-period):
+    # every width below is a whole number of half-period cells at every level,
+    # r = 0.4 takes the floor, and the zones have even and odd half-period counts.
+    GRID = GridSpec(cells_per_unit_length=2.0, refinement_levels=3, min_cells_per_zone=4)
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     @pytest.mark.parametrize("R", [2.0, 3.0])
@@ -539,10 +536,14 @@ class TestScalarRingFold:
         rng = np.random.default_rng(int(100 * K + 10 * R + 10 * r))
         for _ in range(3):
             layout = _ring(rng, K, R, r)
+            half = replace(layout, R=R / 2, r=r / 2, K=1, bc=BoundaryCondition.NEUMANN)
             for level in range(self.GRID.refinement_levels):
+                ring_cells = [z.cells for z in _zone_cells(layout, self.GRID, level)]
+                half_cells = [z.cells for z in _zone_cells(half, replace(self.GRID, min_cells_per_zone=2), level)]
+                assert ring_cells == [2 * n for n in half_cells] * K
                 op = self.assert_matches_dense(layout, self.GRID, level)
-                # One period has n / K nodes; the folded path covers half of it.
-                assert sizes[-1] <= op.n_unknowns // (2 * K) + 1
+                # One period has n / K nodes; the half-period has half of them plus one.
+                assert sizes[-1] == op.n_unknowns // (2 * K) + 1
 
     @staticmethod
     def assert_matches_dense(layout, grid, level):
@@ -552,29 +553,36 @@ class TestScalarRingFold:
         assert abs(value - reference) <= 1e-13 * _largest_entry(op)
         return op
 
-    # A period of n nodes is a zone of c cells then one of r_cells, so c + n =
-    # 2c + r_cells: the fixed point lo is a node when c is even and a cell
-    # midpoint when it is odd, and hi likewise with r_cells.  The default grid
-    # doubles every count above level 0, so its odd cases exist at level 0 only.
-    @pytest.mark.parametrize("grid, base", [(GRID, 2), (GridSpec(), 32)], ids=["1-cell", "default"])
+    # A ring zone of 2c cells mirrors about its midpoint, a node, so the half-period
+    # holds c cells of it: c and r_cells each even or odd.  The default grid doubles
+    # every count above level 0, so its odd cases exist at level 0 only.
+    @pytest.mark.parametrize("grid, base", [(GridSpec(1.0, 3, 4), 2), (GridSpec(), 32)], ids=["1-cell", "default"])
     @pytest.mark.parametrize("c_odd", [0, 1])
     @pytest.mark.parametrize("r_cells_odd", [0, 1])
     def test_every_end_case(self, grid, base, c_odd, r_cells_odd):
         c, r_cells = base + c_odd, base + r_cells_odd
         h = 1.0 / grid.cells_per_unit_length
+        half_grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))
         rng = np.random.default_rng(10 * base + 2 * c_odd + r_cells_odd)
         for K in (1, 2):
-            layout = _ring(rng, K, c * h, r_cells * h)
-            assert [z.cells for z in _zone_cells(layout, grid, 0)[:2]] == [c, r_cells]
+            layout = _ring(rng, K, 2 * c * h, 2 * r_cells * h)
+            half = replace(layout, R=c * h, r=r_cells * h, K=1, bc=BoundaryCondition.NEUMANN)
+            assert [z.cells for z in _zone_cells(layout, grid, 0)[:2]] == [2 * c, 2 * r_cells]
+            assert [z.cells for z in _zone_cells(half, half_grid, 0)] == [c, r_cells]
             self.assert_matches_dense(layout, grid, 0)
 
     def test_two_node_ring(self):
+        # One zone of 2 cells: its two edges share one entry, and its half-period (1
+        # cell) is under the floor.  The reaction is uniform, so on the ring and on
+        # any reflecting half-period the constant vector is the top, at the growth.
         layout = _ring(np.random.default_rng(3), 1, 2.0, 0.0)
-        op = assemble(layout, self.GRID, 0)
+        grid = GridSpec(cells_per_unit_length=1.0, refinement_levels=3, min_cells_per_zone=2)
+        op = assemble(layout, grid, 0)
         assert op.n_unknowns == 2 and op.stiffness.nnz == 4
         reference = np.linalg.eigvalsh(symmetric_form(op).toarray())[-1]
-        value, _ = _top_eigenvalue_level(layout, self.GRID, 0)
+        value, _ = _top_eigenvalue_level(layout, grid, 0)
         assert abs(value - reference) <= 1e-13 * _largest_entry(op)
+        assert abs(reference - layout.beneficial.growth) <= 1e-13 * _largest_entry(op)
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_lone_star_matches_shift_invert(self, level):
@@ -611,12 +619,12 @@ class TestScalarBands:
 # they were computed per run of identical nodes, kept to pin the bands.
 
 def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
-    """Per-node coefficients ``(x, box, w_l, w_r, reac)`` of the scheme, one row per unknown node.
+    """Per-node coefficients ``(x, box, w_l, w_r, mass)`` of the scheme off a ring, one row per unknown node.
 
-    Node ``i`` receives ``(w_r (y_{i+1}-y_i) - w_l (y_i-y_{i-1})) / box + reac y_i``:
-    ``w = a / h`` of the cell on each side (shape (n, n_stages)) and ``reac`` the mean
-    reaction of the adjacent cells (shape (n, n_stages, n_stages)), with half boxes at
-    reflecting ends and interior-only unknowns for absorbing ends.
+    Node ``i`` receives ``(w_r (y_{i+1}-y_i) - w_l (y_i-y_{i-1}) + mass y_i) / box``:
+    ``w = a / h`` of the cell on each side (shape (n, n_stages)) and ``mass`` each adjacent
+    cell's reaction over its half of the box (shape (n, n_stages, n_stages)), with half boxes
+    at reflecting ends and interior-only unknowns for absorbing ends.
     """
     zones = _zone_cells(layout, grid, level)
 
@@ -628,83 +636,45 @@ def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
     n_cells = len(h)
     x_all = np.concatenate([[0.0], np.cumsum(h)])
 
-    periodic = layout.bc is BoundaryCondition.PERIODIC
-    if periodic:
-        nodes = np.arange(n_cells)  # node n_cells is identified with node 0
-        x = x_all[:-1]
-    elif layout.bc is BoundaryCondition.DIRICHLET:
+    if layout.bc is BoundaryCondition.DIRICHLET:
         nodes = np.arange(1, n_cells)
         x = x_all[1:-1]
     else:
         nodes = np.arange(0, n_cells + 1)
         x = x_all
 
-    # With one cell padded at each end, node k has left cell k and right cell k + 1.
+    # With a zero cell padded at each end, node k has left cell k and right cell k + 1.
     w_cell = a_cell / h[:, None]
-    h_pad, w_pad, m_pad = (_pad_ends(v, periodic) for v in (h, w_cell, m_cell))
+    h_pad, w_pad, m_pad = (np.concatenate([np.zeros_like(v[:1]), v, np.zeros_like(v[:1])])
+                           for v in (h, w_cell, m_cell))
     box = h_pad[nodes] / 2 + h_pad[nodes + 1] / 2
-    n_adj = 2 if periodic else 2 - (nodes == 0) - (nodes == n_cells)
-    reac = (m_pad[nodes] + m_pad[nodes + 1]) / np.reshape(n_adj, (-1, 1, 1))
-    return x, box, w_pad[nodes], w_pad[nodes + 1], reac
-
-
-def _pad_ends(v: np.ndarray, periodic: bool) -> np.ndarray:
-    """``v`` with one cell added at each end: the wrap-around cells on a ring, zeros otherwise."""
-    if periodic:
-        return np.concatenate([v[-1:], v, v[:1]])
-    zero = np.zeros_like(v[:1])
-    return np.concatenate([zero, v, zero])
+    half_l, half_r = (np.reshape(h_pad[k] / 2, (-1, 1, 1)) for k in (nodes, nodes + 1))
+    mass = half_l * m_pad[nodes] + half_r * m_pad[nodes + 1]
+    return x, box, w_pad[nodes], w_pad[nodes + 1], mass
 
 
 def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bands ``(d, e)`` of a symmetric tridiagonal matrix whose top eigenvalue is that of
-    ``B^-1 K`` for a scalar layout, built from the node coefficients without assembling ``K``.
-
-    Off a ring they are the diagonal and superdiagonal of ``B^-1/2 K B^-1/2``.  On a ring
-    the mirror ``i -> c - i`` about the middle of the first zone (of ``c`` cells) is a
-    symmetry, and the top eigenvector, the positive Perron vector, is even under it.  One
-    unit vector per orbit folds the ring onto the path between the two fixed points, nodes
-    ``lo = (c+1)//2`` to ``hi = (c+n)//2``: an entry takes ``sqrt(|o|/|o'|)`` for orbit sizes
-    ``|o|`` (1 at a fixed node, else 2), and the edge mirrored at an end is added to the end
-    coupling (fixed node) or to the end diagonal (fixed cell midpoint).
-    """
-    _, box, w_l, w_r, reac = _node_coefficients(layout, grid, level)
+    """Bands ``(d, e)`` of ``B^-1/2 K B^-1/2`` for a scalar layout off a ring, its diagonal and
+    superdiagonal, built from the node coefficients without assembling ``K``."""
+    _, box, w_l, w_r, mass = _node_coefficients(layout, grid, level)
     w_l, w_r, w = w_l[:, 0], w_r[:, 0], 1.0 / np.sqrt(box)
-    n = len(box)
-    c, lo, hi = 0, 0, n - 1  # off a ring the path is the whole layout
-    if layout.bc is BoundaryCondition.PERIODIC:
-        c = _zone_cells(layout, grid, level)[0].cells
-        lo, hi = (c + 1) // 2, (c + n) // 2
-    p = np.arange(lo, hi + 1) % n
-    d = ((-w_l - w_r) + box * reac[:, 0, 0])[p] * w[p] * w[p]
-    e = w_r[p[:-1]] * w[p[:-1]] * w[p[1:]]
-    if layout.bc is BoundaryCondition.PERIODIC:
-        size = np.full(len(p), 2.0)  # orbit sizes
-        size[0], size[-1] = 1 + c % 2, 1 + (c + n) % 2
-        e *= np.sqrt(size[:-1] / size[1:])
-        mirrored = w_l[lo] * w[lo] * w[lo - 1]  # the edge (lo - 1, lo)
-        if c % 2:
-            d[0] += mirrored
-        else:
-            e[0] += mirrored * np.sqrt(size[0] / size[1])
-        if (c + n) % 2:
-            d[-1] += w_r[hi] * w[hi] * w[(hi + 1) % n]
+    d = ((-w_l - w_r) + mass[:, 0, 0]) * w * w
+    e = w_r[:-1] * w[:-1] * w[1:]
     return d, e
 
 
 class TestScalarBandsMatchPerNode:
     """``_scalar_bands`` gives the per-node reference's bands bit for bit at every
-    level: every boundary, K = 1-3 on rings, zero control width, four grids."""
+    level: both boundaries off a ring, zero control width, four grids."""
 
     @staticmethod
     def draw(rng, bc, grid):
         R = loguniform(rng, 0.05, 30.0 / grid.cells_per_unit_length ** 0.5)  # wider on coarser grids
-        K = int(rng.integers(1, 4)) if bc is BoundaryCondition.PERIODIC else 1
         r = 0.0 if rng.random() < 0.25 else loguniform(rng, 0.01, 5.0)
         return PatchLayout(
             ScalarZone(loguniform(rng, 0.1, 100.0), float(rng.uniform(-1.0, 5.0))),
             ScalarZone(loguniform(rng, 0.1, 100.0), -loguniform(rng, 0.01, 100.0)),
-            R=R, r=r, K=K, bc=bc,
+            R=R, r=r, bc=bc,
         )
 
     @pytest.mark.parametrize(
@@ -712,19 +682,18 @@ class TestScalarBandsMatchPerNode:
         [GridSpec(), GridSpec(13.3, 3, 5), GridSpec(1.0, 2, 2), GridSpec(0.5, 4, 2)],
         ids=["default", "13.3-cells", "1-cell", "half-cell"],
     )
-    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN])
     def test_byte_equal(self, grid, bc):
         rng = np.random.default_rng(60 + 3 * BCS.index(bc) + int(2 * grid.cells_per_unit_length))
         layouts = [self.draw(rng, bc, grid) for _ in range(8)]
         layouts.append(replace(layouts[0], r=0.0))
         for layout in layouts:
             for level in range(grid.refinement_levels):
-                for K in {1, layout.K}:
-                    got = oracle._scalar_bands(replace(layout, K=K), grid, level)
-                    want = _scalar_bands(replace(layout, K=K), grid, level)
-                    for g, w in zip(got, want):
-                        assert (g.dtype, g.shape) == (w.dtype, w.shape)
-                        assert g.tobytes() == w.tobytes()
+                got = oracle._scalar_bands(layout, grid, level)
+                want = _scalar_bands(layout, grid, level)
+                for g, w in zip(got, want):
+                    assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                    assert g.tobytes() == w.tobytes()
 
 
 class TestScalarWithoutAssembly:
@@ -935,6 +904,41 @@ class TestConvergence:
         d3 = hist[3] - hist[2]
         assert 3.0 <= d1 / d2 <= 5.0
         assert 3.0 <= d2 / d3 <= 5.0
+
+    @staticmethod
+    def draws(seed, bc, n):
+        """``n`` seeded criterion-6 draws on one boundary; rings with K = 1-3."""
+        rng = np.random.default_rng(seed)
+        return [replace(random_scalar_problem(rng), bc=bc,
+                        K=1 + k % 3 if bc is BoundaryCondition.PERIODIC else 1) for k in range(n)]
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_observed_order_on_seeded_draws(self, monkeypatch, bc):
+        # The order is read from the last three levels where the finest-pair
+        # difference stands above the bisection's round-off, 1e3 eps max|d|.
+        largest = []
+        solve = oracle.eigvalsh_tridiagonal
+
+        def recording_solve(d, e, **kwargs):
+            largest.append(float(np.abs(d).max()))
+            return solve(d, e, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", recording_solve)
+        orders = []
+        for p in self.draws(16 + BCS.index(bc), bc, 45):
+            hist = [value for value, _ in _level_chain(p.to_layout(), GridSpec(16, 4))]
+            coarse, fine = hist[2] - hist[1], hist[3] - hist[2]
+            if abs(fine) > 1e3 * np.finfo(float).eps * largest[-1]:
+                orders.append(math.log2(abs(coarse / fine)))
+        assert len(orders) >= 10
+        assert min(orders) >= 1.9, orders
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_richardson_estimate_bounds_the_error(self, bc):
+        for p in self.draws(26 + BCS.index(bc), bc, 60):
+            rep = top_eigenvalue_fd(p.to_layout())
+            root = top_eigenvalue_scalar(p).top_eigenvalue
+            assert abs(rep.top_eigenvalue - root) <= max(rep.error_estimate, 1e-6), p
 
     def test_pure_kiss_analytics(self):
         for a, lam, R in ((1.0, 1.0, math.pi), (2.5, 0.8, 4.0), (16.67, 0.65, 10.0)):
