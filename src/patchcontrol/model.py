@@ -168,10 +168,10 @@ class PatchLayout:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Trichotomy outcome with the signed slack of the deciding inequality.
+    """Trichotomy outcome with the signed slack of the deciding rule.
 
-    ``margin > 0`` means strictly inside the eradication region;
-    ``status`` is Marginal when ``abs(margin) <= marginal_tol``.
+    The slack is a balance's ``lhs - rhs``, a distance in ``lam / a`` from a band edge, or a negated
+    top eigenvalue.  ``margin > 0`` means eradication; Marginal is ``abs(margin) <= marginal_tol``.
     """
 
     status: VerdictStatus

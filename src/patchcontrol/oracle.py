@@ -14,9 +14,9 @@ criterion, exact for the whole ring's grid when its zones have even cell counts)
 bisection gives the top eigenvalue: by index on the coarsest level, and on each finer level in a
 window from the coarser level's value up to the largest growth.  Staged levels and the simulator
 assemble ``K`` as CSR from the same runs repeated per node.  Staged systems are block-coupled and
-nonsymmetric and are solved on the whole ring; their rightmost eigenvalue is found densely for
-small systems and otherwise by shift-invert Arnoldi on ``B^-1 K`` (20 Krylov vectors, shift above
-the Gershgorin bound, no fallback).
+nonsymmetric.  Cooperative staged rings (Metzler zone matrices) are cut to the same half-period,
+others solved whole; the rightmost eigenvalue is found densely below 80 unknowns and otherwise by
+shift-invert Arnoldi on ``B^-1 K`` (20 Krylov vectors, shift above Gershgorin, no fallback).
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .model import (
 
 # Most unknowns (cells times stages) of a level that is built: past it the arrays would need gigabytes.
 _MAX_UNKNOWNS = 2**22
+# Dense staged solves below this many unknowns: the crossover with Arnoldi measured 74-82; ARPACK needs 5.
+_DENSE_STAGED_BELOW = 80
 
 
 class NoConvergenceError(RuntimeError):
@@ -222,8 +224,8 @@ def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.n
 
 
 def _staged_rightmost_eigenvalue(op: DiscreteOperator) -> tuple[float, str]:
-    """Rightmost eigenvalue of ``B^-1 K``, dense below 200 unknowns, else by
-    shift-invert Arnoldi; ``NoConvergenceError`` unless it is real and converged,
+    """Rightmost eigenvalue of ``B^-1 K``, dense below ``_DENSE_STAGED_BELOW`` unknowns,
+    else by shift-invert Arnoldi; ``NoConvergenceError`` unless it is real and converged,
     that is with the pair's backward error ``|Kv - theta Bv| / ((|K|_1 + |theta| max B) |v|)``
     at most 1e-6.
 
@@ -235,7 +237,7 @@ def _staged_rightmost_eigenvalue(op: DiscreteOperator) -> tuple[float, str]:
     B = op.mass
     n = K.shape[0]
 
-    if n < 200:
+    if n < _DENSE_STAGED_BELOW:
         vals = np.linalg.eigvals(K.toarray() / B[:, None])
         theta, path = complex(vals[np.argmax(vals.real)]), "dense"
     else:
@@ -269,21 +271,25 @@ def _top_eigenvalue_level(
 ) -> tuple[float, str]:
     """Top eigenvalue at one refinement level; ``near`` is the coarser level's value.
 
-    A scalar ring of ``K`` periods is solved on one half-period with reflecting ends, widths
-    ``R/2`` and ``r/2`` and half the per-zone cell floor: its top eigenvector, the positive
-    Perron vector, repeats every period and is even about the middle of each zone.  A scalar
-    level is bisected by index, or with ``near`` in the window ``(near - delta, upper]``: every
-    Gershgorin row of ``B^-1 K`` has centre plus radius equal to the node's box-weighted mean
-    reaction ``mass / box``, so the largest growth bounds the top (padded for Sturm-count
-    rounding).  ``delta`` grows 16-fold while the window is empty; once the window holds the
+    A cooperative ring of ``K`` periods (scalar, or Metzler zone matrices) is solved on one
+    half-period with reflecting ends, widths ``R/2`` and ``r/2`` and half the per-zone cell floor:
+    ``B^-1 K`` is Metzler, so its rightmost eigenvalue has a nonnegative eigenvector, and averaging
+    that over the ring's translations and mirrors gives one that repeats every period and is even
+    about each zone's middle.  Other staged rings stay whole: their growing mode can span two
+    periods.  A scalar level is bisected by index, or with ``near`` in the window ``(near - delta,
+    upper]``: every Gershgorin row of ``B^-1 K`` has centre plus radius equal to the node's
+    box-weighted mean reaction ``mass / box``, so the largest growth bounds the top (padded for
+    Sturm-count rounding).  ``delta`` grows 16-fold while the window is empty; once it holds the
     whole spectrum, an empty window raises ``NoConvergenceError``.
     """
-    if not layout.is_scalar:
-        return _staged_rightmost_eigenvalue(assemble(layout, grid, level))
     layout = validate_layout(layout)
-    if layout.bc is BoundaryCondition.PERIODIC:
+    cooperative = layout.is_scalar or all(  # Metzler reaction matrices: nonnegative off-diagonals
+        ((z.reaction >= 0) | np.eye(len(z.reaction), dtype=bool)).all() for z in (layout.beneficial, layout.control))
+    if layout.bc is BoundaryCondition.PERIODIC and cooperative:
         layout = replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
         grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))
+    if not layout.is_scalar:
+        return _staged_rightmost_eigenvalue(assemble(layout, grid, level))
     d, e = _scalar_bands(layout, grid, level)
     if near is None:
         top = len(d) - 1

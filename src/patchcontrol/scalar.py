@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 from .linalg import brentq, expanding_root
 from .model import (
+    MARGINAL_TOL,
     BoundaryCondition,
     LayoutError,
     PatchLayout,
@@ -134,18 +135,21 @@ def scalar_verdict(p: ScalarProblem) -> Verdict:
     """Exact trichotomy of the scalar two-zone model, for every boundary condition.
 
     On rings the outcome does not depend on ``K``: the top eigenfunction of
-    the periodic operator is itself periodic with the single-pair period.
+    the periodic operator is itself periodic with the single-pair period.  On a
+    band edge (a band margin within ``MARGINAL_TOL``) the dispersion root decides.
     """
     if p.lam < 0:
         return Verdict.from_margin(-p.lam, "negative-growth")
     s = p.lam / p.a
     lo, hi = _controllable_band(p)
-    if s >= hi:
-        return Verdict.from_margin(hi - s, f"{p.bc.value}-critical-size")
-    if s <= lo:
-        return Verdict.from_margin(lo - s, "dirichlet-half-size")
-    lhs, rhs = control_inequality_sides(p)
-    return Verdict.from_margin(lhs - rhs, f"{p.bc.value}-tan-tanh")
+    if lo < s < hi:
+        lhs, rhs = control_inequality_sides(p)
+        return Verdict.from_margin(lhs - rhs, f"{p.bc.value}-tan-tanh")
+    margin, rule = (hi - s, f"{p.bc.value}-critical-size") if s >= hi else (lo - s, "dirichlet-half-size")
+    if abs(margin) > MARGINAL_TOL:
+        return Verdict.from_margin(margin, rule)
+    top = top_eigenvalue_scalar(p)
+    return Verdict.from_margin(-top.top_eigenvalue, rule, marginal_tol=top.error_estimate)
 
 
 def control_inequality_sides(p: ScalarProblem) -> tuple[float, float]:
@@ -195,9 +199,11 @@ def top_eigenvalue_scalar(p: ScalarProblem) -> SpectralReport:
     so the top always has ``x >= 0``.
     """
     if p.r == 0.0:
-        # No control zone: the beneficial zone fills the domain; absorbing ends cost a half wave.
-        value = p.lam - p.a * _controllable_band(p)[1] if p.bc is BoundaryCondition.DIRICHLET else p.lam
-        return SpectralReport(value, SpectralMethod.DISPERSION_ROOT, 0.0, "analytic r=0")
+        # No control zone: the beneficial zone fills the domain; absorbing ends cost a half wave,
+        # a difference of two rounded terms (at the critical width it is zero up to their rounding).
+        wave = p.a * _controllable_band(p)[1] if p.bc is BoundaryCondition.DIRICHLET else 0.0
+        err = 1e-12 * (abs(p.lam) + wave) if wave else 0.0
+        return SpectralReport(p.lam - wave, SpectralMethod.DISPERSION_ROOT, err, "analytic r=0")
 
     R, r = _effective_widths(p)
     a, lam, b, mu = p.a, p.lam, p.b, p.mu

@@ -8,12 +8,13 @@ break a traced benchmark run fails here first.
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import patchcontrol  # noqa: F401  (the tracer patches the imported package)
-from patchcontrol import GridSpec, get_preset, oracle
+from patchcontrol import BoundaryCondition, GridSpec, get_preset, oracle
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -49,4 +50,21 @@ def test_scalar_levels_traced_as_tridiagonal_solves():
     top = names.index("oracle.top_eigenvalue_fd")
     solves = [s for s in tracer.spans if s.name == "oracle.solve.tridiagonal"]
     assert len(solves) >= grid.refinement_levels
+    assert all(s.parent == top for s in solves)
+
+
+def test_staged_levels_traced_on_the_half_period():
+    # The per-layer figures of the staged path must count the half-period's unknowns and solves.
+    taiga = get_preset("taiga-two-stage")
+    grid = GridSpec(refinement_levels=2)
+    half = replace(taiga, R=taiga.R / 2, r=taiga.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
+    half_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
+    expected = [oracle.assemble(half, half_grid, level).n_unknowns for level in range(grid.refinement_levels)]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        oracle.top_eigenvalue_fd(taiga, grid)
+    top = [s.name for s in tracer.spans].index("oracle.top_eigenvalue_fd")
+    assert [s.info["unknowns"] for s in tracer.spans if s.name == "oracle.assemble"] == expected
+    solves = [s for s in tracer.spans if s.name in ("oracle.solve.arnoldi", "oracle.solve.dense_staged")]
+    assert len(solves) == grid.refinement_levels
     assert all(s.parent == top for s in solves)

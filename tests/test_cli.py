@@ -152,6 +152,18 @@ class TestVerdict:
         assert err.startswith(f"error: {message}")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_band_edge_decided_by_the_dispersion_root(self, capsys):
+        # R at half the critical width pi sqrt(a / lam) under absorbing ends: the edge of
+        # the controllable band, where the population dies out (oracle top about -1.48).
+        code, out, err = run_cli(capsys, "verdict", "--preset", "lone-star", "--bc", "dirichlet",
+                                 "--R", "7.954831752950762")
+        assert (code, err) == (EXIT_OK, "")
+        values = parsed(out)
+        assert values["closed_status"] == "Eradication"
+        assert values["closed_rule"] == "dirichlet-half-size"
+        assert float(values["closed_margin"]) > 1.0
+        assert (values["oracle_status"], values["agreement"]) == ("Eradication", "yes")
+
     def test_taiga_at_the_verdict_boundary_exits_0(self, capsys):
         # The FD top eigenvalue is -6.1e-7 here: the Arnoldi pair passes by backward error.
         code, out, err = run_cli(

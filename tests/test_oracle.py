@@ -388,6 +388,7 @@ class TestStagedWholeRing:
         R=5.0, r=0.7, K=2, bc=BoundaryCondition.PERIODIC,
     )
     GRID = GridSpec(cells_per_unit_length=8, min_cells_per_zone=4)
+    COARSE = GridSpec(cells_per_unit_length=3, min_cells_per_zone=4)  # 76 unknowns: the dense branch
 
     @staticmethod
     def dense_rightmost(layout, grid, level):
@@ -395,12 +396,15 @@ class TestStagedWholeRing:
         vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
         return vals[np.argmax(vals.real)]
 
-    @pytest.mark.parametrize("level, path", [(0, "dense"), (1, "shift-invert-arnoldi")])
-    def test_antiperiodic_growth(self, level, path):
-        ring = self.dense_rightmost(self.LAYOUT, self.GRID, level)
-        period = self.dense_rightmost(replace(self.LAYOUT, K=1), self.GRID, level)
+    @pytest.mark.parametrize(
+        "grid, level, path", [(COARSE, 0, "dense"), (GRID, 1, "shift-invert-arnoldi")],
+        ids=["0-dense", "1-shift-invert-arnoldi"],
+    )
+    def test_antiperiodic_growth(self, grid, level, path):
+        ring = self.dense_rightmost(self.LAYOUT, grid, level)
+        period = self.dense_rightmost(replace(self.LAYOUT, K=1), grid, level)
         assert ring.imag == 0.0 and ring.real > 0.3 and period.real < -0.3
-        value, how = _top_eigenvalue_level(self.LAYOUT, self.GRID, level)
+        value, how = _top_eigenvalue_level(self.LAYOUT, grid, level)
         assert how == path
         assert abs(value - ring.real) <= 1e-9 * ring.real
 
@@ -408,8 +412,73 @@ class TestStagedWholeRing:
         assert verdict_fd(self.LAYOUT, self.GRID).status is not VerdictStatus.ERADICATION
 
 
+def _cooperative_ring(rng: np.random.Generator, n_stages: int, K: int, R: float, r: float) -> PatchLayout:
+    M = random_supercritical_stage_matrix(rng, n_stages)  # births and transitions: a Metzler matrix
+    diffusion = [loguniform(rng, 0.1, 10.0) for _ in range(n_stages)]
+    return PatchLayout(
+        StageZone(diffusion, M), StageZone(diffusion, M - loguniform(rng, 0.1, 5.0) * np.eye(n_stages)),
+        R=R, r=r, K=K, bc=BoundaryCondition.PERIODIC,
+    )
+
+
+class TestStagedRingHalfPeriod:
+    """A cooperative staged ring is solved on its reflecting half-period, as a scalar
+    ring is: with Metzler zone matrices the rightmost eigenvalue of ``B^-1 K`` is real
+    with a nonnegative eigenvector, and averaging that vector over the ring's
+    translations and mirrors gives one that repeats every period and is even about
+    each zone's middle.  Where each ring zone has twice the half-period's cells the
+    half-period's dense spectrum holds the whole ring's rightmost eigenvalue."""
+
+    GRID = GridSpec(cells_per_unit_length=4.0, refinement_levels=2, min_cells_per_zone=4)
+    HALF_GRID = replace(GRID, min_cells_per_zone=2)
+
+    @staticmethod
+    def dense_rightmost(op) -> tuple[complex, float]:
+        A = op.stiffness.toarray() / op.mass[:, None]
+        vals = np.linalg.eigvals(A)
+        return vals[np.argmax(vals.real)], float(np.abs(A).max())
+
+    # Half-period cells (beneficial, control): the control zone is absent, at the
+    # floor, or wider; the beneficial zone keeps the half-period at 80+ unknowns.
+    @pytest.mark.parametrize("n_stages, c", [(2, 40), (3, 27)])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("r_cells", [0, 2, 5])
+    def test_matches_dense_whole_ring(self, n_stages, c, K, r_cells):
+        h = 1.0 / self.GRID.cells_per_unit_length
+        rng = np.random.default_rng(100 * n_stages + 10 * K + r_cells)
+        for _ in range(2):
+            layout = _cooperative_ring(rng, n_stages, K, 2 * c * h, 2 * r_cells * h)
+            half = replace(layout, R=c * h, r=r_cells * h, K=1, bc=BoundaryCondition.NEUMANN)
+            ring_cells = [z.cells for z in _zone_cells(layout, self.GRID, 0)]
+            assert ring_cells == [2 * n for n in [c, r_cells] if n] * K
+            assert [z.cells for z in _zone_cells(half, self.HALF_GRID, 0)] == [n for n in [c, r_cells] if n]
+            ring, scale = self.dense_rightmost(assemble(layout, self.GRID, 0))
+            half_op = assemble(half, self.HALF_GRID, 0)
+            on_half, _ = self.dense_rightmost(half_op)
+            assert ring.imag == 0.0 and on_half.imag == 0.0
+            assert abs(on_half.real - ring.real) <= 1e-13 * scale
+            value, how = _top_eigenvalue_level(layout, self.GRID, 0)
+            assert how == "shift-invert-arnoldi" and half_op.n_unknowns >= oracle._DENSE_STAGED_BELOW
+            assert abs(value - ring.real) <= 1e-9 * abs(ring.real)
+
+    def test_only_whole_rings_of_non_cooperative_stages_are_assembled(self, monkeypatch):
+        assembled = []
+        build = oracle.assemble
+
+        def recording(layout, grid, level=0):
+            assembled.append((layout.bc, layout.K))
+            return build(layout, grid, level)
+
+        monkeypatch.setattr(oracle, "assemble", recording)
+        top_eigenvalue_fd(replace(get_preset("taiga-two-stage"), K=3), FAST)
+        assert assembled == [(BoundaryCondition.NEUMANN, 1)] * FAST.refinement_levels
+        assembled.clear()
+        top_eigenvalue_fd(TestStagedWholeRing.LAYOUT, TestStagedWholeRing.GRID)
+        assert assembled == [(BoundaryCondition.PERIODIC, 2)] * TestStagedWholeRing.GRID.refinement_levels
+
+
 class TestPatchCountChecked:
-    """The caller's ``K`` is validated before a scalar ring is cut to one period."""
+    """The caller's ``K`` is validated before a cooperative ring is cut to one period."""
 
     @pytest.mark.parametrize(
         "K, bc",
@@ -418,6 +487,13 @@ class TestPatchCountChecked:
     )
     def test_refuses(self, K, bc):
         layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0, K=K, bc=bc)
+        with pytest.raises(LayoutError) as err:
+            top_eigenvalue_fd(layout, FAST)
+        assert err.value.code == "InvalidPatchCount"
+
+    @pytest.mark.parametrize("K", [0, 2.5])
+    def test_refuses_staged_ring(self, K):
+        layout = replace(get_preset("taiga-two-stage"), K=K)
         with pytest.raises(LayoutError) as err:
             top_eigenvalue_fd(layout, FAST)
         assert err.value.code == "InvalidPatchCount"
@@ -483,7 +559,7 @@ class TestStagedComplexRightmost:
             self.layout([[1, -2, 0], [2, 1, 0], [0, 0, -1]]),
             GridSpec(cells_per_unit_length=4, min_cells_per_zone=4),
         )
-        assert op.n_unknowns < 200
+        assert op.n_unknowns < oracle._DENSE_STAGED_BELOW
         with pytest.raises(oracle.NoConvergenceError, match="complex"):
             _staged_rightmost_eigenvalue(op)
 

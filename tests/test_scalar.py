@@ -527,14 +527,22 @@ def _search_args(p: ScalarProblem):
     return (p.a, p.lam, p.R, p.b, p.r, p.bc, p.K), (p.a, p.lam, p.R, p.b, p.mu, p.bc, p.K)
 
 
+def assert_status_follows_the_root(p: ScalarProblem) -> float:
+    """Where the dispersion root is clear of zero (|top| > 1e-6) the verdict takes its sign; returns the root."""
+    top = top_eigenvalue_scalar(p).top_eigenvalue
+    if abs(top) > 1e-6:
+        assert scalar_verdict(p).status is (VerdictStatus.ERADICATION if top < 0 else VerdictStatus.SURVIVAL), p
+    return top
+
+
 class TestOneCriterionMatchesPerBoundaryVerdicts:
     """The band-driven criterion reproduces the per-boundary verdicts bit for bit,
-    except where the reference reads the deciding tan past its pole."""
+    except where the reference reads the deciding tan past its pole, and on the
+    band's edges, where the reference called every draw Marginal and the
+    dispersion root now decides."""
 
     def assert_decided_by_the_root(self, p: ScalarProblem):
-        top = top_eigenvalue_scalar(p).top_eigenvalue
-        v = scalar_verdict(p)
-        assert v.status is VerdictStatus.MARGINAL or (v.status is VerdictStatus.ERADICATION) == (top < 0), p
+        top = assert_status_follows_the_root(p)
         mortality_args, width_args = _search_args(p)
         if p.bc is BoundaryCondition.DIRICHLET:
             # Half the critical width: the population dies out without control.
@@ -563,7 +571,7 @@ class TestOneCriterionMatchesPerBoundaryVerdicts:
     def test_seeded_draws(self):
         rng = np.random.default_rng(1414)
         rules = set()
-        straddling = no_zone = 0
+        straddling = no_zone = edges = critical_without_zone = 0
         for _ in range(3000):
             p = random_band_edge_problem(rng)
             if _straddles_quarter_wave(p):
@@ -572,8 +580,19 @@ class TestOneCriterionMatchesPerBoundaryVerdicts:
                 self.assert_decided_by_the_root(p)
                 straddling += 1
                 continue
-            new = _bits(scalar_verdict, p)
-            assert new == _bits(legacy_scalar_verdict, p), p
+            new, old = _bits(scalar_verdict, p), _bits(legacy_scalar_verdict, p)
+            if old[0] is VerdictStatus.MARGINAL and not old[2].endswith("tan-tanh"):
+                # On a band edge the root decides.  Without a control zone the
+                # critical width's root is a difference of equal terms, zero up to
+                # their rounding: Marginal.
+                assert new[2] == old[2], p
+                assert_status_follows_the_root(p)
+                edges += 1
+                if p.bc is BoundaryCondition.DIRICHLET and p.r == 0.0 and old[2] == "dirichlet-critical-size":
+                    assert new[0] is VerdictStatus.MARGINAL, p
+                    critical_without_zone += 1
+            else:
+                assert new == old, p
             if isinstance(new[0], VerdictStatus):
                 rules.add(new[2])
             assert _bits(control_inequality_sides, p) == _bits(legacy_inequality_sides, p), p
@@ -588,6 +607,7 @@ class TestOneCriterionMatchesPerBoundaryVerdicts:
             assert _bits(min_zone_width, *width_args) == _bits(legacy_min_zone_width, *width_args), p
         assert 0 < straddling <= 50  # 26 with glibc's libm
         assert no_zone > 0
+        assert edges > 300 and critical_without_zone > 0  # 420 and 16
         assert rules >= {
             "negative-growth",
             "dirichlet-half-size",
@@ -619,10 +639,7 @@ class TestQuarterWaveEdge:
             edge = a * (math.pi / (2 * R_eff)) ** 2
             for lam in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
                 p = ScalarProblem(a=a, lam=lam, b=1.0, mu=1.0, R=R, r=0.5, bc=bc)
-                v = scalar_verdict(p)
-                top = top_eigenvalue_scalar(p).top_eigenvalue
-                if v.status is not VerdictStatus.MARGINAL and abs(top) > 1e-6:
-                    assert (v.status is VerdictStatus.ERADICATION) == (top < 0), p
+                assert_status_follows_the_root(p)
                 mortality_args, width_args = _search_args(p)
                 for search, args in ((min_mortality, mortality_args), (min_zone_width, width_args)):
                     try:
