@@ -87,6 +87,7 @@ _SCALAR_FIELDS = {
 }
 _SWEEPABLE = ("R", "r", *_SCALAR_FIELDS)
 _SCENARIO_FLAGS = ("R", "r", "K", "bc", *_SCALAR_FIELDS)
+_MAX_SWEEP_STEPS = 10**6  # a table row per step: far more is a typo, and its grid alone would not fit memory
 
 
 class _Refusal(Exception):
@@ -325,6 +326,8 @@ def cmd_sweep(args) -> tuple[dict, int]:
         raise _Refusal(f"unknown sweep parameter {args.vary!r}; allowed: {sorted(_SWEEPABLE)}")
     if args.steps < 1:
         raise _Refusal("--steps must be >= 1")
+    if args.steps > _MAX_SWEEP_STEPS:
+        raise _Refusal(f"--steps must be <= {_MAX_SWEEP_STEPS}")
     grid = _grid(args)
     values = (
         np.linspace(args.lo, args.hi, args.steps) if args.steps > 1 else np.array([args.lo])

@@ -15,8 +15,9 @@ bisection gives the top eigenvalue: by index on the coarsest level, and on each 
 window from the coarser level's value up to the largest growth.  Staged levels and the simulator
 assemble ``K`` as CSR from the same runs repeated per node.  Staged systems are block-coupled and
 nonsymmetric.  Cooperative staged rings (Metzler zone matrices) are cut to the same half-period,
-others solved whole; the rightmost eigenvalue is found densely below 80 unknowns and otherwise by
-shift-invert Arnoldi on ``B^-1 K`` (20 Krylov vectors, shift above Gershgorin, no fallback).
+others solved whole; every staged level is solved by shift-invert Arnoldi on ``B^-1 K``, shifted
+above the zones' growth bound, with more eigenvalues near the shift until none can hide right of the
+rightmost found (no fallback).
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .model import (
 
 # Most unknowns (cells times stages) of a level that is built: past it the arrays would need gigabytes.
 _MAX_UNKNOWNS = 2**22
-# Dense staged solves below this many unknowns: the crossover with Arnoldi measured 74-82; ARPACK needs 5.
-_DENSE_STAGED_BELOW = 80
 
 
 class NoConvergenceError(RuntimeError):
@@ -104,13 +103,6 @@ class DiscreteOperator:
     @property
     def n_nodes(self) -> int:
         return len(self.x)
-
-    def gershgorin_upper(self) -> float:
-        """Upper bound on real parts of eigenvalues of ``B^-1 K``."""
-        K = self.stiffness.tocsr()
-        absK = abs(K)
-        radii = np.asarray(absK.sum(axis=1)).ravel() - np.abs(K.diagonal())
-        return float(((K.diagonal() + radii) / self.mass).max())
 
 
 def _zone_cells(layout: PatchLayout, grid: GridSpec, level: int) -> list[_ZoneCells]:
@@ -223,47 +215,72 @@ def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.n
     return d, e
 
 
-def _staged_rightmost_eigenvalue(op: DiscreteOperator) -> tuple[float, str]:
-    """Rightmost eigenvalue of ``B^-1 K``, dense below ``_DENSE_STAGED_BELOW`` unknowns,
-    else by shift-invert Arnoldi; ``NoConvergenceError`` unless it is real and converged,
-    that is with the pair's backward error ``|Kv - theta Bv| / ((|K|_1 + |theta| max B) |v|)``
-    at most 1e-6.
+def _growth_bound(layout: PatchLayout) -> float:
+    """Largest Gershgorin row bound ``M_ss + sum_{j != s} |M_sj|`` of the two zones' reaction
+    matrices, a scalar zone's growth.  It bounds the real part of every eigenvalue of ``B^-1 K`` at
+    every level: in a node's centre plus radius the fluxes cancel (a Dirichlet node loses the outer
+    one), and its reaction mass over its box is a convex combination of the two zones' rows."""
+    def row_bound(zone) -> float:
+        m = np.atleast_2d(zone.growth if isinstance(zone, ScalarZone) else zone.reaction)
+        return float((np.diag(m) + np.abs(m - np.diag(np.diag(m))).sum(axis=1)).max())
+    return max(row_bound(layout.beneficial), row_bound(layout.control))
 
-    With the shift above the Gershgorin bound, the eigenvalue of the inverted
-    operator largest in magnitude is exactly the rightmost one (any imaginary
-    part only increases the distance to the shift).
-    """
+
+def _imag_bound(layout: PatchLayout) -> float:
+    """Largest 2-norm of the two zones' skew parts ``(M - M^T) / 2``.  The fluxes are symmetric, so the
+    skew part of ``B^-1/2 K B^-1/2`` is per node a convex combination of these, and by Bendixson's
+    theorem it bounds the imaginary part of every eigenvalue of ``B^-1 K`` at every level."""
+    return max(float(np.linalg.norm(z.reaction - z.reaction.T, 2)) / 2 for z in (layout.beneficial, layout.control))
+
+
+def _staged_rightmost_eigenvalue(op: DiscreteOperator, sigma: float, imag: float) -> tuple[float, str]:
+    """Rightmost eigenvalue of ``B^-1 K`` by shift-invert Arnoldi at ``sigma``, above every real part.
+
+    Of the ``k`` eigenvalues nearest ``sigma``, ``theta`` is the rightmost.  A real one right of it
+    would be nearer and found; a complex one lies within ``hypot(sigma - theta, imag)``, ``imag``
+    bounding the imaginary parts (0 on a cooperative level, whose rightmost eigenvalue is real).  So
+    ``k`` grows 4-fold, to at most 64, until the farthest found is that far, or to ``n - 2`` (ARPACK's
+    most), where the trace gives the mean of the two left out.  ``NoConvergenceError`` unless then
+    ``theta`` is real with backward error ``|Kv - theta Bv| / ((|K|_1 + |theta| max B) |v|)`` at most
+    1e-6.  ``min(n, max(20, 2k + 1))`` Krylov vectors span the whole space below 21 unknowns, so the
+    Ritz values are exact there; ARPACK needs 3 unknowns (else ``GridTooSmall``)."""
     K = op.stiffness.tocsc()
     B = op.mass
     n = K.shape[0]
-
-    if n < _DENSE_STAGED_BELOW:
-        vals = np.linalg.eigvals(K.toarray() / B[:, None])
-        theta, path = complex(vals[np.argmax(vals.real)]), "dense"
-    else:
-        # B is diagonal: the standard problem for B^-1 K (row i of K over B_i;
-        # the CSC indices are row numbers) needs no mass-matrix products.
+    if n < 3:
+        raise LayoutError("GridTooSmall", f"a staged level needs at least 3 unknowns, this one has {n}")
+    # B is diagonal: the standard problem for B^-1 K (row i of K over B_i;
+    # the CSC indices are row numbers) needs no mass-matrix products.
+    A = sparse.csc_matrix((K.data / B[K.indices], K.indices, K.indptr), shape=K.shape)
+    k = 1
+    while True:
         try:
             vals, vecs = sparse.linalg.eigs(
-                sparse.csc_matrix((K.data / B[K.indices], K.indices, K.indptr), shape=K.shape),
-                k=1,
-                sigma=op.gershgorin_upper() + 1.0,
-                which="LM",
-                v0=np.ones(n),
-                ncv=min(n - 2, 20),
-                maxiter=1000,
+                A, k=k, sigma=sigma, which="LM", v0=np.ones(n), ncv=min(n, max(20, 2 * k + 1)), maxiter=1000
             )
         except (sparse.linalg.ArpackNoConvergence, sparse.linalg.ArpackError, RuntimeError) as exc:
             raise NoConvergenceError(f"shift-invert Arnoldi failed: {exc}") from exc
-        theta, path, v = complex(vals[0]), "shift-invert-arnoldi", vecs[:, 0]
-        res = float(np.linalg.norm(K @ v - theta * (B * v)))
-        norm1 = float(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max())  # every column holds its diagonal
-        scale = (norm1 + abs(theta) * float(B.max())) * float(np.linalg.norm(v))
-        if not res <= 1e-6 * scale:
-            raise NoConvergenceError(f"shift-invert Arnoldi backward error {res / scale:.3g} is too large")
-    if abs(theta.imag) > 1e-8 * (1.0 + abs(theta.real)):
+        top = int(np.argmax(vals.real))
+        theta, v = complex(vals[top]), vecs[:, top]
+        pair = abs(theta.imag) > 1e-8 * (1.0 + abs(theta.real))
+        if pair or np.abs(sigma - vals).max() >= np.hypot(sigma - theta.real, imag):
+            break
+        if k == n - 2:
+            mean = float((A.diagonal().sum() - vals.sum()).real) / 2
+            if mean <= theta.real + 1e-12 * abs(A).max():
+                break
+            raise NoConvergenceError(f"rightmost eigenvalues are a complex pair of real part {mean:.6g}")
+        if k == 64:
+            raise NoConvergenceError(f"64 eigenvalues nearest the shift cannot rule out one right of {theta.real:.6g}")
+        k = min(4 * k, n - 2, 64)
+    res = float(np.linalg.norm(K @ v - theta * (B * v)))
+    norm1 = float(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max())  # every column holds its diagonal
+    scale = (norm1 + abs(theta) * float(B.max())) * float(np.linalg.norm(v))
+    if not res <= 1e-6 * scale:
+        raise NoConvergenceError(f"shift-invert Arnoldi backward error {res / scale:.3g} is too large")
+    if pair:
         raise NoConvergenceError(f"rightmost eigenvalue {theta:.6g} is complex (non-cooperative stages)")
-    return theta.real, path
+    return theta.real, "shift-invert-arnoldi"
 
 
 def _top_eigenvalue_level(
@@ -277,10 +294,10 @@ def _top_eigenvalue_level(
     that over the ring's translations and mirrors gives one that repeats every period and is even
     about each zone's middle.  Other staged rings stay whole: their growing mode can span two
     periods.  A scalar level is bisected by index, or with ``near`` in the window ``(near - delta,
-    upper]``: every Gershgorin row of ``B^-1 K`` has centre plus radius equal to the node's
-    box-weighted mean reaction ``mass / box``, so the largest growth bounds the top (padded for
-    Sturm-count rounding).  ``delta`` grows 16-fold while the window is empty; once it holds the
-    whole spectrum, an empty window raises ``NoConvergenceError``.
+    upper]`` below the zones' ``_growth_bound`` (padded for Sturm-count rounding; a staged level is
+    shifted to the bound plus 1, and a non-cooperative one also gets ``_imag_bound``).  ``delta``
+    grows 16-fold while the window is empty; once it holds the whole spectrum, an empty window
+    raises ``NoConvergenceError``.
     """
     layout = validate_layout(layout)
     cooperative = layout.is_scalar or all(  # Metzler reaction matrices: nonnegative off-diagonals
@@ -289,12 +306,13 @@ def _top_eigenvalue_level(
         layout = replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
         grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))
     if not layout.is_scalar:
-        return _staged_rightmost_eigenvalue(assemble(layout, grid, level))
+        imag = 0.0 if cooperative else _imag_bound(layout)
+        return _staged_rightmost_eigenvalue(assemble(layout, grid, level), _growth_bound(layout) + 1.0, imag)
     d, e = _scalar_bands(layout, grid, level)
     if near is None:
         top = len(d) - 1
         return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(top, top))[0]), "symmetric"
-    upper = max(layout.beneficial.growth, layout.control.growth) + 1e-12 * float(np.abs(d).max())
+    upper = _growth_bound(layout) + 1e-12 * float(np.abs(d).max())
     delta = 1e-6 * (1.0 + abs(near))
     while True:
         vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(near - delta, upper))

@@ -38,6 +38,7 @@ _RENORM_SQ = 1e200  # rescale a state once its norm leaves [1e-100, 1e100]
 # States held between diagnostic passes. 256 rows ran no faster and cost ~6 MB
 # more peak memory on the criterion-9 designs.
 _BLOCK_ROWS = 64
+_MAX_STEPS = 2**22  # most steps round(T / dt) of a run: the per-step records of a count like 1e13 cannot be allocated
 
 
 class InstabilityError(RuntimeError):
@@ -186,6 +187,8 @@ def checked_run(run: SimulationRun) -> tuple[PatchLayout, float, float]:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if T < 10 * dt:
         raise ValueError("horizon T must cover at least 10 steps")
+    if T / dt > _MAX_STEPS + 0.5:
+        raise ValueError(f"horizon T / dt = {T / dt:.3g} steps exceeds the limit of {_MAX_STEPS}")
     if not all(math.isfinite(t) for t in run.snapshot_times):
         raise ValueError(f"snapshot times must be finite, got {run.snapshot_times}")
     if min(run.snapshot_times, default=0.0) < 0:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-import patchcontrol  # noqa: F401  (the tracer patches the imported package)
+import patchcontrol.cli  # noqa: F401  (the tracer patches the imported package, cli.main included)
 from patchcontrol import BoundaryCondition, GridSpec, get_preset, oracle
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -53,18 +53,27 @@ def test_scalar_levels_traced_as_tridiagonal_solves():
     assert all(s.parent == top for s in solves)
 
 
-def test_staged_levels_traced_on_the_half_period():
-    # The per-layer figures of the staged path must count the half-period's unknowns and solves.
+@pytest.mark.parametrize(
+    "grid, unknowns",
+    [
+        (GridSpec(refinement_levels=2), [2626, 5250]),
+        (GridSpec(cells_per_unit_length=0.5, refinement_levels=2), [38, 74]),
+    ],
+    ids=["default", "small-levels"],
+)
+def test_staged_levels_traced_on_the_half_period(grid, unknowns):
+    # The per-layer figures of the staged path must count the half-period's unknowns and solves:
+    # each level, small or not, is one assembly and one Arnoldi solve, and no dense staged solve.
     taiga = get_preset("taiga-two-stage")
-    grid = GridSpec(refinement_levels=2)
     half = replace(taiga, R=taiga.R / 2, r=taiga.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
     half_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
-    expected = [oracle.assemble(half, half_grid, level).n_unknowns for level in range(grid.refinement_levels)]
+    assert [oracle.assemble(half, half_grid, level).n_unknowns for level in range(grid.refinement_levels)] == unknowns
     tracer = tracing.Tracer()
     with tracer.installed():
         oracle.top_eigenvalue_fd(taiga, grid)
     top = [s.name for s in tracer.spans].index("oracle.top_eigenvalue_fd")
-    assert [s.info["unknowns"] for s in tracer.spans if s.name == "oracle.assemble"] == expected
-    solves = [s for s in tracer.spans if s.name in ("oracle.solve.arnoldi", "oracle.solve.dense_staged")]
-    assert len(solves) == grid.refinement_levels
-    assert all(s.parent == top for s in solves)
+    assert [s.info["unknowns"] for s in tracer.spans if s.name == "oracle.assemble"] == unknowns
+    names = ("oracle.assemble", "oracle.solve.arnoldi", "oracle.solve.dense_staged")
+    staged = [s for s in tracer.spans if s.name in names]
+    assert [s.name for s in staged] == ["oracle.assemble", "oracle.solve.arnoldi"] * grid.refinement_levels
+    assert all(s.parent == top for s in staged)

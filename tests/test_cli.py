@@ -395,14 +395,14 @@ class TestSpectrum:
         assert list(parsed(out)) == ["fd_top_eigenvalue", "fd_error_estimate", "fd_grid"]
 
     def test_oracle_no_convergence_exits_7_without_traceback(self, capsys, monkeypatch):
-        def no_convergence(op):
-            raise NoConvergenceError("dense staged solve found no real eigenvalue")
+        def no_convergence(op, sigma, imag):
+            raise NoConvergenceError("staged solve found no real eigenvalue")
 
         monkeypatch.setattr("patchcontrol.oracle._staged_rightmost_eigenvalue", no_convergence)
         code, out, err = run_cli(capsys, "spectrum", "--preset", "taiga-two-stage")
         assert code == EXIT_NO_CONVERGENCE
         assert out == ""
-        assert err == "oracle did not converge: dense staged solve found no real eigenvalue\n"
+        assert err == "oracle did not converge: staged solve found no real eigenvalue\n"
 
     def test_non_cooperative_staged_ring_exits_7_without_traceback(self, capsys, tmp_path):
         # The stage coupling has a negative entry and a complex rightmost pair.
@@ -419,6 +419,22 @@ class TestSpectrum:
         assert out == ""
         assert err.startswith("oracle did not converge: rightmost eigenvalue ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_complex_pair_farther_from_the_shift_exits_7(self, capsys, tmp_path):
+        # Rightmost -0.727 + 4i; the real -1.227 is nearer the shift, and is not taken for the top.
+        doc = {
+            "model": "staged",
+            "beneficial": {"A_diag": [1, 1, 1], "M": [[0, -4, 0], [4, 0, 0], [0, 0, -0.5]]},
+            "control": {"A_diag": [1, 1, 1], "M": [[-3, -4, 0], [4, -3, 0], [0, 0, -3.5]]},
+            "R": 2, "r": 1, "K": 1, "bc": "periodic",
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "spectrum", "--scenario", str(path), "--method", "fd",
+                                 "--grid-cells", "0.1", "--grid-levels", "2")
+        assert (code, out) == (EXIT_NO_CONVERGENCE, "")
+        assert err.startswith("oracle did not converge: rightmost eigenvalue ") and "complex" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestSimulateCommand:
@@ -487,6 +503,14 @@ class TestSimulateCommand:
         assert out == ""
         assert err == "error: GridTooLarge: level 0 would have more than 4194304 unknowns\n"
         assert not out_dir.exists()
+
+    def test_too_many_steps_writes_nothing(self, capsys, tmp_path):
+        # 2.7e13 steps: the step records alone would take hundreds of TiB.
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--preset", "lone-star", "--T", "1e12", "--out", str(out_dir))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: horizon T / dt = 2.72e+13 steps exceeds the limit of 4194304")
+        assert len(err.splitlines()) == 1 and not out_dir.exists()
 
     def test_unusable_out_fails_before_the_integration(self, capsys, monkeypatch, tmp_path):
         def refuse(run):
@@ -622,6 +646,13 @@ class TestSweep:
             capsys, "sweep", "--preset", "lone-star", "--vary", "mu", "--from", "0", "--to", "1", "--steps", "0",
         )
         assert (code, out, err) == (EXIT_VALIDATION, "", "--steps must be >= 1\n")
+
+    @pytest.mark.parametrize("steps", ["1000001", "100000000000"])
+    def test_too_many_steps_exits_2(self, capsys, steps):
+        code, out, err = run_cli(
+            capsys, "sweep", "--preset", "lone-star", "--vary", "R", "--from", "1", "--to", "2", "--steps", steps,
+        )
+        assert (code, out, err) == (EXIT_VALIDATION, "", "--steps must be <= 1000000\n")
 
     SWEEP = ("sweep", "--preset", "lone-star", "--vary", "mu", "--from", "1", "--to", "100", "--steps", "4")
 

@@ -21,6 +21,8 @@ from patchcontrol import (
 from patchcontrol import oracle
 from patchcontrol.model import LayoutError, validate_layout
 from patchcontrol.oracle import (
+    _growth_bound,
+    _imag_bound,
     _level_chain,
     _staged_rightmost_eigenvalue,
     _top_eigenvalue_level,
@@ -105,11 +107,6 @@ class TestAssembly:
             if node_i != node_j:
                 # Spatial coupling never mixes stages.
                 assert stage_i == stage_j, (node_i, node_j, stage_i, stage_j, v)
-
-    def test_gershgorin_bounded_by_max_growth(self):
-        layout = PatchLayout(ScalarZone(5.0, 1.3), ScalarZone(0.7, -9.0), R=2.0, r=0.4)
-        op = assemble(layout, FAST, level=0)
-        assert op.gershgorin_upper() <= 1.3 + 1e-9
 
     def test_whole_float_patch_count_same_as_int(self):
         # validate_layout accepts K = 2.0; the ring must repeat the pair twice.
@@ -259,6 +256,47 @@ def _edge_cases():
     return cases
 
 
+class TestGrowthBound:
+    """``_growth_bound`` is read off the zones alone: it bounds the Gershgorin row bound of
+    every assembled level, and it is the scalar window's top and a staged level's shift."""
+
+    @pytest.mark.parametrize("case", [_transition_case(seed) for seed in range(27)] + _edge_cases())
+    def test_at_least_the_assembled_gershgorin_bound(self, case):
+        layout, grid, level = case
+        op = assemble(layout, grid, level)
+        K, B = op.stiffness, op.mass
+        radius = np.asarray(abs(K).sum(axis=1)).ravel() - np.abs(K.diagonal())
+        assembled = float(((K.diagonal() + radius) / B).max())
+        assert _growth_bound(layout) >= assembled - 1e-12 * abs(K).max() / B.min()
+
+    @pytest.mark.parametrize("seed", [seed for seed in range(27) if (seed // 3) % 3])
+    def test_imag_bound_holds_on_every_staged_level(self, seed):
+        # Bendixson on B^-1/2 K B^-1/2: the zones' skew parts bound every eigenvalue's imaginary part.
+        layout, grid, _ = _transition_case(seed)
+        op = assemble(layout, grid, 0)
+        vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
+        assert np.abs(vals.imag).max() <= _imag_bound(layout) * (1 + 1e-12) + 1e-12 * np.abs(vals).max()
+
+    def test_scalar_window_top_is_the_largest_growth(self, monkeypatch):
+        tops = []
+        solve = oracle.eigvalsh_tridiagonal
+
+        def recording_solve(d, e, **kwargs):
+            if kwargs["select"] == "v":
+                tops.append((kwargs["select_range"][1], float(np.abs(d).max())))
+            return solve(d, e, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", recording_solve)
+        rng = np.random.default_rng(26)
+        layouts = [replace(random_scalar_problem(rng), bc=bc, K=K).to_layout() for bc in BCS for K in (1, 2)
+                   if K == 1 or bc is BoundaryCondition.PERIODIC]
+        for layout in layouts + [layout for layout, _, _ in _edge_cases()]:
+            tops.clear()
+            _level_chain(layout, GridSpec(cells_per_unit_length=16, refinement_levels=3, min_cells_per_zone=4))
+            growth = max(layout.beneficial.growth, layout.control.growth)
+            assert tops and all(top == growth + 1e-12 * d_max for top, d_max in tops)
+
+
 class TestAssemblyMatchesLoop:
     """``assemble`` gives the reference loop's matrices bit for bit."""
 
@@ -321,7 +359,7 @@ class TestStagedArnoldi:
         )
         op = assemble(layout, GridSpec(cells_per_unit_length=cells, min_cells_per_zone=8), level)
         assert 200 < op.n_unknowns <= 2500
-        value, path = _staged_rightmost_eigenvalue(op)
+        value, path = _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
         assert path == "shift-invert-arnoldi"
         dense = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
         rightmost = dense[np.argmax(dense.real)]
@@ -388,7 +426,7 @@ class TestStagedWholeRing:
         R=5.0, r=0.7, K=2, bc=BoundaryCondition.PERIODIC,
     )
     GRID = GridSpec(cells_per_unit_length=8, min_cells_per_zone=4)
-    COARSE = GridSpec(cells_per_unit_length=3, min_cells_per_zone=4)  # 76 unknowns: the dense branch
+    COARSE = GridSpec(cells_per_unit_length=3, min_cells_per_zone=4)  # 76 unknowns
 
     @staticmethod
     def dense_rightmost(layout, grid, level):
@@ -396,16 +434,13 @@ class TestStagedWholeRing:
         vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
         return vals[np.argmax(vals.real)]
 
-    @pytest.mark.parametrize(
-        "grid, level, path", [(COARSE, 0, "dense"), (GRID, 1, "shift-invert-arnoldi")],
-        ids=["0-dense", "1-shift-invert-arnoldi"],
-    )
-    def test_antiperiodic_growth(self, grid, level, path):
+    @pytest.mark.parametrize("grid, level", [(COARSE, 0), (GRID, 1)], ids=["0-coarse", "1-shift-invert-arnoldi"])
+    def test_antiperiodic_growth(self, grid, level):
         ring = self.dense_rightmost(self.LAYOUT, grid, level)
         period = self.dense_rightmost(replace(self.LAYOUT, K=1), grid, level)
         assert ring.imag == 0.0 and ring.real > 0.3 and period.real < -0.3
         value, how = _top_eigenvalue_level(self.LAYOUT, grid, level)
-        assert how == path
+        assert how == "shift-invert-arnoldi"
         assert abs(value - ring.real) <= 1e-9 * ring.real
 
     def test_verdict_is_not_eradication(self):
@@ -458,7 +493,7 @@ class TestStagedRingHalfPeriod:
             assert ring.imag == 0.0 and on_half.imag == 0.0
             assert abs(on_half.real - ring.real) <= 1e-13 * scale
             value, how = _top_eigenvalue_level(layout, self.GRID, 0)
-            assert how == "shift-invert-arnoldi" and half_op.n_unknowns >= oracle._DENSE_STAGED_BELOW
+            assert how == "shift-invert-arnoldi"
             assert abs(value - ring.real) <= 1e-9 * abs(ring.real)
 
     def test_only_whole_rings_of_non_cooperative_stages_are_assembled(self, monkeypatch):
@@ -539,9 +574,105 @@ class TestGridTooLarge:
         assert err.value.code == "GridTooLarge"
 
 
+class TestGridTooSmall:
+    """ARPACK needs 3 unknowns: a staged level with fewer (absorbing ends, no control zone and
+    under 4 cells) is refused, and one of exactly 3 is solved."""
+
+    GRID = GridSpec(cells_per_unit_length=1, min_cells_per_zone=2)  # one interior node at level 0
+
+    @staticmethod
+    def layout(n_stages):
+        coupling = np.full((n_stages, n_stages), 0.5) + np.eye(n_stages)
+        return PatchLayout(StageZone(np.ones(n_stages), coupling), StageZone(np.ones(n_stages), -coupling),
+                           R=1.0, r=0.0, bc=BoundaryCondition.DIRICHLET)
+
+    @pytest.mark.parametrize("n_stages", [1, 2])
+    def test_refused(self, n_stages):
+        assert assemble(self.layout(n_stages), self.GRID, 0).n_unknowns == n_stages
+        with pytest.raises(LayoutError) as err:
+            top_eigenvalue_fd(self.layout(n_stages), self.GRID)
+        assert err.value.code == "GridTooSmall"
+
+    def test_three_unknowns_solved(self):
+        op = assemble(self.layout(3), self.GRID, 0)
+        assert op.n_unknowns == 3
+        vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
+        value, how = _top_eigenvalue_level(self.layout(3), self.GRID, 0)
+        assert how == "shift-invert-arnoldi" and abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
+
+
+class TestSmallStagedLevels:
+    """Small staged levels (3-79 unknowns) take the same shift-invert Arnoldi path as
+    large ones, and no dense eigensolve runs inside the call.  A real rightmost
+    eigenvalue, which every cooperative level has, equals a dense eigensolve's to
+    round-off.  Every complex rightmost pair is refused, also one farther from the
+    shift than a real eigenvalue left of it."""
+
+    @staticmethod
+    def draw(rng):
+        """1-3 stages, every boundary, rings of K = 1-3, a fifth without control zone, 70% cooperative."""
+        n_stages = int(rng.integers(1, 4))
+        bc = BCS[int(rng.integers(3))]
+        if rng.uniform() < 0.7:
+            M = random_supercritical_stage_matrix(rng, n_stages)  # births and transitions: Metzler
+        else:
+            M = rng.uniform(-3.0, 3.0, size=(n_stages, n_stages))
+        diffusion = [loguniform(rng, 0.1, 10.0) for _ in range(n_stages)]
+        layout = PatchLayout(
+            StageZone(diffusion, M), StageZone(diffusion, M - loguniform(rng, 0.1, 5.0) * np.eye(n_stages)),
+            R=loguniform(rng, 0.5, 5.0), r=0.0 if rng.uniform() < 0.2 else loguniform(rng, 0.1, 3.0),
+            K=int(rng.integers(1, 4)) if bc is BoundaryCondition.PERIODIC else 1, bc=bc,
+        )
+        grid = GridSpec(cells_per_unit_length=loguniform(rng, 0.5, 4.0), min_cells_per_zone=int(rng.integers(2, 7)))
+        return layout, grid, int(rng.integers(2))
+
+    def test_matches_dense_rightmost(self, monkeypatch):
+        built = []
+        build = oracle.assemble
+        monkeypatch.setattr(oracle, "assemble", lambda *args: built.append(build(*args)) or built[-1])
+
+        def no_dense_solve(*args, **kwargs):
+            raise AssertionError("dense eigensolve inside the oracle")
+
+        rng = np.random.default_rng(2612)  # its draws hold 2 complex pairs that a real eigenvalue hides
+        checked, complex_pairs, hidden = 0, 0, 0
+        while checked < 300:
+            layout, grid, level = self.draw(rng)
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigvals", no_dense_solve)
+                try:
+                    result = _top_eigenvalue_level(layout, grid, level)
+                except (oracle.NoConvergenceError, LayoutError) as exc:
+                    result = exc
+            (op,) = built
+            if isinstance(result, LayoutError):
+                assert result.code == "GridTooSmall" and op.n_unknowns < 3
+                continue
+            if op.n_unknowns >= 80:
+                continue
+            A = op.stiffness.toarray() / op.mass[:, None]
+            vals = np.linalg.eigvals(A)
+            rightmost, scale = vals[np.argmax(vals.real)], np.abs(A).max()
+            checked += 1
+            if abs(rightmost.imag) > 1e-8 * (1.0 + abs(rightmost.real)):
+                assert not ((A >= 0) | np.eye(len(A), dtype=bool)).all()  # a Metzler level's rightmost is real
+                assert isinstance(result, oracle.NoConvergenceError) and "complex" in str(result), result
+                distance = np.abs(_growth_bound(layout) + 1.0 - vals)
+                complex_pairs += 1
+                hidden += bool(distance.min() < distance[np.argmax(vals.real)])  # not the nearest to the shift
+                continue
+            assert not isinstance(result, Exception), result
+            value, how = result
+            assert how == "shift-invert-arnoldi"
+            assert abs(value - rightmost.real) <= 1e-13 * scale
+        assert complex_pairs > hidden > 0
+
+
 class TestStagedComplexRightmost:
-    """A complex rightmost pair (possible only without cooperative coupling)
-    raises instead of returning the largest real eigenvalue or a fallback value."""
+    """A complex rightmost pair (possible only without cooperative coupling) raises
+    instead of returning the largest real eigenvalue or a fallback value, also when
+    a real eigenvalue left of it is nearer the shift."""
 
     @staticmethod
     def layout(reaction):
@@ -553,22 +684,46 @@ class TestStagedComplexRightmost:
             R=2.0, r=1.0, K=1, bc=BoundaryCondition.PERIODIC,
         )
 
-    def test_dense_branch(self):
+    def test_small_level(self):
         # Rightmost 0.273 + 2.000i; the largest real eigenvalue is -1.727.
-        op = assemble(
-            self.layout([[1, -2, 0], [2, 1, 0], [0, 0, -1]]),
-            GridSpec(cells_per_unit_length=4, min_cells_per_zone=4),
-        )
-        assert op.n_unknowns < oracle._DENSE_STAGED_BELOW
+        layout = self.layout([[1, -2, 0], [2, 1, 0], [0, 0, -1]])
+        op = assemble(layout, GridSpec(cells_per_unit_length=4, min_cells_per_zone=4))
+        assert op.n_unknowns == 36
         with pytest.raises(oracle.NoConvergenceError, match="complex"):
-            _staged_rightmost_eigenvalue(op)
+            _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
+
+    @pytest.mark.parametrize("cells", [4, 64])
+    def test_pair_farther_from_the_shift_than_a_real_eigenvalue(self, cells):
+        # Rightmost -0.727 + 4i at 36 and 576 unknowns; the real -1.227 is nearer the shift 5.
+        layout = self.layout([[0, -4, 0], [4, 0, 0], [0, 0, -0.5]])
+        with pytest.raises(oracle.NoConvergenceError, match="complex"):
+            _top_eigenvalue_level(layout, GridSpec(cells_per_unit_length=cells, min_cells_per_zone=4), 0)
+
+    @pytest.mark.parametrize("a, refused", [(0.01, False), (0.001, True)])
+    def test_real_top_shown_rightmost_or_refused(self, a, refused):
+        # Triangular stages: a real spectrum, but zone skew parts of norm 5 allow pairs up to 5i.  At
+        # a = 0.001 more than 64 eigenvalues lie within hypot(sigma - top, 5) of the shift.
+        M = np.array([[1.0, -10.0], [0.0, -1.0]])
+        layout = PatchLayout(StageZone([a, a], M), StageZone([a, a], M - 3 * np.eye(2)),
+                             R=10.0, r=1.0, bc=BoundaryCondition.NEUMANN)
+        grid = GridSpec(cells_per_unit_length=16, min_cells_per_zone=4)
+        op = assemble(layout, grid, 0)
+        vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
+        assert op.n_unknowns == 354 and np.abs(vals.imag).max() == 0.0 and _imag_bound(layout) == 5.0
+        if refused:
+            with pytest.raises(oracle.NoConvergenceError, match="64 eigenvalues nearest the shift cannot rule out"):
+                _top_eigenvalue_level(layout, grid, 0)
+        else:
+            value, _ = _top_eigenvalue_level(layout, grid, 0)
+            assert abs(value - vals.real.max()) <= 1e-9 * abs(value)
 
     def test_arnoldi_branch(self):
         # Rightmost -0.3203 + 2.00i.
-        op = assemble(self.layout([[0.5, -2], [2, 0.3]]), GridSpec(cells_per_unit_length=64))
+        layout = self.layout([[0.5, -2], [2, 0.3]])
+        op = assemble(layout, GridSpec(cells_per_unit_length=64))
         assert op.n_unknowns == 384
         with pytest.raises(oracle.NoConvergenceError, match="complex"):
-            _staged_rightmost_eigenvalue(op)
+            _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
 
 
 def _ring(rng: np.random.Generator, K: int, R: float, r: float) -> PatchLayout:
@@ -667,7 +822,7 @@ class TestScalarRingHalfPeriod:
         assert op.n_unknowns == 960 * 2**level
         S = symmetric_form(op).tocsc()
         reference = eigsh(
-            S, k=1, sigma=op.gershgorin_upper() + 1.0, which="LM",
+            S, k=1, sigma=_growth_bound(layout) + 1.0, which="LM",
             v0=np.ones(op.n_unknowns), return_eigenvectors=False,
         )[0]
         value, _ = _top_eigenvalue_level(layout, GridSpec(), level)

@@ -28,7 +28,9 @@ from patchcontrol.simulate import (
     SimulationResult,
     Snapshot,
     _absolute_scale,
+    _MAX_STEPS,
     _half_step_solver,
+    checked_run,
     default_initial_profile,
     write_snapshot_csv,
     write_trajectory_csv,
@@ -173,6 +175,13 @@ class TestSimulate:
         run = SimulationRun(layout=get_preset("lone-star"), T=2.0, dt=0.01, grid=FAST, level=level)
         with pytest.raises(ValueError, match=r"level must be an integer in \[0, 2\), got "):
             simulate(run)
+
+    def test_step_limit_is_inclusive(self):
+        # Checked before any array is built; dt is a power of two, so T / dt is exact.
+        dt = 2.0**-10
+        checked_run(SimulationRun(layout=get_preset("lone-star"), T=_MAX_STEPS * dt, dt=dt))
+        with pytest.raises(ValueError, match=r"horizon T / dt = 4.19e\+06 steps exceeds the limit of 4194304"):
+            checked_run(SimulationRun(layout=get_preset("lone-star"), T=(_MAX_STEPS + 1) * dt, dt=dt))
 
 
 class TestAbsoluteScale:
