@@ -104,39 +104,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="patchcontrol",
         description="Eradication criteria, spectra and simulations for patchy control-zone habitats.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="scenario JSON file")
-    common.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario")
-    common.add_argument("--out", default=None, help="output directory for CSV files")
-    common.add_argument("--grid-cells", type=float, default=None, help="oracle cells per unit length")
-    common.add_argument("--grid-levels", type=int, default=None, help="oracle refinement levels")
-    common.add_argument("--R", type=float, default=None, help="beneficial zone width")
-    common.add_argument("--r", type=float, default=None, help="control zone width")
-    common.add_argument("--K", type=int, default=None, help="number of periodic repetitions")
-    common.add_argument("--bc", default=None, help="dirichlet|neumann|periodic")
-    common.add_argument("--a", type=float, default=None, help="beneficial diffusion (scalar)")
-    common.add_argument("--b", type=float, default=None, help="control diffusion (scalar)")
-    common.add_argument("--growth", type=float, default=None, help="beneficial growth rate (scalar)")
-    common.add_argument("--mu", type=float, default=None, help="control mortality (scalar, positive)")
+    # Each subcommand takes only the options it acts on: the scenario, the oracle grid, an output directory.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", help="scenario JSON file")
+    scenario.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario")
+    scenario.add_argument("--R", type=float, default=None, help="beneficial zone width")
+    scenario.add_argument("--r", type=float, default=None, help="control zone width")
+    scenario.add_argument("--K", type=int, default=None, help="number of periodic repetitions")
+    scenario.add_argument("--bc", default=None, help="dirichlet|neumann|periodic")
+    scenario.add_argument("--a", type=float, default=None, help="beneficial diffusion (scalar)")
+    scenario.add_argument("--b", type=float, default=None, help="control diffusion (scalar)")
+    scenario.add_argument("--growth", type=float, default=None, help="beneficial growth rate (scalar)")
+    scenario.add_argument("--mu", type=float, default=None, help="control mortality (scalar, positive)")
+    grid = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    grid.add_argument("--grid-cells", type=float, default=None, help="oracle cells per unit length")
+    grid.add_argument("--grid-levels", type=int, default=None, help="oracle refinement levels")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output directory for CSV files")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("critical-size", parents=[common], help="critical patch sizes")
+    sub.add_parser("critical-size", parents=[scenario], help="critical patch sizes")
 
-    p_verdict = sub.add_parser("verdict", parents=[common], help="eradication verdict")
+    p_verdict = sub.add_parser("verdict", parents=[grid], help="eradication verdict")
     p_verdict.add_argument("--method", choices=("closed", "oracle", "both"), default="both")
 
-    sub.add_parser("min-mortality", parents=[common], help="minimal eradicating mortality")
-    sub.add_parser("min-zone", parents=[common], help="minimal eradicating control-zone width")
+    sub.add_parser("min-mortality", parents=[grid], help="minimal eradicating mortality")
+    sub.add_parser("min-zone", parents=[grid], help="minimal eradicating control-zone width")
 
-    p_spec = sub.add_parser("spectrum", parents=[common], help="top eigenvalue report")
+    p_spec = sub.add_parser("spectrum", parents=[grid], help="top eigenvalue report")
     p_spec.add_argument("--method", choices=("root", "fd", "both"), default="both")
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="time integration")
+    p_sim = sub.add_parser("simulate", parents=[grid, out], help="time integration")
     p_sim.add_argument("--dt", type=float, default=None)
     p_sim.add_argument("--T", type=float, default=None)
     p_sim.add_argument("--snapshots", default="", help="comma-separated snapshot times")
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="one-parameter sweep to CSV")
+    p_sweep = sub.add_parser("sweep", parents=[grid, out], help="one-parameter sweep to CSV")
     p_sweep.add_argument("--vary", required=True, help="parameter name (mirrors scenario keys)")
     p_sweep.add_argument("--from", dest="lo", type=float, required=True)
     p_sweep.add_argument("--to", dest="hi", type=float, required=True)
@@ -201,12 +204,10 @@ def cmd_critical_size(args) -> tuple[dict, int]:
 
 
 def _closed_staged_verdict(prob: StagedProblem):
-    if prob.dimension == 2 and prob.a_ratio is not None:
-        try:
-            return two_stage_verdict(prob), "two-stage"
-        except AssumptionViolatedError:
-            pass
-    return symmetrized_sufficient_verdict(prob), "symmetrized"
+    try:  # refused unless two stages with proportional diffusion, among other assumptions
+        return two_stage_verdict(prob), "two-stage"
+    except AssumptionViolatedError:
+        return symmetrized_sufficient_verdict(prob), "symmetrized"
 
 
 def cmd_verdict(args) -> tuple[dict, int]:

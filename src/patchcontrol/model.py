@@ -68,7 +68,9 @@ class ScalarZone:
 
     ``growth`` is positive in a beneficial zone and negative (``-mu``) in a
     control zone; storing the signed rate avoids double-negation mistakes
-    between the scalar and staged criteria.
+    between the scalar and staged criteria.  ``diffusion_diag`` and
+    ``reaction`` give its one-stage ``StageZone`` view, which the FD oracle
+    and the simulator read for both zone types.
     """
 
     diffusion: float
@@ -77,6 +79,14 @@ class ScalarZone:
     @property
     def dimension(self) -> int:
         return 1
+
+    @property
+    def diffusion_diag(self) -> np.ndarray:
+        return np.array([self.diffusion], dtype=float)
+
+    @property
+    def reaction(self) -> np.ndarray:
+        return np.array([[self.growth]], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,19 @@ refinement level), so the scheme is stated once per run of identical nodes: zone
 interfaces, reflecting ends and a ring's wrap node.
 
 The problem is generalized, ``K y = E B y`` with diagonal mass ``B`` (half boxes at reflecting
-ends) and box-weighted reaction masses.  Scalar levels assemble no matrix: the bands of the
-symmetric tridiagonal ``B^-1/2 K B^-1/2`` are computed per run and repeated (a ring's on its
-reflecting half-period of widths ``R/2``, ``r/2``, the reduction behind the tan(R/2)/tanh(r/2)
-criterion, exact for the whole ring's grid when its zones have even cell counts), and tridiagonal
-bisection gives the top eigenvalue: by index on the coarsest level, and on each finer level in a
-window from the coarser level's value up to the largest growth.  Staged levels and the simulator
-assemble ``K`` as CSR from the same runs repeated per node.  Staged systems are block-coupled and
-nonsymmetric.  Cooperative staged rings (Metzler zone matrices) are cut to the same half-period,
-others solved whole; every staged level is solved by shift-invert Arnoldi on ``B^-1 K``, shifted
-above the zones' growth bound, with more eigenvalues near the shift until none can hide right of the
-rightmost found (no fallback).
+ends) and box-weighted reaction masses.  Every zone is read through its ``diffusion_diag`` and
+``reaction``, a scalar zone as the one-stage system, and the solver follows the stage count.
+One-stage levels assemble no matrix: the bands of the symmetric tridiagonal ``B^-1/2 K B^-1/2`` are
+computed per run and repeated (a ring's on its reflecting half-period of widths ``R/2``, ``r/2``,
+the reduction behind the tan(R/2)/tanh(r/2) criterion, exact for the whole ring's grid when its
+zones have even cell counts), and tridiagonal bisection gives the top eigenvalue: by index on the
+coarsest level, and on each finer level in a window from the coarser level's value up to the
+largest growth.  Levels of two or more stages and the simulator assemble ``K`` as CSR from the same
+runs repeated per node; it is block-coupled and nonsymmetric.  Cooperative (Metzler: nonnegative
+off-diagonals) rings are cut to the same half-period, others solved whole; every level of two or
+more stages is solved by shift-invert Arnoldi on ``B^-1 K``, shifted above the zones' growth bound,
+with more eigenvalues near the shift until none can hide right of the rightmost found (no fallback),
+and is refused with ``GridTooSmall`` below 3 unknowns.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .model import (
     BoundaryCondition,
     LayoutError,
     PatchLayout,
-    ScalarZone,
     SpectralMethod,
     SpectralReport,
     Verdict,
@@ -87,7 +88,7 @@ class DiscreteOperator:
     """Assembled generalized eigenproblem ``K y = E B y``.
 
     ``stiffness`` holds fluxes plus box-weighted reaction terms; ``mass`` is
-    the diagonal box-size vector.  For scalar layouts the stiffness is exactly
+    the diagonal box-size vector.  For one-stage layouts the stiffness is exactly
     symmetric.  Unknown ordering is node-major (stage index fastest).
     """
 
@@ -107,20 +108,15 @@ class DiscreteOperator:
 
 def _zone_cells(layout: PatchLayout, grid: GridSpec, level: int) -> list[_ZoneCells]:
     """The zones in spatial order (``K`` pairs on a ring) with their cell counts at ``level``."""
-    def unpack(zone):
-        if isinstance(zone, ScalarZone):
-            return np.array([zone.diffusion]), np.array([[zone.growth]])
-        return zone.diffusion_diag, zone.reaction
-
-    pair = [(layout.R, *unpack(layout.beneficial))]  # R > 0 on a validated layout
+    pair = [(layout.R, layout.beneficial)]  # R > 0 on a validated layout
     if layout.r > 0:
-        pair.append((layout.r, *unpack(layout.control)))
+        pair.append((layout.r, layout.control))
     reps = int(layout.K) if layout.bc is BoundaryCondition.PERIODIC else 1
-    cells = [max(grid.min_cells_per_zone, int(round(w * grid.cells_per_unit_length))) * 2**level for w, _, _ in pair]
-    if sum(cells) * reps * len(pair[0][1]) > _MAX_UNKNOWNS:  # cells x stages
+    cells = [max(grid.min_cells_per_zone, int(round(w * grid.cells_per_unit_length))) * 2**level for w, _ in pair]
+    if sum(cells) * reps * layout.dimension > _MAX_UNKNOWNS:  # cells x stages
         raise LayoutError("GridTooLarge", f"level {level} would have more than {_MAX_UNKNOWNS} unknowns")
-    return [_ZoneCells(width=width, cells=n, diffusion=diff, reaction=reac)
-            for (width, diff, reac), n in zip(pair, cells)] * reps
+    return [_ZoneCells(width=width, cells=n, diffusion=z.diffusion_diag, reaction=z.reaction)
+            for (width, z), n in zip(pair, cells)] * reps
 
 
 def _node_runs(layout: PatchLayout, zones) -> list[tuple]:
@@ -189,8 +185,7 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
     ])
     data = np.concatenate([w_l[has_l].ravel(), w_r[has_r].ravel(), diag.ravel(), block[nz]])
 
-    K = sparse.coo_matrix((data, (rows, cols)), shape=(n_nodes * n_stages,) * 2).tocsr()
-    K.sum_duplicates()
+    K = sparse.coo_matrix((data, (rows, cols)), shape=(n_nodes * n_stages,) * 2).tocsr()  # sums duplicates
     return DiscreteOperator(stiffness=K, mass=np.repeat(box, n_stages), x=x, n_stages=n_stages)
 
 
@@ -199,7 +194,7 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
 # ---------------------------------------------------------------------------
 
 def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bands ``(d, e)`` of ``B^-1/2 K B^-1/2`` for a scalar layout off a ring, its diagonal and
+    """Bands ``(d, e)`` of ``B^-1/2 K B^-1/2`` for a one-stage layout off a ring, its diagonal and
     superdiagonal, computed per run of ``_node_runs`` and repeated, without assembling ``K``."""
     # numpy scalars: a width whose cells underflow gives inf and a warning, as arrays do
     zones = [(z.cells, np.float64(z.h), float(z.diffusion[0]), float(z.reaction[0, 0]))
@@ -220,10 +215,9 @@ def _growth_bound(layout: PatchLayout) -> float:
     matrices, a scalar zone's growth.  It bounds the real part of every eigenvalue of ``B^-1 K`` at
     every level: in a node's centre plus radius the fluxes cancel (a Dirichlet node loses the outer
     one), and its reaction mass over its box is a convex combination of the two zones' rows."""
-    def row_bound(zone) -> float:
-        m = np.atleast_2d(zone.growth if isinstance(zone, ScalarZone) else zone.reaction)
+    def row_bound(m) -> float:
         return float((np.diag(m) + np.abs(m - np.diag(np.diag(m))).sum(axis=1)).max())
-    return max(row_bound(layout.beneficial), row_bound(layout.control))
+    return max(row_bound(layout.beneficial.reaction), row_bound(layout.control.reaction))
 
 
 def _imag_bound(layout: PatchLayout) -> float:
@@ -243,7 +237,8 @@ def _staged_rightmost_eigenvalue(op: DiscreteOperator, sigma: float, imag: float
     most), where the trace gives the mean of the two left out.  ``NoConvergenceError`` unless then
     ``theta`` is real with backward error ``|Kv - theta Bv| / ((|K|_1 + |theta| max B) |v|)`` at most
     1e-6.  ``min(n, max(20, 2k + 1))`` Krylov vectors span the whole space below 21 unknowns, so the
-    Ritz values are exact there; ARPACK needs 3 unknowns (else ``GridTooSmall``)."""
+    Ritz values are exact there; ARPACK needs 3 unknowns (else ``GridTooSmall``), which a one-stage
+    level, bisected instead, never reaches."""
     K = op.stiffness.tocsc()
     B = op.mass
     n = K.shape[0]
@@ -288,24 +283,24 @@ def _top_eigenvalue_level(
 ) -> tuple[float, str]:
     """Top eigenvalue at one refinement level; ``near`` is the coarser level's value.
 
-    A cooperative ring of ``K`` periods (scalar, or Metzler zone matrices) is solved on one
-    half-period with reflecting ends, widths ``R/2`` and ``r/2`` and half the per-zone cell floor:
-    ``B^-1 K`` is Metzler, so its rightmost eigenvalue has a nonnegative eigenvector, and averaging
-    that over the ring's translations and mirrors gives one that repeats every period and is even
-    about each zone's middle.  Other staged rings stay whole: their growing mode can span two
-    periods.  A scalar level is bisected by index, or with ``near`` in the window ``(near - delta,
-    upper]`` below the zones' ``_growth_bound`` (padded for Sturm-count rounding; a staged level is
-    shifted to the bound plus 1, and a non-cooperative one also gets ``_imag_bound``).  ``delta``
-    grows 16-fold while the window is empty; once it holds the whole spectrum, an empty window
-    raises ``NoConvergenceError``.
+    A cooperative ring of ``K`` periods (one stage, or Metzler zone matrices: nonnegative
+    off-diagonals) is solved on one half-period with reflecting ends, widths ``R/2`` and ``r/2`` and
+    half the per-zone cell floor: ``B^-1 K`` is Metzler, so its rightmost eigenvalue has a
+    nonnegative eigenvector, and averaging that over the ring's translations and mirrors gives one
+    that repeats every period and is even about each zone's middle.  Other rings stay whole: their
+    growing mode can span two periods.  A one-stage level is bisected by index, or with ``near`` in
+    the window ``(near - delta, upper]`` below the zones' ``_growth_bound`` (padded for Sturm-count
+    rounding; a level of more stages is shifted to the bound plus 1, and a non-cooperative one also
+    gets ``_imag_bound``).  ``delta`` grows 16-fold while the window is empty; once it holds the
+    whole spectrum, an empty window raises ``NoConvergenceError``.
     """
     layout = validate_layout(layout)
-    cooperative = layout.is_scalar or all(  # Metzler reaction matrices: nonnegative off-diagonals
+    cooperative = layout.dimension == 1 or all(  # Metzler reaction matrices: nonnegative off-diagonals
         ((z.reaction >= 0) | np.eye(len(z.reaction), dtype=bool)).all() for z in (layout.beneficial, layout.control))
     if layout.bc is BoundaryCondition.PERIODIC and cooperative:
         layout = replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
         grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))
-    if not layout.is_scalar:
+    if layout.dimension > 1:
         imag = 0.0 if cooperative else _imag_bound(layout)
         return _staged_rightmost_eigenvalue(assemble(layout, grid, level), _growth_bound(layout) + 1.0, imag)
     d, e = _scalar_bands(layout, grid, level)

@@ -9,9 +9,9 @@ Each Crank-Nicolson step is taken as an implicit half-step followed by
 extrapolation: solve ``(B - dt/2 K) z = B y_n``, then ``y_{n+1} = 2 z - y_n``.
 This is the theta = 1/2 scheme itself (``(B - dt/2 K) y_{n+1} = (B + dt/2 K)
 y_n``), so one factored solve, one diagonal scaling and one dot product make a
-step; no explicit right-hand-side matrix is formed. Off a ring a scalar layout's
-matrix is tridiagonal and LAPACK (``dgttrf``/``dgttrs``) factors it; rings and
-staged layouts use SuperLU.
+step; no explicit right-hand-side matrix is formed. Off a ring a one-stage
+layout's matrix is tridiagonal and LAPACK (``dgttrf``/``dgttrs``) factors it;
+rings and layouts of more stages use SuperLU.
 
 Growing modes are renormalized once the norm exceeds 1e100 (decaying ones once
 it falls below 1e-100); the accumulated log scale is folded into the reported
@@ -75,7 +75,7 @@ class SimulationResult:
     times: np.ndarray
     log_l2: np.ndarray  # log of the solution L2 norm, renormalization folded in
     total_mass: np.ndarray  # in absolute scale (may overflow to inf for strong growth)
-    stage_log_l2: np.ndarray | None  # (n_times, n_stages) for staged runs
+    stage_log_l2: np.ndarray | None  # (n_times, n_stages) for runs of two or more stages
     snapshots: tuple[Snapshot, ...]
     x: np.ndarray
     final_profile: np.ndarray  # (n_nodes, n_stages), internal scale
@@ -86,12 +86,7 @@ class SimulationResult:
 
 
 def _reaction_scale(layout: PatchLayout) -> float:
-    if layout.is_scalar:
-        return max(abs(layout.beneficial.growth), abs(layout.control.growth))
-    return max(
-        float(np.abs(layout.beneficial.reaction).max()),
-        float(np.abs(layout.control.reaction).max()),
-    )
+    return max(float(np.abs(z.reaction).max()) for z in (layout.beneficial, layout.control))
 
 
 def default_horizon(layout: PatchLayout) -> float:
@@ -116,12 +111,7 @@ def default_initial_profile(layout: PatchLayout, x: np.ndarray, n_stages: int) -
 
 
 def max_diffusion(layout: PatchLayout) -> float:
-    if layout.is_scalar:
-        return max(layout.beneficial.diffusion, layout.control.diffusion)
-    return max(
-        float(layout.beneficial.diffusion_diag.max()),
-        float(layout.control.diffusion_diag.max()),
-    )
+    return max(float(z.diffusion_diag.max()) for z in (layout.beneficial, layout.control))
 
 
 def curvature_resolving_dt(layout: PatchLayout) -> float:
@@ -161,7 +151,7 @@ def _checked_norm(y: np.ndarray, t: float) -> float:
 
 def _half_step_solver(op: DiscreteOperator, dt: float, periodic: bool):
     """``b -> 2 (B - dt/2 K)^-1 b`` (may overwrite ``b``); the matrix is halved, exactly, and
-    factored once: by LAPACK when tridiagonal (scalar, off a ring), else by SuperLU. Either
+    factored once: by LAPACK when tridiagonal (one stage, off a ring), else by SuperLU. Either
     raises ``RuntimeError`` on an exactly zero pivot; SuperLU also on a pivot at round-off
     level, ``n eps max|A|`` or less (a singular ring Laplacian factors with one)."""
     A = 0.5 * (sparse.diags(op.mass) - (dt / 2.0) * op.stiffness).tocsc()
@@ -231,7 +221,7 @@ def simulate(run: SimulationRun) -> SimulationResult:
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise InstabilityError(f"Crank-Nicolson matrix is singular at dt={dt:.6g}: {exc}") from exc
 
-    steps = max(int(round(T / dt)), 10)
+    steps = int(round(T / dt))  # at least 10: checked_run refuses T < 10 dt
     times = dt * np.arange(steps + 1)
 
     log_l2 = np.empty(steps + 1)
@@ -335,29 +325,20 @@ def growth_exponent(result: SimulationResult, fit_residual_tol: float = 1e-3) ->
 
 
 def write_trajectory_csv(result: SimulationResult, path: str) -> None:
-    """Columns: t, log_l2_norm, total_mass (+ log_l2_stage_<j> for staged runs)."""
+    """Columns: t, log_l2_norm, total_mass (+ log_l2_stage_<j> for two or more stages)."""
     header = ["t", "log_l2_norm", "total_mass"]
+    columns = [result.times, result.log_l2, result.total_mass]
     if result.stage_log_l2 is not None:
         header += [f"log_l2_stage_{s + 1}" for s in range(result.n_stages)]
+        columns += list(result.stage_log_l2.T)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(len(result.times)):
-            row = [
-                f"{result.times[k]:.6g}",
-                f"{result.log_l2[k]:.6g}",
-                f"{result.total_mass[k]:.6g}",
-            ]
-            if result.stage_log_l2 is not None:
-                row += [f"{result.stage_log_l2[k, s]:.6g}" for s in range(result.n_stages)]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.6g", delimiter=",", header=",".join(header), comments="")
 
 
 def write_snapshot_csv(snapshot: Snapshot, path: str) -> None:
     """Columns: x, stage_index, density (absolute scale; +-inf or 0 where out of range)."""
     density = _absolute_scale(snapshot.values, snapshot.log_scale)
+    n_nodes, n_stages = density.shape  # rows stage-major: every node of stage 0, then of stage 1, ...
+    rows = np.column_stack([np.tile(snapshot.x, n_stages), np.repeat(np.arange(n_stages), n_nodes), density.T.ravel()])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,stage_index,density\n")
-        n_nodes, n_stages = snapshot.values.shape
-        for s in range(n_stages):
-            for i in range(n_nodes):
-                fh.write(f"{snapshot.x[i]:.6g},{s},{density[i, s]:.6g}\n")
+        np.savetxt(fh, rows, fmt=["%.6g", "%d", "%.6g"], delimiter=",", header="x,stage_index,density", comments="")

@@ -17,11 +17,11 @@ The one-sided criteria read widths as the scalar criterion does: one zone pair
 on the half widths ``R/2, r/2`` of a ring, on ``R, r`` themselves otherwise.  A
 reflecting pair ``(R, r)`` mirrors exactly onto the ring ``(2R, 2r)``, whose
 half widths it is; absorbing ends only lower the symmetrized Rayleigh quotient,
-so the symmetrized bound reads them the same way.  For cooperative stages
-(positive off-diagonals in both zone matrices) they also lower the principal
-eigenvalue, so the two-stage criterion reads them the same way too; it refuses
-any other absorbing pair.  Like ``scalar_verdict``,
-the two-stage balance tests the tan's first pole on the argument it evaluates:
+so the symmetrized bound reads them the same way.  For cooperative and
+irreducible stages (positive off-diagonals in both zone matrices) they also
+lower the principal eigenvalue, so the two-stage criterion reads them the same
+way too; it refuses any other absorbing pair.  Like ``scalar_verdict``, the
+two-stage balance tests the tan's first pole on the argument it evaluates:
 a patch at or past it is never certified.
 """
 
@@ -96,7 +96,7 @@ class StagedProblem:
 
     @classmethod
     def from_layout(cls, layout: PatchLayout) -> "StagedProblem":
-        if layout.is_scalar or not isinstance(layout.beneficial, StageZone):
+        if not isinstance(layout.beneficial, StageZone):
             raise LayoutError("UnknownZoneType", "staged criteria need a staged layout")
         return cls(
             A_ben=layout.beneficial.diffusion_diag,
@@ -293,7 +293,7 @@ def _two_stage_reading(prob: StagedProblem) -> tuple[float, float, float]:
     """``(a, R_eff, r_eff)`` of a problem the two-stage criterion reads, with ``A_nb = a A_ben``."""
     if prob.dimension != 2:
         raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
-    # With positive off-diagonals in both zones (cooperative, irreducible), absorbing ends lower the
+    # With positive off-diagonals in both zones (cooperative and irreducible), absorbing ends lower the
     # principal eigenvalue below that of reflecting ends on the same widths, which are read instead.
     cooperative = min(prob.M_ben[0, 1], prob.M_ben[1, 0], prob.M_nb[0, 1], prob.M_nb[1, 0]) > 0
     if prob.bc is BoundaryCondition.DIRICHLET and not cooperative:

@@ -48,7 +48,6 @@ def test_layout_has_no_period():
 
 
 def test_transfer_matrix_type_is_not_exported():
-    # It stays in ``staged`` as the return type of the sampler's basis changes.
     assert "TransferMatrix" not in patchcontrol.__all__
     assert not hasattr(patchcontrol, "TransferMatrix")
 

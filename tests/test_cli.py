@@ -779,3 +779,46 @@ class TestParserReuse:
         assert all(code == EXIT_OK for code, _, _ in list(first.values())[1:])
         for order in (self.SEQUENCE, self.SEQUENCE[::-1]):
             assert {argv: self.run(capsys, argv) for argv in order} == first
+
+
+class TestInertOptions:
+    """Each subcommand takes only the options it acts on; the rest are refused by argparse, with
+    exit 2 and nothing on stdout, instead of being silently ignored."""
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("critical-size", "--grid-cells", "-5"),
+        ("critical-size", "--grid-levels", "0"),
+        ("critical-size", "--out", "/nonexistent/dir"),
+        ("verdict", "--out", "/nonexistent/dir"),
+        ("min-mortality", "--out", "/nonexistent/dir"),
+        ("min-zone", "--out", "/nonexistent/dir"),
+        ("spectrum", "--out", "/nonexistent/dir"),
+    ])
+    def test_refused(self, capsys, command, option, value):
+        code, out, err = TestParserReuse.run(capsys, (command, "--preset", "lone-star", option, value))
+        assert (code, out) == (("SystemExit", 2), "")
+        assert f"unrecognized arguments: {option} {value}" in err
+
+
+class TestOneStageScenario:
+    """A one-stage staged scenario and its scalar twin are one operator: the oracle's lines agree."""
+
+    def scenario(self, tmp_path, model):
+        zones = {"scalar": ({"diffusion": 16.67, "growth": 0.65}, {"diffusion": 16.67, "growth": -10.0}),
+                 "staged": ({"A_diag": [16.67], "M": [[0.65]]}, {"A_diag": [16.67], "M": [[-10.0]]})}[model]
+        path = tmp_path / f"{model}.json"
+        path.write_text(json.dumps({"model": model, "beneficial": zones[0], "control": zones[1],
+                                    "R": 14.0, "r": 1.0, "K": 2, "bc": "periodic"}))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (("spectrum", "--method", "fd"), "fd_"),
+        (("verdict", "--method", "oracle"), "oracle_"),
+    ])
+    def test_same_oracle_lines(self, capsys, tmp_path, argv, prefix):
+        lines = {}
+        for model in ("scalar", "staged"):
+            code, out, err = run_cli(capsys, *argv, "--scenario", self.scenario(tmp_path, model), "--grid-levels", "2")
+            assert (code, err) == (EXIT_OK, "")
+            lines[model] = [line for line in out.splitlines() if line.startswith(prefix)]
+        assert lines["scalar"] and lines["staged"] == lines["scalar"]

@@ -1,6 +1,9 @@
+import ast
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from patchcontrol.oracle import (
     verdict_fd,
 )
 from patchcontrol.presets import get_preset
+from patchcontrol.simulate import SimulationRun, simulate
 
 from sweeps import BCS, imported_names, loguniform, random_scalar_problem, random_supercritical_stage_matrix
 
@@ -574,9 +578,17 @@ class TestGridTooLarge:
         assert err.value.code == "GridTooLarge"
 
 
+def scalar_twin(layout: PatchLayout) -> PatchLayout:
+    """The ``ScalarZone`` layout of a one-stage ``StageZone`` layout: the same operator."""
+    def twin(zone):
+        return ScalarZone(float(zone.diffusion_diag[0]), float(zone.reaction[0, 0]))
+    return replace(layout, beneficial=twin(layout.beneficial), control=twin(layout.control))
+
+
 class TestGridTooSmall:
-    """ARPACK needs 3 unknowns: a staged level with fewer (absorbing ends, no control zone and
-    under 4 cells) is refused, and one of exactly 3 is solved."""
+    """ARPACK needs 3 unknowns: a level of two or more stages with fewer (absorbing ends, no control
+    zone and under 4 cells) is refused, and one of exactly 3 is solved.  A one-stage level of one
+    unknown is bisected, as its scalar twin is."""
 
     GRID = GridSpec(cells_per_unit_length=1, min_cells_per_zone=2)  # one interior node at level 0
 
@@ -588,9 +600,15 @@ class TestGridTooSmall:
 
     @pytest.mark.parametrize("n_stages", [1, 2])
     def test_refused(self, n_stages):
-        assert assemble(self.layout(n_stages), self.GRID, 0).n_unknowns == n_stages
+        layout = self.layout(n_stages)
+        assert assemble(layout, self.GRID, 0).n_unknowns == n_stages
+        if n_stages == 1:  # solved, bit for bit as the scalar twin
+            value, how = _top_eigenvalue_level(layout, self.GRID, 0)
+            assert how == "symmetric" and (value, how) == _top_eigenvalue_level(scalar_twin(layout), self.GRID, 0)
+            assert top_eigenvalue_fd(layout, self.GRID) == top_eigenvalue_fd(scalar_twin(layout), self.GRID)
+            return
         with pytest.raises(LayoutError) as err:
-            top_eigenvalue_fd(self.layout(n_stages), self.GRID)
+            top_eigenvalue_fd(layout, self.GRID)
         assert err.value.code == "GridTooSmall"
 
     def test_three_unknowns_solved(self):
@@ -602,11 +620,11 @@ class TestGridTooSmall:
 
 
 class TestSmallStagedLevels:
-    """Small staged levels (3-79 unknowns) take the same shift-invert Arnoldi path as
-    large ones, and no dense eigensolve runs inside the call.  A real rightmost
-    eigenvalue, which every cooperative level has, equals a dense eigensolve's to
-    round-off.  Every complex rightmost pair is refused, also one farther from the
-    shift than a real eigenvalue left of it."""
+    """Small levels of two or more stages (3-79 unknowns) take the same shift-invert Arnoldi
+    path as large ones, and no dense eigensolve runs inside the call; a one-stage level is its
+    scalar twin.  A real rightmost eigenvalue, which every cooperative level has, equals a dense
+    eigensolve's to round-off.  Every complex rightmost pair is refused, also one farther from
+    the shift than a real eigenvalue left of it."""
 
     @staticmethod
     def draw(rng):
@@ -645,6 +663,9 @@ class TestSmallStagedLevels:
                     result = _top_eigenvalue_level(layout, grid, level)
                 except (oracle.NoConvergenceError, LayoutError) as exc:
                     result = exc
+            if layout.dimension == 1:  # bisected, bit for bit as its scalar twin, and not counted
+                assert not built and result == _top_eigenvalue_level(scalar_twin(layout), grid, level)
+                continue
             (op,) = built
             if isinstance(result, LayoutError):
                 assert result.code == "GridTooSmall" and op.n_unknowns < 3
@@ -667,6 +688,59 @@ class TestSmallStagedLevels:
             assert how == "shift-invert-arnoldi"
             assert abs(value - rightmost.real) <= 1e-13 * scale
         assert complex_pairs > hidden > 0
+
+
+class TestOneStageIsScalar:
+    """A one-stage ``StageZone`` layout is the operator of its ``ScalarZone`` twin, and the oracle and
+    the simulator read both through the same view: their results agree bit for bit.  The seeds cycle
+    through the boundaries, rings of K = 1-3 and layouts without a control zone."""
+
+    GRID = GridSpec(cells_per_unit_length=16, refinement_levels=3, min_cells_per_zone=4)
+
+    @staticmethod
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        bc = BCS[seed % 3]
+        growth, mu = float(rng.uniform(-1.0, 3.0)), loguniform(rng, 0.1, 30.0)
+        return PatchLayout(
+            StageZone([loguniform(rng, 0.1, 10.0)], [[growth]]), StageZone([loguniform(rng, 0.1, 10.0)], [[-mu]]),
+            R=loguniform(rng, 0.5, 5.0), r=0.0 if seed % 5 == 0 else loguniform(rng, 0.1, 3.0),
+            K=1 + seed // 3 % 3 if bc is BoundaryCondition.PERIODIC else 1, bc=bc,
+        )
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_oracle_and_simulator_match_the_scalar_twin(self, seed):
+        layout = self.draw(seed)
+        twin = scalar_twin(layout)
+        assert top_eigenvalue_fd(layout, self.GRID) == top_eigenvalue_fd(twin, self.GRID)
+        assert verdict_fd(layout, self.GRID) == verdict_fd(twin, self.GRID)
+        runs = [simulate(SimulationRun(z, dt=0.05, T=2.0, grid=self.GRID)) for z in (layout, twin)]
+        for field in ("log_l2", "final_profile"):
+            assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+
+
+class TestOneZoneForm:
+    """Below the closed forms a zone is read only through ``diffusion_diag`` and ``reaction``: the
+    simulator names no zone type, and the oracle tests it only where the inverse search refuses a
+    staged layout, whose scalar ``growth`` it edits."""
+
+    @staticmethod
+    def source(module: str) -> str:
+        return Path(oracle.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+
+    def mentions(self, module: str) -> list[tuple[int, str]]:
+        lines = self.source(module).splitlines()
+        names = r"ScalarZone|StageZone|is_scalar"
+        return [(i, name) for i, line in enumerate(lines, 1) for name in re.findall(names, line)]
+
+    def test_simulate_names_no_zone_type(self):
+        assert self.mentions("simulate") == []
+
+    def test_oracle_tests_is_scalar_only_in_the_inverse_search(self):
+        tree = ast.parse(self.source("oracle"))
+        (search,) = [node for node in tree.body if getattr(node, "name", None) == "_first_eradicating"]
+        mentions = self.mentions("oracle")
+        assert mentions and all(search.lineno <= i <= search.end_lineno and name == "is_scalar" for i, name in mentions)
 
 
 class TestStagedComplexRightmost:
