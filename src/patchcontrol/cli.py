@@ -91,7 +91,7 @@ _MAX_SWEEP_STEPS = 10**6  # a table row per step: far more is a typo, and its gr
 
 
 class _Refusal(Exception):
-    """A scalar-only subcommand on a staged scenario, or a bad argument: exit 2 with this message."""
+    """A scalar-only subcommand on a multi-stage scenario, or a bad argument: exit 2 with this message."""
 
 
 def _fmt(value: float) -> str:
@@ -193,9 +193,9 @@ def _grid(args) -> GridSpec:
 
 def cmd_critical_size(args) -> tuple[dict, int]:
     layout = _resolve_layout(args)
-    if layout.is_scalar:
-        rc = critical_patch_dirichlet(layout.beneficial.diffusion, layout.beneficial.growth)
-        return dict(R_c=rc), EXIT_OK
+    if layout.is_scalar:  # the one-stage view, not ScalarProblem: that refuses a growing control zone
+        ben = layout.beneficial
+        return dict(R_c=critical_patch_dirichlet(float(ben.diffusion_diag[0]), float(ben.reaction[0, 0]))), EXIT_OK
     prob = StagedProblem.from_layout(layout)
     rc = critical_patch_staged(prob.A_ben, prob.M_ben)
     rc_sym = symmetrized_critical_patch(prob)
@@ -240,14 +240,10 @@ def cmd_verdict(args) -> tuple[dict, int]:
 
 
 def _verdicts_agree(layout, closed, oracle) -> bool:
-    if closed is None or oracle is None:
+    if closed is None or oracle is None or oracle.status is VerdictStatus.MARGINAL:
         return True
-    if oracle.status is VerdictStatus.MARGINAL:
-        return True
-    if layout.is_scalar:
-        if closed is VerdictStatus.MARGINAL:
-            return True
-        return closed is oracle.status
+    if layout.is_scalar:  # an exact closed form: a Marginal one agrees with either side
+        return closed is VerdictStatus.MARGINAL or closed is oracle.status
     # One-sided staged criteria: only a certified Eradication can disagree.
     if closed.eradicated:
         return oracle.status is VerdictStatus.ERADICATION
@@ -295,7 +291,7 @@ def cmd_spectrum(args) -> tuple[dict, int]:
         rep = top_eigenvalue_scalar(ScalarProblem.from_layout(layout))
         record.update(root_method=rep.method.value, root_top_eigenvalue=rep.top_eigenvalue,
                       root_error_estimate=rep.error_estimate)
-    if args.method != "root":  # a staged layout has no root: --method both gives its FD values only
+    if args.method != "root":  # a multi-stage layout has no root: --method both gives its FD values only
         rep = top_eigenvalue_fd(layout, grid)
         record.update(fd_top_eigenvalue=rep.top_eigenvalue, fd_error_estimate=rep.error_estimate,
                       fd_grid=rep.grid_or_step)

@@ -4,7 +4,9 @@ A layout describes a one-dimensional habitat split into a beneficial zone
 of width ``R`` and a control zone of width ``r``, repeated ``K`` times for
 periodic boundaries.  Zones are either scalar (one diffusion coefficient,
 one net growth rate) or staged (diagonal diffusion matrix plus a square
-reaction matrix coupling the life stages).
+reaction matrix coupling the life stages).  Every zone has the staged view
+``diffusion_diag``, ``reaction``; a layout of one stage is the scalar model
+whatever its zone type, and only validation and serialization test the type.
 
 All types are immutable after validation and safe to share across threads.
 The core is dimensionless; presets document their units (km, month or year).
@@ -69,8 +71,7 @@ class ScalarZone:
     ``growth`` is positive in a beneficial zone and negative (``-mu``) in a
     control zone; storing the signed rate avoids double-negation mistakes
     between the scalar and staged criteria.  ``diffusion_diag`` and
-    ``reaction`` give its one-stage ``StageZone`` view, which the FD oracle
-    and the simulator read for both zone types.
+    ``reaction`` give its one-stage ``StageZone`` view, the form read outside this module.
     """
 
     diffusion: float
@@ -167,7 +168,8 @@ class PatchLayout:
 
     @property
     def is_scalar(self) -> bool:
-        return isinstance(self.beneficial, ScalarZone)
+        """One stage, whatever the zone type: the scalar model, read through the zones' one-stage view."""
+        return self.dimension == 1
 
     @property
     def total_length(self) -> float:
@@ -386,7 +388,7 @@ def _zone_to_dict(zone: Zone) -> dict:
 def scenario_to_dict(layout: PatchLayout) -> dict:
     """Serialize a layout to the scenario document structure."""
     return {
-        "model": "scalar" if layout.is_scalar else "staged",
+        "model": "scalar" if isinstance(layout.beneficial, ScalarZone) else "staged",
         "beneficial": _zone_to_dict(layout.beneficial),
         "control": _zone_to_dict(layout.control),
         "R": layout.R,

@@ -38,6 +38,7 @@ from .model import (
     BoundaryCondition,
     LayoutError,
     PatchLayout,
+    ScalarZone,
     SpectralMethod,
     SpectralReport,
     Verdict,
@@ -304,19 +305,22 @@ def _top_eigenvalue_level(
         imag = 0.0 if cooperative else _imag_bound(layout)
         return _staged_rightmost_eigenvalue(assemble(layout, grid, level), _growth_bound(layout) + 1.0, imag)
     d, e = _scalar_bands(layout, grid, level)
-    if near is None:
-        top = len(d) - 1
-        return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(top, top))[0]), "symmetric"
-    upper = _growth_bound(layout) + 1e-12 * float(np.abs(d).max())
-    delta = 1e-6 * (1.0 + abs(near))
-    while True:
-        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(near - delta, upper))
-        if len(vals):
-            return float(vals[-1]), "symmetric"
-        radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
-        if near - delta < (d - radius).min():
-            raise NoConvergenceError(f"no eigenvalue below the growth bound {upper:.6g}")
-        delta *= 16.0
+    try:  # LAPACK's bisection can fail on finite bands near the float range, as ARPACK can
+        if near is None:
+            top = len(d) - 1
+            return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(top, top))[0]), "symmetric"
+        upper = _growth_bound(layout) + 1e-12 * float(np.abs(d).max())
+        delta = 1e-6 * (1.0 + abs(near))
+        while True:
+            vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(near - delta, upper))
+            if len(vals):
+                return float(vals[-1]), "symmetric"
+            radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
+            if near - delta < (d - radius).min():
+                raise NoConvergenceError(f"no eigenvalue below the growth bound {upper:.6g}")
+            delta *= 16.0
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"tridiagonal bisection failed: {exc}") from exc
 
 
 def _level_chain(layout: PatchLayout, grid: GridSpec) -> list[tuple[float, str]]:
@@ -369,16 +373,15 @@ def _first_eradicating(layout: PatchLayout, grid: GridSpec | None, with_value, c
     if not layout.is_scalar:
         raise ValueError(f"oracle {what} search supports scalar layouts only")
     grid = grid or GridSpec()
-
-    def top(x: float) -> float:
-        return top_eigenvalue_fd(with_value(x), grid).top_eigenvalue
-
     failure = NoConvergenceError(f"no eradicating {what} below {cap:g} (oracle)")
-    return expanding_root(lambda x: -top(x), cap, failure, xtol=1e-9, rtol=1e-5, start=guess)
+    return expanding_root(lambda x: -top_eigenvalue_fd(with_value(x), grid).top_eigenvalue, cap, failure,
+                          xtol=1e-9, rtol=1e-5, start=guess)
 
 
 def _with_control_mortality(layout: PatchLayout, mu: float) -> PatchLayout:
-    return replace(layout, control=replace(layout.control, growth=-mu))
+    """The one-stage ``layout`` at control mortality ``mu``: both zones ``ScalarZone``, built from their view."""
+    ben, ctl = (ScalarZone(float(z.diffusion_diag[0]), float(z.reaction[0, 0])) for z in (layout.beneficial, layout.control))
+    return replace(layout, beneficial=ben, control=replace(ctl, growth=-mu))
 
 
 def min_mortality_fd(layout: PatchLayout, grid: GridSpec | None = None, guess: float | None = None) -> float:

@@ -69,13 +69,13 @@ class ScalarProblem:
 
     @classmethod
     def from_layout(cls, layout: PatchLayout) -> "ScalarProblem":
-        if not layout.is_scalar:
-            raise LayoutError("UnknownZoneType", "scalar criteria need a scalar layout")
+        if not layout.is_scalar:  # one stage, of either zone type: read through the one-stage view
+            raise LayoutError("UnknownZoneType", "scalar criteria need a one-stage layout")
         return cls(
-            a=layout.beneficial.diffusion,
-            lam=layout.beneficial.growth,
-            b=layout.control.diffusion,
-            mu=-layout.control.growth,
+            a=float(layout.beneficial.diffusion_diag[0]),
+            lam=float(layout.beneficial.reaction[0, 0]),
+            b=float(layout.control.diffusion_diag[0]),
+            mu=-float(layout.control.reaction[0, 0]),
             R=layout.R,
             r=layout.r,
             bc=layout.bc,

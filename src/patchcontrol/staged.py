@@ -96,8 +96,6 @@ class StagedProblem:
 
     @classmethod
     def from_layout(cls, layout: PatchLayout) -> "StagedProblem":
-        if not isinstance(layout.beneficial, StageZone):
-            raise LayoutError("UnknownZoneType", "staged criteria need a staged layout")
         return cls(
             A_ben=layout.beneficial.diffusion_diag,
             M_ben=layout.beneficial.reaction,

@@ -63,6 +63,10 @@ class TestCriticalSize:
         code, out, err = run_cli(capsys, "critical-size", "--preset", "taiga-two-stage")
         assert (code, out, err) == (EXIT_VALIDATION, "", "error: symmetrized size failed\n")
 
+    def test_growing_control_zone(self, capsys):
+        # The size reads the beneficial zone alone: a growing control zone (mu < 0) is no refusal.
+        assert run_cli(capsys, "critical-size", "--preset", "lone-star", "--mu", "-5") == (EXIT_OK, "R_c = 15.91\n", "")
+
     def test_negative_growth_exits_2(self, capsys, tmp_path):
         doc = {
             "model": "scalar",
@@ -436,6 +440,16 @@ class TestSpectrum:
         assert err.startswith("oracle did not converge: rightmost eigenvalue ") and "complex" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("verdict", "--preset", "lone-star", "--method", "oracle", "--mu", "1e308"),
+        ("spectrum", "--preset", "lone-star", "--method", "fd", "--b", "1e300"),
+    ], ids=["verdict", "spectrum"])
+    def test_tridiagonal_bisection_failure_exits_7(self, capsys, argv):
+        # Finite bands (max |d| about 1e308 and 1.3e305) on which LAPACK's bisection itself fails.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_NO_CONVERGENCE, "")
+        assert err.startswith("oracle did not converge: ") and len(err.splitlines()) == 1
+
 
 class TestSimulateCommand:
     def test_eradicating_mortality_gives_negative_exponent(self, capsys, tmp_path):
@@ -800,15 +814,27 @@ class TestInertOptions:
         assert f"unrecognized arguments: {option} {value}" in err
 
 
-class TestOneStageScenario:
-    """A one-stage staged scenario and its scalar twin are one operator: the oracle's lines agree."""
+TWIN_GRID = ("--grid-levels", "2")
 
-    def scenario(self, tmp_path, model):
-        zones = {"scalar": ({"diffusion": 16.67, "growth": 0.65}, {"diffusion": 16.67, "growth": -10.0}),
-                 "staged": ({"A_diag": [16.67], "M": [[0.65]]}, {"A_diag": [16.67], "M": [[-10.0]]})}[model]
-        path = tmp_path / f"{model}.json"
-        path.write_text(json.dumps({"model": model, "beneficial": zones[0], "control": zones[1],
-                                    "R": 14.0, "r": 1.0, "K": 2, "bc": "periodic"}))
+
+class TestOneStageScenario:
+    """A one-stage staged scenario, in the ``M`` form or the ``births``/``deaths`` form, is the scalar
+    scenario in every subcommand: its stdout, stderr and exit code are those of its scalar twin."""
+
+    ZONES = {
+        "scalar": lambda mu: ({"diffusion": 16.67, "growth": 0.65}, {"diffusion": 16.67, "growth": -mu}),
+        "staged": lambda mu: ({"A_diag": [16.67], "M": [[0.65]]}, {"A_diag": [16.67], "M": [[-mu]]}),
+        # births - deaths is exact for these values (1.3 is twice 0.65), so the stage matrices are the M form's
+        "births-deaths": lambda mu: ({"A_diag": [16.67], "births": [1.3], "deaths": [0.65]},
+                                     {"A_diag": [16.67], "births": [5.0], "deaths": [5.0 + mu]}),
+    }
+
+    def scenario(self, tmp_path, form, mu=10.0, K=1):
+        """The lone-star values (control mortality ``mu``, ``K`` periods) as a scenario file of ``form``."""
+        beneficial, control = self.ZONES[form](mu)
+        path = tmp_path / f"{form}-{mu:g}-{K}.json"
+        path.write_text(json.dumps({"model": "scalar" if form == "scalar" else "staged", "beneficial": beneficial,
+                                    "control": control, "R": 14.0, "r": 1.0, "K": K, "bc": "periodic"}))
         return str(path)
 
     @pytest.mark.parametrize("argv, prefix", [
@@ -818,7 +844,35 @@ class TestOneStageScenario:
     def test_same_oracle_lines(self, capsys, tmp_path, argv, prefix):
         lines = {}
         for model in ("scalar", "staged"):
-            code, out, err = run_cli(capsys, *argv, "--scenario", self.scenario(tmp_path, model), "--grid-levels", "2")
+            path = self.scenario(tmp_path, model, K=2)
+            code, out, err = run_cli(capsys, *argv, "--scenario", path, "--grid-levels", "2")
             assert (code, err) == (EXIT_OK, "")
             lines[model] = [line for line in out.splitlines() if line.startswith(prefix)]
         assert lines["scalar"] and lines["staged"] == lines["scalar"]
+
+    @pytest.mark.parametrize("argv, mu, code", [
+        pytest.param(argv, mu, code, id=" ".join((*argv[:3], f"mu={mu:g}"))) for argv, mu, code in [
+            (("critical-size",), 10.0, EXIT_OK),
+            *((("verdict", "--method", method, *TWIN_GRID), 10.0, EXIT_OK) for method in ("closed", "oracle", "both")),
+            *((("spectrum", "--method", method, *TWIN_GRID), 10.0, EXIT_OK) for method in ("root", "fd", "both")),
+            (("min-mortality", *TWIN_GRID), 10.0, EXIT_OK),
+            (("min-zone", *TWIN_GRID), 10.0, EXIT_UNCONTROLLABLE),
+            (("min-zone", *TWIN_GRID), 60.0, EXIT_OK),
+            (("sweep", "--vary", "R", "--from", "13", "--to", "15", "--steps", "3", *TWIN_GRID), 10.0, EXIT_OK),
+            (("simulate", "--out", "out", *TWIN_GRID), 10.0, EXIT_OK),
+        ]
+    ])
+    def test_same_output_as_the_scalar_twin(self, capsys, tmp_path, monkeypatch, argv, mu, code):
+        monkeypatch.chdir(tmp_path)  # simulate writes under the same relative --out name each time
+        # --mu sets scalar documents only: the staged twins are written with the mortality instead
+        flags = () if mu == 10.0 else ("--mu", f"{mu:g}")
+        runs, written = {}, {}
+        for form in self.ZONES:
+            extra = flags if form == "scalar" else ()
+            path = self.scenario(tmp_path, form, mu=10.0 if form == "scalar" else mu)
+            runs[form] = run_cli(capsys, *argv, "--scenario", path, *extra)
+            written[form] = {f.name: f.read_bytes() for f in sorted((tmp_path / "out").glob("*.csv"))}
+        code_seen, out, err = runs["scalar"]
+        assert code_seen == code and (out if code == EXIT_OK else err)
+        assert runs["staged"] == runs["scalar"] and runs["births-deaths"] == runs["scalar"]
+        assert written["staged"] == written["scalar"] and written["births-deaths"] == written["scalar"]

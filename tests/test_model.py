@@ -23,11 +23,11 @@ from patchcontrol.model import (
 
 def layouts_equal(x: PatchLayout, y: PatchLayout) -> bool:
     """Field-by-field equality, exact on every numeric entry."""
-    if x.is_scalar != y.is_scalar or x.bc is not y.bc:
+    if type(x.beneficial) is not type(y.beneficial) or type(x.control) is not type(y.control) or x.bc is not y.bc:
         return False
     if (x.R, x.r, x.K) != (y.R, y.r, y.K):
         return False
-    if x.is_scalar:
+    if isinstance(x.beneficial, ScalarZone):
         return (
             x.beneficial.diffusion == y.beneficial.diffusion
             and x.beneficial.growth == y.beneficial.growth
@@ -133,6 +133,14 @@ class TestScenarioDocuments:
         )
         doc = json.loads(json.dumps(scenario_to_dict(layout)))
         assert layouts_equal(scenario_from_dict(doc), layout)
+
+    def test_one_stage_staged_round_trip(self):
+        # One stage is the scalar model, but the document keeps the zone type it was given.
+        layout = PatchLayout(StageZone([16.67], [[0.65]]), StageZone([16.67], [[-10.0]]), R=14.0, r=1.0)
+        doc = json.loads(json.dumps(scenario_to_dict(layout)))
+        assert layout.is_scalar and doc["model"] == "staged"
+        assert layouts_equal(scenario_from_dict(doc), layout)
+        assert not layouts_equal(scenario_from_dict(doc), lone_star_layout(mu=10.0))
 
     def test_unknown_top_level_key_rejected(self):
         doc = scenario_to_dict(lone_star_layout())

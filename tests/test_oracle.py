@@ -1,7 +1,7 @@
 import ast
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +16,7 @@ from patchcontrol import (
     PatchLayout,
     ScalarProblem,
     ScalarZone,
+    StagedProblem,
     StageZone,
     VerdictStatus,
     min_mortality,
@@ -33,6 +34,7 @@ from patchcontrol.oracle import (
     _zone_cells,
     assemble,
     min_mortality_fd,
+    min_zone_width_fd,
     top_eigenvalue_fd,
     verdict_fd,
 )
@@ -719,10 +721,48 @@ class TestOneStageIsScalar:
             assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
 
 
+class TestOneStageProblems:
+    """Above the oracle, too, a one-stage ``StageZone`` layout is its ``ScalarZone`` twin: the criteria's
+    problems read from both are equal, and the oracle's inverse searches agree bit for bit."""
+
+    COARSE = GridSpec(cells_per_unit_length=8, refinement_levels=2, min_cells_per_zone=4)
+
+    @staticmethod
+    def outcome(search, layout, grid):
+        try:
+            return float(search(layout, grid)).hex()
+        except oracle.NoConvergenceError as exc:
+            return f"NoConvergenceError: {exc}"
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_problems_match_the_scalar_twin(self, seed):
+        layout = TestOneStageIsScalar.draw(seed)
+        twin = scalar_twin(layout)
+        assert ScalarProblem.from_layout(layout) == ScalarProblem.from_layout(twin)
+        staged, from_twin = StagedProblem.from_layout(layout), StagedProblem.from_layout(twin)
+        for field in fields(StagedProblem):
+            x, y = getattr(staged, field.name), getattr(from_twin, field.name)
+            assert type(x) is type(y) and np.array_equal(x, y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    @pytest.mark.parametrize("seed", range(0, 60, 7))
+    def test_inverse_searches_match_the_scalar_twin(self, seed):
+        layout = TestOneStageIsScalar.draw(seed)
+        twin = scalar_twin(layout)
+        for search in (min_mortality_fd, min_zone_width_fd):
+            assert self.outcome(search, layout, self.COARSE) == self.outcome(search, twin, self.COARSE)
+
+    def test_multi_stage_layouts_are_refused(self):
+        layout = get_preset("taiga-two-stage")
+        with pytest.raises(LayoutError, match="UnknownZoneType"):
+            ScalarProblem.from_layout(layout)
+        with pytest.raises(ValueError, match="supports scalar layouts only"):
+            min_mortality_fd(layout, self.COARSE)
+
+
 class TestOneZoneForm:
-    """Below the closed forms a zone is read only through ``diffusion_diag`` and ``reaction``: the
-    simulator names no zone type, and the oracle tests it only where the inverse search refuses a
-    staged layout, whose scalar ``growth`` it edits."""
+    """A layout's stage count alone decides "scalar", and above validation a zone is read only through
+    ``diffusion_diag`` and ``reaction``: only ``model.py`` tests a zone's type, the simulator names no
+    zone type, and the oracle names one only where the mortality search rebuilds its layout."""
 
     @staticmethod
     def source(module: str) -> str:
@@ -733,14 +773,28 @@ class TestOneZoneForm:
         names = r"ScalarZone|StageZone|is_scalar"
         return [(i, name) for i, line in enumerate(lines, 1) for name in re.findall(names, line)]
 
+    def test_only_model_tests_zone_types(self):
+        sites = []
+        for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+                    types = {name.id for arg in node.args[1:] for name in ast.walk(arg) if isinstance(name, ast.Name)}
+                    if types & {"ScalarZone", "StageZone"}:
+                        sites.append(path.name)
+        assert sites and set(sites) == {"model.py"}
+
     def test_simulate_names_no_zone_type(self):
         assert self.mentions("simulate") == []
 
     def test_oracle_tests_is_scalar_only_in_the_inverse_search(self):
         tree = ast.parse(self.source("oracle"))
-        (search,) = [node for node in tree.body if getattr(node, "name", None) == "_first_eradicating"]
+        spans = {node.name: (node.lineno, node.end_lineno) for node in tree.body if hasattr(node, "name")}
+        (imports,) = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.module == "model"]
+        spans["import"] = (imports.lineno, imports.end_lineno)
+        where = {"is_scalar": ("_first_eradicating",), "ScalarZone": ("import", "_with_control_mortality")}
         mentions = self.mentions("oracle")
-        assert mentions and all(search.lineno <= i <= search.end_lineno and name == "is_scalar" for i, name in mentions)
+        assert {name for _, name in mentions} == set(where)
+        assert all(any(spans[site][0] <= i <= spans[site][1] for site in where.get(name, ())) for i, name in mentions)
 
 
 class TestStagedComplexRightmost:
