@@ -14,12 +14,12 @@ computed per run and repeated (a ring's on its reflecting half-period of widths 
 the reduction behind the tan(R/2)/tanh(r/2) criterion, exact for the whole ring's grid when its
 zones have even cell counts), and tridiagonal bisection gives the top eigenvalue: by index on the
 coarsest level, and on each finer level in a window from the coarser level's value up to the
-largest growth.  Levels of two or more stages and the simulator assemble ``K`` as CSR from the same
-runs repeated per node; it is block-coupled and nonsymmetric.  Cooperative (Metzler: nonnegative
-off-diagonals) rings are cut to the same half-period, others solved whole; every level of two or
-more stages is solved by shift-invert Arnoldi on ``B^-1 K``, shifted above the zones' growth bound,
-with more eigenvalues near the shift until none can hide right of the rightmost found (no fallback),
-and is refused with ``GridTooSmall`` below 3 unknowns.
+largest growth.  Levels of two or more stages are block-coupled and nonsymmetric; cooperative
+(Metzler) rings are cut to the same half-period.  A cooperative level with irreducible stage coupling
+is written per node as a LAPACK band, and inverse iteration on its band LU brackets the top
+(Collatz-Wielandt).  Other levels, and the simulator, assemble ``K`` as CSR; shift-invert Arnoldi,
+shifted above the zones' growth bound, takes more eigenvalues until none can hide right of the
+rightmost found (no fallback), and refuses levels below 3 unknowns with ``GridTooSmall``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import eigsh, splu  # noqa: F401  (eigsh, splu: looked up here by the benchmark tracer)
 
 from .linalg import expanding_root
@@ -42,6 +43,7 @@ from .model import (
     SpectralMethod,
     SpectralReport,
     Verdict,
+    stage_coupling,
     validate_layout,
 )
 
@@ -228,21 +230,58 @@ def _imag_bound(layout: PatchLayout) -> float:
     return max(float(np.linalg.norm(z.reaction - z.reaction.T, 2)) / 2 for z in (layout.beneficial, layout.control))
 
 
-def _staged_rightmost_eigenvalue(op: DiscreteOperator, sigma: float, imag: float) -> tuple[float, str]:
-    """Rightmost eigenvalue of ``B^-1 K`` by shift-invert Arnoldi at ``sigma``, above every real part.
+def _staged_band(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(band, B, |B^-1 K|_inf)`` of a staged line: ``-K`` as a ``dgbtrf`` band, node-major, ``kl = ku = n_stages``."""
+    _, box, w_l, w_r, block = _node_coefficients(layout, grid, level)
+    n_nodes, s = w_l.shape
+    stage = np.arange(s)
+    rows = np.zeros((n_nodes, s, 2 * s + 1))  # row of K per unknown, at column offsets -s..s
+    rows[:, stage[:, None], s - stage[:, None] + stage] = block
+    rows[:, stage, s] = (-w_l - w_r) + block[:, stage, stage]  # summed as assemble sums it
+    rows[1:, :, 0], rows[:-1, :, 2 * s] = w_l[1:], w_r[:-1]  # an end node's outer neighbour is no unknown
+    rows, n, mass = rows.reshape(-1, 2 * s + 1), n_nodes * s, np.repeat(box, s)
+    band = np.zeros((3 * s + 1, n))
+    for d in range(2 * s + 1):  # entries (p, p + d - s) of K, in band row 3s - d
+        band[3 * s - d, max(d - s, 0) : n + min(d - s, 0)] = -rows[max(s - d, 0) : n - max(d - s, 0), d]
+    return band, mass, float((np.abs(rows).sum(axis=1) / mass).max())
 
-    Of the ``k`` eigenvalues nearest ``sigma``, ``theta`` is the rightmost.  A real one right of it
-    would be nearer and found; a complex one lies within ``hypot(sigma - theta, imag)``, ``imag``
-    bounding the imaginary parts (0 on a cooperative level, whose rightmost eigenvalue is real).  So
-    ``k`` grows 4-fold, to at most 64, until the farthest found is that far, or to ``n - 2`` (ARPACK's
-    most), where the trace gives the mean of the two left out.  ``NoConvergenceError`` unless then
-    ``theta`` is real with backward error ``|Kv - theta Bv| / ((|K|_1 + |theta| max B) |v|)`` at most
-    1e-6.  ``min(n, max(20, 2k + 1))`` Krylov vectors span the whole space below 21 unknowns, so the
-    Ritz values are exact there; ARPACK needs 3 unknowns (else ``GridTooSmall``), which a one-stage
-    level, bisected instead, never reaches."""
-    K = op.stiffness.tocsc()
-    B = op.mass
-    n = K.shape[0]
+
+def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[float, str]:
+    """Top of a cooperative, irreducible staged line by inverse iteration ``w = (sigma B - K)^-1 B v`` from ``v = 1``:
+    a positive ``w`` proves ``sigma`` above the top, in ``[sigma - 1/min(w/v), sigma - 1/max(w/v)]`` (Collatz-Wielandt).
+    ``sigma`` starts at ``_growth_bound + 1`` and drops to 1 width above the bracket when over 4 above; the midpoint
+    is returned at width ``4 eps |B^-1 K|_inf``.  A singular factor, a non-positive ``w`` or 100 solves raise."""
+    (band, mass, scale), s = _staged_band(layout, grid, level), layout.dimension
+    sigma, lu, v = _growth_bound(layout) + 1.0, None, np.ones(len(mass))
+    for _ in range(100):
+        if lu is None:
+            lu, piv, info = dgbtrf(np.vstack([band[: 2 * s], band[2 * s] + sigma * mass, band[2 * s + 1 :]]), s, s)
+            if info:
+                raise NoConvergenceError(f"banded factor of sigma B - K is singular at sigma = {sigma:.6g}")
+        w, _ = dgbtrs(lu, s, s, mass * v, piv)
+        if not w.min() > 0:
+            raise NoConvergenceError(f"inverse iterate is not positive at sigma = {sigma:.6g}")
+        lo, hi = sigma - 1.0 / np.min(w / v), sigma - 1.0 / np.max(w / v)
+        if hi - lo <= 4 * np.finfo(float).eps * scale:
+            return float(lo + hi) / 2, "perron-bracket"
+        if sigma - hi > 4 * (hi - lo):
+            sigma, lu = hi + (hi - lo), None
+        v = w / w.max()
+    raise NoConvergenceError(f"Perron bracket [{lo:.6g}, {hi:.6g}] did not close in 100 solves")
+
+
+def _staged_rightmost_eigenvalue(op: DiscreteOperator, sigma: float, imag: float) -> tuple[float, str]:
+    """Rightmost eigenvalue of ``B^-1 K`` by shift-invert Arnoldi at ``sigma``, above every real part,
+    on non-cooperative and reducible levels.  Of the ``k`` eigenvalues nearest ``sigma``, ``theta`` is
+    the rightmost.  A real one right of it would be nearer and found; a complex one lies within
+    ``hypot(sigma - theta, imag)``, ``imag`` bounding the imaginary parts (0 on a Metzler level, whose
+    rightmost eigenvalue is real).  So ``k`` grows 4-fold, to at most 64, until the farthest found is
+    that far, or to ``n - 2`` (ARPACK's most), where the trace gives the mean of the two left out.
+    ``NoConvergenceError`` unless then ``theta`` is real with backward error ``|Kv - theta Bv| /
+    ((|K|_1 + |theta| max B) |v|)`` at most 1e-6.  ``min(n, max(20, 2k + 1))`` Krylov vectors span the
+    whole space below 21 unknowns, so the Ritz values are exact there; ARPACK needs 3 unknowns (else
+    ``GridTooSmall``)."""
+    K, B, n = op.stiffness.tocsc(), op.mass, op.n_unknowns
     if n < 3:
         raise LayoutError("GridTooSmall", f"a staged level needs at least 3 unknowns, this one has {n}")
     # B is diagonal: the standard problem for B^-1 K (row i of K over B_i;
@@ -284,25 +323,27 @@ def _top_eigenvalue_level(
 ) -> tuple[float, str]:
     """Top eigenvalue at one refinement level; ``near`` is the coarser level's value.
 
-    A cooperative ring of ``K`` periods (one stage, or Metzler zone matrices: nonnegative
-    off-diagonals) is solved on one half-period with reflecting ends, widths ``R/2`` and ``r/2`` and
-    half the per-zone cell floor: ``B^-1 K`` is Metzler, so its rightmost eigenvalue has a
-    nonnegative eigenvector, and averaging that over the ring's translations and mirrors gives one
-    that repeats every period and is even about each zone's middle.  Other rings stay whole: their
-    growing mode can span two periods.  A one-stage level is bisected by index, or with ``near`` in
-    the window ``(near - delta, upper]`` below the zones' ``_growth_bound`` (padded for Sturm-count
-    rounding; a level of more stages is shifted to the bound plus 1, and a non-cooperative one also
-    gets ``_imag_bound``).  ``delta`` grows 16-fold while the window is empty; once it holds the
-    whole spectrum, an empty window raises ``NoConvergenceError``.
+    A cooperative ring of ``K`` periods (``stage_coupling`` Metzler on the zones present: the control
+    zone if ``r > 0``) is solved on one half-period with reflecting ends, widths ``R/2``, ``r/2`` and half
+    the per-zone cell floor: ``B^-1 K`` is Metzler, so its rightmost eigenvalue has a nonnegative
+    eigenvector, and averaging that over the ring's translations and mirrors gives one that repeats every
+    period and is even about each zone's middle.  Other rings stay whole: their growing mode can span two
+    periods.  A staged level that is also irreducible is bracketed by ``_perron_bracket``, others go to
+    Arnoldi.  A one-stage level is bisected by index, or with ``near`` in the window ``(near - delta,
+    upper]`` below the ``_growth_bound`` (padded for Sturm-count rounding); ``delta`` grows 16-fold while
+    the window is empty, and once it holds the whole spectrum, an empty window raises ``NoConvergenceError``.
     """
     layout = validate_layout(layout)
-    cooperative = layout.dimension == 1 or all(  # Metzler reaction matrices: nonnegative off-diagonals
-        ((z.reaction >= 0) | np.eye(len(z.reaction), dtype=bool)).all() for z in (layout.beneficial, layout.control))
-    if layout.bc is BoundaryCondition.PERIODIC and cooperative:
+    present = layout.control if layout.r > 0 else layout.beneficial  # the control zone counts where it has cells
+    metzler, irreducible = (True, True) if layout.dimension == 1 else stage_coupling(
+        layout.beneficial.reaction, present.reaction)
+    if layout.bc is BoundaryCondition.PERIODIC and metzler:
         layout = replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
         grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))
+    if layout.dimension > 1 and metzler and irreducible:
+        return _perron_bracket(layout, grid, level)
     if layout.dimension > 1:
-        imag = 0.0 if cooperative else _imag_bound(layout)
+        imag = 0.0 if metzler else _imag_bound(layout)
         return _staged_rightmost_eigenvalue(assemble(layout, grid, level), _growth_bound(layout) + 1.0, imag)
     d, e = _scalar_bands(layout, grid, level)
     try:  # LAPACK's bisection can fail on finite bands near the float range, as ARPACK can

@@ -49,6 +49,7 @@ from .model import (
     Verdict,
     _validate_zone,
     build_stage_matrix,  # noqa: F401  re-exported: callers reach it as staged.build_stage_matrix
+    stage_coupling,
     validate_layout,
 )
 from .scalar import ScalarProblem, _effective_widths, scalar_verdict
@@ -291,9 +292,9 @@ def _two_stage_reading(prob: StagedProblem) -> tuple[float, float, float]:
     """``(a, R_eff, r_eff)`` of a problem the two-stage criterion reads, with ``A_nb = a A_ben``."""
     if prob.dimension != 2:
         raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
-    # With positive off-diagonals in both zones (cooperative and irreducible), absorbing ends lower the
-    # principal eigenvalue below that of reflecting ends on the same widths, which are read instead.
-    cooperative = min(prob.M_ben[0, 1], prob.M_ben[1, 0], prob.M_nb[0, 1], prob.M_nb[1, 0]) > 0
+    # With each zone cooperative and irreducible (for 2x2: positive off-diagonals), absorbing ends lower
+    # the principal eigenvalue below that of reflecting ends on the same widths, which are read instead.
+    cooperative = all(all(stage_coupling(m)) for m in (prob.M_ben, prob.M_nb))
     if prob.bc is BoundaryCondition.DIRICHLET and not cooperative:
         raise AssumptionViolatedError("two-stage criterion needs reflecting ends or a ring, or cooperative stages")
     a = prob.a_ratio

@@ -62,18 +62,16 @@ def test_scalar_levels_traced_as_tridiagonal_solves():
     ids=["default", "small-levels"],
 )
 def test_staged_levels_traced_on_the_half_period(grid, unknowns):
-    # The per-layer figures of the staged path must count the half-period's unknowns and solves:
-    # each level, small or not, is one assembly and one Arnoldi solve, and no dense staged solve.
+    # The staged path is solved on the half-period's band, small level or not: the traced solve
+    # holds no assembly, no Arnoldi solve and no dense staged solve, and its time stays with the
+    # top-level span.
     taiga = get_preset("taiga-two-stage")
     half = replace(taiga, R=taiga.R / 2, r=taiga.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
     half_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
-    assert [oracle.assemble(half, half_grid, level).n_unknowns for level in range(grid.refinement_levels)] == unknowns
+    assert [oracle._staged_band(half, half_grid, level)[0].shape[1] for level in range(grid.refinement_levels)] == unknowns
     tracer = tracing.Tracer()
     with tracer.installed():
         oracle.top_eigenvalue_fd(taiga, grid)
-    top = [s.name for s in tracer.spans].index("oracle.top_eigenvalue_fd")
-    assert [s.info["unknowns"] for s in tracer.spans if s.name == "oracle.assemble"] == unknowns
-    names = ("oracle.assemble", "oracle.solve.arnoldi", "oracle.solve.dense_staged")
-    staged = [s for s in tracer.spans if s.name in names]
-    assert [s.name for s in staged] == ["oracle.assemble", "oracle.solve.arnoldi"] * grid.refinement_levels
-    assert all(s.parent == top for s in staged)
+    names = {s.name for s in tracer.spans}
+    assert "oracle.top_eigenvalue_fd" in names
+    assert not names & {"oracle.assemble", "oracle.solve.arnoldi", "oracle.solve.dense_staged"}

@@ -399,10 +399,10 @@ class TestSpectrum:
         assert list(parsed(out)) == ["fd_top_eigenvalue", "fd_error_estimate", "fd_grid"]
 
     def test_oracle_no_convergence_exits_7_without_traceback(self, capsys, monkeypatch):
-        def no_convergence(op, sigma, imag):
+        def no_convergence(layout, grid, level):
             raise NoConvergenceError("staged solve found no real eigenvalue")
 
-        monkeypatch.setattr("patchcontrol.oracle._staged_rightmost_eigenvalue", no_convergence)
+        monkeypatch.setattr("patchcontrol.oracle._perron_bracket", no_convergence)
         code, out, err = run_cli(capsys, "spectrum", "--preset", "taiga-two-stage")
         assert code == EXIT_NO_CONVERGENCE
         assert out == ""

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -17,6 +18,7 @@ from patchcontrol.model import (
     Verdict,
     scenario_from_dict,
     scenario_to_dict,
+    stage_coupling,
     validate_layout,
 )
 
@@ -405,3 +407,41 @@ def test_round_trip_property(a, b, lam, g, R, r, K):
     validate_layout(layout)
     doc = json.loads(json.dumps(scenario_to_dict(layout)))
     assert layouts_equal(scenario_from_dict(doc), layout)
+
+
+class TestStageCoupling:
+    """``stage_coupling`` reads Metzler and irreducible off the combined off-diagonal digraph."""
+
+    SIGNED = (-1.0, -0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("upper", SIGNED)
+    @pytest.mark.parametrize("lower", SIGNED)
+    def test_two_stages_irreducible_iff_both_off_diagonals_positive(self, upper, lower):
+        M = np.array([[-1.0, upper], [lower, 2.0]])
+        assert stage_coupling(M) == (upper >= 0 and lower >= 0, upper > 0 and lower > 0)
+        for other in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]):
+            metzler, irreducible = stage_coupling(M, np.array(other))
+            assert metzler == (upper >= 0 and lower >= 0)
+            assert irreducible == (other[0][1] > 0 or (upper > 0 and lower > 0))
+
+    def test_two_stage_reading_matches_positive_off_diagonals(self):
+        from patchcontrol.staged import AssumptionViolatedError, StagedProblem, _two_stage_reading
+
+        for ben in itertools.product(self.SIGNED, repeat=2):
+            for ctl in itertools.product(self.SIGNED, repeat=2):
+                prob = StagedProblem(A_ben=np.ones(2), M_ben=np.array([[0.5, ben[0]], [ben[1], 0.2]]),
+                                     A_nb=np.ones(2), M_nb=np.array([[-2.0, ctl[0]], [ctl[1], -1.0]]),
+                                     R=1.0, r=1.0, bc=BoundaryCondition.DIRICHLET)
+                if min(*ben, *ctl) > 0:
+                    assert _two_stage_reading(prob) == (1.0, 1.0, 1.0)
+                else:
+                    with pytest.raises(AssumptionViolatedError, match="cooperative stages"):
+                        _two_stage_reading(prob)
+
+    def test_cycle_and_one_stage(self):
+        cycle = np.roll(np.eye(4), 1, axis=1) - 2 * np.eye(4)
+        assert stage_coupling(cycle) == (True, True)
+        assert stage_coupling(cycle.T) == (True, True)
+        assert stage_coupling(np.triu(np.ones((4, 4)))) == (True, False)
+        assert stage_coupling(np.triu(np.ones((4, 4))), np.tril(np.ones((4, 4)))) == (True, True)
+        assert stage_coupling(np.array([[-3.0]])) == (True, True)

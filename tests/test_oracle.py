@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
 from patchcontrol import (
@@ -341,28 +342,35 @@ _M2 = [[-0.5, 1.2], [0.6, -0.4]]
 _M3 = [[-0.5, 0.0, 1.5], [0.8, -0.6, 0.0], [0.0, 0.7, -0.4]]
 
 
+_RINGS = pytest.mark.parametrize(
+    "K, diffusion, reaction, R, r, mu, cells, level",
+    [
+        # Rightmost 3.69, nearest to zero 1.32: a shift below the spectrum would miss it.
+        (1, [1.0, 0.5], np.multiply(10, _M2), 3.0, 1.0, 2.0, 40, 0),
+        # Top gap 1.4e-4: the copies of the patch barely couple through the control zones.
+        (2, [0.5, 0.2], _M2, 2.0, 2.0, 8.0, 24, 1),
+        (3, [1.0, 0.5], _M2, 2.0, 2.0, 8.0, 16, 1),
+        (3, [1.0, 2.0, 0.5], _M3, 1.5, 0.5, 3.0, 32, 0),
+    ],
+)
+
+
+def _arnoldi_ring(K, diffusion, reaction, R, r, mu) -> PatchLayout:
+    reaction = np.array(reaction)
+    return PatchLayout(
+        StageZone(diffusion, reaction),
+        StageZone(diffusion, reaction - mu * np.eye(len(diffusion))),
+        R=R, r=r, K=K, bc=BoundaryCondition.PERIODIC,
+    )
+
+
 class TestStagedArnoldi:
     """The staged shift-invert Arnoldi solve (20 Krylov vectors) against a dense
     eigensolve of ``B^-1 K`` on periodic rings."""
 
-    @pytest.mark.parametrize(
-        "K, diffusion, reaction, R, r, mu, cells, level",
-        [
-            # Rightmost 3.69, nearest to zero 1.32: a shift below the spectrum would miss it.
-            (1, [1.0, 0.5], np.multiply(10, _M2), 3.0, 1.0, 2.0, 40, 0),
-            # Top gap 1.4e-4: the copies of the patch barely couple through the control zones.
-            (2, [0.5, 0.2], _M2, 2.0, 2.0, 8.0, 24, 1),
-            (3, [1.0, 0.5], _M2, 2.0, 2.0, 8.0, 16, 1),
-            (3, [1.0, 2.0, 0.5], _M3, 1.5, 0.5, 3.0, 32, 0),
-        ],
-    )
+    @_RINGS
     def test_matches_dense_rightmost(self, K, diffusion, reaction, R, r, mu, cells, level):
-        reaction = np.array(reaction)
-        layout = PatchLayout(
-            StageZone(diffusion, reaction),
-            StageZone(diffusion, reaction - mu * np.eye(len(diffusion))),
-            R=R, r=r, K=K, bc=BoundaryCondition.PERIODIC,
-        )
+        layout = _arnoldi_ring(K, diffusion, reaction, R, r, mu)
         op = assemble(layout, GridSpec(cells_per_unit_length=cells, min_cells_per_zone=8), level)
         assert 200 < op.n_unknowns <= 2500
         value, path = _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
@@ -373,9 +381,130 @@ class TestStagedArnoldi:
         assert abs(value - rightmost.real) <= 1e-9 * abs(rightmost.real)
 
 
+def band_to_dense(band: np.ndarray, n_stages: int) -> np.ndarray:
+    """The square matrix held in LAPACK band storage with ``kl = ku = n_stages`` (``dgbtrf`` layout)."""
+    i, j = np.indices((band.shape[1],) * 2)
+    inside = np.abs(i - j) <= n_stages
+    dense = np.zeros(i.shape)
+    dense[inside] = band[(2 * n_stages + i - j)[inside], j[inside]]
+    return dense
+
+
+class TestPerronBracket:
+    """Cooperative, irreducible levels of two or more stages are bracketed by Collatz-Wielandt
+    inverse iteration on a band LU written straight from the node coefficients: no CSR, no Arnoldi.
+    Reducible and non-cooperative levels keep assembly and Arnoldi."""
+
+    @staticmethod
+    def draw(rng, i):
+        """2-4 stages, every boundary in turn, rings of K = 1-3, a fifth without control zone."""
+        n_stages = int(rng.integers(2, 5))
+        bc = BCS[i % 3]
+        M = random_supercritical_stage_matrix(rng, n_stages)  # a birth-death cycle: Metzler, irreducible
+        diffusion = [loguniform(rng, 0.1, 10.0) for _ in range(n_stages)]
+        layout = PatchLayout(
+            StageZone(diffusion, M), StageZone(diffusion, M - loguniform(rng, 0.1, 5.0) * np.eye(n_stages)),
+            R=loguniform(rng, 0.5, 4.0), r=0.0 if rng.uniform() < 0.2 else loguniform(rng, 0.1, 3.0),
+            K=int(rng.integers(1, 4)) if bc is BoundaryCondition.PERIODIC else 1, bc=bc,
+        )
+        grid = GridSpec(cells_per_unit_length=loguniform(rng, 0.5, 3.0), min_cells_per_zone=int(rng.integers(2, 7)))
+        return layout, grid, int(rng.integers(2))
+
+    def test_cooperative_draws_match_dense(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembly or Arnoldi inside a bracketed level")
+
+        rng = np.random.default_rng(2920)
+        for i in range(60):
+            layout, grid, level = self.draw(rng, i)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "assemble", refuse)
+                m.setattr(sparse.linalg, "eigs", refuse)
+                value, how = _top_eigenvalue_level(layout, grid, level)
+            assert how == "perron-bracket"
+            line, line_grid = solved_level(layout, grid)
+            assert line.bc is not BoundaryCondition.PERIODIC
+            op = assemble(line, line_grid, level)
+            A = op.stiffness.toarray() / op.mass[:, None]
+            assert all(metzler_irreducible(A)) and op.n_unknowns <= 400
+            vals = np.linalg.eigvals(A)
+            rightmost = vals[np.argmax(vals.real)]
+            assert rightmost.imag == 0.0
+            assert abs(value - rightmost.real) <= 1e-13 * np.abs(A).max()
+
+            band, mass, scale = oracle._staged_band(line, line_grid, level)
+            assert np.array_equal(mass, op.mass) and scale == pytest.approx(np.abs(A).sum(axis=1).max(), rel=1e-14)
+            assert not band[: layout.dimension].any()  # the rows dgbtrf fills in
+            sigma = _growth_bound(layout) + 1.0
+            band[2 * layout.dimension] += sigma * mass
+            assert np.array_equal(band_to_dense(band, layout.dimension), sigma * np.diag(op.mass) - op.stiffness.toarray())
+
+    @pytest.mark.parametrize(
+        "ben, ctl, r, K, bc",
+        [
+            ([[0.5, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -2.0]], 1.0, 1, BoundaryCondition.NEUMANN),
+            ([[0.5, 0.0], [0.0, 1.0]], [[-1.0, 0.7], [0.4, -2.0]], 0.0, 2, BoundaryCondition.PERIODIC),
+            ([[0.5, 0.8], [0.0, 1.0]], [[-1.0, 0.3], [0.0, -2.0]], 1.0, 1, BoundaryCondition.DIRICHLET),
+        ],
+        ids=["diagonal", "only-absent-control-coupled", "one-way"],
+    )
+    def test_reducible_levels_keep_arnoldi(self, ben, ctl, r, K, bc):
+        layout = PatchLayout(StageZone([1.0, 0.3], ben), StageZone([1.0, 0.3], ctl), R=3.0, r=r, K=K, bc=bc)
+        grid = GridSpec(cells_per_unit_length=8, min_cells_per_zone=4)
+        for level in range(2):
+            value, how = _top_eigenvalue_level(layout, grid, level)
+            line, line_grid = solved_level(layout, grid)
+            op = assemble(line, line_grid, level)
+            assert how == "shift-invert-arnoldi"
+            assert (value, how) == _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, 0.0)
+            A = op.stiffness.toarray() / op.mass[:, None]
+            assert metzler_irreducible(A) == (True, False)
+            vals = np.linalg.eigvals(A)
+            assert abs(value - vals.real.max()) <= 1e-13 * np.abs(A).max()
+
+    @pytest.mark.parametrize("r", [0.0, 0.734])
+    def test_numpy_widths_take_the_same_path(self, r):
+        taiga, grid = get_preset("taiga-two-stage"), GridSpec(refinement_levels=2)
+        as_numpy = replace(taiga, R=np.float64(taiga.R), r=np.float64(r))
+        assert _top_eigenvalue_level(as_numpy, grid, 0) == _top_eigenvalue_level(replace(taiga, r=r), grid, 0)
+
+    @_RINGS
+    def test_arnoldi_rings_agree(self, K, diffusion, reaction, R, r, mu, cells, level):
+        layout = _arnoldi_ring(K, diffusion, reaction, R, r, mu)
+        grid = GridSpec(cells_per_unit_length=cells, min_cells_per_zone=8)
+        value, how = _top_eigenvalue_level(layout, grid, level)
+        assert how == "perron-bracket"
+        op = assemble(*solved_level(layout, grid), level)
+        arnoldi, _ = _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, 0.0)
+        assert abs(value - arnoldi) <= 1e-9 * abs(arnoldi)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("negative", "not positive"), ("spread", "did not close in 100 solves"), ("singular", "singular"),
+    ])
+    def test_failures_raise(self, monkeypatch, fault, message):
+        solve, factor, solves = oracle.dgbtrs, oracle.dgbtrf, []
+
+        def faulty_solve(*args, **kwargs):
+            w, info = solve(*args, **kwargs)
+            solves.append(1)
+            return (-w if fault == "negative" else w * (1.0 + (np.arange(len(w)) + len(solves)) % 2)), info
+
+        def singular_factor(*args, **kwargs):
+            lu, piv, _ = factor(*args, **kwargs)
+            return lu, piv, 1
+
+        monkeypatch.setattr(oracle, "dgbtrs", faulty_solve)
+        if fault == "singular":
+            monkeypatch.setattr(oracle, "dgbtrf", singular_factor)
+        with pytest.raises(oracle.NoConvergenceError, match=message):
+            top_eigenvalue_fd(get_preset("taiga-two-stage"), GridSpec(refinement_levels=2))
+        assert len(solves) == {"negative": 1, "spread": 100, "singular": 0}[fault]
+
+
 class TestStagedBackwardError:
-    """Arnoldi pairs are accepted by backward error, which stays at round-off when
-    the eigenvalue itself is near zero, as at the taiga preset's verdict boundary."""
+    """Staged levels keep their sign at the taiga preset's verdict boundary, where the
+    eigenvalue itself is near zero: the Perron bracket's width is a round-off multiple
+    of ``|B^-1 K|``.  Arnoldi pairs are accepted by backward error."""
 
     GRID = GridSpec(refinement_levels=2)
 
@@ -384,7 +513,7 @@ class TestStagedBackwardError:
         signs = set()
         for r in np.random.default_rng(16).uniform(0.7335, 0.7345, 8):
             report = top_eigenvalue_fd(replace(taiga, r=float(r)), self.GRID)
-            assert "shift-invert-arnoldi" in report.grid_or_step
+            assert "perron-bracket" in report.grid_or_step
             signs.add(np.sign(report.top_eigenvalue))
         assert signs == {-1.0, 1.0}
 
@@ -396,9 +525,14 @@ class TestStagedBackwardError:
             noise = np.random.default_rng(3).standard_normal(vecs.shape)
             return vals, vecs + 1e-3 * np.linalg.norm(vecs) / np.linalg.norm(noise) * noise
 
+        taiga = get_preset("taiga-two-stage")
+        one_way = np.triu(taiga.beneficial.reaction)  # reducible: solved by Arnoldi
+        layout = replace(taiga, r=0.734, beneficial=StageZone(taiga.beneficial.diffusion_diag, one_way),
+                         control=StageZone(taiga.control.diffusion_diag, np.triu(taiga.control.reaction)))
+        assert _top_eigenvalue_level(layout, self.GRID, 0)[1] == "shift-invert-arnoldi"
         monkeypatch.setattr(sparse.linalg, "eigs", perturbed)
         with pytest.raises(oracle.NoConvergenceError, match="backward error"):
-            top_eigenvalue_fd(replace(get_preset("taiga-two-stage"), r=0.734), self.GRID)
+            top_eigenvalue_fd(layout, self.GRID)
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_column_sum_norm_from_the_csc_segments(self, level):
@@ -499,23 +633,24 @@ class TestStagedRingHalfPeriod:
             assert ring.imag == 0.0 and on_half.imag == 0.0
             assert abs(on_half.real - ring.real) <= 1e-13 * scale
             value, how = _top_eigenvalue_level(layout, self.GRID, 0)
-            assert how == "shift-invert-arnoldi"
+            assert how == "perron-bracket"
             assert abs(value - ring.real) <= 1e-9 * abs(ring.real)
 
     def test_only_whole_rings_of_non_cooperative_stages_are_assembled(self, monkeypatch):
-        assembled = []
-        build = oracle.assemble
+        built = []
+        for name in ("assemble", "_staged_band"):
+            build = getattr(oracle, name)
 
-        def recording(layout, grid, level=0):
-            assembled.append((layout.bc, layout.K))
-            return build(layout, grid, level)
+            def recording(layout, grid, level=0, name=name, build=build):
+                built.append((name, layout.bc, layout.K))
+                return build(layout, grid, level)
 
-        monkeypatch.setattr(oracle, "assemble", recording)
+            monkeypatch.setattr(oracle, name, recording)
         top_eigenvalue_fd(replace(get_preset("taiga-two-stage"), K=3), FAST)
-        assert assembled == [(BoundaryCondition.NEUMANN, 1)] * FAST.refinement_levels
-        assembled.clear()
+        assert built == [("_staged_band", BoundaryCondition.NEUMANN, 1)] * FAST.refinement_levels
+        built.clear()
         top_eigenvalue_fd(TestStagedWholeRing.LAYOUT, TestStagedWholeRing.GRID)
-        assert assembled == [(BoundaryCondition.PERIODIC, 2)] * TestStagedWholeRing.GRID.refinement_levels
+        assert built == [("assemble", BoundaryCondition.PERIODIC, 2)] * TestStagedWholeRing.GRID.refinement_levels
 
 
 class TestPatchCountChecked:
@@ -588,45 +723,60 @@ def scalar_twin(layout: PatchLayout) -> PatchLayout:
 
 
 class TestGridTooSmall:
-    """ARPACK needs 3 unknowns: a level of two or more stages with fewer (absorbing ends, no control
-    zone and under 4 cells) is refused, and one of exactly 3 is solved.  A one-stage level of one
-    unknown is bisected, as its scalar twin is."""
+    """ARPACK needs 3 unknowns: a non-cooperative level of two or more stages with fewer (absorbing
+    ends, no control zone and under 4 cells) is refused, and one of exactly 3 is solved.  A
+    cooperative level is bracketed at any size, and a one-stage level of one unknown is bisected,
+    as its scalar twin is."""
 
     GRID = GridSpec(cells_per_unit_length=1, min_cells_per_zone=2)  # one interior node at level 0
 
     @staticmethod
-    def layout(n_stages):
-        coupling = np.full((n_stages, n_stages), 0.5) + np.eye(n_stages)
+    def layout(n_stages, sign=1.0):
+        coupling = sign * np.full((n_stages, n_stages), 0.5) + (2 - sign) * np.eye(n_stages)
         return PatchLayout(StageZone(np.ones(n_stages), coupling), StageZone(np.ones(n_stages), -coupling),
                            R=1.0, r=0.0, bc=BoundaryCondition.DIRICHLET)
+
+    @staticmethod
+    def dense(layout, grid):
+        op = assemble(layout, grid, 0)
+        return op.n_unknowns, np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
 
     @pytest.mark.parametrize("n_stages", [1, 2])
     def test_refused(self, n_stages):
         layout = self.layout(n_stages)
-        assert assemble(layout, self.GRID, 0).n_unknowns == n_stages
+        n, vals = self.dense(layout, self.GRID)
+        assert n == n_stages
+        value, how = _top_eigenvalue_level(layout, self.GRID, 0)
         if n_stages == 1:  # solved, bit for bit as the scalar twin
-            value, how = _top_eigenvalue_level(layout, self.GRID, 0)
             assert how == "symmetric" and (value, how) == _top_eigenvalue_level(scalar_twin(layout), self.GRID, 0)
             assert top_eigenvalue_fd(layout, self.GRID) == top_eigenvalue_fd(scalar_twin(layout), self.GRID)
             return
+        assert how == "perron-bracket" and abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
+
+    def test_non_cooperative_refused(self):
+        layout = self.layout(2, sign=-1.0)
+        assert self.dense(layout, self.GRID)[0] == 2
         with pytest.raises(LayoutError) as err:
             top_eigenvalue_fd(layout, self.GRID)
         assert err.value.code == "GridTooSmall"
 
-    def test_three_unknowns_solved(self):
-        op = assemble(self.layout(3), self.GRID, 0)
-        assert op.n_unknowns == 3
-        vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
-        value, how = _top_eigenvalue_level(self.layout(3), self.GRID, 0)
-        assert how == "shift-invert-arnoldi" and abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
+    def test_three_unknowns_solved(self, sign=1.0, path="perron-bracket"):
+        n, vals = self.dense(self.layout(3, sign), self.GRID)
+        assert n == 3 and vals.imag.max() == 0.0
+        value, how = _top_eigenvalue_level(self.layout(3, sign), self.GRID, 0)
+        assert how == path and abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
+
+    def test_three_non_cooperative_unknowns_solved(self):
+        self.test_three_unknowns_solved(sign=-1.0, path="shift-invert-arnoldi")
 
 
 class TestSmallStagedLevels:
-    """Small levels of two or more stages (3-79 unknowns) take the same shift-invert Arnoldi
-    path as large ones, and no dense eigensolve runs inside the call; a one-stage level is its
-    scalar twin.  A real rightmost eigenvalue, which every cooperative level has, equals a dense
-    eigensolve's to round-off.  Every complex rightmost pair is refused, also one farther from
-    the shift than a real eigenvalue left of it."""
+    """Small levels of two or more stages (2-79 unknowns) take the same paths as large ones, and
+    no dense eigensolve runs inside the call: a cooperative, irreducible level is bracketed without
+    assembly or Arnoldi, others take shift-invert Arnoldi; a one-stage level is its scalar twin.  A
+    real rightmost eigenvalue, which every cooperative level has, equals a dense eigensolve's to
+    round-off.  Every complex rightmost pair is refused, also one farther from the shift than a
+    real eigenvalue left of it."""
 
     @staticmethod
     def draw(rng):
@@ -647,9 +797,10 @@ class TestSmallStagedLevels:
         return layout, grid, int(rng.integers(2))
 
     def test_matches_dense_rightmost(self, monkeypatch):
-        built = []
-        build = oracle.assemble
+        built, arnoldi = [], []
+        build, eigs = oracle.assemble, sparse.linalg.eigs
         monkeypatch.setattr(oracle, "assemble", lambda *args: built.append(build(*args)) or built[-1])
+        monkeypatch.setattr(sparse.linalg, "eigs", lambda *args, **kwargs: arnoldi.append(1) or eigs(*args, **kwargs))
 
         def no_dense_solve(*args, **kwargs):
             raise AssertionError("dense eigensolve inside the oracle")
@@ -659,6 +810,7 @@ class TestSmallStagedLevels:
         while checked < 300:
             layout, grid, level = self.draw(rng)
             built.clear()
+            arnoldi.clear()
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "eigvals", no_dense_solve)
                 try:
@@ -668,13 +820,19 @@ class TestSmallStagedLevels:
             if layout.dimension == 1:  # bisected, bit for bit as its scalar twin, and not counted
                 assert not built and result == _top_eigenvalue_level(scalar_twin(layout), grid, level)
                 continue
-            (op,) = built
+            if built:
+                (op,) = built
+                A = op.stiffness.toarray() / op.mass[:, None]
+                assert not all(metzler_irreducible(A))
+            else:  # the test builds the level the oracle solves
+                op = build(*solved_level(layout, grid), level)
+                A = op.stiffness.toarray() / op.mass[:, None]
+                assert all(metzler_irreducible(A)) and not arnoldi
             if isinstance(result, LayoutError):
                 assert result.code == "GridTooSmall" and op.n_unknowns < 3
                 continue
             if op.n_unknowns >= 80:
                 continue
-            A = op.stiffness.toarray() / op.mass[:, None]
             vals = np.linalg.eigvals(A)
             rightmost, scale = vals[np.argmax(vals.real)], np.abs(A).max()
             checked += 1
@@ -687,9 +845,26 @@ class TestSmallStagedLevels:
                 continue
             assert not isinstance(result, Exception), result
             value, how = result
-            assert how == "shift-invert-arnoldi"
+            assert how == ("shift-invert-arnoldi" if built else "perron-bracket")
             assert abs(value - rightmost.real) <= 1e-13 * scale
         assert complex_pairs > hidden > 0
+
+
+def metzler_irreducible(A: np.ndarray) -> tuple[bool, bool]:
+    """Whether a level's dense ``B^-1 K`` has nonnegative off-diagonals, and a strongly connected digraph."""
+    off = A - np.diag(np.diag(A))
+    n_components, _ = connected_components(sparse.csr_matrix(off != 0), directed=True, connection="strong")
+    return bool((off >= 0).all()), n_components == 1
+
+
+def solved_level(layout: PatchLayout, grid: GridSpec) -> tuple[PatchLayout, GridSpec]:
+    """The layout and grid a level is solved on: a ring whose level-0 ``B^-1 K`` is Metzler is cut to
+    its reflecting half-period, with half the per-zone cell floor."""
+    op = assemble(layout, grid, 0)
+    if layout.bc is BoundaryCondition.PERIODIC and metzler_irreducible(op.stiffness.toarray())[0]:
+        return (replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN),
+                replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2)))
+    return layout, grid
 
 
 class TestOneStageIsScalar:
@@ -1057,7 +1232,8 @@ class TestScalarBandsMatchPerNode:
 
 class TestScalarWithoutAssembly:
     """Scalar oracle work builds its bands per run and never assembles a matrix or
-    expands the runs into per-node arrays; staged layouts still assemble."""
+    expands the runs into per-node arrays; staged layouts expand them, and only
+    non-cooperative or reducible ones assemble."""
 
     GRID = GridSpec(cells_per_unit_length=16, refinement_levels=2, min_cells_per_zone=4)
 
@@ -1081,14 +1257,17 @@ class TestScalarWithoutAssembly:
         assert math.isfinite(min_mortality_fd(layout, self.GRID))
         assert math.isfinite(oracle.min_zone_width_fd(layout, self.GRID))
 
-    def test_staged_reaches_assemble(self):
+    def test_staged_reaches_assemble(self, coupling=-0.5, reached="assemble"):
         layout = PatchLayout(
-            StageZone(np.array([1.0, 1.0]), np.array([[-0.5, 1.0], [0.5, -0.2]])),
+            StageZone(np.array([1.0, 1.0]), np.array([[-0.5, 1.0], [coupling, -0.2]])),
             StageZone(np.array([1.0, 1.0]), np.array([[-3.0, 0.0], [0.0, -3.0]])),
             R=2.0, r=1.0,
         )
-        with pytest.raises(AssertionError, match="assemble reached"):
+        with pytest.raises(AssertionError, match=f"{reached} reached"):
             top_eigenvalue_fd(layout, self.GRID)
+
+    def test_cooperative_staged_reaches_only_the_node_expansion(self):
+        self.test_staged_reaches_assemble(coupling=0.5, reached="per-node expansion")
 
 
 class TestScalarSinglePath:
