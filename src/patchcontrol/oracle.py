@@ -15,11 +15,13 @@ the reduction behind the tan(R/2)/tanh(r/2) criterion, exact for the whole ring'
 zones have even cell counts), and tridiagonal bisection gives the top eigenvalue: by index on the
 coarsest level, and on each finer level in a window from the coarser level's value up to the
 largest growth.  Levels of two or more stages are block-coupled and nonsymmetric; cooperative
-(Metzler) rings are cut to the same half-period.  A cooperative level with irreducible stage coupling
-is written per node as a LAPACK band, and inverse iteration on its band LU brackets the top
-(Collatz-Wielandt).  Other levels, and the simulator, assemble ``K`` as CSR; shift-invert Arnoldi,
-shifted above the zones' growth bound, takes more eigenvalues until none can hide right of the
-rightmost found (no fallback), and refuses levels below 3 unknowns with ``GridTooSmall``.
+(Metzler) rings are cut to the same half-period.  These levels and the simulator expand ``K`` per
+node into one table of rows, ``2 n_stages + 1`` entries about the diagonal, that feeds both matrix
+formats.  A cooperative level with irreducible stage coupling reads it as a LAPACK band, and inverse
+iteration on its band LU brackets the top (Collatz-Wielandt).  Other levels, and the simulator, read
+it as CSR; shift-invert Arnoldi, shifted above the zones' growth bound, takes more eigenvalues until
+none can hide right of the rightmost found (no fallback), and refuses levels below 3 unknowns with
+``GridTooSmall``.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ class _ZoneCells:
 class DiscreteOperator:
     """Assembled generalized eigenproblem ``K y = E B y``.
 
-    ``stiffness`` holds fluxes plus box-weighted reaction terms; ``mass`` is
-    the diagonal box-size vector.  For one-stage layouts the stiffness is exactly
+    ``stiffness`` holds fluxes plus box-weighted reaction terms, the rows of
+    ``_node_coefficients`` as CSR with every diagonal stored; ``mass`` is the
+    diagonal box-size vector.  For one-stage layouts the stiffness is exactly
     symmetric.  Unknown ordering is node-major (stage index fastest).
     """
 
@@ -148,48 +151,38 @@ def _node_runs(layout: PatchLayout, zones) -> list[tuple]:
 
 
 def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
-    """Per-node ``(x, box, w_l, w_r, mass)``, one row per unknown node: the runs of ``_node_runs``
-    repeated, ``w`` of shape (n, n_stages) and ``mass`` of shape (n, n_stages, n_stages)."""
+    """``(x, B, rows)`` per unknown, node-major, from the runs of ``_node_runs`` repeated: the nodes,
+    the diagonal mass, and row ``p`` of ``K`` at columns ``p - s .. p + s`` for ``s`` stages.  Its
+    diagonal is the summed flux, then the reaction; off a ring an end node's outer neighbour is zero."""
     zones = _zone_cells(layout, grid, level)
     runs = _node_runs(layout, [(z.cells, z.h, z.diffusion, z.reaction) for z in zones])
     counts = np.array([run[0] for run in runs], dtype=np.intp)
-    box, w_l, w_r, mass = (np.repeat(np.array([run[k] for run in runs]), counts, axis=0) for k in (3, 1, 2, 4))
+    box, w_l, w_r, block = (np.repeat(np.array([run[k] for run in runs]), counts, axis=0) for k in (3, 1, 2, 4))
     x = np.concatenate([[0.0], np.cumsum(np.repeat([z.h for z in zones], [z.cells for z in zones]))])
     first = 1 if layout.bc is BoundaryCondition.DIRICHLET else 0  # a ring's last node is its first
-    return x[first : first + len(box)], box, w_l, w_r, mass
+    n_nodes, s = w_l.shape
+    stage = np.arange(s)
+    rows = np.zeros((n_nodes, s, 2 * s + 1))
+    rows[:, stage[:, None], s - stage[:, None] + stage] = block
+    rows[:, stage, s] = (-w_l - w_r) + block[:, stage, stage]
+    rows[:, :, 0], rows[:, :, 2 * s] = w_l, w_r
+    if layout.bc is not BoundaryCondition.PERIODIC:  # an end node's outer neighbour is no unknown
+        rows[0, :, 0] = rows[-1, :, 2 * s] = 0.0
+    return x[first : first + n_nodes], np.repeat(box, s), rows.reshape(-1, 2 * s + 1)
 
 
 def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOperator:
-    """Divergence-form discretization of the layout at one refinement level (the
-    scheme is written out in ``_node_runs``)."""
+    """Divergence-form discretization of the layout at one refinement level: the rows of
+    ``_node_coefficients`` (the scheme is written out in ``_node_runs``) written as CSR."""
     validate_layout(layout)
-    x, box, w_l, w_r, block = _node_coefficients(layout, grid, level)
-    n_nodes, n_stages = w_l.shape
-    periodic = layout.bc is BoundaryCondition.PERIODIC
-    diag = -w_l - w_r
-
-    # Triplets grouped by kind; within each row they keep the per-node order
-    # (left flux, right flux, diagonal, reaction), so summing duplicates adds
-    # them in that order too.
-    i = np.arange(n_nodes)
-    row = i[:, None] * n_stages + np.arange(n_stages)
-    col_l = row[(i - 1) % n_nodes]
-    col_r = row[(i + 1) % n_nodes]
-    has_l = periodic | (i > 0)  # the neighbour is an unknown
-    has_r = periodic | (i < n_nodes - 1)
-    nz = block != 0.0
-    rows = np.concatenate([
-        row[has_l].ravel(), row[has_r].ravel(), row.ravel(),
-        np.broadcast_to(row[:, :, None], block.shape)[nz],
-    ])
-    cols = np.concatenate([
-        col_l[has_l].ravel(), col_r[has_r].ravel(), row.ravel(),
-        np.broadcast_to(row[:, None, :], block.shape)[nz],
-    ])
-    data = np.concatenate([w_l[has_l].ravel(), w_r[has_r].ravel(), diag.ravel(), block[nz]])
-
-    K = sparse.coo_matrix((data, (rows, cols)), shape=(n_nodes * n_stages,) * 2).tocsr()  # sums duplicates
-    return DiscreteOperator(stiffness=K, mass=np.repeat(box, n_stages), x=x, n_stages=n_stages)
+    x, mass, rows = _node_coefficients(layout, grid, level)
+    n, s = len(mass), layout.dimension
+    keep = rows != 0.0
+    keep[:, s] = True  # every row stores its diagonal, also where flux and reaction cancel
+    cols = (np.arange(n)[:, None] + np.arange(-s, s + 1))[keep] % n  # a ring's columns wrap
+    K = sparse.csr_matrix((rows[keep], cols, np.append(0, np.cumsum(keep.sum(axis=1)))), shape=(n, n))
+    K.sum_duplicates()  # sorts a ring's wrapped columns; a two-node ring's neighbours are one node
+    return DiscreteOperator(stiffness=K, mass=mass, x=x, n_stages=s)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +225,8 @@ def _imag_bound(layout: PatchLayout) -> float:
 
 def _staged_band(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray, float]:
     """``(band, B, |B^-1 K|_inf)`` of a staged line: ``-K`` as a ``dgbtrf`` band, node-major, ``kl = ku = n_stages``."""
-    _, box, w_l, w_r, block = _node_coefficients(layout, grid, level)
-    n_nodes, s = w_l.shape
-    stage = np.arange(s)
-    rows = np.zeros((n_nodes, s, 2 * s + 1))  # row of K per unknown, at column offsets -s..s
-    rows[:, stage[:, None], s - stage[:, None] + stage] = block
-    rows[:, stage, s] = (-w_l - w_r) + block[:, stage, stage]  # summed as assemble sums it
-    rows[1:, :, 0], rows[:-1, :, 2 * s] = w_l[1:], w_r[:-1]  # an end node's outer neighbour is no unknown
-    rows, n, mass = rows.reshape(-1, 2 * s + 1), n_nodes * s, np.repeat(box, s)
+    (_, mass, rows), s = _node_coefficients(layout, grid, level), layout.dimension
+    n = len(mass)
     band = np.zeros((3 * s + 1, n))
     for d in range(2 * s + 1):  # entries (p, p + d - s) of K, in band row 3s - d
         band[3 * s - d, max(d - s, 0) : n + min(d - s, 0)] = -rows[max(s - d, 0) : n - max(d - s, 0), d]

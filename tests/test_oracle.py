@@ -250,17 +250,43 @@ def _transition_case(seed: int):
     return layout, grid, level
 
 
+# At level 0 this grid gives an r = 0 ring two cells, so both neighbours of a node are one node.
+_COARSE = GridSpec(cells_per_unit_length=1, refinement_levels=2, min_cells_per_zone=2)
+# At level 0 this grid gives a = 1 cells of width 1/4: flux -8 and growth 32 cancel on the diagonal.
+_QUARTER = GridSpec(cells_per_unit_length=4, refinement_levels=2, min_cells_per_zone=2)
+
+
 def _edge_cases():
-    """Zero control width, and the -0.0 control growth that zero mortality produces."""
-    # At level 0 this grid gives the r = 0 ring two cells, so both neighbours of a node are one node.
-    coarse = GridSpec(cells_per_unit_length=1, refinement_levels=2, min_cells_per_zone=2)
+    """Zero control width, and the -0.0 control growth that zero mortality produces (the first 18
+    cases); then the layouts of ``_staged_edge_cases`` and ``_zero_diagonal_cases``."""
     cases = []
     for bc in BCS:
         base = PatchLayout(ScalarZone(1.3, 0.8), ScalarZone(0.4, -2.0), R=1.1, r=0.3, bc=bc)
         for level in range(3):
-            cases.append((replace(base, r=0.0), coarse, level))
+            cases.append((replace(base, r=0.0), _COARSE, level))
             cases.append((_with_control_mortality(base, 0.0), FAST, level))
+    return cases + _staged_edge_cases() + _zero_diagonal_cases()
+
+
+def _staged_edge_cases():
+    """Zero-width staged layouts with zero and negative stage couplings, 2 and 3 stages, levels 0-3:
+    at level 0 the ring has two nodes, whose two neighbours coincide."""
+    reactions = ([[-0.5, 0.0], [-0.7, 0.3]], [[0.4, 0.0, -1.1], [0.8, -0.6, 0.0], [0.0, -0.3, 0.2]])
+    cases = []
+    for bc in BCS:
+        for reaction in map(np.array, reactions):
+            diffusion = [1.3, 0.4, 2.1][: len(reaction)]
+            control = StageZone(diffusion, reaction - 2.0 * np.eye(len(reaction)))
+            layout = PatchLayout(StageZone(diffusion, reaction), control, R=1.1, r=0.0, bc=bc)
+            cases += [(layout, _COARSE, level) for level in range(4)]
     return cases
+
+
+def _zero_diagonal_cases():
+    """Scalar and two-stage layouts on every boundary whose beneficial-zone nodes have a zero diagonal at level 0."""
+    zones = [(ScalarZone(1.0, 32.0), ScalarZone(0.5, -1.0)),
+             (StageZone([1.0, 1.0], [[32.0, 0.5], [0.25, 32.0]]), StageZone([0.5, 2.0], [[-1.0, 0.0], [0.3, -2.0]]))]
+    return [(PatchLayout(ben, ctl, R=2.0, r=1.0, bc=bc), _QUARTER, 0) for ben, ctl in zones for bc in BCS]
 
 
 class TestGrowthBound:
@@ -297,7 +323,7 @@ class TestGrowthBound:
         rng = np.random.default_rng(26)
         layouts = [replace(random_scalar_problem(rng), bc=bc, K=K).to_layout() for bc in BCS for K in (1, 2)
                    if K == 1 or bc is BoundaryCondition.PERIODIC]
-        for layout in layouts + [layout for layout, _, _ in _edge_cases()]:
+        for layout in layouts + [layout for layout, _, _ in _edge_cases() if layout.is_scalar]:
             tops.clear()
             _level_chain(layout, GridSpec(cells_per_unit_length=16, refinement_levels=3, min_cells_per_zone=4))
             growth = max(layout.beneficial.growth, layout.control.growth)
@@ -336,6 +362,16 @@ class TestAssemblyMatchesLoop:
         else:
             assert layout.r == 0.0
         self.assert_same_operator(layout, grid, level)
+
+    @pytest.mark.parametrize("case", _staged_edge_cases() + _zero_diagonal_cases())
+    def test_staged_and_zero_diagonal_layouts(self, case):
+        layout, grid, level = case
+        self.assert_same_operator(layout, grid, level)
+        K = assemble(layout, grid, level).stiffness
+        on_diagonal = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr)) == K.indices
+        assert np.count_nonzero(on_diagonal) == K.shape[0]  # every row stores its diagonal
+        if grid is _QUARTER:
+            assert np.count_nonzero(K.diagonal() == 0.0) >= 7
 
 
 _M2 = [[-0.5, 1.2], [0.6, -0.4]]
