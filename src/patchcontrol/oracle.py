@@ -8,20 +8,17 @@ interfaces, reflecting ends and a ring's wrap node.
 
 The problem is generalized, ``K y = E B y`` with diagonal mass ``B`` (half boxes at reflecting
 ends) and box-weighted reaction masses.  Every zone is read through its ``diffusion_diag`` and
-``reaction``, a scalar zone as the one-stage system, and the solver follows the stage count.
-One-stage levels assemble no matrix: the bands of the symmetric tridiagonal ``B^-1/2 K B^-1/2`` are
-computed per run and repeated (a ring's on its reflecting half-period of widths ``R/2``, ``r/2``,
-the reduction behind the tan(R/2)/tanh(r/2) criterion, exact for the whole ring's grid when its
-zones have even cell counts), and tridiagonal bisection gives the top eigenvalue: by index on the
-coarsest level, and on each finer level in a window from the coarser level's value up to the
-largest growth.  Levels of two or more stages are block-coupled and nonsymmetric; cooperative
-(Metzler) rings are cut to the same half-period.  These levels and the simulator expand ``K`` per
+``reaction``, a scalar zone as the one-stage system.  The oracle and the simulator expand ``K`` per
 node into one table of rows, ``2 n_stages + 1`` entries about the diagonal, that feeds both matrix
-formats.  A cooperative level with irreducible stage coupling reads it as a LAPACK band, and inverse
-iteration on its band LU brackets the top (Collatz-Wielandt).  Other levels, and the simulator, read
-it as CSR; shift-invert Arnoldi, shifted above the zones' growth bound, takes more eigenvalues until
-none can hide right of the rightmost found (no fallback), and refuses levels below 3 unknowns with
-``GridTooSmall``.
+formats.  Cooperative (Metzler) rings, every one-stage ring among them, are cut to their reflecting
+half-period of widths ``R/2``, ``r/2`` (the reduction behind the tan(R/2)/tanh(r/2) criterion, exact
+for the whole ring's grid when its zones have even cell counts).  A cooperative level with
+irreducible stage coupling, every one-stage level among them, reads the rows as a LAPACK band, and
+inverse iteration on its LU brackets the top (Collatz-Wielandt): a symmetric tridiagonal LDL^T for
+one stage, a band LU for more, each finer level started just above the coarser level's value.  Other
+levels, and the simulator, read the rows as CSR; shift-invert Arnoldi, shifted above the zones'
+growth bound, takes more eigenvalues until none can hide right of the rightmost found (no fallback),
+and refuses levels below 3 unknowns with ``GridTooSmall``.
 """
 
 from __future__ import annotations
@@ -32,9 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.linalg import eigsh, splu  # noqa: F401  (eigsh, splu: looked up here by the benchmark tracer)
+from scipy.linalg import eigvalsh_tridiagonal  # noqa: F401  (looked up here by the benchmark tracer)
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
+from scipy.sparse.linalg import eigsh, splu  # noqa: F401  (looked up here by the benchmark tracer)
 
 from .linalg import expanding_root
 from .model import (
@@ -189,23 +186,6 @@ def assemble(layout: PatchLayout, grid: GridSpec, level: int = 0) -> DiscreteOpe
 # Eigenvalue extraction
 # ---------------------------------------------------------------------------
 
-def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bands ``(d, e)`` of ``B^-1/2 K B^-1/2`` for a one-stage layout off a ring, its diagonal and
-    superdiagonal, computed per run of ``_node_runs`` and repeated, without assembling ``K``."""
-    # numpy scalars: a width whose cells underflow gives inf and a warning, as arrays do
-    zones = [(z.cells, np.float64(z.h), float(z.diffusion[0]), float(z.reaction[0, 0]))
-             for z in _zone_cells(layout, grid, level)]
-    runs = _node_runs(layout, zones)
-    counts = [run[0] for run in runs]
-    w = [1.0 / np.sqrt(box) for _, _, _, box, _ in runs]
-    d = np.repeat([((-w_l - w_r) + mass) * wj * wj for (_, w_l, w_r, _, mass), wj in zip(runs, w)], counts)
-    # a run of k nodes has k - 1 couplings inside and 1 onward, the last run none (its count is 0)
-    onward = [*w[1:], w[-1]]
-    e = np.repeat([w_r * wj * wt for (_, _, w_r, _, _), wj, wn in zip(runs, w, onward) for wt in (wj, wn)],
-                  [*[r for k in counts for r in (k - 1, 1)][:-1], 0])
-    return d, e
-
-
 def _growth_bound(layout: PatchLayout) -> float:
     """Largest Gershgorin row bound ``M_ss + sum_{j != s} |M_sj|`` of the two zones' reaction
     matrices, a scalar zone's growth.  It bounds the real part of every eigenvalue of ``B^-1 K`` at
@@ -224,7 +204,7 @@ def _imag_bound(layout: PatchLayout) -> float:
 
 
 def _staged_band(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(band, B, |B^-1 K|_inf)`` of a staged line: ``-K`` as a ``dgbtrf`` band, node-major, ``kl = ku = n_stages``."""
+    """``(band, B, |B^-1 K|_inf)`` of a line: ``-K`` as a ``dgbtrf`` band, node-major, ``kl = ku = n_stages``."""
     (_, mass, rows), s = _node_coefficients(layout, grid, level), layout.dimension
     n = len(mass)
     band = np.zeros((3 * s + 1, n))
@@ -233,27 +213,46 @@ def _staged_band(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.nd
     return band, mass, float((np.abs(rows).sum(axis=1) / mass).max())
 
 
-def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[float, str]:
-    """Top of a cooperative, irreducible staged line by inverse iteration ``w = (sigma B - K)^-1 B v`` from ``v = 1``:
+def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float | None = None) -> tuple[float, str]:
+    """Top of a cooperative, irreducible line by inverse iteration ``w = (sigma B - K)^-1 B v`` from ``v = 1``:
     a positive ``w`` proves ``sigma`` above the top, in ``[sigma - 1/min(w/v), sigma - 1/max(w/v)]`` (Collatz-Wielandt).
-    ``sigma`` starts at ``_growth_bound + 1`` and drops to 1 width above the bracket when over 4 above; the midpoint
-    is returned at width ``4 eps |B^-1 K|_inf``.  A singular factor, a non-positive ``w`` or 100 solves raise."""
+    One stage factors the symmetric tridiagonal ``sigma B - K`` by ``dpttrf``, whose failure proves ``sigma`` at or
+    below the top, more stages its band by ``dgbtrf``.  ``sigma`` starts at ``_growth_bound + 1``, or just above
+    ``near``, the coarser level's value; a failed factor or a non-positive ``w`` there raises it to ``near + 16 (sigma
+    - near)``, at most to the bound, and starts again.  Each bracket moves ``sigma`` toward its upper end, at most the
+    bracket's width above it and at least ``64 eps |B^-1 K|_inf``, clear of rounding at the top; the midpoint is
+    returned at width ``4 eps |B^-1 K|_inf``.  A failure at the bound or once bracketed, a Perron vector that leaves
+    the float range, or 100 solves raise ``NoConvergenceError``."""
     (band, mass, scale), s = _staged_band(layout, grid, level), layout.dimension
-    sigma, lu, v = _growth_bound(layout) + 1.0, None, np.ones(len(mass))
+    eps, bound = np.finfo(float).eps, _growth_bound(layout) + 1.0
+    tridiagonal = s == 1 and len(mass) > 1  # scipy's dpttrf refuses one unknown
+    sigma = bound if near is None else min(near + 1e-3 * (1.0 + abs(near)), bound)
+    v, lu, bracketed = np.ones(len(mass)), None, False
     for _ in range(100):
         if lu is None:
-            lu, piv, info = dgbtrf(np.vstack([band[: 2 * s], band[2 * s] + sigma * mass, band[2 * s + 1 :]]), s, s)
-            if info:
-                raise NoConvergenceError(f"banded factor of sigma B - K is singular at sigma = {sigma:.6g}")
-        w, _ = dgbtrs(lu, s, s, mass * v, piv)
-        if not w.min() > 0:
-            raise NoConvergenceError(f"inverse iterate is not positive at sigma = {sigma:.6g}")
-        lo, hi = sigma - 1.0 / np.min(w / v), sigma - 1.0 / np.max(w / v)
-        if hi - lo <= 4 * np.finfo(float).eps * scale:
+            if tridiagonal:
+                *lu, info = dpttrf(band[2] + sigma * mass, band[1, 1:])
+            else:
+                *lu, info = dgbtrf(np.vstack([band[: 2 * s], band[2 * s] + sigma * mass, band[2 * s + 1 :]]), s, s)
+        if not info:
+            w = dpttrs(*lu, mass * v)[0] if tridiagonal else dgbtrs(lu[0], s, s, mass * v, lu[1])[0]
+        if info or not w.min() >= 0:  # sigma at or below the top
+            if sigma == bound or bracketed:
+                what = "sigma B - K is singular or indefinite" if info else "inverse iterate is not positive"
+                raise NoConvergenceError(f"{what} at sigma = {sigma:.6g}")
+            sigma, v, lu = min(near + 16.0 * (sigma - near), bound), np.ones(len(mass)), None
+            continue
+        unit = w / w.max()
+        if not unit.min() > 0:  # an entry underflowed to 0
+            raise NoConvergenceError(f"the Perron vector left the float range at sigma = {sigma:.6g}")
+        ratio = w / v
+        lo, hi = sigma - 1.0 / ratio.min(), sigma - 1.0 / ratio.max()
+        if hi - lo <= 4 * eps * scale:
             return float(lo + hi) / 2, "perron-bracket"
-        if sigma - hi > 4 * (hi - lo):
-            sigma, lu = hi + (hi - lo), None
-        v = w / w.max()
+        v, bracketed = unit, True
+        shift = hi + max(min(hi - lo, (sigma - hi) / 8), 64 * eps * scale)
+        if shift < sigma:
+            sigma, lu = shift, None
     raise NoConvergenceError(f"Perron bracket [{lo:.6g}, {hi:.6g}] did not close in 100 solves")
 
 
@@ -315,10 +314,8 @@ def _top_eigenvalue_level(
     the per-zone cell floor: ``B^-1 K`` is Metzler, so its rightmost eigenvalue has a nonnegative
     eigenvector, and averaging that over the ring's translations and mirrors gives one that repeats every
     period and is even about each zone's middle.  Other rings stay whole: their growing mode can span two
-    periods.  A staged level that is also irreducible is bracketed by ``_perron_bracket``, others go to
-    Arnoldi.  A one-stage level is bisected by index, or with ``near`` in the window ``(near - delta,
-    upper]`` below the ``_growth_bound`` (padded for Sturm-count rounding); ``delta`` grows 16-fold while
-    the window is empty, and once it holds the whole spectrum, an empty window raises ``NoConvergenceError``.
+    periods.  A Metzler level that is also irreducible, every one-stage level among them, is bracketed
+    by ``_perron_bracket``, started near ``near`` if given; the others go to Arnoldi.
     """
     layout = validate_layout(layout)
     present = layout.control if layout.r > 0 else layout.beneficial  # the control zone counts where it has cells
@@ -327,32 +324,14 @@ def _top_eigenvalue_level(
     if layout.bc is BoundaryCondition.PERIODIC and metzler:
         layout = replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
         grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))
-    if layout.dimension > 1 and metzler and irreducible:
-        return _perron_bracket(layout, grid, level)
-    if layout.dimension > 1:
-        imag = 0.0 if metzler else _imag_bound(layout)
-        return _staged_rightmost_eigenvalue(assemble(layout, grid, level), _growth_bound(layout) + 1.0, imag)
-    d, e = _scalar_bands(layout, grid, level)
-    try:  # LAPACK's bisection can fail on finite bands near the float range, as ARPACK can
-        if near is None:
-            top = len(d) - 1
-            return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(top, top))[0]), "symmetric"
-        upper = _growth_bound(layout) + 1e-12 * float(np.abs(d).max())
-        delta = 1e-6 * (1.0 + abs(near))
-        while True:
-            vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(near - delta, upper))
-            if len(vals):
-                return float(vals[-1]), "symmetric"
-            radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
-            if near - delta < (d - radius).min():
-                raise NoConvergenceError(f"no eigenvalue below the growth bound {upper:.6g}")
-            delta *= 16.0
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"tridiagonal bisection failed: {exc}") from exc
+    if metzler and irreducible:
+        return _perron_bracket(layout, grid, level, near)
+    imag = 0.0 if metzler else _imag_bound(layout)
+    return _staged_rightmost_eigenvalue(assemble(layout, grid, level), _growth_bound(layout) + 1.0, imag)
 
 
 def _level_chain(layout: PatchLayout, grid: GridSpec) -> list[tuple[float, str]]:
-    """Top eigenvalue per refinement level, each level after the first windowed at the one before."""
+    """Top eigenvalue per refinement level, each level after the first started near the one before."""
     levels: list[tuple[float, str]] = []
     for level in range(grid.refinement_levels):
         levels.append(_top_eigenvalue_level(layout, grid, level, levels[-1][0] if levels else None))

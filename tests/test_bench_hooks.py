@@ -40,17 +40,15 @@ def test_kernel_site_resolves(owner, attr):
     assert callable(getattr(importlib.import_module(owner), attr))
 
 
-def test_scalar_levels_traced_as_tridiagonal_solves():
-    # The per-layer figure oracle.solve.tridiagonal must not read 0 on the scalar path.
-    grid = GridSpec(cells_per_unit_length=8, refinement_levels=3)
+def test_scalar_levels_traced_on_the_perron_path():
+    # Scalar levels are bracketed on the band as staged ones are: the traced solve holds no
+    # tridiagonal bisection, no assembly and no Arnoldi solve, and its time stays with the top-level span.
     tracer = tracing.Tracer()
     with tracer.installed():
-        oracle.top_eigenvalue_fd(get_preset("lone-star"), grid)
-    names = [span.name for span in tracer.spans]
-    top = names.index("oracle.top_eigenvalue_fd")
-    solves = [s for s in tracer.spans if s.name == "oracle.solve.tridiagonal"]
-    assert len(solves) >= grid.refinement_levels
-    assert all(s.parent == top for s in solves)
+        oracle.top_eigenvalue_fd(get_preset("lone-star"), GridSpec(cells_per_unit_length=8, refinement_levels=3))
+    names = {s.name for s in tracer.spans}
+    assert "oracle.top_eigenvalue_fd" in names
+    assert not names & {"oracle.solve.tridiagonal", "oracle.assemble", "oracle.solve.arnoldi"}
 
 
 @pytest.mark.parametrize(

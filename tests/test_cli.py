@@ -261,6 +261,20 @@ class TestVerdict:
         assert not _verdicts_agree(Layout(), VerdictStatus.SURVIVAL, eradication)
         assert _verdicts_agree(Layout(), VerdictStatus.ERADICATION, marginal)
 
+    @pytest.mark.parametrize("r, bc, status, value", [
+        ("40", "neumann", "Survival", "0.003034"),
+        ("80", "periodic", "Eradication", "-0.001042"),
+        ("80", "dirichlet", "Eradication", "-0.001345"),
+    ])
+    def test_wide_control_zone_oracle_verdict(self, capsys, r, bc, status, value):
+        # Far into a wide control zone the Perron vector is tiny: the bracket's lower end waits for
+        # that tail, and its shift must follow the upper end for the bracket to close.
+        code, out, err = run_cli(capsys, "verdict", "--preset", "taiga-two-stage", "--r", r, "--bc", bc,
+                                 "--method", "oracle")
+        assert (code, err) == (EXIT_OK, "")
+        fields = parsed(out)
+        assert (fields["oracle_status"], fields["oracle_top_eigenvalue"]) == (status, value)
+
 
 class TestMinMortality:
     def test_lone_star_dual_values(self, capsys):
@@ -399,7 +413,7 @@ class TestSpectrum:
         assert list(parsed(out)) == ["fd_top_eigenvalue", "fd_error_estimate", "fd_grid"]
 
     def test_oracle_no_convergence_exits_7_without_traceback(self, capsys, monkeypatch):
-        def no_convergence(layout, grid, level):
+        def no_convergence(layout, grid, level, near=None):
             raise NoConvergenceError("staged solve found no real eigenvalue")
 
         monkeypatch.setattr("patchcontrol.oracle._perron_bracket", no_convergence)
@@ -407,6 +421,22 @@ class TestSpectrum:
         assert code == EXIT_NO_CONVERGENCE
         assert out == ""
         assert err == "oracle did not converge: staged solve found no real eigenvalue\n"
+
+    def test_perron_vector_below_the_float_range_exits_7(self, capsys, tmp_path):
+        # Control mortality 10 over r = 300: the Perron vector's tail is below the smallest float.
+        doc = {
+            "model": "staged",
+            "beneficial": {"A_diag": [1, 1], "M": [[0.1, 0.1], [0.1, 0.1]]},
+            "control": {"A_diag": [1, 1], "M": [[-10, 0.01], [0.01, -10]]},
+            "R": 1, "r": 300, "K": 1, "bc": "neumann",
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "spectrum", "--scenario", str(path), "--method", "fd",
+                                 "--grid-cells", "4", "--grid-levels", "2")
+        assert (code, out) == (EXIT_NO_CONVERGENCE, "")
+        assert err.startswith("oracle did not converge: the Perron vector left the float range at sigma = ")
+        assert len(err.splitlines()) == 1
 
     def test_non_cooperative_staged_ring_exits_7_without_traceback(self, capsys, tmp_path):
         # The stage coupling has a negative entry and a complex rightmost pair.
@@ -445,7 +475,8 @@ class TestSpectrum:
         ("spectrum", "--preset", "lone-star", "--method", "fd", "--b", "1e300"),
     ], ids=["verdict", "spectrum"])
     def test_tridiagonal_bisection_failure_exits_7(self, capsys, argv):
-        # Finite bands (max |d| about 1e308 and 1.3e305) on which LAPACK's bisection itself fails.
+        # Finite rows near the float range (mortality 1e308, diffusion 1e300) on which the Perron
+        # bracket's factor or iterate fails.
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_NO_CONVERGENCE, "")
         assert err.startswith("oracle did not converge: ") and len(err.splitlines()) == 1

@@ -291,7 +291,7 @@ def _zero_diagonal_cases():
 
 class TestGrowthBound:
     """``_growth_bound`` is read off the zones alone: it bounds the Gershgorin row bound of
-    every assembled level, and it is the scalar window's top and a staged level's shift."""
+    every assembled level, and one above it is where a Perron bracket starts and its shift stops."""
 
     @pytest.mark.parametrize("case", [_transition_case(seed) for seed in range(27)] + _edge_cases())
     def test_at_least_the_assembled_gershgorin_bound(self, case):
@@ -310,24 +310,33 @@ class TestGrowthBound:
         vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
         assert np.abs(vals.imag).max() <= _imag_bound(layout) * (1 + 1e-12) + 1e-12 * np.abs(vals).max()
 
-    def test_scalar_window_top_is_the_largest_growth(self, monkeypatch):
-        tops = []
-        solve = oracle.eigvalsh_tridiagonal
+    def test_scalar_start_is_the_largest_growth(self, monkeypatch):
+        # The diagonal handed to dpttrf is sigma B - diag K: level 0 starts at the largest growth + 1
+        # exactly, and no level of the chain factors above it.
+        diagonals = []
+        factor = oracle.dpttrf
 
-        def recording_solve(d, e, **kwargs):
-            if kwargs["select"] == "v":
-                tops.append((kwargs["select_range"][1], float(np.abs(d).max())))
-            return solve(d, e, **kwargs)
+        def recording_factor(d, e):
+            diagonals.append(d)
+            return factor(d, e)
 
-        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", recording_solve)
+        monkeypatch.setattr(oracle, "dpttrf", recording_factor)
         rng = np.random.default_rng(26)
         layouts = [replace(random_scalar_problem(rng), bc=bc, K=K).to_layout() for bc in BCS for K in (1, 2)
                    if K == 1 or bc is BoundaryCondition.PERIODIC]
+        grid = GridSpec(cells_per_unit_length=16, refinement_levels=3, min_cells_per_zone=4)
         for layout in layouts + [layout for layout, _, _ in _edge_cases() if layout.is_scalar]:
-            tops.clear()
-            _level_chain(layout, GridSpec(cells_per_unit_length=16, refinement_levels=3, min_cells_per_zone=4))
-            growth = max(layout.beneficial.growth, layout.control.growth)
-            assert tops and all(top == growth + 1e-12 * d_max for top, d_max in tops)
+            diagonals.clear()
+            _level_chain(layout, grid)
+            bound = max(layout.beneficial.growth, layout.control.growth) + 1.0
+            line, line_grid = solved_level(layout, grid)
+            at_bound = {}
+            for level in range(grid.refinement_levels):
+                band, mass, _ = oracle._staged_band(line, line_grid, level)
+                at_bound[len(mass)] = band[2] + bound * mass
+            assert len(at_bound) == grid.refinement_levels
+            assert np.array_equal(diagonals[0], at_bound[len(diagonals[0])])
+            assert all((d <= at_bound[len(d)]).all() for d in diagonals)
 
 
 class TestAssemblyMatchesLoop:
@@ -513,6 +522,34 @@ class TestPerronBracket:
         op = assemble(*solved_level(layout, grid), level)
         arnoldi, _ = _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, 0.0)
         assert abs(value - arnoldi) <= 1e-9 * abs(arnoldi)
+
+    @pytest.mark.parametrize("cells", [1, 64])
+    @pytest.mark.parametrize("bc", BCS)
+    def test_wide_control_zones_close(self, bc, cells):
+        # Far into a control zone of width r the Perron vector is about exp(-0.5 x) of its peak, so
+        # the bracket's lower end waits for that tail; the shift follows the upper end meanwhile.
+        ben = StageZone([1.0, 0.5], [[-0.91, 2.24], [0.01, -0.02]])
+        ctl = StageZone([1.0, 0.5], [[-0.3, 0.2], [0.01, -0.2]])
+        grid = GridSpec(cells_per_unit_length=cells)
+        for r in (1.0, 10.0, 100.0, 1000.0):
+            layout = PatchLayout(ben, ctl, R=40.0, r=r, bc=bc)
+            value, how = _top_eigenvalue_level(layout, grid, 0)
+            line, line_grid = layout, grid
+            if bc is BoundaryCondition.PERIODIC:  # the half-period, built without solved_level's dense check
+                line = replace(layout, R=20.0, r=r / 2, bc=BoundaryCondition.NEUMANN)
+                line_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
+            reference, _ = _staged_rightmost_eigenvalue(assemble(line, line_grid, 0), _growth_bound(layout) + 1.0, 0.0)
+            assert how == "perron-bracket"
+            assert abs(value - reference) <= 1e-9 * abs(reference), r
+
+    def test_perron_vector_below_the_float_range_raises(self):
+        # Control mortality 10 over r = 300: the Perron vector falls to about exp(-950) of its peak,
+        # below the smallest float, and the bracket refuses rather than divide by zero.
+        layout = PatchLayout(StageZone([1.0, 1.0], [[0.1, 0.1], [0.1, 0.1]]),
+                             StageZone([1.0, 1.0], [[-10.0, 0.01], [0.01, -10.0]]),
+                             R=1.0, r=300.0, bc=BoundaryCondition.NEUMANN)
+        with pytest.raises(oracle.NoConvergenceError, match="the Perron vector left the float range"):
+            top_eigenvalue_fd(layout, GridSpec(4, 2))
 
     @pytest.mark.parametrize("fault, message", [
         ("negative", "not positive"), ("spread", "did not close in 100 solves"), ("singular", "singular"),
@@ -761,8 +798,8 @@ def scalar_twin(layout: PatchLayout) -> PatchLayout:
 class TestGridTooSmall:
     """ARPACK needs 3 unknowns: a non-cooperative level of two or more stages with fewer (absorbing
     ends, no control zone and under 4 cells) is refused, and one of exactly 3 is solved.  A
-    cooperative level is bracketed at any size, and a one-stage level of one unknown is bisected,
-    as its scalar twin is."""
+    cooperative level is bracketed at any size, a one-stage level of one unknown too (by ``dgbtrf``:
+    scipy's ``dpttrf`` refuses it), as its scalar twin is."""
 
     GRID = GridSpec(cells_per_unit_length=1, min_cells_per_zone=2)  # one interior node at level 0
 
@@ -784,7 +821,8 @@ class TestGridTooSmall:
         assert n == n_stages
         value, how = _top_eigenvalue_level(layout, self.GRID, 0)
         if n_stages == 1:  # solved, bit for bit as the scalar twin
-            assert how == "symmetric" and (value, how) == _top_eigenvalue_level(scalar_twin(layout), self.GRID, 0)
+            assert how == "perron-bracket" and (value, how) == _top_eigenvalue_level(scalar_twin(layout), self.GRID, 0)
+            assert abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
             assert top_eigenvalue_fd(layout, self.GRID) == top_eigenvalue_fd(scalar_twin(layout), self.GRID)
             return
         assert how == "perron-bracket" and abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
@@ -1096,13 +1134,13 @@ class TestScalarRingHalfPeriod:
     @pytest.mark.parametrize("r", [0.0, 0.4, 3.0])
     def test_matches_dense_reference(self, monkeypatch, K, R, r):
         sizes = []
-        solve = oracle.eigvalsh_tridiagonal
+        factor = oracle.dpttrf
 
-        def recording_solve(d, e, **kwargs):
+        def recording_factor(d, e):
             sizes.append(len(d))
-            return solve(d, e, **kwargs)
+            return factor(d, e)
 
-        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", recording_solve)
+        monkeypatch.setattr(oracle, "dpttrf", recording_factor)
         rng = np.random.default_rng(int(100 * K + 10 * R + 10 * r))
         for _ in range(3):
             layout = _ring(rng, K, R, r)
@@ -1169,107 +1207,28 @@ class TestScalarRingHalfPeriod:
 
 
 class TestScalarBands:
-    """Off a ring the scalar bands are the diagonal and superdiagonal of the
-    assembled ``symmetric_form`` exactly, at every level and on an odd-cell grid."""
+    """Off a ring a one-stage band holds ``-K``'s three diagonals exactly, symmetric, at every level and
+    on an odd-cell grid: ``dpttrf`` reads its diagonal (row 2) and superdiagonal (row 1)."""
 
     @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(13.3, 3, 5)], ids=["default", "13.3-cells"])
     @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN])
-    def test_equal_to_symmetric_form(self, grid, bc):
+    def test_equal_to_the_assembled_stiffness(self, grid, bc):
         rng = np.random.default_rng(7 if bc is BoundaryCondition.DIRICHLET else 8)
         for _ in range(4):
             layout = replace(random_scalar_problem(rng), bc=bc).to_layout()
             for level in range(grid.refinement_levels):
-                d, e = oracle._scalar_bands(layout, grid, level)
-                S = symmetric_form(assemble(layout, grid, level))
-                assert np.array_equal(d, S.diagonal())
-                assert np.array_equal(e, S.diagonal(1))
-
-
-# Reference: the per-node coefficients the scalar bands were built from before
-# they were computed per run of identical nodes, kept to pin the bands.
-
-def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
-    """Per-node coefficients ``(x, box, w_l, w_r, mass)`` of the scheme off a ring, one row per unknown node.
-
-    Node ``i`` receives ``(w_r (y_{i+1}-y_i) - w_l (y_i-y_{i-1}) + mass y_i) / box``:
-    ``w = a / h`` of the cell on each side (shape (n, n_stages)) and ``mass`` each adjacent
-    cell's reaction over its half of the box (shape (n, n_stages, n_stages)), with half boxes
-    at reflecting ends and interior-only unknowns for absorbing ends.
-    """
-    zones = _zone_cells(layout, grid, level)
-
-    # Per-cell arrays in spatial order, indexed from the per-zone ones.
-    zone = np.repeat(np.arange(len(zones)), [z.cells for z in zones])
-    h = np.array([z.h for z in zones])[zone]
-    a_cell = np.array([z.diffusion for z in zones])[zone]
-    m_cell = np.array([z.reaction for z in zones])[zone]
-    n_cells = len(h)
-    x_all = np.concatenate([[0.0], np.cumsum(h)])
-
-    if layout.bc is BoundaryCondition.DIRICHLET:
-        nodes = np.arange(1, n_cells)
-        x = x_all[1:-1]
-    else:
-        nodes = np.arange(0, n_cells + 1)
-        x = x_all
-
-    # With a zero cell padded at each end, node k has left cell k and right cell k + 1.
-    w_cell = a_cell / h[:, None]
-    h_pad, w_pad, m_pad = (np.concatenate([np.zeros_like(v[:1]), v, np.zeros_like(v[:1])])
-                           for v in (h, w_cell, m_cell))
-    box = h_pad[nodes] / 2 + h_pad[nodes + 1] / 2
-    half_l, half_r = (np.reshape(h_pad[k] / 2, (-1, 1, 1)) for k in (nodes, nodes + 1))
-    mass = half_l * m_pad[nodes] + half_r * m_pad[nodes + 1]
-    return x, box, w_pad[nodes], w_pad[nodes + 1], mass
-
-
-def _scalar_bands(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bands ``(d, e)`` of ``B^-1/2 K B^-1/2`` for a scalar layout off a ring, its diagonal and
-    superdiagonal, built from the node coefficients without assembling ``K``."""
-    _, box, w_l, w_r, mass = _node_coefficients(layout, grid, level)
-    w_l, w_r, w = w_l[:, 0], w_r[:, 0], 1.0 / np.sqrt(box)
-    d = ((-w_l - w_r) + mass[:, 0, 0]) * w * w
-    e = w_r[:-1] * w[:-1] * w[1:]
-    return d, e
-
-
-class TestScalarBandsMatchPerNode:
-    """``_scalar_bands`` gives the per-node reference's bands bit for bit at every
-    level: both boundaries off a ring, zero control width, four grids."""
-
-    @staticmethod
-    def draw(rng, bc, grid):
-        R = loguniform(rng, 0.05, 30.0 / grid.cells_per_unit_length ** 0.5)  # wider on coarser grids
-        r = 0.0 if rng.random() < 0.25 else loguniform(rng, 0.01, 5.0)
-        return PatchLayout(
-            ScalarZone(loguniform(rng, 0.1, 100.0), float(rng.uniform(-1.0, 5.0))),
-            ScalarZone(loguniform(rng, 0.1, 100.0), -loguniform(rng, 0.01, 100.0)),
-            R=R, r=r, bc=bc,
-        )
-
-    @pytest.mark.parametrize(
-        "grid",
-        [GridSpec(), GridSpec(13.3, 3, 5), GridSpec(1.0, 2, 2), GridSpec(0.5, 4, 2)],
-        ids=["default", "13.3-cells", "1-cell", "half-cell"],
-    )
-    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN])
-    def test_byte_equal(self, grid, bc):
-        rng = np.random.default_rng(60 + 3 * BCS.index(bc) + int(2 * grid.cells_per_unit_length))
-        layouts = [self.draw(rng, bc, grid) for _ in range(8)]
-        layouts.append(replace(layouts[0], r=0.0))
-        for layout in layouts:
-            for level in range(grid.refinement_levels):
-                got = oracle._scalar_bands(layout, grid, level)
-                want = _scalar_bands(layout, grid, level)
-                for g, w in zip(got, want):
-                    assert (g.dtype, g.shape) == (w.dtype, w.shape)
-                    assert g.tobytes() == w.tobytes()
+                band, mass, _ = oracle._staged_band(layout, grid, level)
+                op = assemble(layout, grid, level)
+                assert np.array_equal(mass, op.mass)
+                assert np.array_equal(band[2], -op.stiffness.diagonal())
+                assert np.array_equal(band[1, 1:], -op.stiffness.diagonal(1))
+                assert np.array_equal(band[3, :-1], band[1, 1:])
+                assert not band[0].any() and band[1, 0] == band[3, -1] == 0.0
 
 
 class TestScalarWithoutAssembly:
-    """Scalar oracle work builds its bands per run and never assembles a matrix or
-    expands the runs into per-node arrays; staged layouts expand them, and only
-    non-cooperative or reducible ones assemble."""
+    """Scalar oracle work reads the node rows as a band and never assembles a matrix or calls
+    Arnoldi; staged layouts read the same rows, and only non-cooperative or reducible ones assemble."""
 
     GRID = GridSpec(cells_per_unit_length=16, refinement_levels=2, min_cells_per_zone=4)
 
@@ -1282,7 +1241,7 @@ class TestScalarWithoutAssembly:
             return refuse
 
         monkeypatch.setattr(oracle, "assemble", refusing("assemble"))
-        monkeypatch.setattr(oracle, "_node_coefficients", refusing("per-node expansion"))
+        monkeypatch.setattr(sparse.linalg, "eigs", refusing("Arnoldi"))
 
     @pytest.mark.parametrize("bc", list(BoundaryCondition))
     def test_scalar_entry_points(self, bc):
@@ -1293,21 +1252,24 @@ class TestScalarWithoutAssembly:
         assert math.isfinite(min_mortality_fd(layout, self.GRID))
         assert math.isfinite(oracle.min_zone_width_fd(layout, self.GRID))
 
-    def test_staged_reaches_assemble(self, coupling=-0.5, reached="assemble"):
-        layout = PatchLayout(
+    @staticmethod
+    def staged(coupling):
+        return PatchLayout(
             StageZone(np.array([1.0, 1.0]), np.array([[-0.5, 1.0], [coupling, -0.2]])),
             StageZone(np.array([1.0, 1.0]), np.array([[-3.0, 0.0], [0.0, -3.0]])),
             R=2.0, r=1.0,
         )
-        with pytest.raises(AssertionError, match=f"{reached} reached"):
-            top_eigenvalue_fd(layout, self.GRID)
 
-    def test_cooperative_staged_reaches_only_the_node_expansion(self):
-        self.test_staged_reaches_assemble(coupling=0.5, reached="per-node expansion")
+    def test_staged_reaches_assemble(self):
+        with pytest.raises(AssertionError, match="assemble reached"):
+            top_eigenvalue_fd(self.staged(-0.5), self.GRID)
+
+    def test_cooperative_staged_reaches_only_the_band(self):
+        assert math.isfinite(top_eigenvalue_fd(self.staged(0.5), self.GRID).top_eigenvalue)
 
 
 class TestScalarSinglePath:
-    """Every scalar layout is solved by the tridiagonal path alone."""
+    """Every scalar layout is solved by the Perron bracket alone."""
 
     @pytest.mark.parametrize(
         "layout",
@@ -1328,47 +1290,58 @@ class TestScalarSinglePath:
 
         monkeypatch.setattr(oracle, "eigsh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        assert math.isfinite(top_eigenvalue_fd(layout).top_eigenvalue)
+        monkeypatch.setattr(sparse.linalg, "eigs", refuse)
+        report = top_eigenvalue_fd(layout)
+        assert math.isfinite(report.top_eigenvalue) and report.grid_or_step.endswith(",perron-bracket")
 
 
-class TestWindowedLevels:
-    """Levels after the first are bisected in a window from the coarser level's
-    value up to the largest growth; the index solve on the same bands is the
-    reference, and ``stebz`` agrees with itself to a few ``eps max|d|``."""
+class TestNearStartedLevels:
+    """Levels after the first start the Perron bracket just above the coarser level's value.  The
+    start from the growth bound is the reference, within the stop width ``4 eps |B^-1 K|_inf``.  A
+    start at or below the top (a failed ``dpttrf``, or a staged iterate that is not positive) is
+    raised to ``near + 16 (sigma - near)`` and solved again from ``v = 1``; at the bound it raises."""
 
     GRID = GridSpec(cells_per_unit_length=16, refinement_levels=3, min_cells_per_zone=4)
+    SCALAR = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0, bc=BoundaryCondition.DIRICHLET)
 
-    @pytest.fixture
-    def windows(self, monkeypatch):
-        """Record ``(select, number of values)`` for every tridiagonal solve."""
-        calls = []
-        solve = oracle.eigvalsh_tridiagonal
+    @staticmethod
+    def record(monkeypatch, name, fault=lambda calls, result: result):
+        """Record every call's first argument and result of ``oracle.<name>``; ``fault`` may alter the result."""
+        calls, call = [], getattr(oracle, name)
 
-        def recording_solve(d, e, **kwargs):
-            vals = solve(d, e, **kwargs)
-            calls.append((kwargs["select"], len(vals)))
-            return vals
+        def recording(*args):
+            calls.append((args[0], call(*args)))
+            return fault(calls, calls[-1][1])
 
-        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", recording_solve)
+        monkeypatch.setattr(oracle, name, recording)
         return calls
 
     @staticmethod
-    def assert_matches_index_solve(layout, grid, level, near):
-        windowed, how = _top_eigenvalue_level(layout, grid, level, near)
-        indexed, _ = _top_eigenvalue_level(layout, grid, level)
-        d, _ = oracle._scalar_bands(replace(layout, K=1), grid, level)
-        assert how == "symmetric"
-        assert abs(windowed - indexed) <= 4 * np.finfo(float).eps * np.abs(d).max()
-        return windowed
+    def stop_width(layout, grid, level):
+        return 4 * np.finfo(float).eps * oracle._staged_band(*solved_level(layout, grid), level)[2]
+
+    @classmethod
+    def assert_matches_bound_start(cls, layout, grid, level, near):
+        started, how = _top_eigenvalue_level(layout, grid, level, near)
+        reference, _ = _top_eigenvalue_level(layout, grid, level)
+        assert how == "perron-bracket"
+        assert abs(started - reference) <= cls.stop_width(layout, grid, level)
+        return started
+
+    @staticmethod
+    def shift(diagonal, layout, grid, level):
+        """The ``sigma`` of a one-stage ``sigma B - K`` diagonal handed to ``dpttrf``, read at the first node."""
+        band, mass, _ = oracle._staged_band(*solved_level(layout, grid), level)
+        return (diagonal[0] - band[2, 0]) / mass[0]
 
     @pytest.mark.parametrize("bc", BCS)
-    def test_matches_index_solve(self, bc):
+    def test_matches_bound_start(self, bc):
         rng = np.random.default_rng(40 + BCS.index(bc))
         for K in (1, 2, 3) if bc is BoundaryCondition.PERIODIC else (1,):
             layout = replace(random_scalar_problem(rng), bc=bc, K=K).to_layout()
             near = _top_eigenvalue_level(layout, self.GRID, 0)[0]
             for level in (1, 2):
-                near = self.assert_matches_index_solve(layout, self.GRID, level, near)
+                near = self.assert_matches_bound_start(layout, self.GRID, level, near)
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.NEUMANN, BoundaryCondition.PERIODIC])
     def test_top_equal_to_the_bound(self, bc):
@@ -1378,42 +1351,55 @@ class TestWindowedLevels:
         layout = PatchLayout(ScalarZone(1.0, 0.7), ScalarZone(3.0, 0.7), R=2.0, r=1.0, K=K, bc=bc)
         history = [value for value, _ in _level_chain(layout, self.GRID)]
         for level in (1, 2):
-            value = self.assert_matches_index_solve(layout, self.GRID, level, history[level - 1])
+            value = self.assert_matches_bound_start(layout, self.GRID, level, history[level - 1])
             assert value == history[level]
             assert abs(value - 0.7) <= 1e-12
 
-    def test_empty_first_window_widens(self, windows):
-        # Two cells per zone at level 0: the next level moves the top by far
-        # more than the first window's 1e-6 (1 + |near|).
-        grid = GridSpec(cells_per_unit_length=1.0, refinement_levels=2, min_cells_per_zone=2)
-        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0,
-                             bc=BoundaryCondition.DIRICHLET)
-        near = _top_eigenvalue_level(layout, grid, 0)[0]
-        del windows[:]
-        self.assert_matches_index_solve(layout, grid, 1, near)
-        assert windows[0] == ("v", 0) and windows[-2:] == [("v", 1), ("i", 1)]
+    def test_failed_factor_restarts(self, monkeypatch):
+        # The first factor is made to fail: sigma is raised 16-fold from near, and the level lands on
+        # the bound start's value.
+        near, top = (_top_eigenvalue_level(self.SCALAR, self.GRID, level)[0] for level in (0, 1))
+        calls = self.record(monkeypatch, "dpttrf", lambda calls, result: (*result[:2], len(calls) == 1 or result[2]))
+        value, how = _top_eigenvalue_level(self.SCALAR, self.GRID, 1, near)
+        assert how == "perron-bracket" and abs(value - top) <= self.stop_width(self.SCALAR, self.GRID, 1)
+        sigma = [self.shift(d, self.SCALAR, self.GRID, 1) for d, _ in calls]
+        assert sigma[0] == pytest.approx(near + 1e-3 * (1 + abs(near)), rel=1e-12)
+        assert sigma[1] - near == pytest.approx(16 * (sigma[0] - near), rel=1e-9)
+        assert all(info == 0 for _, (_, _, info) in calls[1:])
 
-    def test_wide_window_returns_the_largest(self, windows):
-        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0,
-                             bc=BoundaryCondition.NEUMANN)
-        d, e = oracle._scalar_bands(layout, self.GRID, 1)
-        third = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[-3]
-        self.assert_matches_index_solve(layout, self.GRID, 1, third)
-        assert windows[0][0] == "v" and windows[0][1] >= 3
+    def test_start_below_the_top_fails_the_factor(self, monkeypatch):
+        # Started from the level's third eigenvalue, sigma B - K is indefinite: dpttrf fails until
+        # sigma is raised past the top.
+        calls = self.record(monkeypatch, "dpttrf")
+        S = symmetric_form(assemble(self.SCALAR, self.GRID, 1)).toarray()
+        third = np.linalg.eigvalsh(S)[-3]
+        self.assert_matches_bound_start(self.SCALAR, self.GRID, 1, third)
+        infos = [info for _, (_, _, info) in calls]
+        assert infos[0] > 0 and 0 in infos
 
-    def test_no_eigenvalue_below_the_bound_raises(self, monkeypatch, windows):
-        # A bound below the whole spectrum: the window widens past the
-        # Gershgorin lower bound of the bands and then raises.
-        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0,
-                             bc=BoundaryCondition.DIRICHLET)
-        solve = oracle.eigvalsh_tridiagonal
-        monkeypatch.setattr(
-            oracle, "eigvalsh_tridiagonal",
-            lambda d, e, **kwargs: solve(d, e, **{**kwargs, "select_range": (-2e9, -1e9)}),
-        )
-        with pytest.raises(oracle.NoConvergenceError, match="growth bound"):
-            _top_eigenvalue_level(layout, self.GRID, 1, 0.5)
-        assert 1 < len(windows) < 20 and all(count == 0 for _, count in windows)
+    def test_staged_non_positive_start_restarts(self, monkeypatch):
+        # A staged start below the top gives an iterate that is not positive: sigma is raised and
+        # the level lands on the bound start's value.
+        taiga, grid = get_preset("taiga-two-stage"), GridSpec(cells_per_unit_length=2, refinement_levels=2)
+        top = _top_eigenvalue_level(taiga, grid, 1)[0]
+        calls = self.record(monkeypatch, "dgbtrs")
+        value, how = _top_eigenvalue_level(taiga, grid, 1, top - 0.05)
+        assert how == "perron-bracket" and abs(value - top) <= self.stop_width(taiga, grid, 1)
+        positive = [bool(w.min() > 0) for _, (w, _) in calls]
+        assert not positive[0] and positive[-1]
+
+    @pytest.mark.parametrize("name, layout, grid", [
+        ("dpttrf", SCALAR, GRID), ("dgbtrs", get_preset("taiga-two-stage"), GridSpec(2, 2)),
+    ], ids=["one-stage", "staged"])
+    def test_failure_at_the_bound_raises(self, monkeypatch, name, layout, grid):
+        # A growth bound below the top: every start fails, up to the bound, where the level raises.
+        top = _top_eigenvalue_level(layout, grid, 1)[0]
+        monkeypatch.setattr(oracle, "_growth_bound", lambda layout: top - 1.5)
+        calls = self.record(monkeypatch, name)
+        with pytest.raises(oracle.NoConvergenceError, match="singular|not positive") as err:
+            _top_eigenvalue_level(layout, grid, 1, top - 2.0)
+        assert f"sigma = {top - 0.5:.6g}" in str(err.value)
+        assert 1 < len(calls) < 10
 
     @pytest.mark.parametrize("bc", BCS)
     def test_history_is_the_extrapolated_chain(self, bc):
@@ -1489,20 +1475,22 @@ class TestConvergence:
     @pytest.mark.parametrize("bc", BCS)
     def test_observed_order_on_seeded_draws(self, monkeypatch, bc):
         # The order is read from the last three levels where the finest-pair
-        # difference stands above the bisection's round-off, 1e3 eps max|d|.
-        largest = []
-        solve = oracle.eigvalsh_tridiagonal
+        # difference stands above 250 stop widths of the finest level's bracket,
+        # 1e3 eps |B^-1 K|_inf.
+        scales = []
+        band = oracle._staged_band
 
-        def recording_solve(d, e, **kwargs):
-            largest.append(float(np.abs(d).max()))
-            return solve(d, e, **kwargs)
+        def recording_band(*args):
+            result = band(*args)
+            scales.append(result[2])
+            return result
 
-        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", recording_solve)
+        monkeypatch.setattr(oracle, "_staged_band", recording_band)
         orders = []
         for p in self.draws(16 + BCS.index(bc), bc, 45):
             hist = [value for value, _ in _level_chain(p.to_layout(), GridSpec(16, 4))]
             coarse, fine = hist[2] - hist[1], hist[3] - hist[2]
-            if abs(fine) > 1e3 * np.finfo(float).eps * largest[-1]:
+            if abs(fine) > 1e3 * np.finfo(float).eps * scales[-1]:
                 orders.append(math.log2(abs(coarse / fine)))
         assert len(orders) >= 10
         assert min(orders) >= 1.9, orders

@@ -281,7 +281,7 @@ class TestPoleBracketRoot:
         def refuse(*args, **kwargs):
             raise AssertionError("the dispersion root must not call the FD oracle")
 
-        for name in ("top_eigenvalue_fd", "assemble", "eigvalsh_tridiagonal"):
+        for name in ("top_eigenvalue_fd", "assemble", "_perron_bracket"):
             monkeypatch.setattr(f"patchcontrol.oracle.{name}", refuse)
 
     @pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
