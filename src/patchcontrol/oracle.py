@@ -221,13 +221,20 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
     ``near``, the coarser level's value; a failed factor or a non-positive ``w`` there raises it to ``near + 16 (sigma
     - near)``, at most to the bound, and starts again.  Each bracket moves ``sigma`` toward its upper end, at most the
     bracket's width above it and at least ``64 eps |B^-1 K|_inf``, clear of rounding at the top; the midpoint is
-    returned at width ``4 eps |B^-1 K|_inf``.  A failure at the bound or once bracketed, a Perron vector that leaves
-    the float range, or 100 solves raise ``NoConvergenceError``."""
+    returned at width ``4 eps |B^-1 K|_inf``.
+
+    Deep in a wide, deadly control zone the iterate lags far above the Perron vector, and ``min(w/v)`` there would
+    hold the lower end down for hundreds of solves.  So once some ``w/v`` falls below a thousandth of the largest, the
+    next solve also takes ``B v`` kept only on the entries that did not: on its solution ``x`` the entries left out give
+    exactly ``sigma`` in the Collatz-Wielandt minimum, and the lower end is ``sigma - 1/min(x/v)`` over the kept ones.
+    Left-out entries of ``w`` may underflow to 0; ``v`` holds them at the smallest normal float, so ``w/v`` stays
+    finite.  A failure at the bound or once bracketed, a kept ratio that underflows to 0, or 100 solves raise
+    ``NoConvergenceError``."""
     (band, mass, scale), s = _staged_band(layout, grid, level), layout.dimension
-    eps, bound = np.finfo(float).eps, _growth_bound(layout) + 1.0
-    tridiagonal = s == 1 and len(mass) > 1  # scipy's dpttrf refuses one unknown
+    eps, bound, n = np.finfo(float).eps, _growth_bound(layout) + 1.0, len(mass)
+    tridiagonal = s == 1 and n > 1  # scipy's dpttrf refuses one unknown
     sigma = bound if near is None else min(near + 1e-3 * (1.0 + abs(near)), bound)
-    v, lu, bracketed = np.ones(len(mass)), None, False
+    v, lu, bracketed, kept = np.ones(n), None, False, None
     for _ in range(100):
         if lu is None:
             if tridiagonal:
@@ -235,21 +242,25 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
             else:
                 *lu, info = dgbtrf(np.vstack([band[: 2 * s], band[2 * s] + sigma * mass, band[2 * s + 1 :]]), s, s)
         if not info:
-            w = dpttrs(*lu, mass * v)[0] if tridiagonal else dgbtrs(lu[0], s, s, mass * v, lu[1])[0]
+            rhs = mass * v if kept is None else np.column_stack([mass * v, mass * v * kept])
+            out = dpttrs(*lu, rhs)[0] if tridiagonal else dgbtrs(lu[0], s, s, rhs, lu[1])[0]
+            w, x = (out, None) if kept is None else out.T
         if info or not w.min() >= 0:  # sigma at or below the top
             if sigma == bound or bracketed:
                 what = "sigma B - K is singular or indefinite" if info else "inverse iterate is not positive"
                 raise NoConvergenceError(f"{what} at sigma = {sigma:.6g}")
-            sigma, v, lu = min(near + 16.0 * (sigma - near), bound), np.ones(len(mass)), None
+            sigma, v, lu, kept = min(near + 16.0 * (sigma - near), bound), np.ones(n), None, None
             continue
-        unit = w / w.max()
-        if not unit.min() > 0:  # an entry underflowed to 0
-            raise NoConvergenceError(f"the Perron vector left the float range at sigma = {sigma:.6g}")
         ratio = w / v
-        lo, hi = sigma - 1.0 / ratio.min(), sigma - 1.0 / ratio.max()
+        least, most = ratio.min(), ratio.max()
+        low = least if kept is None else (x / v)[kept].min()
+        if not low > 0:
+            raise NoConvergenceError(f"the Perron vector left the float range at sigma = {sigma:.6g}")
+        lo, hi = sigma - 1.0 / low, sigma - 1.0 / most
         if hi - lo <= 4 * eps * scale:
             return float(lo + hi) / 2, "perron-bracket"
-        v, bracketed = unit, True
+        kept = None if least >= 1e-3 * most else ratio >= 1e-3 * most
+        v, bracketed = np.maximum(w / w.max(), np.finfo(float).tiny), True
         shift = hi + max(min(hi - lo, (sigma - hi) / 8), 64 * eps * scale)
         if shift < sigma:
             sigma, lu = shift, None

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
@@ -542,17 +543,88 @@ class TestPerronBracket:
             assert how == "perron-bracket"
             assert abs(value - reference) <= 1e-9 * abs(reference), r
 
-    def test_perron_vector_below_the_float_range_raises(self):
-        # Control mortality 10 over r = 300: the Perron vector falls to about exp(-950) of its peak,
-        # below the smallest float, and the bracket refuses rather than divide by zero.
+    @pytest.mark.parametrize("bc", BCS)
+    def test_deadly_wide_taiga_lines_close(self, bc):
+        # taiga-two-stage at r = 300 and 1000: the Perron vector's tail falls below the smallest float.
+        taiga, grid = get_preset("taiga-two-stage"), GridSpec(cells_per_unit_length=4, refinement_levels=2)
+        for r in (300.0, 1000.0):
+            layout = replace(taiga, r=r, bc=bc)
+            value, how = _top_eigenvalue_level(layout, grid, 1)
+            line, line_grid = layout, grid
+            if bc is BoundaryCondition.PERIODIC:  # the half-period, built without solved_level's dense check
+                line = replace(layout, R=layout.R / 2, r=r / 2, K=1, bc=BoundaryCondition.NEUMANN)
+                line_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
+            reference, _ = _staged_rightmost_eigenvalue(assemble(line, line_grid, 1), _growth_bound(layout) + 1.0, 0.0)
+            assert how == "perron-bracket"
+            assert abs(value - reference) <= 1e-9 * abs(reference), r
+
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("mu, r", [(10.0, 300.0), (1e4, 30.0), (1e12, 1.0)])
+    def test_deadly_wide_scalar_lines_close(self, bc, mu, r):
+        # sqrt(mu / b) r of about 950, 3000 and 1e6: the tail of the iterate lags the Perron vector's
+        # far below the float range, and the lower end is read off the entries that do not lag.
+        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(1.0, -mu), R=10.0, r=r, bc=bc)
+        grid = GridSpec(cells_per_unit_length=4, refinement_levels=2)
+        for level, (value, how) in enumerate(_level_chain(layout, grid)):
+            line, line_grid = layout, grid
+            if bc is BoundaryCondition.PERIODIC:
+                line = replace(layout, R=5.0, r=r / 2, bc=BoundaryCondition.NEUMANN)
+                line_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
+            band, mass, scale = oracle._staged_band(line, line_grid, level)
+            d = band[2] / mass  # -K over B: the symmetric form's diagonal and off-diagonal, negated
+            e = band[1, 1:] / np.sqrt(mass[:-1] * mass[1:])
+            reference = -eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=4 * np.finfo(float).tiny)[0]
+            assert how == "perron-bracket"
+            assert abs(value - reference) <= 4 * np.finfo(float).eps * scale, level
+
+    def test_perron_vector_below_the_float_range_closes(self):
+        # Control mortality 10 over r = 300: the Perron vector falls to about exp(-950) of its peak.
+        # Shift-invert Arnoldi on the assembled levels gave -1.2146841.
         layout = PatchLayout(StageZone([1.0, 1.0], [[0.1, 0.1], [0.1, 0.1]]),
                              StageZone([1.0, 1.0], [[-10.0, 0.01], [0.01, -10.0]]),
                              R=1.0, r=300.0, bc=BoundaryCondition.NEUMANN)
-        with pytest.raises(oracle.NoConvergenceError, match="the Perron vector left the float range"):
-            top_eigenvalue_fd(layout, GridSpec(4, 2))
+        grid = GridSpec(4, 2)
+        for level, (value, how) in enumerate(_level_chain(layout, grid)):
+            reference, _ = _staged_rightmost_eigenvalue(assemble(layout, grid, level), _growth_bound(layout) + 1.0, 0.0)
+            assert how == "perron-bracket" and abs(value - reference) <= 1e-9 * abs(reference)
+        assert top_eigenvalue_fd(layout, grid).top_eigenvalue == pytest.approx(-1.2146841, abs=5e-8)
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_mortality_near_the_float_range_closes(self, monkeypatch, bc):
+        # Mortality 1e308: entries of the full solution left out of the lower end underflow to 0, and
+        # v holds them at the smallest normal float.  The stop width 4 eps |B^-1 K|_inf is then far
+        # wider than the top itself, so the value is not compared with the closed form.
+        solve, band_of, masses, held = oracle.dpttrs, oracle._staged_band, [], []
+
+        def recording(d, e, b):
+            held.append(float(np.min(np.atleast_2d(b.T)[0] / masses[-1])))  # B v, first of one or two columns
+            return solve(d, e, b)
+
+        def band_recording(*args):
+            band, mass, scale = band_of(*args)
+            masses.append(mass)
+            return band, mass, scale
+
+        monkeypatch.setattr(oracle, "dpttrs", recording)
+        monkeypatch.setattr(oracle, "_staged_band", band_recording)
+        report = top_eigenvalue_fd(PatchLayout(ScalarZone(16.67, 0.65), ScalarZone(16.67, -1e308), R=14.0, r=1.0, bc=bc))
+        assert report.grid_or_step.endswith(",perron-bracket") and math.isfinite(report.top_eigenvalue)
+        assert min(held) == np.finfo(float).tiny
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.NEUMANN, BoundaryCondition.PERIODIC])
+    def test_inverse_searches_reach_their_caps(self, bc):
+        # R = 10 with growth 1 survives beside any control zone: each search runs its probes out to
+        # its cap (mortality 1e12, width 1e3), every one a deadly or wide zone, and reports the cap.
+        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(1.0, -100.0), R=10.0, r=1.0, bc=bc)
+        grid = GridSpec(cells_per_unit_length=8, refinement_levels=2)
+        with pytest.raises(oracle.NoConvergenceError, match="no eradicating mortality below 1e"):
+            min_mortality_fd(layout, grid)
+        with pytest.raises(oracle.NoConvergenceError, match="no eradicating width below 1000"):
+            min_zone_width_fd(layout, grid)
 
     @pytest.mark.parametrize("fault, message", [
         ("negative", "not positive"), ("spread", "did not close in 100 solves"), ("singular", "singular"),
+        ("underflow", "the Perron vector left the float range"),
     ])
     def test_failures_raise(self, monkeypatch, fault, message):
         solve, factor, solves = oracle.dgbtrs, oracle.dgbtrf, []
@@ -560,7 +632,10 @@ class TestPerronBracket:
         def faulty_solve(*args, **kwargs):
             w, info = solve(*args, **kwargs)
             solves.append(1)
-            return (-w if fault == "negative" else w * (1.0 + (np.arange(len(w)) + len(solves)) % 2)), info
+            if fault == "underflow":
+                w[-1] = 0.0
+            spread = 1.0 + (np.arange(len(w)) + len(solves)) % 2
+            return (-w if fault == "negative" else (w.T * spread).T if fault == "spread" else w), info
 
         def singular_factor(*args, **kwargs):
             lu, piv, _ = factor(*args, **kwargs)
@@ -571,7 +646,7 @@ class TestPerronBracket:
             monkeypatch.setattr(oracle, "dgbtrf", singular_factor)
         with pytest.raises(oracle.NoConvergenceError, match=message):
             top_eigenvalue_fd(get_preset("taiga-two-stage"), GridSpec(refinement_levels=2))
-        assert len(solves) == {"negative": 1, "spread": 100, "singular": 0}[fault]
+        assert len(solves) == {"negative": 1, "spread": 100, "singular": 0, "underflow": 1}[fault]
 
 
 class TestStagedBackwardError:
@@ -1476,7 +1551,7 @@ class TestConvergence:
     def test_observed_order_on_seeded_draws(self, monkeypatch, bc):
         # The order is read from the last three levels where the finest-pair
         # difference stands above 250 stop widths of the finest level's bracket,
-        # 1e3 eps |B^-1 K|_inf.
+        # 1e3 eps |B^-1 K|_inf: 51, 24 and 16 of the 70 draws per boundary.
         scales = []
         band = oracle._staged_band
 
@@ -1487,7 +1562,7 @@ class TestConvergence:
 
         monkeypatch.setattr(oracle, "_staged_band", recording_band)
         orders = []
-        for p in self.draws(16 + BCS.index(bc), bc, 45):
+        for p in self.draws(16 + BCS.index(bc), bc, 70):
             hist = [value for value, _ in _level_chain(p.to_layout(), GridSpec(16, 4))]
             coarse, fine = hist[2] - hist[1], hist[3] - hist[2]
             if abs(fine) > 1e3 * np.finfo(float).eps * scales[-1]:
