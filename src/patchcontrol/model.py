@@ -151,12 +151,14 @@ def build_stage_matrix(params: BirthDeathParams) -> np.ndarray:
     return M
 
 
-def stage_coupling(*reactions: np.ndarray) -> tuple[bool, bool]:
-    """``(metzler, irreducible)``: no off-diagonal is negative; the positive ones' digraph is strongly connected."""
+def stage_coupling(*reactions: np.ndarray) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+    """``(metzler, classes)``: no off-diagonal is negative; the strongly connected classes of the positive ones'
+    digraph, each in stage order, ordered by their first stage (one class: irreducible)."""
     off = ~np.eye(len(reactions[0]), dtype=bool)
     edges = np.logical_or.reduce([m > 0 for m in reactions]) | ~off  # self-loops: paths of every length
     reach = np.linalg.matrix_power(edges.astype(int), len(off)) > 0
-    return all((m[off] >= 0).all() for m in reactions), bool(reach.all())
+    classes = tuple(tuple(np.flatnonzero(row).tolist()) for i, row in enumerate(reach & reach.T) if row.argmax() == i)
+    return all((m[off] >= 0).all() for m in reactions), classes
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ ends) and box-weighted reaction masses.  Every zone is read through its ``diffus
 node into one table of rows, ``2 n_stages + 1`` entries about the diagonal, that feeds both matrix
 formats.  Cooperative (Metzler) rings, every one-stage ring among them, are cut to their reflecting
 half-period of widths ``R/2``, ``r/2`` (the reduction behind the tan(R/2)/tanh(r/2) criterion, exact
-for the whole ring's grid when its zones have even cell counts).  A cooperative level with
-irreducible stage coupling, every one-stage level among them, reads the rows as a LAPACK band, and
-inverse iteration on its LU brackets the top (Collatz-Wielandt): a symmetric tridiagonal LDL^T for
-one stage, a band LU for more, each finer level started just above the coarser level's value.  Other
-levels, and the simulator, read the rows as CSR; shift-invert Arnoldi, shifted above the zones'
-growth bound, takes more eigenvalues until none can hide right of the rightmost found (no fallback),
-and refuses levels below 3 unknowns with ``GridTooSmall``.
+for the whole ring's grid when its zones have even cell counts).  A cooperative level, every
+one-stage level among them, is block triangular over its strongly connected stage classes, so its
+top is the largest class top; each class reads its rows as a LAPACK band, and inverse iteration on
+its LU brackets the top (Collatz-Wielandt): a symmetric tridiagonal LDL^T for one stage, a band LU
+for more, each finer level started just above the coarser level's value.  Non-cooperative levels,
+and the simulator, read the rows as CSR; shift-invert Arnoldi, shifted above the zones' growth
+bound, takes more eigenvalues until none can hide right of the rightmost found (no fallback), and
+refuses levels below 3 unknowns with ``GridTooSmall``.
 """
 
 from __future__ import annotations
@@ -220,8 +221,10 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
     below the top, more stages its band by ``dgbtrf``.  ``sigma`` starts at ``_growth_bound + 1``, or just above
     ``near``, the coarser level's value; a failed factor or a non-positive ``w`` there raises it to ``near + 16 (sigma
     - near)``, at most to the bound, and starts again.  Each bracket moves ``sigma`` toward its upper end, at most the
-    bracket's width above it and at least ``64 eps |B^-1 K|_inf``, clear of rounding at the top; the midpoint is
-    returned at width ``4 eps |B^-1 K|_inf``.
+    bracket's width above it and at least ``64 eps live``, clear of rounding at the top; the midpoint is returned at
+    width ``4 eps live``.  ``live`` is the largest row sum of ``|B^-1 K|`` over the entries where ``v`` is at least a
+    thousandth of its largest: rounding in rows the Perron vector does not weigh, such as a deadly control zone's,
+    moves the top by far less than their size.
 
     Deep in a wide, deadly control zone the iterate lags far above the Perron vector, and ``min(w/v)`` there would
     hold the lower end down for hundreds of solves.  So once some ``w/v`` falls below a thousandth of the largest, the
@@ -230,8 +233,12 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
     Left-out entries of ``w`` may underflow to 0; ``v`` holds them at the smallest normal float, so ``w/v`` stays
     finite.  A failure at the bound or once bracketed, a kept ratio that underflows to 0, or 100 solves raise
     ``NoConvergenceError``."""
-    (band, mass, scale), s = _staged_band(layout, grid, level), layout.dimension
+    (band, mass, _), s = _staged_band(layout, grid, level), layout.dimension
     eps, bound, n = np.finfo(float).eps, _growth_bound(layout) + 1.0, len(mass)
+    weight = np.zeros(n)  # |B^-1 K| 1 per row
+    for d in range(2 * s + 1):  # entries (p, p + d - s) of K, in band row 3s - d
+        weight[max(s - d, 0) : n - max(d - s, 0)] += np.abs(band[3 * s - d, max(d - s, 0) : n + min(d - s, 0)])
+    weight /= mass
     tridiagonal = s == 1 and n > 1  # scipy's dpttrf refuses one unknown
     sigma = bound if near is None else min(near + 1e-3 * (1.0 + abs(near)), bound)
     v, lu, bracketed, kept = np.ones(n), None, False, None
@@ -257,11 +264,12 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
         if not low > 0:
             raise NoConvergenceError(f"the Perron vector left the float range at sigma = {sigma:.6g}")
         lo, hi = sigma - 1.0 / low, sigma - 1.0 / most
-        if hi - lo <= 4 * eps * scale:
+        live = weight[v >= 1e-3].max()  # the rows the Perron vector weighs (max v is 1)
+        if hi - lo <= 4 * eps * live:
             return float(lo + hi) / 2, "perron-bracket"
         kept = None if least >= 1e-3 * most else ratio >= 1e-3 * most
         v, bracketed = np.maximum(w / w.max(), np.finfo(float).tiny), True
-        shift = hi + max(min(hi - lo, (sigma - hi) / 8), 64 * eps * scale)
+        shift = hi + max(min(hi - lo, (sigma - hi) / 8), 64 * eps * live)
         if shift < sigma:
             sigma, lu = shift, None
     raise NoConvergenceError(f"Perron bracket [{lo:.6g}, {hi:.6g}] did not close in 100 solves")
@@ -269,15 +277,14 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
 
 def _staged_rightmost_eigenvalue(op: DiscreteOperator, sigma: float, imag: float) -> tuple[float, str]:
     """Rightmost eigenvalue of ``B^-1 K`` by shift-invert Arnoldi at ``sigma``, above every real part,
-    on non-cooperative and reducible levels.  Of the ``k`` eigenvalues nearest ``sigma``, ``theta`` is
-    the rightmost.  A real one right of it would be nearer and found; a complex one lies within
-    ``hypot(sigma - theta, imag)``, ``imag`` bounding the imaginary parts (0 on a Metzler level, whose
-    rightmost eigenvalue is real).  So ``k`` grows 4-fold, to at most 64, until the farthest found is
-    that far, or to ``n - 2`` (ARPACK's most), where the trace gives the mean of the two left out.
-    ``NoConvergenceError`` unless then ``theta`` is real with backward error ``|Kv - theta Bv| /
-    ((|K|_1 + |theta| max B) |v|)`` at most 1e-6.  ``min(n, max(20, 2k + 1))`` Krylov vectors span the
-    whole space below 21 unknowns, so the Ritz values are exact there; ARPACK needs 3 unknowns (else
-    ``GridTooSmall``)."""
+    on non-cooperative levels.  Of the ``k`` eigenvalues nearest ``sigma``, ``theta`` is the rightmost.
+    A real one right of it would be nearer and found; a complex one lies within ``hypot(sigma - theta,
+    imag)``, ``imag`` bounding the imaginary parts.  So ``k`` grows 4-fold, to at most 64, until the
+    farthest found is that far, or to ``n - 2`` (ARPACK's most), where the trace gives the mean of the
+    two left out.  ``NoConvergenceError`` unless then ``theta`` is real with backward error ``|Kv -
+    theta Bv| / ((|K|_1 + |theta| max B) |v|)`` at most 1e-6.  ``min(n, max(20, 2k + 1))`` Krylov
+    vectors span the whole space below 21 unknowns, so the Ritz values are exact there; ARPACK needs 3
+    unknowns (else ``GridTooSmall``)."""
     K, B, n = op.stiffness.tocsc(), op.mass, op.n_unknowns
     if n < 3:
         raise LayoutError("GridTooSmall", f"a staged level needs at least 3 unknowns, this one has {n}")
@@ -325,20 +332,28 @@ def _top_eigenvalue_level(
     the per-zone cell floor: ``B^-1 K`` is Metzler, so its rightmost eigenvalue has a nonnegative
     eigenvector, and averaging that over the ring's translations and mirrors gives one that repeats every
     period and is even about each zone's middle.  Other rings stay whole: their growing mode can span two
-    periods.  A Metzler level that is also irreducible, every one-stage level among them, is bracketed
-    by ``_perron_bracket``, started near ``near`` if given; the others go to Arnoldi.
+    periods.  A Metzler level, every one-stage level among them, is bracketed by ``_perron_bracket``
+    one stage class at a time, each class the layout restricted to its stages in both zones and
+    started near ``near`` if given, and its top is the largest; non-Metzler levels go to Arnoldi.
     """
     layout = validate_layout(layout)
     present = layout.control if layout.r > 0 else layout.beneficial  # the control zone counts where it has cells
-    metzler, irreducible = (True, True) if layout.dimension == 1 else stage_coupling(
+    metzler, classes = (True, ((0,),)) if layout.dimension == 1 else stage_coupling(
         layout.beneficial.reaction, present.reaction)
     if layout.bc is BoundaryCondition.PERIODIC and metzler:
         layout = replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
         grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))
-    if metzler and irreducible:
+    if not metzler:
+        bound = _growth_bound(layout) + 1.0
+        return _staged_rightmost_eigenvalue(assemble(layout, grid, level), bound, _imag_bound(layout))
+    if len(classes) == 1:
         return _perron_bracket(layout, grid, level, near)
-    imag = 0.0 if metzler else _imag_bound(layout)
-    return _staged_rightmost_eigenvalue(assemble(layout, grid, level), _growth_bound(layout) + 1.0, imag)
+    tops = []  # block triangular over its stage classes, each irreducible: the top is the largest class top
+    for c in map(list, classes):
+        ben, ctl = (replace(z, diffusion_diag=z.diffusion_diag[c], reaction=z.reaction[np.ix_(c, c)])
+                    for z in (layout.beneficial, layout.control))
+        tops.append(_perron_bracket(replace(layout, beneficial=ben, control=ctl), grid, level, near))
+    return max(tops)
 
 
 def _level_chain(layout: PatchLayout, grid: GridSpec) -> list[tuple[float, str]]:

@@ -294,7 +294,8 @@ def _two_stage_reading(prob: StagedProblem) -> tuple[float, float, float]:
         raise AssumptionViolatedError("two-stage criterion needs exactly 2 stages")
     # With each zone cooperative and irreducible (for 2x2: positive off-diagonals), absorbing ends lower
     # the principal eigenvalue below that of reflecting ends on the same widths, which are read instead.
-    cooperative = all(all(stage_coupling(m)) for m in (prob.M_ben, prob.M_nb))
+    couplings = [stage_coupling(m) for m in (prob.M_ben, prob.M_nb)]
+    cooperative = all(metzler and len(classes) == 1 for metzler, classes in couplings)
     if prob.bc is BoundaryCondition.DIRICHLET and not cooperative:
         raise AssumptionViolatedError("two-stage criterion needs reflecting ends or a ring, or cooperative stages")
     a = prob.a_ratio

@@ -478,11 +478,22 @@ class TestSpectrum:
         assert len(err.splitlines()) == 1
 
     def test_mortality_near_float_range_is_solved(self, capsys):
-        # Mortality 1e308: the bracket closes.  Its stop width, 4 eps |B^-1 K|_inf, is then far wider
-        # than the top, so only the exit and a finite value are pinned.
+        # Mortality 1e308: the bracket closes (its value against the dispersion root is checked in
+        # test_oracle's TestPerronBracket), so the verdict exits 0 with a finite value.
         code, out, err = run_cli(capsys, "verdict", "--preset", "lone-star", "--method", "oracle", "--mu", "1e308")
         assert (code, err) == (EXIT_OK, "")
         assert math.isfinite(float(parsed(out)["oracle_top_eigenvalue"]))
+
+    @pytest.mark.parametrize("mu", ["1e16", "1e280"])
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet", "periodic"])
+    def test_deadly_mortality_agrees_with_the_root(self, capsys, bc, mu):
+        # The bracket stops at a width read off the rows the Perron vector weighs: stopped at
+        # 4 eps |B^-1 K|_inf, whose largest rows are the deadly control zone's, Neumann read 0.06848.
+        code, out, err = run_cli(capsys, "spectrum", "--preset", "lone-star", "--bc", bc, "--mu", mu)
+        assert (code, err) == (EXIT_OK, "")
+        values = parsed(out)
+        root, fd = float(values["root_top_eigenvalue"]), float(values["fd_top_eigenvalue"])
+        assert abs(fd - root) <= 10 * (float(values["root_error_estimate"]) + float(values["fd_error_estimate"]))
 
 
 class TestSimulateCommand:

@@ -410,19 +410,24 @@ def test_round_trip_property(a, b, lam, g, R, r, K):
 
 
 class TestStageCoupling:
-    """``stage_coupling`` reads Metzler and irreducible off the combined off-diagonal digraph."""
+    """``stage_coupling`` reads Metzler and the strongly connected stage classes off the combined
+    off-diagonal digraph; one class is an irreducible coupling."""
 
     SIGNED = (-1.0, -0.0, 0.0, 1.0)
+
+    @staticmethod
+    def classes(irreducible):
+        return ((0, 1),) if irreducible else ((0,), (1,))
 
     @pytest.mark.parametrize("upper", SIGNED)
     @pytest.mark.parametrize("lower", SIGNED)
     def test_two_stages_irreducible_iff_both_off_diagonals_positive(self, upper, lower):
         M = np.array([[-1.0, upper], [lower, 2.0]])
-        assert stage_coupling(M) == (upper >= 0 and lower >= 0, upper > 0 and lower > 0)
+        assert stage_coupling(M) == (upper >= 0 and lower >= 0, self.classes(upper > 0 and lower > 0))
         for other in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]):
-            metzler, irreducible = stage_coupling(M, np.array(other))
+            metzler, classes = stage_coupling(M, np.array(other))
             assert metzler == (upper >= 0 and lower >= 0)
-            assert irreducible == (other[0][1] > 0 or (upper > 0 and lower > 0))
+            assert classes == self.classes(other[0][1] > 0 or (upper > 0 and lower > 0))
 
     def test_two_stage_reading_matches_positive_off_diagonals(self):
         from patchcontrol.staged import AssumptionViolatedError, StagedProblem, _two_stage_reading
@@ -440,8 +445,17 @@ class TestStageCoupling:
 
     def test_cycle_and_one_stage(self):
         cycle = np.roll(np.eye(4), 1, axis=1) - 2 * np.eye(4)
-        assert stage_coupling(cycle) == (True, True)
-        assert stage_coupling(cycle.T) == (True, True)
-        assert stage_coupling(np.triu(np.ones((4, 4)))) == (True, False)
-        assert stage_coupling(np.triu(np.ones((4, 4))), np.tril(np.ones((4, 4)))) == (True, True)
-        assert stage_coupling(np.array([[-3.0]])) == (True, True)
+        assert stage_coupling(cycle) == (True, ((0, 1, 2, 3),))
+        assert stage_coupling(cycle.T) == (True, ((0, 1, 2, 3),))
+        assert stage_coupling(np.triu(np.ones((4, 4)))) == (True, ((0,), (1,), (2,), (3,)))
+        assert stage_coupling(np.triu(np.ones((4, 4))), np.tril(np.ones((4, 4)))) == (True, ((0, 1, 2, 3),))
+        assert stage_coupling(np.array([[-3.0]])) == (True, ((0,),))
+
+    def test_classes_of_a_permuted_block_triangular_coupling(self):
+        # Stages 1 and 3 feed each other, so do 0 and 2, and 3 feeds 0 one way: two classes in stage order.
+        M = -np.eye(4)
+        M[1, 3] = M[3, 1] = M[0, 2] = M[2, 0] = M[0, 3] = 0.5
+        assert stage_coupling(M) == (True, ((0, 2), (1, 3)))
+        M[3, 0] = -0.1  # a negative entry is no edge, and the coupling is no longer Metzler
+        assert stage_coupling(M) == (False, ((0, 2), (1, 3)))
+        assert stage_coupling(M, np.abs(M)) == (False, ((0, 1, 2, 3),))

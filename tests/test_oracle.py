@@ -427,6 +427,24 @@ class TestStagedArnoldi:
         assert abs(value - rightmost.real) <= 1e-9 * abs(rightmost.real)
 
 
+def refuse_solver(*args, **kwargs):
+    raise AssertionError("assembly or Arnoldi inside a bracketed level")
+
+
+def reducible_stage_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A reducible Metzler stage matrix: 2-n irreducible diagonal blocks (birth-death cycles), some
+    nonnegative one-way coupling between them, and the stages permuted."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False))
+    sizes = np.diff([0, *cuts, n])
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    M = np.zeros((n, n))
+    for b, k in enumerate(sizes):
+        M[np.ix_(block == b, block == b)] = random_supercritical_stage_matrix(rng, int(k))
+    M += rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6) * (block[:, None] < block)
+    perm = rng.permutation(n)
+    return M[np.ix_(perm, perm)]
+
+
 def band_to_dense(band: np.ndarray, n_stages: int) -> np.ndarray:
     """The square matrix held in LAPACK band storage with ``kl = ku = n_stages`` (``dgbtrf`` layout)."""
     i, j = np.indices((band.shape[1],) * 2)
@@ -437,16 +455,16 @@ def band_to_dense(band: np.ndarray, n_stages: int) -> np.ndarray:
 
 
 class TestPerronBracket:
-    """Cooperative, irreducible levels of two or more stages are bracketed by Collatz-Wielandt
-    inverse iteration on a band LU written straight from the node coefficients: no CSR, no Arnoldi.
-    Reducible and non-cooperative levels keep assembly and Arnoldi."""
+    """Cooperative (Metzler) levels of two or more stages are bracketed by Collatz-Wielandt inverse
+    iteration on a band LU written straight from the node coefficients, one strongly connected stage
+    class at a time: no CSR, no Arnoldi.  Non-cooperative levels keep assembly and Arnoldi."""
 
     @staticmethod
-    def draw(rng, i):
+    def draw(rng, i, stage_matrix=random_supercritical_stage_matrix):
         """2-4 stages, every boundary in turn, rings of K = 1-3, a fifth without control zone."""
         n_stages = int(rng.integers(2, 5))
         bc = BCS[i % 3]
-        M = random_supercritical_stage_matrix(rng, n_stages)  # a birth-death cycle: Metzler, irreducible
+        M = stage_matrix(rng, n_stages)  # by default a birth-death cycle: Metzler, irreducible
         diffusion = [loguniform(rng, 0.1, 10.0) for _ in range(n_stages)]
         layout = PatchLayout(
             StageZone(diffusion, M), StageZone(diffusion, M - loguniform(rng, 0.1, 5.0) * np.eye(n_stages)),
@@ -457,15 +475,12 @@ class TestPerronBracket:
         return layout, grid, int(rng.integers(2))
 
     def test_cooperative_draws_match_dense(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("assembly or Arnoldi inside a bracketed level")
-
         rng = np.random.default_rng(2920)
         for i in range(60):
             layout, grid, level = self.draw(rng, i)
             with monkeypatch.context() as m:
-                m.setattr(oracle, "assemble", refuse)
-                m.setattr(sparse.linalg, "eigs", refuse)
+                m.setattr(oracle, "assemble", refuse_solver)
+                m.setattr(sparse.linalg, "eigs", refuse_solver)
                 value, how = _top_eigenvalue_level(layout, grid, level)
             assert how == "perron-bracket"
             line, line_grid = solved_level(layout, grid)
@@ -485,6 +500,23 @@ class TestPerronBracket:
             band[2 * layout.dimension] += sigma * mass
             assert np.array_equal(band_to_dense(band, layout.dimension), sigma * np.diag(op.mass) - op.stiffness.toarray())
 
+    def test_reducible_draws_match_dense(self, monkeypatch):
+        # Each stage class is bracketed alone, every level after the first started near the one before.
+        rng = np.random.default_rng(3600)
+        for i in range(60):
+            layout, grid, _ = self.draw(rng, i, reducible_stage_matrix)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "assemble", refuse_solver)
+                m.setattr(sparse.linalg, "eigs", refuse_solver)
+                chain = _level_chain(layout, grid)
+            line, line_grid = solved_level(layout, grid)
+            for level, (value, how) in enumerate(chain):
+                assert how == "perron-bracket"
+                op = assemble(line, line_grid, level)
+                A = op.stiffness.toarray() / op.mass[:, None]
+                assert metzler_irreducible(A) == (True, False) and op.n_unknowns <= 400
+                assert abs(value - np.linalg.eigvals(A).real.max()) <= 1e-13 * np.abs(A).max()
+
     @pytest.mark.parametrize(
         "ben, ctl, r, K, bc",
         [
@@ -494,19 +526,36 @@ class TestPerronBracket:
         ],
         ids=["diagonal", "only-absent-control-coupled", "one-way"],
     )
-    def test_reducible_levels_keep_arnoldi(self, ben, ctl, r, K, bc):
+    def test_reducible_levels_by_stage_classes(self, monkeypatch, ben, ctl, r, K, bc):
         layout = PatchLayout(StageZone([1.0, 0.3], ben), StageZone([1.0, 0.3], ctl), R=3.0, r=r, K=K, bc=bc)
         grid = GridSpec(cells_per_unit_length=8, min_cells_per_zone=4)
         for level in range(2):
-            value, how = _top_eigenvalue_level(layout, grid, level)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "assemble", refuse_solver)
+                m.setattr(sparse.linalg, "eigs", refuse_solver)
+                value, how = _top_eigenvalue_level(layout, grid, level)
             line, line_grid = solved_level(layout, grid)
             op = assemble(line, line_grid, level)
-            assert how == "shift-invert-arnoldi"
-            assert (value, how) == _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, 0.0)
+            assert how == "perron-bracket"
             A = op.stiffness.toarray() / op.mass[:, None]
             assert metzler_irreducible(A) == (True, False)
             vals = np.linalg.eigvals(A)
             assert abs(value - vals.real.max()) <= 1e-13 * np.abs(A).max()
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_uncoupled_stages_report_the_dominant_stage(self, bc):
+        # Two stage classes of one stage each: each is bracketed as its one-stage layout is, and the
+        # larger top, stage 0's on every level, is the level's; so the whole report is stage 0's.
+        K = 2 if bc is BoundaryCondition.PERIODIC else 1
+        grid = GridSpec(cells_per_unit_length=8, min_cells_per_zone=4)
+        layout = PatchLayout(StageZone([1.0, 0.3], np.diag([1.0, 0.2])), StageZone([1.0, 0.3], np.diag([-1.0, -2.0])),
+                             R=3.0, r=1.0, K=K, bc=bc)
+        dominant = PatchLayout(StageZone([1.0], [[1.0]]), StageZone([1.0], [[-1.0]]), R=3.0, r=1.0, K=K, bc=bc)
+        other = PatchLayout(StageZone([0.3], [[0.2]]), StageZone([0.3], [[-2.0]]), R=3.0, r=1.0, K=K, bc=bc)
+        report = top_eigenvalue_fd(layout, grid)
+        assert report == top_eigenvalue_fd(dominant, grid)
+        assert report.grid_or_step.endswith(",perron-bracket")
+        assert top_eigenvalue_fd(other, grid).top_eigenvalue < report.top_eigenvalue
 
     @pytest.mark.parametrize("r", [0.0, 0.734])
     def test_numpy_widths_take_the_same_path(self, r):
@@ -559,10 +608,12 @@ class TestPerronBracket:
             assert abs(value - reference) <= 1e-9 * abs(reference), r
 
     @pytest.mark.parametrize("bc", BCS)
-    @pytest.mark.parametrize("mu, r", [(10.0, 300.0), (1e4, 30.0), (1e12, 1.0)])
+    @pytest.mark.parametrize("mu, r", [(10.0, 300.0), (1e4, 30.0), (1e12, 1.0), (1e16, 1.0), (1e280, 1.0)])
     def test_deadly_wide_scalar_lines_close(self, bc, mu, r):
-        # sqrt(mu / b) r of about 950, 3000 and 1e6: the tail of the iterate lags the Perron vector's
-        # far below the float range, and the lower end is read off the entries that do not lag.
+        # sqrt(mu / b) r of about 950, 3000 and 1e6 and more: the tail of the iterate lags the Perron
+        # vector's far below the float range, and the lower end is read off the entries that do not lag.
+        # The bound is 4 eps |B^-1 K|_inf of the line without the control mortality: it does not grow
+        # with the deadly rows, which the Perron vector does not weigh.
         layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(1.0, -mu), R=10.0, r=r, bc=bc)
         grid = GridSpec(cells_per_unit_length=4, refinement_levels=2)
         for level, (value, how) in enumerate(_level_chain(layout, grid)):
@@ -570,12 +621,13 @@ class TestPerronBracket:
             if bc is BoundaryCondition.PERIODIC:
                 line = replace(layout, R=5.0, r=r / 2, bc=BoundaryCondition.NEUMANN)
                 line_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
-            band, mass, scale = oracle._staged_band(line, line_grid, level)
+            band, mass, _ = oracle._staged_band(line, line_grid, level)
             d = band[2] / mass  # -K over B: the symmetric form's diagonal and off-diagonal, negated
             e = band[1, 1:] / np.sqrt(mass[:-1] * mass[1:])
             reference = -eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=4 * np.finfo(float).tiny)[0]
+            _, _, calm = oracle._staged_band(replace(line, control=ScalarZone(1.0, 1.0)), line_grid, level)
             assert how == "perron-bracket"
-            assert abs(value - reference) <= 4 * np.finfo(float).eps * scale, level
+            assert abs(value - reference) <= 4 * np.finfo(float).eps * calm, level
 
     def test_perron_vector_below_the_float_range_closes(self):
         # Control mortality 10 over r = 300: the Perron vector falls to about exp(-950) of its peak.
@@ -592,8 +644,7 @@ class TestPerronBracket:
     @pytest.mark.parametrize("bc", BCS)
     def test_mortality_near_the_float_range_closes(self, monkeypatch, bc):
         # Mortality 1e308: entries of the full solution left out of the lower end underflow to 0, and
-        # v holds them at the smallest normal float.  The stop width 4 eps |B^-1 K|_inf is then far
-        # wider than the top itself, so the value is not compared with the closed form.
+        # v holds them at the smallest normal float.
         solve, band_of, masses, held = oracle.dpttrs, oracle._staged_band, [], []
 
         def recording(d, e, b):
@@ -607,9 +658,12 @@ class TestPerronBracket:
 
         monkeypatch.setattr(oracle, "dpttrs", recording)
         monkeypatch.setattr(oracle, "_staged_band", band_recording)
-        report = top_eigenvalue_fd(PatchLayout(ScalarZone(16.67, 0.65), ScalarZone(16.67, -1e308), R=14.0, r=1.0, bc=bc))
+        layout = PatchLayout(ScalarZone(16.67, 0.65), ScalarZone(16.67, -1e308), R=14.0, r=1.0, bc=bc)
+        report = top_eigenvalue_fd(layout)
         assert report.grid_or_step.endswith(",perron-bracket") and math.isfinite(report.top_eigenvalue)
         assert min(held) == np.finfo(float).tiny
+        root = top_eigenvalue_scalar(ScalarProblem.from_layout(layout)).top_eigenvalue
+        assert abs(report.top_eigenvalue - root) <= report.error_estimate
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.NEUMANN, BoundaryCondition.PERIODIC])
     def test_inverse_searches_reach_their_caps(self, bc):
@@ -674,9 +728,8 @@ class TestStagedBackwardError:
             return vals, vecs + 1e-3 * np.linalg.norm(vecs) / np.linalg.norm(noise) * noise
 
         taiga = get_preset("taiga-two-stage")
-        one_way = np.triu(taiga.beneficial.reaction)  # reducible: solved by Arnoldi
-        layout = replace(taiga, r=0.734, beneficial=StageZone(taiga.beneficial.diffusion_diag, one_way),
-                         control=StageZone(taiga.control.diffusion_diag, np.triu(taiga.control.reaction)))
+        negative = taiga.control.reaction * [[1.0, 1.0], [-1.0, 1.0]]  # not Metzler: solved by Arnoldi
+        layout = replace(taiga, r=0.734, control=StageZone(taiga.control.diffusion_diag, negative))
         assert _top_eigenvalue_level(layout, self.GRID, 0)[1] == "shift-invert-arnoldi"
         monkeypatch.setattr(sparse.linalg, "eigs", perturbed)
         with pytest.raises(oracle.NoConvergenceError, match="backward error"):
@@ -873,8 +926,9 @@ def scalar_twin(layout: PatchLayout) -> PatchLayout:
 class TestGridTooSmall:
     """ARPACK needs 3 unknowns: a non-cooperative level of two or more stages with fewer (absorbing
     ends, no control zone and under 4 cells) is refused, and one of exactly 3 is solved.  A
-    cooperative level is bracketed at any size, a one-stage level of one unknown too (by ``dgbtrf``:
-    scipy's ``dpttrf`` refuses it), as its scalar twin is."""
+    cooperative level is bracketed at any size, one stage class at a time, reducible ones too; a
+    one-stage level (or class) of one unknown by ``dgbtrf`` (scipy's ``dpttrf`` refuses it), as its
+    scalar twin is."""
 
     GRID = GridSpec(cells_per_unit_length=1, min_cells_per_zone=2)  # one interior node at level 0
 
@@ -909,6 +963,14 @@ class TestGridTooSmall:
             top_eigenvalue_fd(layout, self.GRID)
         assert err.value.code == "GridTooSmall"
 
+    def test_two_unknown_reducible_level_solved(self):
+        # One-way coupling: stage 1 feeds stage 0, and the level's two classes are one unknown each.
+        layout = PatchLayout(StageZone(np.ones(2), [[1.5, 0.5], [0.0, 1.5]]), StageZone(np.ones(2), -np.eye(2)),
+                             R=1.0, r=0.0, bc=BoundaryCondition.DIRICHLET)
+        n, vals = self.dense(layout, self.GRID)
+        assert n == 2 and vals.real.max() == -6.5
+        assert _top_eigenvalue_level(layout, self.GRID, 0) == (-6.5, "perron-bracket")
+
     def test_three_unknowns_solved(self, sign=1.0, path="perron-bracket"):
         n, vals = self.dense(self.layout(3, sign), self.GRID)
         assert n == 3 and vals.imag.max() == 0.0
@@ -921,8 +983,8 @@ class TestGridTooSmall:
 
 class TestSmallStagedLevels:
     """Small levels of two or more stages (2-79 unknowns) take the same paths as large ones, and
-    no dense eigensolve runs inside the call: a cooperative, irreducible level is bracketed without
-    assembly or Arnoldi, others take shift-invert Arnoldi; a one-stage level is its scalar twin.  A
+    no dense eigensolve runs inside the call: a cooperative level is bracketed without assembly or
+    Arnoldi, a non-cooperative one takes shift-invert Arnoldi; a one-stage level is its scalar twin.  A
     real rightmost eigenvalue, which every cooperative level has, equals a dense eigensolve's to
     round-off.  Every complex rightmost pair is refused, also one farther from the shift than a
     real eigenvalue left of it."""
@@ -972,11 +1034,11 @@ class TestSmallStagedLevels:
             if built:
                 (op,) = built
                 A = op.stiffness.toarray() / op.mass[:, None]
-                assert not all(metzler_irreducible(A))
+                assert not metzler_irreducible(A)[0]
             else:  # the test builds the level the oracle solves
                 op = build(*solved_level(layout, grid), level)
                 A = op.stiffness.toarray() / op.mass[:, None]
-                assert all(metzler_irreducible(A)) and not arnoldi
+                assert metzler_irreducible(A)[0] and not arnoldi
             if isinstance(result, LayoutError):
                 assert result.code == "GridTooSmall" and op.n_unknowns < 3
                 continue
@@ -1303,7 +1365,7 @@ class TestScalarBands:
 
 class TestScalarWithoutAssembly:
     """Scalar oracle work reads the node rows as a band and never assembles a matrix or calls
-    Arnoldi; staged layouts read the same rows, and only non-cooperative or reducible ones assemble."""
+    Arnoldi; staged layouts read the same rows, and only non-cooperative ones assemble."""
 
     GRID = GridSpec(cells_per_unit_length=16, refinement_levels=2, min_cells_per_zone=4)
 
