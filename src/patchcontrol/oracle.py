@@ -27,6 +27,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -74,16 +75,11 @@ class GridSpec:
                 raise ValueError(f"{name} must be an integer >= 2")
 
 
-@dataclass(frozen=True)
-class _ZoneCells:
-    width: float
+class _ZoneCells(NamedTuple):
     cells: int
+    h: float  # cell width
     diffusion: np.ndarray  # per-stage diffusion, shape (n_stages,)
     reaction: np.ndarray  # reaction matrix, shape (n_stages, n_stages)
-
-    @property
-    def h(self) -> float:
-        return self.width / self.cells
 
 
 @dataclass(frozen=True)
@@ -119,8 +115,7 @@ def _zone_cells(layout: PatchLayout, grid: GridSpec, level: int) -> list[_ZoneCe
     cells = [max(grid.min_cells_per_zone, int(round(w * grid.cells_per_unit_length))) * 2**level for w, _ in pair]
     if sum(cells) * reps * layout.dimension > _MAX_UNKNOWNS:  # cells x stages
         raise LayoutError("GridTooLarge", f"level {level} would have more than {_MAX_UNKNOWNS} unknowns")
-    return [_ZoneCells(width=width, cells=n, diffusion=z.diffusion_diag, reaction=z.reaction)
-            for (width, z), n in zip(pair, cells)] * reps
+    return [_ZoneCells(n, width / n, z.diffusion_diag, z.reaction) for (width, z), n in zip(pair, cells)] * reps
 
 
 def _node_runs(layout: PatchLayout, zones) -> list[tuple]:
@@ -131,7 +126,7 @@ def _node_runs(layout: PatchLayout, zones) -> list[tuple]:
     over those halves (midpoint quadrature: second order also where the spacing changes).  A
     reflecting end has a zero pad cell beyond it, an absorbing end no unknown.  The runs ``(count,
     w_l, w_r, box, mass)`` are zone interiors, interfaces, reflecting ends and a ring's wrap node
-    (the last zone to its left); ``zones`` holds ``(cells, h, a, m)`` per zone of ``_zone_cells``."""
+    (the last zone to its left); ``zones`` are the ``(cells, h, a, m)`` of ``_zone_cells``."""
     cells = [(n - 1, h, a / h, m) for n, h, a, m in zones]
     if layout.bc is BoundaryCondition.PERIODIC:
         cells.insert(0, (0, *cells[-1][1:]))
@@ -153,7 +148,7 @@ def _node_coefficients(layout: PatchLayout, grid: GridSpec, level: int):
     the diagonal mass, and row ``p`` of ``K`` at columns ``p - s .. p + s`` for ``s`` stages.  Its
     diagonal is the summed flux, then the reaction; off a ring an end node's outer neighbour is zero."""
     zones = _zone_cells(layout, grid, level)
-    runs = _node_runs(layout, [(z.cells, z.h, z.diffusion, z.reaction) for z in zones])
+    runs = _node_runs(layout, zones)
     counts = np.array([run[0] for run in runs], dtype=np.intp)
     box, w_l, w_r, block = (np.repeat(np.array([run[k] for run in runs]), counts, axis=0) for k in (3, 1, 2, 4))
     x = np.concatenate([[0.0], np.cumsum(np.repeat([z.h for z in zones], [z.cells for z in zones]))])
@@ -204,14 +199,17 @@ def _imag_bound(layout: PatchLayout) -> float:
     return max(float(np.linalg.norm(z.reaction - z.reaction.T, 2)) / 2 for z in (layout.beneficial, layout.control))
 
 
-def _staged_band(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(band, B, |B^-1 K|_inf)`` of a line: ``-K`` as a ``dgbtrf`` band, node-major, ``kl = ku = n_stages``."""
+def _staged_band(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(band, B, |B^-1 K| 1)`` of a line: ``-K`` as a ``dgbtrf`` band, node-major, ``kl = ku = n_stages``."""
     (_, mass, rows), s = _node_coefficients(layout, grid, level), layout.dimension
     n = len(mass)
-    band = np.zeros((3 * s + 1, n))
+    band, weight = np.zeros((3 * s + 1, n)), np.zeros(n)
     for d in range(2 * s + 1):  # entries (p, p + d - s) of K, in band row 3s - d
-        band[3 * s - d, max(d - s, 0) : n + min(d - s, 0)] = -rows[max(s - d, 0) : n - max(d - s, 0), d]
-    return band, mass, float((np.abs(rows).sum(axis=1) / mass).max())
+        entries = rows[max(s - d, 0) : n - max(d - s, 0), d]
+        band[3 * s - d, max(d - s, 0) : n + min(d - s, 0)] = -entries
+        weight[max(s - d, 0) : n - max(d - s, 0)] += np.abs(entries)
+    with np.errstate(over="ignore"):  # an overflowed row weighs +inf: the stop width only if the iterate weighs it
+        return band, mass, weight / mass
 
 
 def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float | None = None) -> tuple[float, str]:
@@ -222,9 +220,9 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
     ``near``, the coarser level's value; a failed factor or a non-positive ``w`` there raises it to ``near + 16 (sigma
     - near)``, at most to the bound, and starts again.  Each bracket moves ``sigma`` toward its upper end, at most the
     bracket's width above it and at least ``64 eps live``, clear of rounding at the top; the midpoint is returned at
-    width ``4 eps live``.  ``live`` is the largest row sum of ``|B^-1 K|`` over the entries where ``v`` is at least a
-    thousandth of its largest: rounding in rows the Perron vector does not weigh, such as a deadly control zone's,
-    moves the top by far less than their size.
+    width ``4 eps live``.  ``live`` is the largest row weight of ``_staged_band`` over the entries where the new iterate
+    ``w`` is at least a thousandth of its largest: rounding in rows the Perron vector does not weigh, such as a deadly
+    or thin control zone's, moves the top by far less than their size.
 
     Deep in a wide, deadly control zone the iterate lags far above the Perron vector, and ``min(w/v)`` there would
     hold the lower end down for hundreds of solves.  So once some ``w/v`` falls below a thousandth of the largest, the
@@ -233,12 +231,8 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
     Left-out entries of ``w`` may underflow to 0; ``v`` holds them at the smallest normal float, so ``w/v`` stays
     finite.  A failure at the bound or once bracketed, a kept ratio that underflows to 0, or 100 solves raise
     ``NoConvergenceError``."""
-    (band, mass, _), s = _staged_band(layout, grid, level), layout.dimension
+    (band, mass, weight), s = _staged_band(layout, grid, level), layout.dimension
     eps, bound, n = np.finfo(float).eps, _growth_bound(layout) + 1.0, len(mass)
-    weight = np.zeros(n)  # |B^-1 K| 1 per row
-    for d in range(2 * s + 1):  # entries (p, p + d - s) of K, in band row 3s - d
-        weight[max(s - d, 0) : n - max(d - s, 0)] += np.abs(band[3 * s - d, max(d - s, 0) : n + min(d - s, 0)])
-    weight /= mass
     tridiagonal = s == 1 and n > 1  # scipy's dpttrf refuses one unknown
     sigma = bound if near is None else min(near + 1e-3 * (1.0 + abs(near)), bound)
     v, lu, bracketed, kept = np.ones(n), None, False, None
@@ -264,7 +258,7 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
         if not low > 0:
             raise NoConvergenceError(f"the Perron vector left the float range at sigma = {sigma:.6g}")
         lo, hi = sigma - 1.0 / low, sigma - 1.0 / most
-        live = weight[v >= 1e-3].max()  # the rows the Perron vector weighs (max v is 1)
+        live = weight[w >= 1e-3 * w.max()].max()  # the rows the new iterate weighs
         if hi - lo <= 4 * eps * live:
             return float(lo + hi) / 2, "perron-bracket"
         kept = None if least >= 1e-3 * most else ratio >= 1e-3 * most

@@ -495,6 +495,32 @@ class TestSpectrum:
         root, fd = float(values["root_top_eigenvalue"]), float(values["fd_top_eigenvalue"])
         assert abs(fd - root) <= 10 * (float(values["root_error_estimate"]) + float(values["fd_error_estimate"]))
 
+    def test_thin_zone_at_absorbing_ends_agrees_with_the_root(self, capsys):
+        # The stop width was read off the solve's start v = 1, which weighs the thin zone's rows,
+        # about 2b / h^2: the first bracket's midpoint, -1.626e+22, was printed.
+        code, out, err = run_cli(capsys, "spectrum", "--preset", "lone-star", "--bc", "dirichlet", "--r", "1e-20")
+        assert (code, err) == (EXIT_OK, "")
+        values = parsed(out)
+        assert values["fd_top_eigenvalue"] == values["root_top_eigenvalue"] == "-0.1894"
+
+    @pytest.mark.parametrize("r", ["1e-155", "1e-300"])
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet", "periodic"])
+    def test_row_weights_beyond_the_float_range_warn_nothing(self, capsys, bc, r):
+        # Cells this thin weigh their rows past the float range, as +inf, without a RuntimeWarning.
+        # The thin zone's rows are not weighed at an absorbing end; at reflecting ones round-off
+        # fails the factor at the growth bound.
+        code, out, err = run_cli(capsys, "spectrum", "--method", "fd", "--preset", "lone-star", "--bc", bc, "--r", r)
+        if bc == "dirichlet":
+            assert (code, err, parsed(out)["fd_top_eigenvalue"]) == (EXIT_OK, "", "-0.1894")
+        else:
+            assert (code, out) == (EXIT_NO_CONVERGENCE, "")
+            assert err.startswith("oracle did not converge: sigma B - K is singular") and len(err.splitlines()) == 1
+
+    def test_min_zone_past_the_float_range_warns_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "min-zone", "--preset", "lone-star", "--mu", "1e300")
+        assert code == EXIT_NO_CONVERGENCE
+        assert err.startswith("oracle did not converge: sigma B - K is singular") and len(err.splitlines()) == 1
+
 
 class TestSimulateCommand:
     def test_eradicating_mortality_gives_negative_exponent(self, capsys, tmp_path):

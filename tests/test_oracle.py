@@ -493,8 +493,8 @@ class TestPerronBracket:
             assert rightmost.imag == 0.0
             assert abs(value - rightmost.real) <= 1e-13 * np.abs(A).max()
 
-            band, mass, scale = oracle._staged_band(line, line_grid, level)
-            assert np.array_equal(mass, op.mass) and scale == pytest.approx(np.abs(A).sum(axis=1).max(), rel=1e-14)
+            band, mass, weight = oracle._staged_band(line, line_grid, level)
+            assert np.array_equal(mass, op.mass) and weight == pytest.approx(np.abs(A).sum(axis=1), rel=1e-14)
             assert not band[: layout.dimension].any()  # the rows dgbtrf fills in
             sigma = _growth_bound(layout) + 1.0
             band[2 * layout.dimension] += sigma * mass
@@ -625,7 +625,7 @@ class TestPerronBracket:
             d = band[2] / mass  # -K over B: the symmetric form's diagonal and off-diagonal, negated
             e = band[1, 1:] / np.sqrt(mass[:-1] * mass[1:])
             reference = -eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=4 * np.finfo(float).tiny)[0]
-            _, _, calm = oracle._staged_band(replace(line, control=ScalarZone(1.0, 1.0)), line_grid, level)
+            calm = oracle._staged_band(replace(line, control=ScalarZone(1.0, 1.0)), line_grid, level)[2].max()
             assert how == "perron-bracket"
             assert abs(value - reference) <= 4 * np.finfo(float).eps * calm, level
 
@@ -652,9 +652,9 @@ class TestPerronBracket:
             return solve(d, e, b)
 
         def band_recording(*args):
-            band, mass, scale = band_of(*args)
+            band, mass, weight = band_of(*args)
             masses.append(mass)
-            return band, mass, scale
+            return band, mass, weight
 
         monkeypatch.setattr(oracle, "dpttrs", recording)
         monkeypatch.setattr(oracle, "_staged_band", band_recording)
@@ -664,6 +664,32 @@ class TestPerronBracket:
         assert min(held) == np.finfo(float).tiny
         root = top_eigenvalue_scalar(ScalarProblem.from_layout(layout)).top_eigenvalue
         assert abs(report.top_eigenvalue - root) <= report.error_estimate
+
+    @staticmethod
+    def assert_matches_zoneless(layout) -> float:
+        """Every level within the FD error estimate of the layout without control zone; returns that estimate."""
+        zoneless = replace(layout, r=0.0)
+        estimate = top_eigenvalue_fd(zoneless).error_estimate
+        for (value, how), (reference, _) in zip(_level_chain(layout, GridSpec()), _level_chain(zoneless, GridSpec())):
+            assert how == "perron-bracket" and abs(value - reference) <= estimate
+        return estimate
+
+    @pytest.mark.parametrize("r", [1e-10, 1e-20, 1e-100, 1e-300])
+    @pytest.mark.parametrize("R", [14.0, 30.0])
+    def test_thin_zones_at_absorbing_ends_match_the_zoneless_line(self, R, r):
+        # A thin control zone's rows weigh about 2b / h^2, 1.7e44 at r = 1e-20, and the Perron vector
+        # vanishes there at the absorbing end.  Read off the start v = 1, those rows set a stop width
+        # wider than the first bracket, whose midpoint was returned: -1.6e22 at R = 14, r = 1e-20.
+        layout = PatchLayout(ScalarZone(16.67, 0.65), ScalarZone(16.67, -10.0), R=R, r=r, bc=BoundaryCondition.DIRICHLET)
+        estimate = self.assert_matches_zoneless(layout)
+        if r >= 1e-100:  # at 1e-300 the root's poles (pi / 2r)^2 leave the float range
+            root = top_eigenvalue_scalar(ScalarProblem.from_layout(layout)).top_eigenvalue
+            assert abs(top_eigenvalue_fd(layout).top_eigenvalue - root) <= 10 * estimate
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-30])
+    def test_thin_taiga_zone_at_absorbing_ends_matches_the_zoneless_line(self, r):
+        # taiga-two-stage's second level read -1.6e11 at r = 1e-12, and every level about -1e31 at 1e-30.
+        self.assert_matches_zoneless(replace(get_preset("taiga-two-stage"), r=r, bc=BoundaryCondition.DIRICHLET))
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.NEUMANN, BoundaryCondition.PERIODIC])
     def test_inverse_searches_reach_their_caps(self, bc):
@@ -1455,7 +1481,7 @@ class TestNearStartedLevels:
 
     @staticmethod
     def stop_width(layout, grid, level):
-        return 4 * np.finfo(float).eps * oracle._staged_band(*solved_level(layout, grid), level)[2]
+        return 4 * np.finfo(float).eps * oracle._staged_band(*solved_level(layout, grid), level)[2].max()
 
     @classmethod
     def assert_matches_bound_start(cls, layout, grid, level, near):
@@ -1619,7 +1645,7 @@ class TestConvergence:
 
         def recording_band(*args):
             result = band(*args)
-            scales.append(result[2])
+            scales.append(result[2].max())
             return result
 
         monkeypatch.setattr(oracle, "_staged_band", recording_band)
