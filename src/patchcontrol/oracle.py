@@ -10,16 +10,17 @@ The problem is generalized, ``K y = E B y`` with diagonal mass ``B`` (half boxes
 ends) and box-weighted reaction masses.  Every zone is read through its ``diffusion_diag`` and
 ``reaction``, a scalar zone as the one-stage system.  The oracle and the simulator expand ``K`` per
 node into one table of rows, ``2 n_stages + 1`` entries about the diagonal, that feeds both matrix
-formats.  Cooperative (Metzler) rings, every one-stage ring among them, are cut to their reflecting
-half-period of widths ``R/2``, ``r/2`` (the reduction behind the tan(R/2)/tanh(r/2) criterion, exact
-for the whole ring's grid when its zones have even cell counts).  A cooperative level, every
-one-stage level among them, is block triangular over its strongly connected stage classes, so its
-top is the largest class top; each class reads its rows as a LAPACK band, and inverse iteration on
-its LU brackets the top (Collatz-Wielandt): a symmetric tridiagonal LDL^T for one stage, a band LU
-for more, each finer level started just above the coarser level's value.  Non-cooperative levels,
-and the simulator, read the rows as CSR; shift-invert Arnoldi, shifted above the zones' growth
-bound, takes more eigenvalues until none can hide right of the rightmost found (no fallback), and
-refuses levels below 3 unknowns with ``GridTooSmall``.
+formats.  ``_level_chain`` reads a layout once per chain: it validates it, reads its stage coupling and
+cuts it into lines, each with its growth bound.  A cooperative (Metzler) ring, every one-stage ring
+among them, is cut to its reflecting half-period of widths ``R/2``, ``r/2`` (the reduction behind the
+tan(R/2)/tanh(r/2) criterion, exact for the whole ring's grid when its zones have even cell counts),
+and a cooperative level is block triangular over its strongly connected stage classes, one line each,
+so its top is the largest class top.  ``_perron_bracket``, a kernel on one class's LAPACK band alone,
+brackets it by inverse iteration on its LU (Collatz-Wielandt): a symmetric tridiagonal LDL^T for one
+stage, a band LU for more, each finer level started just above the coarser level's value.
+Non-cooperative levels, and the simulator, read the rows as CSR; shift-invert Arnoldi, shifted above
+the zones' growth bound, takes more eigenvalues until none can hide right of the rightmost found (no
+fallback), and refuses levels below 3 unknowns with ``GridTooSmall``.
 """
 
 from __future__ import annotations
@@ -212,17 +213,19 @@ def _staged_band(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.nd
         return band, mass, weight / mass
 
 
-def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float | None = None) -> tuple[float, str]:
-    """Top of a cooperative, irreducible line by inverse iteration ``w = (sigma B - K)^-1 B v`` from ``v = 1``:
-    a positive ``w`` proves ``sigma`` above the top, in ``[sigma - 1/min(w/v), sigma - 1/max(w/v)]`` (Collatz-Wielandt).
-    One stage factors the symmetric tridiagonal ``sigma B - K`` by ``dpttrf``, whose failure proves ``sigma`` at or
-    below the top, more stages its band by ``dgbtrf``.  ``sigma`` starts at ``_growth_bound + 1``, or just above
-    ``near``, the coarser level's value; a failed factor or a non-positive ``w`` there raises it to ``near + 16 (sigma
-    - near)``, at most to the bound, and starts again.  Each bracket moves ``sigma`` toward its upper end, at most the
+def _perron_bracket(band: np.ndarray, mass: np.ndarray, weight: np.ndarray, bound: float,
+                    near: float | None = None) -> float:
+    """Top of a cooperative, irreducible line from its band alone: ``(band, B, |B^-1 K| 1)`` of ``_staged_band``, with
+    ``(len(band) - 1) // 3`` stages.  Inverse iteration ``w = (sigma B - K)^-1 B v`` from ``v = 1``: a positive ``w``
+    proves ``sigma`` above the top, in ``[sigma - 1/min(w/v), sigma - 1/max(w/v)]`` (Collatz-Wielandt).  One stage
+    factors the symmetric tridiagonal ``sigma B - K`` by ``dpttrf``, whose failure proves ``sigma`` at or below the top,
+    more stages its band by ``dgbtrf``.  ``sigma`` starts at ``bound`` (the line's ``_growth_bound + 1``), or just above
+    ``near``, the coarser level's value; a failed factor or a non-positive ``w`` there raises it to ``near + 16 (sigma -
+    near)``, at most to ``bound``, and starts again.  Each bracket moves ``sigma`` toward its upper end, at most the
     bracket's width above it and at least ``64 eps live``, clear of rounding at the top; the midpoint is returned at
-    width ``4 eps live``.  ``live`` is the largest row weight of ``_staged_band`` over the entries where the new iterate
-    ``w`` is at least a thousandth of its largest: rounding in rows the Perron vector does not weigh, such as a deadly
-    or thin control zone's, moves the top by far less than their size.
+    width ``4 eps live``.  ``live`` is the largest row weight over the entries where the new iterate ``w`` is at least a
+    thousandth of its largest: rounding in rows the Perron vector does not weigh, such as a deadly or thin control
+    zone's, moves the top by far less than their size.
 
     Deep in a wide, deadly control zone the iterate lags far above the Perron vector, and ``min(w/v)`` there would
     hold the lower end down for hundreds of solves.  So once some ``w/v`` falls below a thousandth of the largest, the
@@ -231,8 +234,7 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
     Left-out entries of ``w`` may underflow to 0; ``v`` holds them at the smallest normal float, so ``w/v`` stays
     finite.  A failure at the bound or once bracketed, a kept ratio that underflows to 0, or 100 solves raise
     ``NoConvergenceError``."""
-    (band, mass, weight), s = _staged_band(layout, grid, level), layout.dimension
-    eps, bound, n = np.finfo(float).eps, _growth_bound(layout) + 1.0, len(mass)
+    s, n, eps = (len(band) - 1) // 3, len(mass), np.finfo(float).eps
     tridiagonal = s == 1 and n > 1  # scipy's dpttrf refuses one unknown
     sigma = bound if near is None else min(near + 1e-3 * (1.0 + abs(near)), bound)
     v, lu, bracketed, kept = np.ones(n), None, False, None
@@ -260,7 +262,7 @@ def _perron_bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float
         lo, hi = sigma - 1.0 / low, sigma - 1.0 / most
         live = weight[w >= 1e-3 * w.max()].max()  # the rows the new iterate weighs
         if hi - lo <= 4 * eps * live:
-            return float(lo + hi) / 2, "perron-bracket"
+            return float(lo + hi) / 2
         kept = None if least >= 1e-3 * most else ratio >= 1e-3 * most
         v, bracketed = np.maximum(w / w.max(), np.finfo(float).tiny), True
         shift = hi + max(min(hi - lo, (sigma - hi) / 8), 64 * eps * live)
@@ -316,45 +318,42 @@ def _staged_rightmost_eigenvalue(op: DiscreteOperator, sigma: float, imag: float
     return theta.real, "shift-invert-arnoldi"
 
 
-def _top_eigenvalue_level(
-    layout: PatchLayout, grid: GridSpec, level: int, near: float | None = None
-) -> tuple[float, str]:
-    """Top eigenvalue at one refinement level; ``near`` is the coarser level's value.
+def _level_chain(layout: PatchLayout, grid: GridSpec) -> list[tuple[float, str]]:
+    """Top eigenvalue per refinement level, each level after the first started near the one before.
 
-    A cooperative ring of ``K`` periods (``stage_coupling`` Metzler on the zones present: the control
-    zone if ``r > 0``) is solved on one half-period with reflecting ends, widths ``R/2``, ``r/2`` and half
-    the per-zone cell floor: ``B^-1 K`` is Metzler, so its rightmost eigenvalue has a nonnegative
-    eigenvector, and averaging that over the ring's translations and mirrors gives one that repeats every
-    period and is even about each zone's middle.  Other rings stay whole: their growing mode can span two
-    periods.  A Metzler level, every one-stage level among them, is bracketed by ``_perron_bracket``
-    one stage class at a time, each class the layout restricted to its stages in both zones and
-    started near ``near`` if given, and its top is the largest; non-Metzler levels go to Arnoldi.
+    The layout is read once per chain: validated, ``stage_coupling`` read on the zones present (the control
+    zone if ``r > 0``), cut into lines and each line's growth bound taken.  A cooperative ring of ``K`` periods
+    is cut to one half-period with reflecting ends, widths ``R/2``, ``r/2`` and half the per-zone cell floor:
+    ``B^-1 K`` is Metzler, so averaging its nonnegative top eigenvector over the ring's translations and
+    mirrors gives one that repeats every period and is even about each zone's middle.  Other rings stay whole:
+    their growing mode can span two periods.  A Metzler layout is block triangular over its stage classes,
+    one line each (the layout restricted to the class's stages in both zones), and a level's top is the
+    largest ``_perron_bracket`` of their bands.  Other layouts are assembled per level for Arnoldi.
     """
     layout = validate_layout(layout)
     present = layout.control if layout.r > 0 else layout.beneficial  # the control zone counts where it has cells
     metzler, classes = (True, ((0,),)) if layout.dimension == 1 else stage_coupling(
         layout.beneficial.reaction, present.reaction)
-    if layout.bc is BoundaryCondition.PERIODIC and metzler:
+    if not metzler:
+        bound, imag = _growth_bound(layout) + 1.0, _imag_bound(layout)
+        return [_staged_rightmost_eigenvalue(assemble(layout, grid, level), bound, imag)
+                for level in range(grid.refinement_levels)]
+    if layout.bc is BoundaryCondition.PERIODIC:
         layout = replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
         grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))
-    if not metzler:
-        bound = _growth_bound(layout) + 1.0
-        return _staged_rightmost_eigenvalue(assemble(layout, grid, level), bound, _imag_bound(layout))
-    if len(classes) == 1:
-        return _perron_bracket(layout, grid, level, near)
-    tops = []  # block triangular over its stage classes, each irreducible: the top is the largest class top
-    for c in map(list, classes):
-        ben, ctl = (replace(z, diffusion_diag=z.diffusion_diag[c], reaction=z.reaction[np.ix_(c, c)])
-                    for z in (layout.beneficial, layout.control))
-        tops.append(_perron_bracket(replace(layout, beneficial=ben, control=ctl), grid, level, near))
-    return max(tops)
-
-
-def _level_chain(layout: PatchLayout, grid: GridSpec) -> list[tuple[float, str]]:
-    """Top eigenvalue per refinement level, each level after the first started near the one before."""
+    lines = [layout]
+    if len(classes) > 1:  # block triangular over its stage classes, each irreducible
+        lines = []
+        for c in map(list, classes):
+            ben, ctl = (replace(z, diffusion_diag=z.diffusion_diag[c], reaction=z.reaction[np.ix_(c, c)])
+                        for z in (layout.beneficial, layout.control))
+            lines.append(replace(layout, beneficial=ben, control=ctl))
+    bounds = [_growth_bound(line) + 1.0 for line in lines]
     levels: list[tuple[float, str]] = []
     for level in range(grid.refinement_levels):
-        levels.append(_top_eigenvalue_level(layout, grid, level, levels[-1][0] if levels else None))
+        near = levels[-1][0] if levels else None
+        top = max(_perron_bracket(*_staged_band(line, grid, level), bound, near) for line, bound in zip(lines, bounds))
+        levels.append((top, "perron-bracket"))
     return levels
 
 

@@ -34,6 +34,7 @@ def test_per_boundary_verdicts_are_gone(name):
         ("linalg", "eigen_basis_2x2"),
         ("linalg", "real_eigenvalues"),
         ("oracle", "refinement_history"),
+        ("oracle", "_top_eigenvalue_level"),
         ("staged", "transfer_matrix"),
     ],
 )

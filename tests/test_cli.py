@@ -413,7 +413,7 @@ class TestSpectrum:
         assert list(parsed(out)) == ["fd_top_eigenvalue", "fd_error_estimate", "fd_grid"]
 
     def test_oracle_no_convergence_exits_7_without_traceback(self, capsys, monkeypatch):
-        def no_convergence(layout, grid, level, near=None):
+        def no_convergence(*args):
             raise NoConvergenceError("staged solve found no real eigenvalue")
 
         monkeypatch.setattr("patchcontrol.oracle._perron_bracket", no_convergence)

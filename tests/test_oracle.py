@@ -31,7 +31,6 @@ from patchcontrol.oracle import (
     _imag_bound,
     _level_chain,
     _staged_rightmost_eigenvalue,
-    _top_eigenvalue_level,
     _with_control_mortality,
     _zone_cells,
     assemble,
@@ -481,7 +480,7 @@ class TestPerronBracket:
             with monkeypatch.context() as m:
                 m.setattr(oracle, "assemble", refuse_solver)
                 m.setattr(sparse.linalg, "eigs", refuse_solver)
-                value, how = _top_eigenvalue_level(layout, grid, level)
+                value, how = _level_chain(layout, replace(grid, refinement_levels=2))[level]
             assert how == "perron-bracket"
             line, line_grid = solved_level(layout, grid)
             assert line.bc is not BoundaryCondition.PERIODIC
@@ -528,12 +527,12 @@ class TestPerronBracket:
     )
     def test_reducible_levels_by_stage_classes(self, monkeypatch, ben, ctl, r, K, bc):
         layout = PatchLayout(StageZone([1.0, 0.3], ben), StageZone([1.0, 0.3], ctl), R=3.0, r=r, K=K, bc=bc)
-        grid = GridSpec(cells_per_unit_length=8, min_cells_per_zone=4)
-        for level in range(2):
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "assemble", refuse_solver)
-                m.setattr(sparse.linalg, "eigs", refuse_solver)
-                value, how = _top_eigenvalue_level(layout, grid, level)
+        grid = GridSpec(cells_per_unit_length=8, refinement_levels=2, min_cells_per_zone=4)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "assemble", refuse_solver)
+            m.setattr(sparse.linalg, "eigs", refuse_solver)
+            chain = _level_chain(layout, grid)
+        for level, (value, how) in enumerate(chain):
             line, line_grid = solved_level(layout, grid)
             op = assemble(line, line_grid, level)
             assert how == "perron-bracket"
@@ -561,13 +560,13 @@ class TestPerronBracket:
     def test_numpy_widths_take_the_same_path(self, r):
         taiga, grid = get_preset("taiga-two-stage"), GridSpec(refinement_levels=2)
         as_numpy = replace(taiga, R=np.float64(taiga.R), r=np.float64(r))
-        assert _top_eigenvalue_level(as_numpy, grid, 0) == _top_eigenvalue_level(replace(taiga, r=r), grid, 0)
+        assert _level_chain(as_numpy, grid) == _level_chain(replace(taiga, r=r), grid)
 
     @_RINGS
     def test_arnoldi_rings_agree(self, K, diffusion, reaction, R, r, mu, cells, level):
         layout = _arnoldi_ring(K, diffusion, reaction, R, r, mu)
-        grid = GridSpec(cells_per_unit_length=cells, min_cells_per_zone=8)
-        value, how = _top_eigenvalue_level(layout, grid, level)
+        grid = GridSpec(cells_per_unit_length=cells, refinement_levels=2, min_cells_per_zone=8)
+        value, how = _level_chain(layout, grid)[level]
         assert how == "perron-bracket"
         op = assemble(*solved_level(layout, grid), level)
         arnoldi, _ = _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, 0.0)
@@ -583,13 +582,12 @@ class TestPerronBracket:
         grid = GridSpec(cells_per_unit_length=cells)
         for r in (1.0, 10.0, 100.0, 1000.0):
             layout = PatchLayout(ben, ctl, R=40.0, r=r, bc=bc)
-            value, how = _top_eigenvalue_level(layout, grid, 0)
             line, line_grid = layout, grid
             if bc is BoundaryCondition.PERIODIC:  # the half-period, built without solved_level's dense check
                 line = replace(layout, R=20.0, r=r / 2, bc=BoundaryCondition.NEUMANN)
                 line_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
+            value = oracle._perron_bracket(*oracle._staged_band(line, line_grid, 0), _growth_bound(layout) + 1.0)
             reference, _ = _staged_rightmost_eigenvalue(assemble(line, line_grid, 0), _growth_bound(layout) + 1.0, 0.0)
-            assert how == "perron-bracket"
             assert abs(value - reference) <= 1e-9 * abs(reference), r
 
     @pytest.mark.parametrize("bc", BCS)
@@ -598,13 +596,12 @@ class TestPerronBracket:
         taiga, grid = get_preset("taiga-two-stage"), GridSpec(cells_per_unit_length=4, refinement_levels=2)
         for r in (300.0, 1000.0):
             layout = replace(taiga, r=r, bc=bc)
-            value, how = _top_eigenvalue_level(layout, grid, 1)
             line, line_grid = layout, grid
             if bc is BoundaryCondition.PERIODIC:  # the half-period, built without solved_level's dense check
                 line = replace(layout, R=layout.R / 2, r=r / 2, K=1, bc=BoundaryCondition.NEUMANN)
                 line_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
+            value = oracle._perron_bracket(*oracle._staged_band(line, line_grid, 1), _growth_bound(layout) + 1.0)
             reference, _ = _staged_rightmost_eigenvalue(assemble(line, line_grid, 1), _growth_bound(layout) + 1.0, 0.0)
-            assert how == "perron-bracket"
             assert abs(value - reference) <= 1e-9 * abs(reference), r
 
     @pytest.mark.parametrize("bc", BCS)
@@ -736,6 +733,12 @@ class TestStagedBackwardError:
 
     GRID = GridSpec(refinement_levels=2)
 
+    @staticmethod
+    def non_cooperative_taiga() -> PatchLayout:
+        taiga = get_preset("taiga-two-stage")
+        negative = taiga.control.reaction * [[1.0, 1.0], [-1.0, 1.0]]  # not Metzler: solved by Arnoldi
+        return replace(taiga, r=0.734, control=StageZone(taiga.control.diffusion_diag, negative))
+
     def test_scan_across_the_verdict_boundary(self):
         taiga = get_preset("taiga-two-stage")
         signs = set()
@@ -753,10 +756,8 @@ class TestStagedBackwardError:
             noise = np.random.default_rng(3).standard_normal(vecs.shape)
             return vals, vecs + 1e-3 * np.linalg.norm(vecs) / np.linalg.norm(noise) * noise
 
-        taiga = get_preset("taiga-two-stage")
-        negative = taiga.control.reaction * [[1.0, 1.0], [-1.0, 1.0]]  # not Metzler: solved by Arnoldi
-        layout = replace(taiga, r=0.734, control=StageZone(taiga.control.diffusion_diag, negative))
-        assert _top_eigenvalue_level(layout, self.GRID, 0)[1] == "shift-invert-arnoldi"
+        layout = self.non_cooperative_taiga()
+        assert _level_chain(layout, self.GRID)[0][1] == "shift-invert-arnoldi"
         monkeypatch.setattr(sparse.linalg, "eigs", perturbed)
         with pytest.raises(oracle.NoConvergenceError, match="backward error"):
             top_eigenvalue_fd(layout, self.GRID)
@@ -780,6 +781,32 @@ class TestStagedBackwardError:
             assert np.diff(K.indptr).min() >= 1
             segments = np.add.reduceat(np.abs(K.data), K.indptr[:-1])
             assert np.array_equal(segments, np.asarray(abs(K).sum(axis=0)).ravel())
+
+
+class TestChainReadsLayoutOnce:
+    """A chain reads its layout once, however many levels it solves: one validation (and one more per
+    level that a non-cooperative layout assembles), one ``stage_coupling`` for two or more stages, one
+    growth bound per stage-class line, and ``_imag_bound`` once, only for a non-cooperative layout."""
+
+    GRID = GridSpec(cells_per_unit_length=8, refinement_levels=3, min_cells_per_zone=4)
+
+    @pytest.mark.parametrize("layout, counts", [
+        (PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0, K=2), (1, 0, 1, 0)),
+        (get_preset("taiga-two-stage"), (1, 1, 1, 0)),
+        (PatchLayout(StageZone([1.0, 0.3], np.diag([1.0, 0.2])), StageZone([1.0, 0.3], np.diag([-1.0, -2.0])),
+                     R=3.0, r=1.0, bc=BoundaryCondition.NEUMANN), (1, 1, 2, 0)),
+        (TestStagedBackwardError.non_cooperative_taiga(), (1 + GRID.refinement_levels, 1, 1, 1)),
+    ], ids=["scalar-ring", "taiga", "two-classes", "non-cooperative"])
+    def test_layout_read_once_per_chain(self, monkeypatch, layout, counts):
+        calls = dict.fromkeys(("validate_layout", "stage_coupling", "_growth_bound", "_imag_bound"), 0)
+        for name in calls:
+            def counting(*args, name=name, call=getattr(oracle, name)):
+                calls[name] += 1
+                return call(*args)
+
+            monkeypatch.setattr(oracle, name, counting)
+        top_eigenvalue_fd(layout, self.GRID)
+        assert tuple(calls.values()) == counts
 
 
 class TestStagedWholeRing:
@@ -806,7 +833,7 @@ class TestStagedWholeRing:
         ring = self.dense_rightmost(self.LAYOUT, grid, level)
         period = self.dense_rightmost(replace(self.LAYOUT, K=1), grid, level)
         assert ring.imag == 0.0 and ring.real > 0.3 and period.real < -0.3
-        value, how = _top_eigenvalue_level(self.LAYOUT, grid, level)
+        value, how = _level_chain(self.LAYOUT, replace(grid, refinement_levels=2))[level]
         assert how == "shift-invert-arnoldi"
         assert abs(value - ring.real) <= 1e-9 * ring.real
 
@@ -859,7 +886,7 @@ class TestStagedRingHalfPeriod:
             on_half, _ = self.dense_rightmost(half_op)
             assert ring.imag == 0.0 and on_half.imag == 0.0
             assert abs(on_half.real - ring.real) <= 1e-13 * scale
-            value, how = _top_eigenvalue_level(layout, self.GRID, 0)
+            value, how = _level_chain(layout, self.GRID)[0]
             assert how == "perron-bracket"
             assert abs(value - ring.real) <= 1e-9 * abs(ring.real)
 
@@ -957,6 +984,7 @@ class TestGridTooSmall:
     scalar twin is."""
 
     GRID = GridSpec(cells_per_unit_length=1, min_cells_per_zone=2)  # one interior node at level 0
+    CHAIN = replace(GRID, refinement_levels=2)  # the shortest chain, read at level 0
 
     @staticmethod
     def layout(n_stages, sign=1.0):
@@ -974,9 +1002,10 @@ class TestGridTooSmall:
         layout = self.layout(n_stages)
         n, vals = self.dense(layout, self.GRID)
         assert n == n_stages
-        value, how = _top_eigenvalue_level(layout, self.GRID, 0)
+        value, how = _level_chain(layout, self.CHAIN)[0]
         if n_stages == 1:  # solved, bit for bit as the scalar twin
-            assert how == "perron-bracket" and (value, how) == _top_eigenvalue_level(scalar_twin(layout), self.GRID, 0)
+            assert how == "perron-bracket"
+            assert _level_chain(layout, self.CHAIN) == _level_chain(scalar_twin(layout), self.CHAIN)
             assert abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
             assert top_eigenvalue_fd(layout, self.GRID) == top_eigenvalue_fd(scalar_twin(layout), self.GRID)
             return
@@ -995,12 +1024,12 @@ class TestGridTooSmall:
                              R=1.0, r=0.0, bc=BoundaryCondition.DIRICHLET)
         n, vals = self.dense(layout, self.GRID)
         assert n == 2 and vals.real.max() == -6.5
-        assert _top_eigenvalue_level(layout, self.GRID, 0) == (-6.5, "perron-bracket")
+        assert _level_chain(layout, self.CHAIN)[0] == (-6.5, "perron-bracket")
 
     def test_three_unknowns_solved(self, sign=1.0, path="perron-bracket"):
         n, vals = self.dense(self.layout(3, sign), self.GRID)
         assert n == 3 and vals.imag.max() == 0.0
-        value, how = _top_eigenvalue_level(self.layout(3, sign), self.GRID, 0)
+        value, how = _level_chain(self.layout(3, sign), self.CHAIN)[0]
         assert how == path and abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
 
     def test_three_non_cooperative_unknowns_solved(self):
@@ -1046,19 +1075,20 @@ class TestSmallStagedLevels:
         checked, complex_pairs, hidden = 0, 0, 0
         while checked < 300:
             layout, grid, level = self.draw(rng)
+            grid = replace(grid, refinement_levels=2)
             built.clear()
             arnoldi.clear()
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "eigvals", no_dense_solve)
                 try:
-                    result = _top_eigenvalue_level(layout, grid, level)
+                    result = _level_chain(layout, grid)[level]
                 except (oracle.NoConvergenceError, LayoutError) as exc:
                     result = exc
-            if layout.dimension == 1:  # bisected, bit for bit as its scalar twin, and not counted
-                assert not built and result == _top_eigenvalue_level(scalar_twin(layout), grid, level)
+            if layout.dimension == 1:  # bracketed, bit for bit as its scalar twin, and not counted
+                assert not built and result == _level_chain(scalar_twin(layout), grid)[level]
                 continue
-            if built:
-                (op,) = built
+            if built:  # one assembly per level, up to the level that raised
+                op = built[-1] if isinstance(result, Exception) else built[level]
                 A = op.stiffness.toarray() / op.mass[:, None]
                 assert not metzler_irreducible(A)[0]
             else:  # the test builds the level the oracle solves
@@ -1102,6 +1132,13 @@ def solved_level(layout: PatchLayout, grid: GridSpec) -> tuple[PatchLayout, Grid
         return (replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN),
                 replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2)))
     return layout, grid
+
+
+def bracket(layout: PatchLayout, grid: GridSpec, level: int, near: float | None = None, bound: float | None = None):
+    """``_perron_bracket`` on one level of a one-class layout's solved line: started at ``bound``, by default the
+    growth bound plus 1, or just above ``near``."""
+    band = oracle._staged_band(*solved_level(layout, grid), level)
+    return oracle._perron_bracket(*band, _growth_bound(layout) + 1.0 if bound is None else bound, near)
 
 
 class TestOneStageIsScalar:
@@ -1237,7 +1274,7 @@ class TestStagedComplexRightmost:
         # Rightmost -0.727 + 4i at 36 and 576 unknowns; the real -1.227 is nearer the shift 5.
         layout = self.layout([[0, -4, 0], [4, 0, 0], [0, 0, -0.5]])
         with pytest.raises(oracle.NoConvergenceError, match="complex"):
-            _top_eigenvalue_level(layout, GridSpec(cells_per_unit_length=cells, min_cells_per_zone=4), 0)
+            _level_chain(layout, GridSpec(cells_per_unit_length=cells, refinement_levels=2, min_cells_per_zone=4))
 
     @pytest.mark.parametrize("a, refused", [(0.01, False), (0.001, True)])
     def test_real_top_shown_rightmost_or_refused(self, a, refused):
@@ -1252,9 +1289,9 @@ class TestStagedComplexRightmost:
         assert op.n_unknowns == 354 and np.abs(vals.imag).max() == 0.0 and _imag_bound(layout) == 5.0
         if refused:
             with pytest.raises(oracle.NoConvergenceError, match="64 eigenvalues nearest the shift cannot rule out"):
-                _top_eigenvalue_level(layout, grid, 0)
+                _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
         else:
-            value, _ = _top_eigenvalue_level(layout, grid, 0)
+            value, _ = _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
             assert abs(value - vals.real.max()) <= 1e-9 * abs(value)
 
     def test_arnoldi_branch(self):
@@ -1320,7 +1357,7 @@ class TestScalarRingHalfPeriod:
     def assert_matches_dense(layout, grid, level):
         op = assemble(layout, grid, level)
         reference = np.linalg.eigvalsh(symmetric_form(op).toarray())[-1]
-        value, _ = _top_eigenvalue_level(layout, grid, level)
+        value = bracket(layout, grid, level)
         assert abs(value - reference) <= 1e-13 * _largest_entry(op)
         return op
 
@@ -1351,7 +1388,7 @@ class TestScalarRingHalfPeriod:
         op = assemble(layout, grid, 0)
         assert op.n_unknowns == 2 and op.stiffness.nnz == 4
         reference = np.linalg.eigvalsh(symmetric_form(op).toarray())[-1]
-        value, _ = _top_eigenvalue_level(layout, grid, 0)
+        value = bracket(layout, grid, 0)
         assert abs(value - reference) <= 1e-13 * _largest_entry(op)
         assert abs(reference - layout.beneficial.growth) <= 1e-13 * _largest_entry(op)
 
@@ -1365,7 +1402,7 @@ class TestScalarRingHalfPeriod:
             S, k=1, sigma=_growth_bound(layout) + 1.0, which="LM",
             v0=np.ones(op.n_unknowns), return_eigenvectors=False,
         )[0]
-        value, _ = _top_eigenvalue_level(layout, GridSpec(), level)
+        value = bracket(layout, GridSpec(), level)
         assert abs(value - reference) <= 1e-13 * _largest_entry(op)
 
 
@@ -1485,9 +1522,8 @@ class TestNearStartedLevels:
 
     @classmethod
     def assert_matches_bound_start(cls, layout, grid, level, near):
-        started, how = _top_eigenvalue_level(layout, grid, level, near)
-        reference, _ = _top_eigenvalue_level(layout, grid, level)
-        assert how == "perron-bracket"
+        started = bracket(layout, grid, level, near)
+        reference = bracket(layout, grid, level)
         assert abs(started - reference) <= cls.stop_width(layout, grid, level)
         return started
 
@@ -1502,7 +1538,7 @@ class TestNearStartedLevels:
         rng = np.random.default_rng(40 + BCS.index(bc))
         for K in (1, 2, 3) if bc is BoundaryCondition.PERIODIC else (1,):
             layout = replace(random_scalar_problem(rng), bc=bc, K=K).to_layout()
-            near = _top_eigenvalue_level(layout, self.GRID, 0)[0]
+            near = bracket(layout, self.GRID, 0)
             for level in (1, 2):
                 near = self.assert_matches_bound_start(layout, self.GRID, level, near)
 
@@ -1521,10 +1557,10 @@ class TestNearStartedLevels:
     def test_failed_factor_restarts(self, monkeypatch):
         # The first factor is made to fail: sigma is raised 16-fold from near, and the level lands on
         # the bound start's value.
-        near, top = (_top_eigenvalue_level(self.SCALAR, self.GRID, level)[0] for level in (0, 1))
+        near, top = (bracket(self.SCALAR, self.GRID, level) for level in (0, 1))
         calls = self.record(monkeypatch, "dpttrf", lambda calls, result: (*result[:2], len(calls) == 1 or result[2]))
-        value, how = _top_eigenvalue_level(self.SCALAR, self.GRID, 1, near)
-        assert how == "perron-bracket" and abs(value - top) <= self.stop_width(self.SCALAR, self.GRID, 1)
+        value = bracket(self.SCALAR, self.GRID, 1, near)
+        assert abs(value - top) <= self.stop_width(self.SCALAR, self.GRID, 1)
         sigma = [self.shift(d, self.SCALAR, self.GRID, 1) for d, _ in calls]
         assert sigma[0] == pytest.approx(near + 1e-3 * (1 + abs(near)), rel=1e-12)
         assert sigma[1] - near == pytest.approx(16 * (sigma[0] - near), rel=1e-9)
@@ -1544,10 +1580,10 @@ class TestNearStartedLevels:
         # A staged start below the top gives an iterate that is not positive: sigma is raised and
         # the level lands on the bound start's value.
         taiga, grid = get_preset("taiga-two-stage"), GridSpec(cells_per_unit_length=2, refinement_levels=2)
-        top = _top_eigenvalue_level(taiga, grid, 1)[0]
+        top = bracket(taiga, grid, 1)
         calls = self.record(monkeypatch, "dgbtrs")
-        value, how = _top_eigenvalue_level(taiga, grid, 1, top - 0.05)
-        assert how == "perron-bracket" and abs(value - top) <= self.stop_width(taiga, grid, 1)
+        value = bracket(taiga, grid, 1, top - 0.05)
+        assert abs(value - top) <= self.stop_width(taiga, grid, 1)
         positive = [bool(w.min() > 0) for _, (w, _) in calls]
         assert not positive[0] and positive[-1]
 
@@ -1555,12 +1591,11 @@ class TestNearStartedLevels:
         ("dpttrf", SCALAR, GRID), ("dgbtrs", get_preset("taiga-two-stage"), GridSpec(2, 2)),
     ], ids=["one-stage", "staged"])
     def test_failure_at_the_bound_raises(self, monkeypatch, name, layout, grid):
-        # A growth bound below the top: every start fails, up to the bound, where the level raises.
-        top = _top_eigenvalue_level(layout, grid, 1)[0]
-        monkeypatch.setattr(oracle, "_growth_bound", lambda layout: top - 1.5)
+        # A bound below the top: every start fails, up to the bound, where the level raises.
+        top = bracket(layout, grid, 1)
         calls = self.record(monkeypatch, name)
         with pytest.raises(oracle.NoConvergenceError, match="singular|not positive") as err:
-            _top_eigenvalue_level(layout, grid, 1, top - 2.0)
+            bracket(layout, grid, 1, top - 2.0, bound=top - 0.5)
         assert f"sigma = {top - 0.5:.6g}" in str(err.value)
         assert 1 < len(calls) < 10
 
