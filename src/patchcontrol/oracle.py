@@ -17,10 +17,9 @@ tan(R/2)/tanh(r/2) criterion, exact for the whole ring's grid when its zones hav
 and a cooperative level is block triangular over its strongly connected stage classes, one line each,
 so its top is the largest class top.  ``_perron_bracket``, a kernel on one class's LAPACK band alone,
 brackets it by inverse iteration on its LU (Collatz-Wielandt): a symmetric tridiagonal LDL^T for one
-stage, a band LU for more, each finer level started just above the coarser level's value.
-Non-cooperative levels, and the simulator, read the rows as CSR; shift-invert Arnoldi, shifted above
-the zones' growth bound, takes more eigenvalues until none can hide right of the rightmost found (no
-fallback), and refuses levels below 3 unknowns with ``GridTooSmall``.
+stage, a band LU for more, each finer level started just above the coarser level's value.  A layout
+whose stage coupling is not cooperative is refused with ``NonCooperativeStages``.  The simulator reads
+the rows as CSR (``assemble``).
 """
 
 from __future__ import annotations
@@ -193,13 +192,6 @@ def _growth_bound(layout: PatchLayout) -> float:
     return max(row_bound(layout.beneficial.reaction), row_bound(layout.control.reaction))
 
 
-def _imag_bound(layout: PatchLayout) -> float:
-    """Largest 2-norm of the two zones' skew parts ``(M - M^T) / 2``.  The fluxes are symmetric, so the
-    skew part of ``B^-1/2 K B^-1/2`` is per node a convex combination of these, and by Bendixson's
-    theorem it bounds the imaginary part of every eigenvalue of ``B^-1 K`` at every level."""
-    return max(float(np.linalg.norm(z.reaction - z.reaction.T, 2)) / 2 for z in (layout.beneficial, layout.control))
-
-
 def _staged_band(layout: PatchLayout, grid: GridSpec, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(band, B, |B^-1 K| 1)`` of a line: ``-K`` as a ``dgbtrf`` band, node-major, ``kl = ku = n_stages``."""
     (_, mass, rows), s = _node_coefficients(layout, grid, level), layout.dimension
@@ -271,73 +263,26 @@ def _perron_bracket(band: np.ndarray, mass: np.ndarray, weight: np.ndarray, boun
     raise NoConvergenceError(f"Perron bracket [{lo:.6g}, {hi:.6g}] did not close in 100 solves")
 
 
-def _staged_rightmost_eigenvalue(op: DiscreteOperator, sigma: float, imag: float) -> tuple[float, str]:
-    """Rightmost eigenvalue of ``B^-1 K`` by shift-invert Arnoldi at ``sigma``, above every real part,
-    on non-cooperative levels.  Of the ``k`` eigenvalues nearest ``sigma``, ``theta`` is the rightmost.
-    A real one right of it would be nearer and found; a complex one lies within ``hypot(sigma - theta,
-    imag)``, ``imag`` bounding the imaginary parts.  So ``k`` grows 4-fold, to at most 64, until the
-    farthest found is that far, or to ``n - 2`` (ARPACK's most), where the trace gives the mean of the
-    two left out.  ``NoConvergenceError`` unless then ``theta`` is real with backward error ``|Kv -
-    theta Bv| / ((|K|_1 + |theta| max B) |v|)`` at most 1e-6.  ``min(n, max(20, 2k + 1))`` Krylov
-    vectors span the whole space below 21 unknowns, so the Ritz values are exact there; ARPACK needs 3
-    unknowns (else ``GridTooSmall``)."""
-    K, B, n = op.stiffness.tocsc(), op.mass, op.n_unknowns
-    if n < 3:
-        raise LayoutError("GridTooSmall", f"a staged level needs at least 3 unknowns, this one has {n}")
-    # B is diagonal: the standard problem for B^-1 K (row i of K over B_i;
-    # the CSC indices are row numbers) needs no mass-matrix products.
-    A = sparse.csc_matrix((K.data / B[K.indices], K.indices, K.indptr), shape=K.shape)
-    k = 1
-    while True:
-        try:
-            vals, vecs = sparse.linalg.eigs(
-                A, k=k, sigma=sigma, which="LM", v0=np.ones(n), ncv=min(n, max(20, 2 * k + 1)), maxiter=1000
-            )
-        except (sparse.linalg.ArpackNoConvergence, sparse.linalg.ArpackError, RuntimeError) as exc:
-            raise NoConvergenceError(f"shift-invert Arnoldi failed: {exc}") from exc
-        top = int(np.argmax(vals.real))
-        theta, v = complex(vals[top]), vecs[:, top]
-        pair = abs(theta.imag) > 1e-8 * (1.0 + abs(theta.real))
-        if pair or np.abs(sigma - vals).max() >= np.hypot(sigma - theta.real, imag):
-            break
-        if k == n - 2:
-            mean = float((A.diagonal().sum() - vals.sum()).real) / 2
-            if mean <= theta.real + 1e-12 * abs(A).max():
-                break
-            raise NoConvergenceError(f"rightmost eigenvalues are a complex pair of real part {mean:.6g}")
-        if k == 64:
-            raise NoConvergenceError(f"64 eigenvalues nearest the shift cannot rule out one right of {theta.real:.6g}")
-        k = min(4 * k, n - 2, 64)
-    res = float(np.linalg.norm(K @ v - theta * (B * v)))
-    norm1 = float(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max())  # every column holds its diagonal
-    scale = (norm1 + abs(theta) * float(B.max())) * float(np.linalg.norm(v))
-    if not res <= 1e-6 * scale:
-        raise NoConvergenceError(f"shift-invert Arnoldi backward error {res / scale:.3g} is too large")
-    if pair:
-        raise NoConvergenceError(f"rightmost eigenvalue {theta:.6g} is complex (non-cooperative stages)")
-    return theta.real, "shift-invert-arnoldi"
-
-
 def _level_chain(layout: PatchLayout, grid: GridSpec) -> list[tuple[float, str]]:
     """Top eigenvalue per refinement level, each level after the first started near the one before.
 
     The layout is read once per chain: validated, ``stage_coupling`` read on the zones present (the control
-    zone if ``r > 0``), cut into lines and each line's growth bound taken.  A cooperative ring of ``K`` periods
-    is cut to one half-period with reflecting ends, widths ``R/2``, ``r/2`` and half the per-zone cell floor:
-    ``B^-1 K`` is Metzler, so averaging its nonnegative top eigenvector over the ring's translations and
-    mirrors gives one that repeats every period and is even about each zone's middle.  Other rings stay whole:
-    their growing mode can span two periods.  A Metzler layout is block triangular over its stage classes,
-    one line each (the layout restricted to the class's stages in both zones), and a level's top is the
-    largest ``_perron_bracket`` of their bands.  Other layouts are assembled per level for Arnoldi.
+    zone if ``r > 0``), cut into lines and each line's growth bound taken.  A ring of ``K`` periods is cut to
+    one half-period with reflecting ends, widths ``R/2``, ``r/2`` and half the per-zone cell floor: ``B^-1 K``
+    is Metzler, so averaging its nonnegative top eigenvector over the ring's translations and mirrors gives
+    one that repeats every period and is even about each zone's middle.  A Metzler layout is block
+    triangular over its stage classes, one line each (the layout restricted to the class's stages in both
+    zones), and a level's top is the largest ``_perron_bracket`` of their bands.  A layout that is not
+    Metzler is refused with ``NonCooperativeStages`` before any band is built: its rightmost eigenvalue can
+    be complex, and on a ring its growing mode can span two periods.
     """
     layout = validate_layout(layout)
     present = layout.control if layout.r > 0 else layout.beneficial  # the control zone counts where it has cells
     metzler, classes = (True, ((0,),)) if layout.dimension == 1 else stage_coupling(
         layout.beneficial.reaction, present.reaction)
     if not metzler:
-        bound, imag = _growth_bound(layout) + 1.0, _imag_bound(layout)
-        return [_staged_rightmost_eigenvalue(assemble(layout, grid, level), bound, imag)
-                for level in range(grid.refinement_levels)]
+        raise LayoutError("NonCooperativeStages", "a stage matrix has a negative off-diagonal entry: the FD oracle "
+                          "solves cooperative (Metzler) couplings only; the closed form and the simulator take it")
     if layout.bc is BoundaryCondition.PERIODIC:
         layout = replace(layout, R=layout.R / 2, r=layout.r / 2, K=1, bc=BoundaryCondition.NEUMANN)
         grid = replace(grid, min_cells_per_zone=max(2, grid.min_cells_per_zone // 2))

@@ -35,6 +35,8 @@ def test_per_boundary_verdicts_are_gone(name):
         ("linalg", "real_eigenvalues"),
         ("oracle", "refinement_history"),
         ("oracle", "_top_eigenvalue_level"),
+        ("oracle", "_staged_rightmost_eigenvalue"),
+        ("oracle", "_imag_bound"),
         ("staged", "transfer_matrix"),
     ],
 )

@@ -169,7 +169,7 @@ class TestVerdict:
         assert (values["oracle_status"], values["agreement"]) == ("Eradication", "yes")
 
     def test_taiga_at_the_verdict_boundary_exits_0(self, capsys):
-        # The FD top eigenvalue is -6.1e-7 here: the Arnoldi pair passes by backward error.
+        # The FD top eigenvalue is -6.1e-7 here: the Perron bracket closes to a round-off width.
         code, out, err = run_cli(
             capsys, "verdict", "--preset", "taiga-two-stage", "--r", "0.7340402649927732",
             "--grid-levels", "2",
@@ -438,37 +438,49 @@ class TestSpectrum:
         assert (code, err) == (EXIT_OK, "")
         assert parsed(out)["fd_top_eigenvalue"] == "-1.215"
 
-    def test_non_cooperative_staged_ring_exits_7_without_traceback(self, capsys, tmp_path):
+    NON_COOPERATIVE = {
         # The stage coupling has a negative entry and a complex rightmost pair.
-        doc = {
+        "ring": {
             "model": "staged",
             "beneficial": {"A_diag": [1, 1, 1], "M": [[1, -2, 0], [2, 1, 0], [0, 0, -1]]},
             "control": {"A_diag": [1, 1, 1], "M": [[-2, -2, 0], [2, -2, 0], [0, 0, -4]]},
             "R": 2, "r": 1, "K": 2, "bc": "periodic",
-        }
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "spectrum", "--scenario", str(path), "--method", "fd")
-        assert code == EXIT_NO_CONVERGENCE
-        assert out == ""
-        assert err.startswith("oracle did not converge: rightmost eigenvalue ")
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
-
-    def test_complex_pair_farther_from_the_shift_exits_7(self, capsys, tmp_path):
-        # Rightmost -0.727 + 4i; the real -1.227 is nearer the shift, and is not taken for the top.
-        doc = {
+        },
+        # Rightmost -0.727 + 4i; the real -1.227 is nearer a shift above every real part.
+        "pair": {
             "model": "staged",
             "beneficial": {"A_diag": [1, 1, 1], "M": [[0, -4, 0], [4, 0, 0], [0, 0, -0.5]]},
             "control": {"A_diag": [1, 1, 1], "M": [[-3, -4, 0], [4, -3, 0], [0, 0, -3.5]]},
             "R": 2, "r": 1, "K": 1, "bc": "periodic",
-        }
+        },
+    }
+
+    def non_cooperative(self, tmp_path, name):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "spectrum", "--scenario", str(path), "--method", "fd",
-                                 "--grid-cells", "0.1", "--grid-levels", "2")
-        assert (code, out) == (EXIT_NO_CONVERGENCE, "")
-        assert err.startswith("oracle did not converge: rightmost eigenvalue ") and "complex" in err
-        assert len(err.splitlines()) == 1
+        path.write_text(json.dumps(self.NON_COOPERATIVE[name]))
+        return str(path)
+
+    def assert_refused(self, code, out, err):
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: NonCooperativeStages: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_non_cooperative_staged_ring_exits_2_without_traceback(self, capsys, tmp_path):
+        path = self.non_cooperative(tmp_path, "ring")
+        self.assert_refused(*run_cli(capsys, "spectrum", "--scenario", path, "--method", "fd"))
+
+    def test_complex_pair_farther_from_the_shift_exits_2(self, capsys, tmp_path):
+        path = self.non_cooperative(tmp_path, "pair")
+        self.assert_refused(*run_cli(capsys, "spectrum", "--scenario", path, "--method", "fd",
+                                     "--grid-cells", "0.1", "--grid-levels", "2"))
+
+    @pytest.mark.parametrize("name", ["ring", "pair"])
+    def test_non_cooperative_closed_verdict_exits_0(self, capsys, tmp_path, name):
+        # The FD oracle refuses these stages; the closed-form verdict still answers.
+        code, out, err = run_cli(capsys, "verdict", "--scenario", self.non_cooperative(tmp_path, name),
+                                 "--method", "closed")
+        assert (code, err) == (EXIT_OK, "")
+        assert "closed_status" in parsed(out)
 
     def test_oracle_failure_near_float_range_exits_7(self, capsys):
         # Diffusion 1e300: the band's fluxes square past the float range, and the factor fails at the bound.

@@ -28,9 +28,7 @@ from patchcontrol import oracle
 from patchcontrol.model import LayoutError, validate_layout
 from patchcontrol.oracle import (
     _growth_bound,
-    _imag_bound,
     _level_chain,
-    _staged_rightmost_eigenvalue,
     _with_control_mortality,
     _zone_cells,
     assemble,
@@ -40,7 +38,7 @@ from patchcontrol.oracle import (
     verdict_fd,
 )
 from patchcontrol.presets import get_preset
-from patchcontrol.simulate import SimulationRun, simulate
+from patchcontrol.simulate import SimulationRun, growth_exponent, simulate
 
 from sweeps import BCS, imported_names, loguniform, random_scalar_problem, random_supercritical_stage_matrix
 
@@ -303,12 +301,13 @@ class TestGrowthBound:
         assert _growth_bound(layout) >= assembled - 1e-12 * abs(K).max() / B.min()
 
     @pytest.mark.parametrize("seed", [seed for seed in range(27) if (seed // 3) % 3])
-    def test_imag_bound_holds_on_every_staged_level(self, seed):
-        # Bendixson on B^-1/2 K B^-1/2: the zones' skew parts bound every eigenvalue's imaginary part.
+    def test_above_every_real_part_on_every_staged_level(self, seed):
+        # The shift the Perron bracket starts at, and ``shift_invert_top``'s, lie right of the whole
+        # spectrum of B^-1 K, complex eigenvalues of non-cooperative couplings included.
         layout, grid, _ = _transition_case(seed)
         op = assemble(layout, grid, 0)
         vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
-        assert np.abs(vals.imag).max() <= _imag_bound(layout) * (1 + 1e-12) + 1e-12 * np.abs(vals).max()
+        assert vals.real.max() <= _growth_bound(layout) + 1e-12 * np.abs(vals).max()
 
     def test_scalar_start_is_the_largest_growth(self, monkeypatch):
         # The diagonal handed to dpttrf is sigma B - diag K: level 0 starts at the largest growth + 1
@@ -409,17 +408,28 @@ def _arnoldi_ring(K, diffusion, reaction, R, r, mu) -> PatchLayout:
     )
 
 
-class TestStagedArnoldi:
-    """The staged shift-invert Arnoldi solve (20 Krylov vectors) against a dense
-    eigensolve of ``B^-1 K`` on periodic rings."""
+def shift_invert_top(op, sigma: float) -> float:
+    """Test-side reference for a Metzler level: the eigenvalue of ``B^-1 K`` nearest a real shift ``sigma`` above
+    every real part, by one shift-invert Arnoldi call.  Every eigenvalue has real part at most the Perron root, so
+    it is at least ``sigma`` minus the root from the shift: the Perron root is the nearest, and it is real."""
+    A = sparse.csc_matrix(sparse.diags(1.0 / op.mass) @ op.stiffness)
+    (value,) = sparse.linalg.eigs(A, k=1, sigma=sigma, which="LM", v0=np.ones(op.n_unknowns))[0]
+    assert value.imag == 0.0
+    return float(value.real)
+
+
+class TestPerronRingsMatchDense:
+    """The Perron chain on cooperative periodic rings, solved on their half-periods, against a dense
+    eigensolve of the whole ring's ``B^-1 K``."""
 
     @_RINGS
     def test_matches_dense_rightmost(self, K, diffusion, reaction, R, r, mu, cells, level):
         layout = _arnoldi_ring(K, diffusion, reaction, R, r, mu)
-        op = assemble(layout, GridSpec(cells_per_unit_length=cells, min_cells_per_zone=8), level)
+        grid = GridSpec(cells_per_unit_length=cells, refinement_levels=2, min_cells_per_zone=8)
+        op = assemble(layout, grid, level)
         assert 200 < op.n_unknowns <= 2500
-        value, path = _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
-        assert path == "shift-invert-arnoldi"
+        value, how = _level_chain(layout, grid)[level]
+        assert how == "perron-bracket"
         dense = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
         rightmost = dense[np.argmax(dense.real)]
         assert abs(rightmost.imag) <= 1e-9 * abs(rightmost)
@@ -427,7 +437,7 @@ class TestStagedArnoldi:
 
 
 def refuse_solver(*args, **kwargs):
-    raise AssertionError("assembly or Arnoldi inside a bracketed level")
+    raise AssertionError("a matrix, band or Arnoldi solve reached where none belongs")
 
 
 def reducible_stage_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -456,7 +466,7 @@ def band_to_dense(band: np.ndarray, n_stages: int) -> np.ndarray:
 class TestPerronBracket:
     """Cooperative (Metzler) levels of two or more stages are bracketed by Collatz-Wielandt inverse
     iteration on a band LU written straight from the node coefficients, one strongly connected stage
-    class at a time: no CSR, no Arnoldi.  Non-cooperative levels keep assembly and Arnoldi."""
+    class at a time: no CSR, no Arnoldi.  The tests' references are dense, or ``shift_invert_top``."""
 
     @staticmethod
     def draw(rng, i, stage_matrix=random_supercritical_stage_matrix):
@@ -568,8 +578,7 @@ class TestPerronBracket:
         grid = GridSpec(cells_per_unit_length=cells, refinement_levels=2, min_cells_per_zone=8)
         value, how = _level_chain(layout, grid)[level]
         assert how == "perron-bracket"
-        op = assemble(*solved_level(layout, grid), level)
-        arnoldi, _ = _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, 0.0)
+        arnoldi = shift_invert_top(assemble(*solved_level(layout, grid), level), _growth_bound(layout) + 1.0)
         assert abs(value - arnoldi) <= 1e-9 * abs(arnoldi)
 
     @pytest.mark.parametrize("cells", [1, 64])
@@ -587,7 +596,7 @@ class TestPerronBracket:
                 line = replace(layout, R=20.0, r=r / 2, bc=BoundaryCondition.NEUMANN)
                 line_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
             value = oracle._perron_bracket(*oracle._staged_band(line, line_grid, 0), _growth_bound(layout) + 1.0)
-            reference, _ = _staged_rightmost_eigenvalue(assemble(line, line_grid, 0), _growth_bound(layout) + 1.0, 0.0)
+            reference = shift_invert_top(assemble(line, line_grid, 0), _growth_bound(layout) + 1.0)
             assert abs(value - reference) <= 1e-9 * abs(reference), r
 
     @pytest.mark.parametrize("bc", BCS)
@@ -601,7 +610,7 @@ class TestPerronBracket:
                 line = replace(layout, R=layout.R / 2, r=r / 2, K=1, bc=BoundaryCondition.NEUMANN)
                 line_grid = replace(grid, min_cells_per_zone=grid.min_cells_per_zone // 2)
             value = oracle._perron_bracket(*oracle._staged_band(line, line_grid, 1), _growth_bound(layout) + 1.0)
-            reference, _ = _staged_rightmost_eigenvalue(assemble(line, line_grid, 1), _growth_bound(layout) + 1.0, 0.0)
+            reference = shift_invert_top(assemble(line, line_grid, 1), _growth_bound(layout) + 1.0)
             assert abs(value - reference) <= 1e-9 * abs(reference), r
 
     @pytest.mark.parametrize("bc", BCS)
@@ -628,13 +637,13 @@ class TestPerronBracket:
 
     def test_perron_vector_below_the_float_range_closes(self):
         # Control mortality 10 over r = 300: the Perron vector falls to about exp(-950) of its peak.
-        # Shift-invert Arnoldi on the assembled levels gave -1.2146841.
+        # Shift-invert Arnoldi on the assembled levels gives -1.2146841.
         layout = PatchLayout(StageZone([1.0, 1.0], [[0.1, 0.1], [0.1, 0.1]]),
                              StageZone([1.0, 1.0], [[-10.0, 0.01], [0.01, -10.0]]),
                              R=1.0, r=300.0, bc=BoundaryCondition.NEUMANN)
         grid = GridSpec(4, 2)
         for level, (value, how) in enumerate(_level_chain(layout, grid)):
-            reference, _ = _staged_rightmost_eigenvalue(assemble(layout, grid, level), _growth_bound(layout) + 1.0, 0.0)
+            reference = shift_invert_top(assemble(layout, grid, level), _growth_bound(layout) + 1.0)
             assert how == "perron-bracket" and abs(value - reference) <= 1e-9 * abs(reference)
         assert top_eigenvalue_fd(layout, grid).top_eigenvalue == pytest.approx(-1.2146841, abs=5e-8)
 
@@ -729,14 +738,14 @@ class TestPerronBracket:
 class TestStagedBackwardError:
     """Staged levels keep their sign at the taiga preset's verdict boundary, where the
     eigenvalue itself is near zero: the Perron bracket's width is a round-off multiple
-    of ``|B^-1 K|``.  Arnoldi pairs are accepted by backward error."""
+    of ``|B^-1 K|``."""
 
     GRID = GridSpec(refinement_levels=2)
 
     @staticmethod
     def non_cooperative_taiga() -> PatchLayout:
         taiga = get_preset("taiga-two-stage")
-        negative = taiga.control.reaction * [[1.0, 1.0], [-1.0, 1.0]]  # not Metzler: solved by Arnoldi
+        negative = taiga.control.reaction * [[1.0, 1.0], [-1.0, 1.0]]  # not Metzler: refused
         return replace(taiga, r=0.734, control=StageZone(taiga.control.diffusion_diag, negative))
 
     def test_scan_across_the_verdict_boundary(self):
@@ -748,24 +757,10 @@ class TestStagedBackwardError:
             signs.add(np.sign(report.top_eigenvalue))
         assert signs == {-1.0, 1.0}
 
-    def test_perturbed_eigenvector_is_refused(self, monkeypatch):
-        eigs = sparse.linalg.eigs
-
-        def perturbed(*args, **kwargs):
-            vals, vecs = eigs(*args, **kwargs)
-            noise = np.random.default_rng(3).standard_normal(vecs.shape)
-            return vals, vecs + 1e-3 * np.linalg.norm(vecs) / np.linalg.norm(noise) * noise
-
-        layout = self.non_cooperative_taiga()
-        assert _level_chain(layout, self.GRID)[0][1] == "shift-invert-arnoldi"
-        monkeypatch.setattr(sparse.linalg, "eigs", perturbed)
-        with pytest.raises(oracle.NoConvergenceError, match="backward error"):
-            top_eigenvalue_fd(layout, self.GRID)
-
     @pytest.mark.parametrize("level", [0, 1])
     def test_column_sum_norm_from_the_csc_segments(self, level):
-        # The acceptance scale sums |K| per CSC segment; every column holds its
-        # diagonal, so no segment is empty and the sums equal abs(K)'s column sums.
+        # Every column of the assembled K holds its diagonal, so no CSC segment is
+        # empty and the per-segment sums of |K| equal abs(K)'s column sums.
         rng = np.random.default_rng(1717)
         for _ in range(12):
             bc = BCS[int(rng.integers(3))]
@@ -784,35 +779,40 @@ class TestStagedBackwardError:
 
 
 class TestChainReadsLayoutOnce:
-    """A chain reads its layout once, however many levels it solves: one validation (and one more per
-    level that a non-cooperative layout assembles), one ``stage_coupling`` for two or more stages, one
-    growth bound per stage-class line, and ``_imag_bound`` once, only for a non-cooperative layout."""
+    """A chain reads its layout once, however many levels it solves: one validation, one ``stage_coupling``
+    for two or more stages and one growth bound per stage-class line.  A non-cooperative layout is refused
+    after its one validation and one ``stage_coupling``, before any growth bound."""
 
     GRID = GridSpec(cells_per_unit_length=8, refinement_levels=3, min_cells_per_zone=4)
 
-    @pytest.mark.parametrize("layout, counts", [
-        (PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0, K=2), (1, 0, 1, 0)),
-        (get_preset("taiga-two-stage"), (1, 1, 1, 0)),
+    @pytest.mark.parametrize("layout, counts, refused", [
+        (PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(2.0, -3.0), R=2.0, r=1.0, K=2), (1, 0, 1), False),
+        (get_preset("taiga-two-stage"), (1, 1, 1), False),
         (PatchLayout(StageZone([1.0, 0.3], np.diag([1.0, 0.2])), StageZone([1.0, 0.3], np.diag([-1.0, -2.0])),
-                     R=3.0, r=1.0, bc=BoundaryCondition.NEUMANN), (1, 1, 2, 0)),
-        (TestStagedBackwardError.non_cooperative_taiga(), (1 + GRID.refinement_levels, 1, 1, 1)),
+                     R=3.0, r=1.0, bc=BoundaryCondition.NEUMANN), (1, 1, 2), False),
+        (TestStagedBackwardError.non_cooperative_taiga(), (1, 1, 0), True),
     ], ids=["scalar-ring", "taiga", "two-classes", "non-cooperative"])
-    def test_layout_read_once_per_chain(self, monkeypatch, layout, counts):
-        calls = dict.fromkeys(("validate_layout", "stage_coupling", "_growth_bound", "_imag_bound"), 0)
+    def test_layout_read_once_per_chain(self, monkeypatch, layout, counts, refused):
+        calls = dict.fromkeys(("validate_layout", "stage_coupling", "_growth_bound"), 0)
         for name in calls:
             def counting(*args, name=name, call=getattr(oracle, name)):
                 calls[name] += 1
                 return call(*args)
 
             monkeypatch.setattr(oracle, name, counting)
-        top_eigenvalue_fd(layout, self.GRID)
+        if refused:
+            with pytest.raises(LayoutError, match="^NonCooperativeStages: "):
+                top_eigenvalue_fd(layout, self.GRID)
+        else:
+            top_eigenvalue_fd(layout, self.GRID)
         assert tuple(calls.values()) == counts
 
 
 class TestStagedWholeRing:
-    """Staged rings are solved on all ``K`` periods.  Without cooperative
-    coupling the growing mode can span two periods (a Turing-type instability
-    here: the inhibitor diffuses 40 times faster), which one period misses."""
+    """Without cooperative coupling a ring's growing mode can span two periods (a
+    Turing-type instability here: the inhibitor diffuses 40 times faster), which
+    one period misses.  The FD oracle refuses such a ring; the simulator integrates
+    it, and its Crank-Nicolson growth reads the whole ring's rightmost eigenvalue."""
 
     LAYOUT = PatchLayout(
         StageZone([1.0, 40.0], [[1.0, -1.0], [5.0, -4.0]]),
@@ -828,17 +828,25 @@ class TestStagedWholeRing:
         vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
         return vals[np.argmax(vals.real)]
 
-    @pytest.mark.parametrize("grid, level", [(COARSE, 0), (GRID, 1)], ids=["0-coarse", "1-shift-invert-arnoldi"])
+    @pytest.mark.parametrize("grid, level", [(COARSE, 0), (GRID, 1)], ids=["0-coarse", "1-fine"])
     def test_antiperiodic_growth(self, grid, level):
         ring = self.dense_rightmost(self.LAYOUT, grid, level)
         period = self.dense_rightmost(replace(self.LAYOUT, K=1), grid, level)
         assert ring.imag == 0.0 and ring.real > 0.3 and period.real < -0.3
-        value, how = _level_chain(self.LAYOUT, replace(grid, refinement_levels=2))[level]
-        assert how == "shift-invert-arnoldi"
-        assert abs(value - ring.real) <= 1e-9 * ring.real
 
-    def test_verdict_is_not_eradication(self):
-        assert verdict_fd(self.LAYOUT, self.GRID).status is not VerdictStatus.ERADICATION
+    @pytest.mark.parametrize("solve", [top_eigenvalue_fd, verdict_fd])
+    def test_oracle_refuses_the_ring(self, solve):
+        with pytest.raises(LayoutError) as err:
+            solve(self.LAYOUT, self.GRID)
+        assert err.value.code == "NonCooperativeStages"
+
+    def test_simulator_growth_reads_the_rightmost_eigenvalue(self):
+        # theta = 1/2 multiplies the dominant mode by (1 + dt E/2) / (1 - dt E/2) per step, so the log norm's
+        # slope is (2/dt) artanh(dt E/2); inverted, it gave the dense top within 9e-15 at these 76 unknowns.
+        dt = 0.01
+        slope = growth_exponent(simulate(SimulationRun(layout=self.LAYOUT, dt=dt, T=40.0, grid=self.COARSE)))
+        ring = self.dense_rightmost(self.LAYOUT, self.COARSE, 0)
+        assert abs(2 / dt * math.tanh(dt * slope / 2) - ring.real) <= 1e-12
 
 
 def _cooperative_ring(rng: np.random.Generator, n_stages: int, K: int, R: float, r: float) -> PatchLayout:
@@ -890,7 +898,9 @@ class TestStagedRingHalfPeriod:
             assert how == "perron-bracket"
             assert abs(value - ring.real) <= 1e-9 * abs(ring.real)
 
-    def test_only_whole_rings_of_non_cooperative_stages_are_assembled(self, monkeypatch):
+    def test_rings_build_only_half_period_bands(self, monkeypatch):
+        # A cooperative ring builds one band of its half-period per level; a ring without cooperative
+        # coupling is refused before anything is built.
         built = []
         for name in ("assemble", "_staged_band"):
             build = getattr(oracle, name)
@@ -903,8 +913,9 @@ class TestStagedRingHalfPeriod:
         top_eigenvalue_fd(replace(get_preset("taiga-two-stage"), K=3), FAST)
         assert built == [("_staged_band", BoundaryCondition.NEUMANN, 1)] * FAST.refinement_levels
         built.clear()
-        top_eigenvalue_fd(TestStagedWholeRing.LAYOUT, TestStagedWholeRing.GRID)
-        assert built == [("assemble", BoundaryCondition.PERIODIC, 2)] * TestStagedWholeRing.GRID.refinement_levels
+        with pytest.raises(LayoutError, match="^NonCooperativeStages: "):
+            top_eigenvalue_fd(TestStagedWholeRing.LAYOUT, TestStagedWholeRing.GRID)
+        assert built == []
 
 
 class TestPatchCountChecked:
@@ -977,11 +988,9 @@ def scalar_twin(layout: PatchLayout) -> PatchLayout:
 
 
 class TestGridTooSmall:
-    """ARPACK needs 3 unknowns: a non-cooperative level of two or more stages with fewer (absorbing
-    ends, no control zone and under 4 cells) is refused, and one of exactly 3 is solved.  A
-    cooperative level is bracketed at any size, one stage class at a time, reducible ones too; a
-    one-stage level (or class) of one unknown by ``dgbtrf`` (scipy's ``dpttrf`` refuses it), as its
-    scalar twin is."""
+    """No level is too small: a level of 1-3 unknowns (absorbing ends, no control zone and under 4
+    cells) is bracketed, one stage class at a time, reducible ones too; a one-stage level (or class)
+    of one unknown by ``dgbtrf`` (scipy's ``dpttrf`` refuses it), as its scalar twin is."""
 
     GRID = GridSpec(cells_per_unit_length=1, min_cells_per_zone=2)  # one interior node at level 0
     CHAIN = replace(GRID, refinement_levels=2)  # the shortest chain, read at level 0
@@ -1011,13 +1020,6 @@ class TestGridTooSmall:
             return
         assert how == "perron-bracket" and abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
 
-    def test_non_cooperative_refused(self):
-        layout = self.layout(2, sign=-1.0)
-        assert self.dense(layout, self.GRID)[0] == 2
-        with pytest.raises(LayoutError) as err:
-            top_eigenvalue_fd(layout, self.GRID)
-        assert err.value.code == "GridTooSmall"
-
     def test_two_unknown_reducible_level_solved(self):
         # One-way coupling: stage 1 feeds stage 0, and the level's two classes are one unknown each.
         layout = PatchLayout(StageZone(np.ones(2), [[1.5, 0.5], [0.0, 1.5]]), StageZone(np.ones(2), -np.eye(2)),
@@ -1026,23 +1028,18 @@ class TestGridTooSmall:
         assert n == 2 and vals.real.max() == -6.5
         assert _level_chain(layout, self.CHAIN)[0] == (-6.5, "perron-bracket")
 
-    def test_three_unknowns_solved(self, sign=1.0, path="perron-bracket"):
-        n, vals = self.dense(self.layout(3, sign), self.GRID)
+    def test_three_unknowns_solved(self):
+        n, vals = self.dense(self.layout(3), self.GRID)
         assert n == 3 and vals.imag.max() == 0.0
-        value, how = _level_chain(self.layout(3, sign), self.CHAIN)[0]
-        assert how == path and abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
-
-    def test_three_non_cooperative_unknowns_solved(self):
-        self.test_three_unknowns_solved(sign=-1.0, path="shift-invert-arnoldi")
+        value, how = _level_chain(self.layout(3), self.CHAIN)[0]
+        assert how == "perron-bracket" and abs(value - vals.real.max()) <= 1e-13 * abs(vals).max()
 
 
 class TestSmallStagedLevels:
-    """Small levels of two or more stages (2-79 unknowns) take the same paths as large ones, and
-    no dense eigensolve runs inside the call: a cooperative level is bracketed without assembly or
-    Arnoldi, a non-cooperative one takes shift-invert Arnoldi; a one-stage level is its scalar twin.  A
-    real rightmost eigenvalue, which every cooperative level has, equals a dense eigensolve's to
-    round-off.  Every complex rightmost pair is refused, also one farther from the shift than a
-    real eigenvalue left of it."""
+    """Small levels of two or more stages (2-79 unknowns) take the same path as large ones, and no
+    assembly, Arnoldi or dense eigensolve runs inside the call: a cooperative level is bracketed, and
+    its rightmost eigenvalue, which is real, equals a dense eigensolve's to round-off; a one-stage
+    level is its scalar twin.  A draw whose zones present are not Metzler is refused."""
 
     @staticmethod
     def draw(rng):
@@ -1063,58 +1060,38 @@ class TestSmallStagedLevels:
         return layout, grid, int(rng.integers(2))
 
     def test_matches_dense_rightmost(self, monkeypatch):
-        built, arnoldi = [], []
-        build, eigs = oracle.assemble, sparse.linalg.eigs
-        monkeypatch.setattr(oracle, "assemble", lambda *args: built.append(build(*args)) or built[-1])
-        monkeypatch.setattr(sparse.linalg, "eigs", lambda *args, **kwargs: arnoldi.append(1) or eigs(*args, **kwargs))
+        def no_solver(*args, **kwargs):
+            raise AssertionError("assembly, Arnoldi or a dense eigensolve inside the oracle")
 
-        def no_dense_solve(*args, **kwargs):
-            raise AssertionError("dense eigensolve inside the oracle")
-
-        rng = np.random.default_rng(2612)  # its draws hold 2 complex pairs that a real eigenvalue hides
-        checked, complex_pairs, hidden = 0, 0, 0
+        rng = np.random.default_rng(2612)
+        checked, refused = 0, 0
         while checked < 300:
             layout, grid, level = self.draw(rng)
             grid = replace(grid, refinement_levels=2)
-            built.clear()
-            arnoldi.clear()
             with monkeypatch.context() as m:
-                m.setattr(np.linalg, "eigvals", no_dense_solve)
+                for owner, name in ((oracle, "assemble"), (sparse.linalg, "eigs"), (np.linalg, "eigvals")):
+                    m.setattr(owner, name, no_solver)
                 try:
                     result = _level_chain(layout, grid)[level]
-                except (oracle.NoConvergenceError, LayoutError) as exc:
+                except LayoutError as exc:
                     result = exc
             if layout.dimension == 1:  # bracketed, bit for bit as its scalar twin, and not counted
-                assert not built and result == _level_chain(scalar_twin(layout), grid)[level]
+                assert result == _level_chain(scalar_twin(layout), grid)[level]
                 continue
-            if built:  # one assembly per level, up to the level that raised
-                op = built[-1] if isinstance(result, Exception) else built[level]
-                A = op.stiffness.toarray() / op.mass[:, None]
-                assert not metzler_irreducible(A)[0]
-            else:  # the test builds the level the oracle solves
-                op = build(*solved_level(layout, grid), level)
-                A = op.stiffness.toarray() / op.mass[:, None]
-                assert metzler_irreducible(A)[0] and not arnoldi
-            if isinstance(result, LayoutError):
-                assert result.code == "GridTooSmall" and op.n_unknowns < 3
+            op = assemble(*solved_level(layout, grid), level)  # the test builds the level the oracle solves
+            A = op.stiffness.toarray() / op.mass[:, None]
+            if isinstance(result, LayoutError):  # refused exactly where the level is not Metzler
+                assert result.code == "NonCooperativeStages" and not metzler_irreducible(A)[0]
+                refused += 1
                 continue
+            assert metzler_irreducible(A)[0]
             if op.n_unknowns >= 80:
                 continue
-            vals = np.linalg.eigvals(A)
-            rightmost, scale = vals[np.argmax(vals.real)], np.abs(A).max()
-            checked += 1
-            if abs(rightmost.imag) > 1e-8 * (1.0 + abs(rightmost.real)):
-                assert not ((A >= 0) | np.eye(len(A), dtype=bool)).all()  # a Metzler level's rightmost is real
-                assert isinstance(result, oracle.NoConvergenceError) and "complex" in str(result), result
-                distance = np.abs(_growth_bound(layout) + 1.0 - vals)
-                complex_pairs += 1
-                hidden += bool(distance.min() < distance[np.argmax(vals.real)])  # not the nearest to the shift
-                continue
-            assert not isinstance(result, Exception), result
             value, how = result
-            assert how == ("shift-invert-arnoldi" if built else "perron-bracket")
-            assert abs(value - rightmost.real) <= 1e-13 * scale
-        assert complex_pairs > hidden > 0
+            assert how == "perron-bracket"
+            assert abs(value - np.linalg.eigvals(A).real.max()) <= 1e-13 * np.abs(A).max()
+            checked += 1
+        assert refused > 0
 
 
 def metzler_irreducible(A: np.ndarray) -> tuple[bool, bool]:
@@ -1246,61 +1223,43 @@ class TestOneZoneForm:
         assert all(any(spans[site][0] <= i <= spans[site][1] for site in where.get(name, ())) for i, name in mentions)
 
 
-class TestStagedComplexRightmost:
-    """A complex rightmost pair (possible only without cooperative coupling) raises
-    instead of returning the largest real eigenvalue or a fallback value, also when
-    a real eigenvalue left of it is nearer the shift."""
+def _cycle(reaction, a=1.0, bc=BoundaryCondition.PERIODIC, R=2.0) -> PatchLayout:
+    reaction = np.array(reaction, dtype=float)
+    diffusion = np.full(len(reaction), a)
+    return PatchLayout(StageZone(diffusion, reaction), StageZone(diffusion, reaction - 3.0 * np.eye(len(reaction))),
+                       R=R, r=1.0, bc=bc)
 
-    @staticmethod
-    def layout(reaction):
-        reaction = np.array(reaction, dtype=float)
-        diffusion = np.ones(len(reaction))
-        return PatchLayout(
-            StageZone(diffusion, reaction),
-            StageZone(diffusion, reaction - 3.0 * np.eye(len(reaction))),
-            R=2.0, r=1.0, K=1, bc=BoundaryCondition.PERIODIC,
-        )
 
-    def test_small_level(self):
-        # Rightmost 0.273 + 2.000i; the largest real eigenvalue is -1.727.
-        layout = self.layout([[1, -2, 0], [2, 1, 0], [0, 0, -1]])
-        op = assemble(layout, GridSpec(cells_per_unit_length=4, min_cells_per_zone=4))
-        assert op.n_unknowns == 36
-        with pytest.raises(oracle.NoConvergenceError, match="complex"):
-            _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
+class TestNonCooperativeRefused:
+    """A layout whose zones present (the control zone only where ``r > 0``) are not Metzler is refused with
+    ``NonCooperativeStages`` by every oracle entry point, before any band or matrix is built: its rightmost
+    eigenvalue can be complex, also farther from a real shift than a real eigenvalue left of it."""
 
-    @pytest.mark.parametrize("cells", [4, 64])
-    def test_pair_farther_from_the_shift_than_a_real_eigenvalue(self, cells):
-        # Rightmost -0.727 + 4i at 36 and 576 unknowns; the real -1.227 is nearer the shift 5.
-        layout = self.layout([[0, -4, 0], [4, 0, 0], [0, 0, -0.5]])
-        with pytest.raises(oracle.NoConvergenceError, match="complex"):
-            _level_chain(layout, GridSpec(cells_per_unit_length=cells, refinement_levels=2, min_cells_per_zone=4))
+    GRID = GridSpec(cells_per_unit_length=4, refinement_levels=2, min_cells_per_zone=4)
 
-    @pytest.mark.parametrize("a, refused", [(0.01, False), (0.001, True)])
-    def test_real_top_shown_rightmost_or_refused(self, a, refused):
-        # Triangular stages: a real spectrum, but zone skew parts of norm 5 allow pairs up to 5i.  At
-        # a = 0.001 more than 64 eigenvalues lie within hypot(sigma - top, 5) of the shift.
-        M = np.array([[1.0, -10.0], [0.0, -1.0]])
-        layout = PatchLayout(StageZone([a, a], M), StageZone([a, a], M - 3 * np.eye(2)),
-                             R=10.0, r=1.0, bc=BoundaryCondition.NEUMANN)
-        grid = GridSpec(cells_per_unit_length=16, min_cells_per_zone=4)
-        op = assemble(layout, grid, 0)
-        vals = np.linalg.eigvals(op.stiffness.toarray() / op.mass[:, None])
-        assert op.n_unknowns == 354 and np.abs(vals.imag).max() == 0.0 and _imag_bound(layout) == 5.0
-        if refused:
-            with pytest.raises(oracle.NoConvergenceError, match="64 eigenvalues nearest the shift cannot rule out"):
-                _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
-        else:
-            value, _ = _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
-            assert abs(value - vals.real.max()) <= 1e-9 * abs(value)
+    @pytest.mark.parametrize("layout", [
+        _cycle([[1, -2, 0], [2, 1, 0], [0, 0, -1]]),  # rightmost 0.273 + 2.000i, largest real -1.727
+        _cycle([[0, -4, 0], [4, 0, 0], [0, 0, -0.5]]),  # rightmost -0.727 + 4i; the real -1.227 is nearer the shift
+        _cycle([[0.5, -2], [2, 0.3]]),  # rightmost -0.3203 + 2.00i
+        _cycle([[1.0, -10.0], [0.0, -1.0]], a=0.01, bc=BoundaryCondition.NEUMANN, R=10.0),  # a real spectrum
+        _cycle([[1.0, -10.0], [0.0, -1.0]], a=0.001, bc=BoundaryCondition.NEUMANN, R=10.0),
+        TestStagedBackwardError.non_cooperative_taiga(),
+        TestGridTooSmall.layout(2, sign=-1.0),  # 2 and 3 unknowns on TestGridTooSmall.GRID
+        TestGridTooSmall.layout(3, sign=-1.0),
+    ], ids=["complex", "pair-beyond-a-real", "two-stage-complex", "triangular", "triangular-slow", "taiga",
+            "two-unknowns", "three-unknowns"])
+    def test_every_entry_point_refuses(self, monkeypatch, layout):
+        for owner, name in ((oracle, "assemble"), (oracle, "_staged_band"), (sparse.linalg, "eigs")):
+            monkeypatch.setattr(owner, name, refuse_solver)
+        for solve in (_level_chain, top_eigenvalue_fd, verdict_fd):
+            with pytest.raises(LayoutError, match="^NonCooperativeStages: ") as err:
+                solve(layout, self.GRID)
+            assert err.value.code == "NonCooperativeStages"
 
-    def test_arnoldi_branch(self):
-        # Rightmost -0.3203 + 2.00i.
-        layout = self.layout([[0.5, -2], [2, 0.3]])
-        op = assemble(layout, GridSpec(cells_per_unit_length=64))
-        assert op.n_unknowns == 384
-        with pytest.raises(oracle.NoConvergenceError, match="complex"):
-            _staged_rightmost_eigenvalue(op, _growth_bound(layout) + 1.0, _imag_bound(layout))
+    def test_an_absent_control_zone_is_not_read(self):
+        # At r = 0 the control zone has no cells: its negative coupling couples nothing, and the level is bracketed.
+        layout = replace(TestStagedBackwardError.non_cooperative_taiga(), r=0.0)
+        assert _level_chain(layout, self.GRID) == _level_chain(replace(get_preset("taiga-two-stage"), r=0.0), self.GRID)
 
 
 def _ring(rng: np.random.Generator, K: int, R: float, r: float) -> PatchLayout:
@@ -1427,8 +1386,8 @@ class TestScalarBands:
 
 
 class TestScalarWithoutAssembly:
-    """Scalar oracle work reads the node rows as a band and never assembles a matrix or calls
-    Arnoldi; staged layouts read the same rows, and only non-cooperative ones assemble."""
+    """Oracle work reads the node rows as a band and never assembles a matrix or calls Arnoldi,
+    scalar or staged; a non-cooperative layout is refused before either."""
 
     GRID = GridSpec(cells_per_unit_length=16, refinement_levels=2, min_cells_per_zone=4)
 
@@ -1460,8 +1419,19 @@ class TestScalarWithoutAssembly:
             R=2.0, r=1.0,
         )
 
-    def test_staged_reaches_assemble(self):
-        with pytest.raises(AssertionError, match="assemble reached"):
+    def test_seeded_scan_reaches_neither(self):
+        # 1-3 stages, cooperative and not, every boundary, rings of K = 1-3: each draw is bracketed or refused.
+        rng = np.random.default_rng(4300)
+        outcomes, rings = set(), 0
+        for _ in range(80):
+            layout, grid, _ = TestSmallStagedLevels.draw(rng)
+            rings += layout.bc is BoundaryCondition.PERIODIC
+            try:
+                outcomes.add(verdict_fd(layout, replace(grid, refinement_levels=2)).deciding_rule)
+            except LayoutError as err:
+                outcomes.add(err.code)
+        assert outcomes == {"fd-top-eigenvalue-sign", "NonCooperativeStages"} and rings >= 10
+        with pytest.raises(LayoutError, match="^NonCooperativeStages: "):
             top_eigenvalue_fd(self.staged(-0.5), self.GRID)
 
     def test_cooperative_staged_reaches_only_the_band(self):
