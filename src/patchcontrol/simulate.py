@@ -6,12 +6,17 @@ profiles, and extracts the asymptotic growth/decay exponent, which must match
 the spectral verdicts in sign and the top eigenvalue in value.
 
 Each Crank-Nicolson step is taken as an implicit half-step followed by
-extrapolation: solve ``(B - dt/2 K) z = B y_n``, then ``y_{n+1} = 2 z - y_n``.
+extrapolation: ``z = 2 (B - dt/2 K)^-1 B y_n``, then ``y_{n+1} = z - y_n``.
 This is the theta = 1/2 scheme itself (``(B - dt/2 K) y_{n+1} = (B + dt/2 K)
-y_n``), so one factored solve, one diagonal scaling and one dot product make a
-step; no explicit right-hand-side matrix is formed. Off a ring a one-stage
-layout's matrix is tridiagonal and LAPACK (``dgttrf``/``dgttrs``) factors it;
-rings and layouts of more stages use SuperLU.
+y_n``), so one factored solve and one dot product make a step; no explicit
+right-hand-side matrix is formed. Off a ring a one-stage layout's matrix is
+symmetric tridiagonal: while it is positive definite, ``dpttrs`` solves it on
+``B y_n``. Every other matrix is folded by the mass, ``(I - dt/2 B^-1 K) / 2``,
+so no step multiplies by ``B``. LAPACK factors its band (``dgbtrf``, node-major,
+``kl = ku = n_stages``); a ring's wrap entries beyond the band, a term of rank
+``2 n_stages``, are applied by the Sherman-Morrison-Woodbury identity. One-stage
+rings stay on SuperLU, as the benchmark tracer's ``simulate.factor`` expects;
+``dpttrf`` with a rank-one Sherman-Morrison term waits for that tracer to move.
 
 Growing modes are renormalized once the norm exceeds 1e100 (decaying ones once
 it falls below 1e-100); the accumulated log scale is folded into the reported
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import splu
 
 from .model import BoundaryCondition, PatchLayout, validate_layout
@@ -80,7 +85,7 @@ class SimulationResult:
     x: np.ndarray
     final_profile: np.ndarray  # (n_nodes, n_stages), internal scale
     final_log_scale: float
-    min_density_ratio: float  # min over nodes/times of y / max|y|, for positivity checks
+    min_density_ratio: float  # the most negative y / max|y| over nodes and stored times, or 0 when none is negative
     dt: float
     n_stages: int
 
@@ -150,20 +155,53 @@ def _checked_norm(y: np.ndarray, t: float) -> float:
 
 
 def _half_step_solver(op: DiscreteOperator, dt: float, periodic: bool):
-    """``b -> 2 (B - dt/2 K)^-1 b`` (may overwrite ``b``); the matrix is halved, exactly, and
-    factored once: by LAPACK when tridiagonal (one stage, off a ring), else by SuperLU. Either
-    raises ``RuntimeError`` on an exactly zero pivot; SuperLU also on a pivot at round-off
-    level, ``n eps max|A|`` or less (a singular ring Laplacian factors with one)."""
-    A = 0.5 * (sparse.diags(op.mass) - (dt / 2.0) * op.stiffness).tocsc()
-    if periodic or op.n_stages > 1:
-        lu = splu(A)
-        if np.abs(lu.U.diagonal()).min() <= A.shape[0] * np.finfo(float).eps * abs(A).max():
+    """The half-step map ``y -> 2 (B - dt/2 K)^-1 B y``, factored once; it leaves ``y`` intact.  Off a ring a
+    one-stage step is ``dpttrs`` on ``B y``; other steps solve with the mass-folded ``C = (I - dt/2 B^-1 K) / 2``:
+    SuperLU on a one-stage ring, else the ``dgbtrf`` band ``T`` of ``C`` (two ``dtbsv``, or ``dgbtrs`` after
+    interchanges), with a ring's wrap ``C - T = U diag(v) V^T`` applied by Woodbury.  Raises ``RuntimeError`` on a
+    factor pivot of at most ``n eps max|matrix|``, an exact zero included, or a capacitance singular by that rule."""
+    K, B, n, s = op.stiffness, op.mass, op.n_unknowns, op.n_stages
+    tiny = n * np.finfo(float).eps  # times max|matrix|: the pivot floor (a singular ring Laplacian pivots at round-off)
+    if s == 1 and not periodic and n > 1:  # scipy's dpttrf refuses one unknown
+        half, off = 0.5 * (B - (dt / 2.0) * K.diagonal()), -(dt / 4.0) * K.diagonal(1)
+        d, e, info = lapack.dpttrf(half, off)
+        if not info:  # else not positive definite: the band below takes it
+            if d.min() <= tiny * max(np.abs(half).max(), np.abs(off).max()):
+                raise RuntimeError("Factor is exactly singular")
+            By = np.empty(n)
+            return lambda y: lapack.dpttrs(d, e, np.multiply(B, y, out=By), overwrite_b=1)[0]
+    C = (sparse.identity(n) * 0.5 - sparse.diags((dt / 4.0) / B) @ K).tocoo()
+    if s == 1 and periodic:
+        lu = splu(C.tocsc())
+        if np.abs(lu.U.diagonal()).min() <= tiny * np.abs(C.data).max():
             raise RuntimeError("Factor is exactly singular")
         return lu.solve
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
-    if info > 0:
+    band = np.abs(C.row - C.col) <= s
+    ab = np.zeros((3 * s + 1, n), order="F")
+    ab[2 * s + C.row[band] - C.col[band], C.col[band]] = C.data[band]
+    lu, piv, info = lapack.dgbtrf(ab, s, s)
+    if info > 0 or np.abs(lu[2 * s]).min() <= tiny * np.abs(C.data).max():
         raise RuntimeError("Factor is exactly singular")
-    return lambda b: lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+    if (piv == np.arange(n)).all():  # no interchanges: L and U keep the band
+        lower, upper = np.asfortranarray(lu[2 * s :]), np.asfortranarray(lu[s : 2 * s + 1])
+        solve_band = lambda y: blas.dtbsv(s, upper, blas.dtbsv(s, lower, y, lower=1, diag=1), overwrite_x=1)
+    else:
+        solve_band = lambda y: lapack.dgbtrs(lu, s, s, y, piv)[0]
+    if band.all():  # off a ring, or a ring of two nodes
+        return solve_band
+    r, c, v = C.row[~band], C.col[~band], C.data[~band]  # U and V hold the identity's columns r and c
+    QT = np.array([solve_band(np.eye(1, n, k)[0]) for k in r])  # (T^-1 U)^T, row-major for the step's product
+    cap = np.eye(len(r)) + v[:, None] * QT[:, c].T
+    cap_lu, cap_piv, info = lapack.dgetrf(cap)
+    if info > 0 or np.abs(np.diag(cap_lu)).min() <= tiny * np.abs(cap).max():
+        raise RuntimeError("Woodbury capacitance is singular")
+    PT = lapack.dgetrs(cap_lu, cap_piv, np.diag(v))[0].T @ QT  # (T^-1 U (I + diag(v) V^T T^-1 U)^-1 diag(v))^T
+
+    def solve(y):
+        x = solve_band(y)
+        x -= x[c] @ PT
+        return x
+    return solve
 
 
 def checked_run(run: SimulationRun) -> tuple[PatchLayout, float, float]:
@@ -233,7 +271,7 @@ def simulate(run: SimulationRun) -> SimulationResult:
 
     # states[j] is the state at step first + j, offsets[j] its log scale, squares[j] its squared norm.
     states = np.empty((_BLOCK_ROWS, n_nodes * n_stages))
-    offsets = np.empty(_BLOCK_ROWS)
+    offsets = np.zeros(_BLOCK_ROWS)  # refilled per block, and from a renormalised row on
     squares = np.empty(_BLOCK_ROWS)
     min_ratio = 0.0
 
@@ -254,25 +292,27 @@ def simulate(run: SimulationRun) -> SimulationResult:
     y = states[0]
     y[:] = y0.reshape(-1)
     squares[0] = _checked_norm(y, 0.0) ** 2
-    offset = offsets[0] = 0.0
+    offset = 0.0
     while pending and pending[0] <= 0.0:
         pending.pop(0)
         snapshots.append(Snapshot(0.0, op.x, y.reshape(n_nodes, n_stages).copy(), offset))
 
     first = row = 0
+    rows, subtract, low = list(states), np.subtract, 1.0 / _RENORM_SQ
     for k in range(1, steps + 1):
         row += 1
         if row == _BLOCK_ROWS:
             record_block(first, row)
             first, row = k, 0
-        y = np.subtract(solve(B * y), y, out=states[row])
-        squares[row] = sq = float(y @ y)
-        if not 1.0 / _RENORM_SQ <= sq <= _RENORM_SQ:  # also catches 0, inf and nan
+            offsets.fill(offset)
+        y = subtract(solve(y), y, out=rows[row])
+        squares[row] = sq = y.dot(y)
+        if not low <= sq <= _RENORM_SQ:  # also catches 0, inf and nan
             norm = _checked_norm(y, times[k])
             offset += math.log(norm)
             y /= norm
             squares[row] = 1.0  # unit norm, to round-off
-        offsets[row] = offset
+            offsets[row:] = offset
         while pending and times[k] >= pending[0] - snap_tol:
             pending.pop(0)
             snapshots.append(

@@ -671,12 +671,13 @@ class TestSimulateCommand:
         assert not out_dir.exists()
 
     @staticmethod
-    def assert_singular_exits_6(capsys, tmp_path, bc):
+    def assert_singular_exits_6(capsys, tmp_path, bc, staged=False):
         # Uniform growth 4 with dt = 2/4: B - dt/2 K is exactly the singular Laplacian.
+        zone = {"A_diag": [1.0, 1.0], "M": [[4.0, 0.0], [0.0, 4.0]]} if staged else {"diffusion": 1.0, "growth": 4.0}
         doc = {
-            "model": "scalar",
-            "beneficial": {"diffusion": 1.0, "growth": 4.0},
-            "control": {"diffusion": 1.0, "growth": 4.0},
+            "model": "staged" if staged else "scalar",
+            "beneficial": zone,
+            "control": zone,
             "R": 2.0, "r": 0.0, "K": 1, "bc": bc,
         }
         path = tmp_path / "scenario.json"
@@ -690,13 +691,21 @@ class TestSimulateCommand:
         assert len(err.splitlines()) == 1
 
     def test_singular_crank_nicolson_matrix_exits_6(self, capsys, tmp_path):
-        # On a reflecting segment the tridiagonal LAPACK factor meets an exact zero pivot.
+        # On a reflecting segment the LAPACK band factor meets an exact zero pivot.
         self.assert_singular_exits_6(capsys, tmp_path, "neumann")
 
     def test_singular_crank_nicolson_ring_exits_6(self, capsys, tmp_path):
         # On a ring SuperLU's smallest pivot is round-off (about 1e-15), not an
         # exact zero; unchecked, the steps grow along the null vector.
         self.assert_singular_exits_6(capsys, tmp_path, "periodic")
+
+    def test_singular_staged_segment_exits_6(self, capsys, tmp_path):
+        # Uncoupled stages on reflecting ends: dgbtrf meets an exact zero pivot.
+        self.assert_singular_exits_6(capsys, tmp_path, "neumann", staged=True)
+
+    def test_singular_staged_ring_exits_6(self, capsys, tmp_path):
+        # The band without the wrap factors well; the Woodbury capacitance is singular.
+        self.assert_singular_exits_6(capsys, tmp_path, "periodic", staged=True)
 
 
 

@@ -735,7 +735,7 @@ class TestPerronBracket:
         assert len(solves) == {"negative": 1, "spread": 100, "singular": 0, "underflow": 1}[fault]
 
 
-class TestStagedBackwardError:
+class TestTaigaVerdictBoundary:
     """Staged levels keep their sign at the taiga preset's verdict boundary, where the
     eigenvalue itself is near zero: the Perron bracket's width is a round-off multiple
     of ``|B^-1 K|``."""
@@ -757,26 +757,6 @@ class TestStagedBackwardError:
             signs.add(np.sign(report.top_eigenvalue))
         assert signs == {-1.0, 1.0}
 
-    @pytest.mark.parametrize("level", [0, 1])
-    def test_column_sum_norm_from_the_csc_segments(self, level):
-        # Every column of the assembled K holds its diagonal, so no CSC segment is
-        # empty and the per-segment sums of |K| equal abs(K)'s column sums.
-        rng = np.random.default_rng(1717)
-        for _ in range(12):
-            bc = BCS[int(rng.integers(3))]
-            M = random_supercritical_stage_matrix(rng, int(rng.integers(2, 4)))
-            diffusion = [loguniform(rng, 0.1, 10.0) for _ in range(len(M))]
-            layout = PatchLayout(
-                StageZone(diffusion, M),
-                StageZone(diffusion, M - loguniform(rng, 0.1, 5.0) * np.eye(len(M))),
-                R=loguniform(rng, 0.5, 5.0), r=loguniform(rng, 0.1, 3.0),
-                K=int(rng.integers(1, 3)) if bc is BoundaryCondition.PERIODIC else 1, bc=bc,
-            )
-            K = assemble(layout, GridSpec(cells_per_unit_length=16, min_cells_per_zone=8), level).stiffness.tocsc()
-            assert np.diff(K.indptr).min() >= 1
-            segments = np.add.reduceat(np.abs(K.data), K.indptr[:-1])
-            assert np.array_equal(segments, np.asarray(abs(K).sum(axis=0)).ravel())
-
 
 class TestChainReadsLayoutOnce:
     """A chain reads its layout once, however many levels it solves: one validation, one ``stage_coupling``
@@ -790,7 +770,7 @@ class TestChainReadsLayoutOnce:
         (get_preset("taiga-two-stage"), (1, 1, 1), False),
         (PatchLayout(StageZone([1.0, 0.3], np.diag([1.0, 0.2])), StageZone([1.0, 0.3], np.diag([-1.0, -2.0])),
                      R=3.0, r=1.0, bc=BoundaryCondition.NEUMANN), (1, 1, 2), False),
-        (TestStagedBackwardError.non_cooperative_taiga(), (1, 1, 0), True),
+        (TestTaigaVerdictBoundary.non_cooperative_taiga(), (1, 1, 0), True),
     ], ids=["scalar-ring", "taiga", "two-classes", "non-cooperative"])
     def test_layout_read_once_per_chain(self, monkeypatch, layout, counts, refused):
         calls = dict.fromkeys(("validate_layout", "stage_coupling", "_growth_bound"), 0)
@@ -1243,7 +1223,7 @@ class TestNonCooperativeRefused:
         _cycle([[0.5, -2], [2, 0.3]]),  # rightmost -0.3203 + 2.00i
         _cycle([[1.0, -10.0], [0.0, -1.0]], a=0.01, bc=BoundaryCondition.NEUMANN, R=10.0),  # a real spectrum
         _cycle([[1.0, -10.0], [0.0, -1.0]], a=0.001, bc=BoundaryCondition.NEUMANN, R=10.0),
-        TestStagedBackwardError.non_cooperative_taiga(),
+        TestTaigaVerdictBoundary.non_cooperative_taiga(),
         TestGridTooSmall.layout(2, sign=-1.0),  # 2 and 3 unknowns on TestGridTooSmall.GRID
         TestGridTooSmall.layout(3, sign=-1.0),
     ], ids=["complex", "pair-beyond-a-real", "two-stage-complex", "triangular", "triangular-slow", "taiga",
@@ -1258,7 +1238,7 @@ class TestNonCooperativeRefused:
 
     def test_an_absent_control_zone_is_not_read(self):
         # At r = 0 the control zone has no cells: its negative coupling couples nothing, and the level is bracketed.
-        layout = replace(TestStagedBackwardError.non_cooperative_taiga(), r=0.0)
+        layout = replace(TestTaigaVerdictBoundary.non_cooperative_taiga(), r=0.0)
         assert _level_chain(layout, self.GRID) == _level_chain(replace(get_preset("taiga-two-stage"), r=0.0), self.GRID)
 
 

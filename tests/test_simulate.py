@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import splu
 
 from patchcontrol import (
@@ -77,6 +77,7 @@ class TestSimulate:
         p = ScalarProblem(a=1.0, lam=0.5, b=1.0, mu=4.0, R=3.0, r=1.0)
         result = simulate(SimulationRun(layout=p.to_layout(), T=20.0, dt=0.02, grid=FAST))
         assert result.min_density_ratio >= -1e-12
+        assert result.min_density_ratio == 0.0  # no entry is negative: reported as 0, not the smallest ratio
 
     def test_dt_refinement_stability_of_exponent(self):
         p = ScalarProblem(a=1.0, lam=1.0, b=1.0, mu=3.0, R=2.0, r=0.8)
@@ -528,45 +529,131 @@ ODD_GRID = GridSpec(13.3, 3, 5)
 
 
 def _half_step_draw(seed: int):
-    """Scalar Dirichlet or Neumann operator and a step of up to 3 for ``seed``."""
+    """Scalar operator, a step of up to 3 and a state for ``seed``: Dirichlet or Neumann below 200,
+    a ring of K = 1-3 from there."""
     rng = np.random.default_rng(7000 + seed)
+    ring = seed >= 200
     layout = PatchLayout(
         ScalarZone(loguniform(rng, 0.3, 5.0), loguniform(rng, 0.1, 3.0)),
         ScalarZone(loguniform(rng, 0.3, 5.0), -loguniform(rng, 0.1, 20.0)),
         R=loguniform(rng, 1.0, 6.0),
         r=loguniform(rng, 0.1, 1.5),
-        bc=BCS[seed % 2],
+        K=1 + seed % 3 if ring else 1,
+        bc=BoundaryCondition.PERIODIC if ring else BCS[seed % 2],
     )
     op = assemble(layout, (FAST, ODD_GRID)[seed // 2 % 2], int(rng.integers(2)))
-    return op, loguniform(rng, 1e-3, 3.0), rng.standard_normal(op.n_unknowns)
+    return op, loguniform(rng, 1e-3, 3.0), rng.standard_normal(op.n_unknowns), ring
+
+
+def _staged_half_step_draw(seed: int):
+    """Staged (2-3 stages) segment or ring (K = 1-3), a step of up to 3 and a state for ``seed``;
+    every tenth draw is a ring of two nodes, whose wrap lies inside the band."""
+    rng = np.random.default_rng(7500 + seed)
+    n_stages, bc = int(rng.integers(2, 4)), BCS[seed % 3]
+
+    def zone(sign):
+        M = rng.uniform(0.0, 2.0, (n_stages, n_stages))
+        np.fill_diagonal(M, sign * rng.uniform(0.1, 10.0, n_stages))
+        return StageZone(rng.uniform(0.3, 5.0, n_stages), M)
+
+    if seed % 10 == 9:  # one zone of two cells on a one-period ring
+        bc = BoundaryCondition.PERIODIC
+        layout = PatchLayout(zone(1.0), zone(-1.0), R=1.0, r=0.0, bc=bc)
+        grid = GridSpec(cells_per_unit_length=1, min_cells_per_zone=2)
+    else:
+        K = int(rng.integers(1, 4)) if bc is BoundaryCondition.PERIODIC else 1
+        layout = PatchLayout(zone(1.0), zone(-1.0), R=loguniform(rng, 1.0, 6.0), r=loguniform(rng, 0.1, 1.5),
+                             K=K, bc=bc)
+        grid = (FAST, ODD_GRID)[seed // 3 % 2]
+    op = assemble(layout, grid, int(rng.integers(2)))
+    return op, loguniform(rng, 1e-3, 3.0), rng.standard_normal(op.n_unknowns), bc is BoundaryCondition.PERIODIC
 
 
 class TestTridiagonalHalfStep:
-    """Off a ring a scalar step is solved by LAPACK ``dgttrs``, not SuperLU."""
+    """``_half_step_solver`` maps ``y`` to ``2 (B - dt/2 K)^-1 B y`` on every factor route."""
 
-    def test_matches_superlu(self):
-        pivoted = 0
-        for seed in range(200):
-            op, dt, b = _half_step_draw(seed)
+    SIMULATE = importlib.import_module("patchcontrol.simulate")  # the package re-exports the function
+    ROUTES = {"dpttrs": (lapack, "dpttrs"), "dtbsv": (blas, "dtbsv"), "dgbtrs": (lapack, "dgbtrs"),
+              "woodbury": (lapack, "dgetrf"), "splu": (SIMULATE, "splu")}
+
+    def test_matches_superlu(self, monkeypatch):
+        calls = dict.fromkeys(self.ROUTES, 0)
+        for name, (owner, attr) in self.ROUTES.items():
+            def counted(*args, _name=name, _kernel=getattr(owner, attr), **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+        draws = [_half_step_draw(seed) for seed in range(250)] + [_staged_half_step_draw(seed) for seed in range(150)]
+        reached = set()
+        for seed, (op, dt, y, periodic) in enumerate(draws):
             M = (sparse.diags(op.mass) - (dt / 2.0) * op.stiffness).tocsc()
-            want = 2.0 * splu(M).solve(b)
-            got = _half_step_solver(op, dt, periodic=False)(b.copy())
-            # At most 1.6e-12 over these draws, with condition numbers up to 3e5.
+            want = 2.0 * splu(M).solve(op.mass * y)
+            before, kept = dict(calls), y.copy()
+            got = _half_step_solver(op, dt, periodic)(y)
+            # At most 1.8e-11 over these draws (a staged ring), with condition numbers up to 3.6e6.
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), seed
-            pivoted += bool(lapack.dgttrf(M.diagonal(-1), M.diagonal(), M.diagonal(1))[3].any())
-        assert pivoted > 0  # some draws interchange rows (nonzero du2)
+            assert np.array_equal(y, kept), seed  # the map leaves its argument intact
+            reached |= {name for name in calls if calls[name] > before[name]}
+        assert reached == set(self.ROUTES)
 
-    def test_superlu_only_on_rings_and_stages(self, monkeypatch):
+    def test_one_unknown_segment(self):
+        # scipy's tridiagonal factors refuse one unknown; the band takes it: 2 B y / (B - dt/2 K).
+        layout = PatchLayout(ScalarZone(1.0, 1.0), ScalarZone(1.0, -1.0), R=1.0, r=0.0, bc=BoundaryCondition.DIRICHLET)
+        op = assemble(layout, GridSpec(cells_per_unit_length=1, min_cells_per_zone=2), 0)
+        assert op.n_unknowns == 1
+        B, K = op.mass[0], op.stiffness[0, 0]
+        got = _half_step_solver(op, 0.01, periodic=False)(np.array([1.5]))
+        assert got[0] == pytest.approx(2.0 * B * 1.5 / (B - 0.005 * K), rel=1e-15)
+
+    def test_superlu_only_on_one_stage_rings(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("splu called")
 
-        # The package re-exports the function ``simulate`` under the module's name.
-        monkeypatch.setattr(importlib.import_module("patchcontrol.simulate"), "splu", refuse)
+        monkeypatch.setattr(self.SIMULATE, "splu", refuse)
         for bc in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
             layout = PatchLayout(ScalarZone(1.0, 0.8), ScalarZone(1.5, -3.0), R=2.0, r=1.0, bc=bc)
             assert np.isfinite(simulate(SimulationRun(layout=layout, T=0.5, dt=0.01, grid=FAST)).log_l2).all()
+        taiga = simulate(SimulationRun(layout=get_preset("taiga-two-stage"), T=0.5, dt=0.01, grid=FAST))
+        assert np.isfinite(taiga.log_l2).all()
         ring = PatchLayout(ScalarZone(1.0, 0.8), ScalarZone(1.5, -3.0), R=2.0, r=1.0, K=2,
                            bc=BoundaryCondition.PERIODIC)
-        for layout in (ring, get_preset("taiga-two-stage")):
-            with pytest.raises(AssertionError, match="splu called"):
-                simulate(SimulationRun(layout=layout, T=0.5, dt=0.01, grid=FAST))
+        with pytest.raises(AssertionError, match="splu called"):
+            simulate(SimulationRun(layout=ring, T=0.5, dt=0.01, grid=FAST))
+
+
+class TestSingularHalfStep:
+    """Growth 4 in every zone with dt = 1/2 makes ``B - dt/2 K`` the singular Laplacian; each refusal rule holds."""
+
+    SINGULAR = StageZone([1.0, 1.7], [[4.0, 0.0], [0.0, 4.0]])  # uncoupled stages
+
+    def factored(self, monkeypatch, layout, grid):
+        """``_half_step_solver``'s refusal on ``layout`` at dt = 1/2, and the ``info`` of each ``dgbtrf`` it ran."""
+        infos = []
+
+        def dgbtrf(*args, _kernel=lapack.dgbtrf, **kwargs):
+            out = _kernel(*args, **kwargs)
+            infos.append(out[-1])
+            return out
+
+        monkeypatch.setattr(lapack, "dgbtrf", dgbtrf)
+        with pytest.raises(RuntimeError) as refusal:
+            _half_step_solver(assemble(layout, grid, 0), 0.5, layout.bc is BoundaryCondition.PERIODIC)
+        return str(refusal.value), infos
+
+    def test_exact_zero_pivot(self, monkeypatch):
+        layout = PatchLayout(self.SINGULAR, self.SINGULAR, R=2.0, r=0.0, bc=BoundaryCondition.NEUMANN)
+        message, infos = self.factored(monkeypatch, layout, GridSpec(cells_per_unit_length=4))
+        assert message == "Factor is exactly singular" and infos == [33]  # dgbtrf meets U(33, 33) = 0
+
+    def test_pivot_at_round_off(self, monkeypatch):
+        # Unequal cells and diffusions: the last pivot is about 3e-16, not zero, below n eps max|C| = 5.6e-14.
+        control = StageZone([2.3, 0.6], [[4.0, 0.0], [0.0, 4.0]])
+        layout = PatchLayout(self.SINGULAR, control, R=2.0, r=0.7, bc=BoundaryCondition.NEUMANN)
+        message, infos = self.factored(monkeypatch, layout, GridSpec(cells_per_unit_length=4, min_cells_per_zone=3))
+        assert message == "Factor is exactly singular" and infos == [0]
+
+    def test_singular_capacitance(self, monkeypatch):
+        # The band of a ring factors well (smallest pivot 8.5); the wrap's capacitance carries the null vector.
+        layout = PatchLayout(self.SINGULAR, self.SINGULAR, R=2.0, r=0.0, bc=BoundaryCondition.PERIODIC)
+        message, infos = self.factored(monkeypatch, layout, GridSpec(cells_per_unit_length=4))
+        assert message == "Woodbury capacitance is singular" and infos == [0]
